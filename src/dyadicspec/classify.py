@@ -277,7 +277,7 @@ def pointwise_certificate(
         sections = antipode_level_union(Z, params.n_max)
     last = -1
     for s in sections.sections:
-        if s.tail_all_from is not None or not s.tail_exact:
+        if s.tail_all_from is not None:
             return None
         known = s.levels | s.tail_extra
         if known:
@@ -341,14 +341,14 @@ def classify(Z: SpectrumSet, params: ClassifyParams = ClassifyParams()) -> Class
         (n, image_closedness(Z, n).closed) for n in range(min(params.n_max, 8) + 1)
     )
     h1_ok = all(c for _, c in closed_by_level)
-    h2_ok = sections.holds is True
+    h2_ok = sections.holds
     notes: list[str] = [
         "classification concerns the dyadic semigroup induced by the zero "
         "extension; nonzero extensions are out of scope",
         "automatic-continuity hypotheses: image closedness "
         + ("holds" if h1_ok else "fails")
         + ", section level union "
-        + {True: "finite", False: "infinite", None: "undecided"}[sections.holds]
+        + ("finite" if sections.holds else "infinite")
         + (
             "; with the assumed trivial extension group both hypotheses of the "
             "automatic-continuity route are met"

@@ -349,10 +349,6 @@ def builtin_example(name: str) -> Config:
 # report rendering
 
 
-def _fmt_frac(x: Fraction, digits: int) -> str:
-    return f"{x} (~{float(x):.{digits}g})" if x.denominator != 1 else str(x)
-
-
 def report_to_dict(rep: ClassificationReport) -> dict:
     d = {
         "verdict": rep.verdict.value,
@@ -486,7 +482,7 @@ def render_report(rep: ClassificationReport) -> str:
             tail += f", beyond bound: {s['tail_extra']}"
         out.append(f"  t={s['t']}: levels {s['levels']}{tail}")
     su = d["section_union"]
-    fin = {True: "finite", False: "infinite", None: "undecided"}[su["finite"]]
+    fin = "finite" if su["finite"] else "infinite"
     out.append(f"  union: {sorted(set(su['levels']))} ({fin})")
     closed_all = all(c["closed"] for c in d["closedness_by_level"])
     out.append(f"exponential images closed: {'yes' if closed_all else 'no'}")
@@ -616,7 +612,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
                 tail.append(s.unbounded_schedule)
             suffix = f" ({'; '.join(tail)})" if tail else ""
             out.append(f"t={s.t}: {sorted(s.levels)}{suffix}")
-        fin = {True: "finite", False: "infinite", None: "undecided"}[rep.holds]
+        fin = "finite" if rep.holds else "infinite"
         out.append(f"union over sections: {sorted(rep.union_levels)} -- {fin}")
         closed = image_closedness(cfg.spectrum, 0)
         out.append(f"exponential images closed: {'yes' if closed.closed else 'no'}")

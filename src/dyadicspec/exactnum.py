@@ -113,12 +113,6 @@ class PiLinear:
     def is_zero(self) -> bool:
         return self.q0 == 0 and self.q1 == 0
 
-    def is_rational(self) -> bool:
-        return self.q1 == 0
-
-    def is_pi_multiple(self) -> bool:
-        return self.q0 == 0
-
     # -- ordering --
 
     def sign(self) -> int:

@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Union
 from .exactnum import PiLinear, compare, floor_ratio, reduce_mod_2pi
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
 from .spectrum import (
+    ConsistencyError,
     ILattice,
     Point,
     PrimeFamily,
@@ -53,10 +54,6 @@ SMALL_ORBIT = 16  # lattice orbits at most this size normalize into points
 
 class ComputationLimit(RuntimeError):
     """An exact enumeration would exceed the configured size guard."""
-
-
-class ConsistencyError(AssertionError):
-    """Two independent routes to the same set disagreed (internal bug)."""
 
 
 @dataclass(frozen=True)
@@ -634,26 +631,8 @@ def _section_image(S: SectionSet, n: int, log_mod: Fraction) -> LevelSet:
     return normalize(n, comps)
 
 
-def square_component(c: Component) -> Component:
-    if isinstance(c, IsolatedPoint):
-        p = c.point
-        return IsolatedPoint(LevelPoint(2 * p.log_mod, reduce_mod_2pi(p.angle.scaled(2))))
-    if isinstance(c, Arc):
-        return make_arc(2 * c.log_mod, c.lo.scaled(2), c.hi.scaled(2))
-    if isinstance(c, FullCircle):
-        return FullCircle(2 * c.log_mod)
-    if isinstance(c, CircleLattice):
-        step = _rat_gcd2(2 * c.step, Fraction(2))
-        return make_lattice(2 * c.log_mod, c.base.scaled(2), step)
-    if isinstance(c, Sector):
-        return make_sector(2 * c.lo_log, 2 * c.hi_log, c.lo.scaled(2), c.hi.scaled(2))
-    if isinstance(c, Annulus):
-        return Annulus(2 * c.lo_log, 2 * c.hi_log)
-    raise TypeError(type(c).__name__)
-
-
 def square_levelset(L: LevelSet) -> LevelSet:
-    return normalize(L.level - 1, [square_component(c) for c in L.components])
+    return normalize(L.level - 1, [power_component(c, 2) for c in L.components])
 
 
 def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:

@@ -152,14 +152,3 @@ def compare_abs1m_sq(log_mod: Fraction, angle: PiLinear, threshold: Fraction) ->
             return -1
         digits *= 3
     raise PrecisionError("|1-z|^2 comparison did not separate")
-
-
-def compare_intervals(a: Interval, b: Interval) -> int | None:
-    """-1/1 if the intervals certify an order, 0 if identical points, else None."""
-    if a[1] < b[0]:
-        return -1
-    if a[0] > b[1]:
-        return 1
-    if a[0] == a[1] == b[0] == b[1]:
-        return 0
-    return None

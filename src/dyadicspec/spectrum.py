@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactnum import (
     PiLinear,
@@ -398,26 +398,37 @@ def _part_difference(A: SectionPart, B: SectionPart) -> list[SectionPart]:
 
 
 # ---------------------------------------------------------------------------
-# the antipode condition and its level tails
+# the antipode condition and its level descriptions
 #
 # The question at level n is whether S_t - S_t contains an odd multiple of
-# 2^n * pi.  Per ordered pair of section parts this reduces to membership
-# of 2^n - c in the rational module 2^{n+1} Z + m_1 Z + ... (an exact gcd
-# computation), or to counting odd lattice multiples inside an interval.
+# 2^n * pi.  Each ordered pair of section parts splits into instances of
+# three kinds: membership of 2^n - c in the rational module
+# 2^{n+1} Z + m_1 Z + ... (an exact gcd computation), an odd multiple of
+# 2^n * pi inside an interval, or an interval meeting a lattice coset.
+# Every instance has one exact description (PairLevels) that is constant
+# from a known level on; the levels up to any bound and the tail beyond it
+# are both read off these descriptions.
+
+
+class ConsistencyError(AssertionError):
+    """Two independent routes to the same set disagreed (internal bug)."""
 
 
 @dataclass(frozen=True)
-class PairTail:
-    """Behaviour of a pair condition for large n.
+class PairLevels:
+    """Levels of one instance: the condition holds exactly at `hits` below
+    `start` and equals `value` at every n >= `start`."""
 
-    kind 'finite': condition holds exactly at `levels` (for every n).
-    kind 'const': condition equals `value` for all n >= `start`.
-    """
+    hits: frozenset[int]
+    start: int
+    value: bool
 
-    kind: str
-    levels: frozenset[int] = frozenset()
-    start: int = 0
-    value: bool = False
+    def holds(self, n: int) -> bool:
+        return n in self.hits if n < self.start else self.value
+
+
+_NEVER = PairLevels(frozenset(), 0, False)
+_ALWAYS = PairLevels(frozenset(), 0, True)
 
 
 def _v2(n: int) -> int:
@@ -442,25 +453,38 @@ def _rat_gcd(values: Iterable[Fraction]) -> Fraction:
     return g
 
 
+def _stable_from(m: Fraction) -> int:
+    """First level n >= 0 from which gcd(2^{n+1}, m) no longer changes."""
+    return max(0, _v2(m.numerator) - _v2(m.denominator))
+
+
+def _constant_from(start: int, cond: Callable[[int], bool]) -> PairLevels:
+    """Describe `cond`, which is constant for n >= start by construction."""
+    value = cond(start)
+    if cond(start + 1) != value or cond(start + 6) != value:
+        raise ConsistencyError(f"pair condition is not constant from level {start}")
+    return PairLevels(frozenset(n for n in range(start) if cond(n)), start, value)
+
+
 def _odd_cond(n: int, c: Fraction, mods: list[Fraction]) -> bool:
     """Exists odd k and integers t_i with 2^n * k = c + sum t_i * m_i."""
     g = _rat_gcd([Fraction(2 ** (n + 1))] + mods)
     return ((c - 2**n) / g).denominator == 1
 
 
-def _odd_cond_tail(c: Fraction, mods: list[Fraction]) -> PairTail:
+def _module_levels(params: Optional[tuple[Fraction, list[Fraction]]]) -> PairLevels:
+    """Levels of the _odd_cond instance `params`; None stands for no solution."""
+    if params is None:
+        return _NEVER
+    c, mods = params
     m = _rat_gcd(mods)
     if m == 0:
+        # 2^n * k = c with k odd holds only at n = v2(c)
         if c != 0 and c.denominator == 1:
-            return PairTail("finite", levels=frozenset({_v2(c.numerator)}))
-        return PairTail("finite", levels=frozenset())
-    e = _v2(m.numerator)
-    start = max(0, e - _v2(m.denominator) if m.denominator % 2 == 0 else e)
-    start = max(start, 0)
-    value = _odd_cond(start, c, mods)
-    assert _odd_cond(start + 1, c, mods) == value
-    assert _odd_cond(start + 6, c, mods) == value
-    return PairTail("const", start=start, value=value)
+            n = _v2(c.numerator)
+            return PairLevels(frozenset({n}), n + 1, False)
+        return _NEVER
+    return _constant_from(_stable_from(m), lambda n: _odd_cond(n, c, mods))
 
 
 def _abs_pl(x: PiLinear) -> PiLinear:
@@ -477,39 +501,28 @@ def _odd_multiple_in_interval(n: int, a: PiLinear, b: PiLinear) -> bool:
     return kmax > kmin or kmin % 2 != 0
 
 
-def _interval_false_tail(endpoints: list[PiLinear]) -> PairTail:
-    bound = endpoints[0]
-    for e in endpoints[1:]:
-        if _abs_pl(e) > _abs_pl(bound):
-            bound = e
-    bound = _abs_pl(bound)
-    n = 0
-    while not PiLinear(0, 2**n) > bound:
-        n += 1
-    return PairTail("const", start=n, value=False)
+def _interval_levels(a: PiLinear, b: PiLinear) -> PairLevels:
+    # once 2^n * pi exceeds |a| and |b|, the only multiple in [a, b] is 0
+    bound = max(_abs_pl(a), _abs_pl(b))
+    start = 0
+    while not PiLinear(0, 2**start) > bound:
+        start += 1
+    return _constant_from(start, lambda n: _odd_multiple_in_interval(n, a, b))
 
 
-def _point_lattice_cond(n: int, w: PiLinear, step: PiLinear) -> bool:
-    # exists integer l, odd k: w + l*step = 2^n * k * pi
+def _point_lattice_params(
+    w: PiLinear, step: PiLinear
+) -> Optional[tuple[Fraction, list[Fraction]]]:
+    """Reduce w + l*step = 2^n * k * pi (integer l, odd k) to an
+    (offset, moduli) instance, or None."""
     if step.q0 != 0:
         l = -w.q0 / step.q0
         if l.denominator != 1:
-            return False
-        return _odd_cond(n, w.q1 + l * step.q1, [])
+            return None
+        return w.q1 + l * step.q1, []
     if w.q0 != 0:
-        return False
-    return _odd_cond(n, w.q1, [step.q1])
-
-
-def _point_lattice_tail(w: PiLinear, step: PiLinear) -> PairTail:
-    if step.q0 != 0:
-        l = -w.q0 / step.q0
-        if l.denominator != 1:
-            return PairTail("finite", levels=frozenset())
-        return _odd_cond_tail(w.q1 + l * step.q1, [])
-    if w.q0 != 0:
-        return PairTail("finite", levels=frozenset())
-    return _odd_cond_tail(w.q1, [step.q1])
+        return None
+    return w.q1, [step.q1]
 
 
 def _lattice_lattice_params(
@@ -577,126 +590,50 @@ def _interval_lattice_cond(
     return jmax >= jmin
 
 
-def _interval_lattice_tail(lo: PiLinear, hi: PiLinear, base: PiLinear, step: PiLinear) -> PairTail:
-    if step.q0 != 0:
-        return PairTail("const", start=0, value=True)
-    m = abs(step.q1)
-    e = _v2(m.numerator)
-    start = max(0, e - _v2(m.denominator) if m.denominator % 2 == 0 else e)
-    value = _interval_lattice_cond(start, lo, hi, base, step)
-    assert _interval_lattice_cond(start + 1, lo, hi, base, step) == value
-    assert _interval_lattice_cond(start + 6, lo, hi, base, step) == value
-    return PairTail("const", start=start, value=value)
+def _interval_lattice_levels(
+    lo: PiLinear, hi: PiLinear, base: PiLinear, step: PiLinear
+) -> PairLevels:
+    start = 0 if step.q0 != 0 else _stable_from(step.q1)
+    return _constant_from(start, lambda n: _interval_lattice_cond(n, lo, hi, base, step))
 
 
-def _pair_condition(A: SectionPart, B: SectionPart, n: int) -> bool:
-    """Does {u - v : u in A, v in B} contain an odd multiple of 2^n*pi?"""
+def _pair_levels(A: SectionPart, B: SectionPart) -> Iterable[PairLevels]:
+    """Descriptions whose union is the set of levels n at which
+    {u - v : u in A, v in B} contains an odd multiple of 2^n * pi."""
     if isinstance(A, SectionLine) or isinstance(B, SectionLine):
-        return True
+        return (_ALWAYS,)
     if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
-        for u in A.values:
-            for v in B.values:
-                d = u - v
-                if d.q0 == 0 and _odd_cond(n, d.q1, []):
-                    return True
-        return False
+        diffs = (u - v for u in A.values for v in B.values)
+        return (_module_levels((d.q1, [])) for d in diffs if d.q0 == 0)
     if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
-        return any(_odd_multiple_in_interval(n, u - B.hi, u - B.lo) for u in A.values)
+        return (_interval_levels(u - B.hi, u - B.lo) for u in A.values)
     if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
-        return any(_odd_multiple_in_interval(n, A.lo - v, A.hi - v) for v in B.values)
+        return (_interval_levels(A.lo - v, A.hi - v) for v in B.values)
     if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
-        return _odd_multiple_in_interval(n, A.lo - B.hi, A.hi - B.lo)
+        return (_interval_levels(A.lo - B.hi, A.hi - B.lo),)
     if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
-        return any(_point_lattice_cond(n, u - B.base, B.step) for u in A.values)
+        return (_module_levels(_point_lattice_params(u - B.base, B.step)) for u in A.values)
     if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
-        return any(_point_lattice_cond(n, A.base - v, A.step) for v in B.values)
+        return (_module_levels(_point_lattice_params(A.base - v, A.step)) for v in B.values)
     if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
-        params = _lattice_lattice_params(A.base - B.base, A.step, B.step)
-        if params is None:
-            return False
-        c, mods = params
-        return _odd_cond(n, c, mods)
+        return (_module_levels(_lattice_lattice_params(A.base - B.base, A.step, B.step)),)
     if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
-        return _interval_lattice_cond(n, A.lo, A.hi, B.base, B.step)
+        return (_interval_lattice_levels(A.lo, A.hi, B.base, B.step),)
     if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
         # u - v = base + l*step - v; substituting k -> -k mirrors the set
-        return _interval_lattice_cond(n, B.lo, B.hi, A.base, A.step)
+        return (_interval_lattice_levels(B.lo, B.hi, A.base, A.step),)
     raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
 
 
-def _pair_tail(A: SectionPart, B: SectionPart) -> PairTail:
-    if isinstance(A, SectionLine) or isinstance(B, SectionLine):
-        return PairTail("const", start=0, value=True)
-    if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
-        levels = set()
-        for u in A.values:
-            for v in B.values:
-                d = u - v
-                if d.q0 == 0 and d.q1 != 0 and d.q1.denominator == 1:
-                    levels.add(_v2(d.q1.numerator))
-        return PairTail("finite", levels=frozenset(levels))
-    if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
-        eps = [u - B.hi for u in A.values] + [u - B.lo for u in A.values]
-        return _interval_false_tail(eps)
-    if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
-        eps = [A.lo - v for v in B.values] + [A.hi - v for v in B.values]
-        return _interval_false_tail(eps)
-    if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
-        return _interval_false_tail([A.lo - B.hi, A.hi - B.lo])
-    if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
-        return _merge_pair_tails(
-            [_point_lattice_tail(u - B.base, B.step) for u in A.values]
-        )
-    if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
-        return _merge_pair_tails(
-            [_point_lattice_tail(A.base - v, A.step) for v in B.values]
-        )
-    if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
-        params = _lattice_lattice_params(A.base - B.base, A.step, B.step)
-        if params is None:
-            return PairTail("finite", levels=frozenset())
-        return _odd_cond_tail(*params)
-    if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
-        return _interval_lattice_tail(A.lo, A.hi, B.base, B.step)
-    if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
-        return _interval_lattice_tail(B.lo, B.hi, A.base, A.step)
-    raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
-
-
-def _merge_pair_tails(tails: list[PairTail]) -> PairTail:
-    """OR-combination of tails of the same pair family.
-
-    A 'const' result makes no claim below its start level; callers must
-    evaluate that gap directly.  Only an all-'finite' combination keeps
-    the complete closed form.
-    """
-    if all(t.kind == "finite" for t in tails):
-        levels: set[int] = set()
-        for t in tails:
-            levels |= t.levels
-        return PairTail("finite", levels=frozenset(levels))
-    true_from: Optional[int] = None
-    false_from = 0
-    for t in tails:
-        if t.kind == "finite":
-            false_from = max(false_from, max(t.levels) + 1 if t.levels else 0)
-        elif t.value:
-            true_from = t.start if true_from is None else min(true_from, t.start)
-        else:
-            false_from = max(false_from, t.start)
-    if true_from is not None:
-        return PairTail("const", start=true_from, value=True)
-    return PairTail("const", start=false_from, value=False)
+def _section_pair_levels(S: SectionSet) -> Iterator[PairLevels]:
+    for A in S.parts:
+        for B in S.parts:
+            yield from _pair_levels(A, B)
 
 
 def section_antipode_condition(Z: SpectrumSet, t: Fraction, n: int) -> bool:
     """True iff S_t - S_t contains an odd multiple of 2^n * pi."""
-    S = vertical_section(Z, Fraction(t))
-    return _section_condition(S, n)
-
-
-def _section_condition(S: SectionSet, n: int) -> bool:
-    return any(_pair_condition(A, B, n) for A in S.parts for B in S.parts)
+    return any(d.holds(n) for d in _section_pair_levels(vertical_section(Z, Fraction(t))))
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +647,6 @@ class SectionLevels:
     t: Fraction
     n_max: int
     levels: frozenset[int]
-    tail_exact: bool
     tail_extra: frozenset[int]  # exact hits beyond n_max (finitely many)
     tail_all_from: Optional[int]  # all n >= this are hits
     unbounded_schedule: Optional[str] = None  # sparse infinite tail, described
@@ -725,35 +661,21 @@ def section_antipode_levels(Z: SpectrumSet, t: Fraction, n_max: int) -> SectionL
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     t = Fraction(t)
-    S = vertical_section(Z, t)
-    levels = frozenset(n for n in range(0, n_max + 1) if _section_condition(S, n))
-
+    hits: set[int] = set()
     true_from: Optional[int] = None
-    extra: set[int] = set()
-    exact = True
-    for A in S.parts:
-        for B in S.parts:
-            pt = _pair_tail(A, B)
-            if pt.kind == "finite":
-                extra |= {lvl for lvl in pt.levels if lvl > n_max}
-                continue
-            # a const tail is silent below its start: evaluate that gap
-            for n in range(n_max + 1, pt.start):
-                if _pair_condition(A, B, n):
-                    extra.add(n)
-            if pt.value:
-                true_from = pt.start if true_from is None else min(true_from, pt.start)
-    if true_from is not None:
-        true_from = max(true_from, 0)
-        extra = {x for x in extra if x < true_from}
-
+    for d in _section_pair_levels(vertical_section(Z, t)):
+        hits |= d.hits
+        if d.value and (true_from is None or d.start < true_from):
+            true_from = d.start
+    end = math.inf if true_from is None else true_from
+    levels = {n for n in hits if n <= n_max}
+    levels.update(range(min(end, n_max + 1), n_max + 1))
     schedule = _primefamily_schedule_text(Z) if t == 0 else None
     return SectionLevels(
         t=t,
         n_max=n_max,
-        levels=levels,
-        tail_exact=exact,
-        tail_extra=frozenset(extra),
+        levels=frozenset(levels),
+        tail_extra=frozenset(n for n in hits if n_max < n < end),
         tail_all_from=true_from,
         unbounded_schedule=schedule,
     )
@@ -772,7 +694,7 @@ def _primefamily_schedule_text(Z: SpectrumSet) -> Optional[str]:
 class SectionFamilyReport:
     """Union of the per-section level sets over all distinct sections."""
 
-    holds: Optional[bool]  # True: union finite; False: infinite; None: undecided
+    holds: bool  # True: the union is finite
     union_levels: frozenset[int]
     union_all_from: Optional[int]
     witness_t: Optional[Fraction]
@@ -808,7 +730,7 @@ def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
     union: set[int] = set()
     all_from: Optional[int] = None
     witness: Optional[Fraction] = None
-    holds: Optional[bool] = True
+    holds = True
     for s in sections:
         union |= s.levels | s.tail_extra
         if s.infinite:
@@ -821,8 +743,6 @@ def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
                     if all_from is None
                     else min(all_from, s.tail_all_from)
                 )
-        if not s.tail_exact and holds is True:
-            holds = None
     return SectionFamilyReport(
         holds=holds,
         union_levels=frozenset(union),

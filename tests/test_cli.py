@@ -153,16 +153,21 @@ def test_emit_csv_flag_defaults_filename(tmp_path, monkeypatch):
 
 
 def test_byte_stable_across_processes(tmp_path):
+    import os
     import subprocess
     import sys
 
+    import dyadicspec
+
+    # the directory holding the package, so the child imports the same code
+    src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
     outs = []
     for seed in ("0", "424242"):
         proc = subprocess.run(
             [sys.executable, "-m", "dyadicspec.cli", "examples", "primefamily", "--json"],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)

@@ -26,6 +26,10 @@ from dyadicspec.spectrum import (
     section_difference,
     section_representatives,
     vertical_section,
+    _interval_lattice_cond,
+    _lattice_lattice_params,
+    _odd_cond,
+    _odd_multiple_in_interval,
 )
 
 from conftest import random_spectrum
@@ -204,27 +208,64 @@ def test_star_matches_brute_force_on_random_spectra():
     assert checked > 100
 
 
+def _oracle_point_lattice(n, w, step):
+    # exists integer l, odd k: w + l*step = 2^n * k * pi
+    if step.q0 != 0:
+        l = -w.q0 / step.q0
+        if l.denominator != 1:
+            return False
+        return _odd_cond(n, w.q1 + l * step.q1, [])
+    if w.q0 != 0:
+        return False
+    return _odd_cond(n, w.q1, [step.q1])
+
+
+def _oracle_pair(A, B, n):
+    """Direct evaluation at one level: does {u - v : u in A, v in B}
+    contain an odd multiple of 2^n*pi?"""
+    if isinstance(A, SectionLine) or isinstance(B, SectionLine):
+        return True
+    if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
+        diffs = (u - v for u in A.values for v in B.values)
+        return any(d.q0 == 0 and _odd_cond(n, d.q1, []) for d in diffs)
+    if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
+        return any(_odd_multiple_in_interval(n, u - B.hi, u - B.lo) for u in A.values)
+    if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
+        return any(_odd_multiple_in_interval(n, A.lo - v, A.hi - v) for v in B.values)
+    if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
+        return _odd_multiple_in_interval(n, A.lo - B.hi, A.hi - B.lo)
+    if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
+        return any(_oracle_point_lattice(n, u - B.base, B.step) for u in A.values)
+    if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
+        return any(_oracle_point_lattice(n, A.base - v, A.step) for v in B.values)
+    if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
+        params = _lattice_lattice_params(A.base - B.base, A.step, B.step)
+        return params is not None and _odd_cond(n, *params)
+    if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
+        return _interval_lattice_cond(n, A.lo, A.hi, B.base, B.step)
+    if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
+        return _interval_lattice_cond(n, B.lo, B.hi, A.base, A.step)
+    raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
+
+
 def test_m_set_tail_matches_direct_evaluation():
     rng = random.Random(7)
-    for _ in range(25):
-        Z = random_spectrum(rng)
+    spectra = [random_spectrum(rng) for _ in range(25)]
+    spectra += [SpectrumSet((PrimeFamily("3j+1", J),)) for J in (1, 4)]
+    # two always-true tails on one section, from levels 0 and 2
+    spectra.append(SpectrumSet((VLine(F(0)), ILattice(F(0), PiLinear(0, 1), PiLinear(0, 12)))))
+    top = 40  # above every hit of these inputs (3j+1 at j = 11 is 34)
+    for Z in spectra:
         for t in section_representatives(Z)[:2]:
-            m = section_antipode_levels(Z, t, 4)
-            for n in range(5, 12):
-                want = section_antipode_condition(Z, t, n)
-                implied = (
-                    n in m.tail_extra
-                    or (m.tail_all_from is not None and n >= m.tail_all_from)
-                    or _schedule_hit(m, n)
-                )
-                assert implied == want, (Z, t, n)
-
-
-def _schedule_hit(m, n):
-    # prime-family schedule: n_j = 2j over primes j >= 3 (tests use nseq=2j)
-    if m.unbounded_schedule is None:
-        return False
-    return n in m.tail_extra or n in m.levels
+            S = vertical_section(Z, t)
+            pairs = [(A, B) for A in S.parts for B in S.parts]
+            want = {n for n in range(top) if any(_oracle_pair(A, B, n) for A, B in pairs)}
+            for n_max in range(1, 13):
+                m = section_antipode_levels(Z, t, n_max)
+                assert m.levels == {n for n in want if n <= n_max}, (Z, t, n_max)
+                end = top if m.tail_all_from is None else m.tail_all_from
+                assert m.tail_extra == {n for n in want if n_max < n < end}, (Z, t, n_max)
+                assert all(n in want for n in range(end, top)), (Z, t, n_max)
 
 
 def test_representatives_cover_rect_interior(rectangle):
