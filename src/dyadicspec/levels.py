@@ -639,9 +639,13 @@ def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
     """Image of level n+K under K squarings: an upper bound for the
     projection of the inverse limit onto level n (and always a superset of
     exp(Z / 2^n))."""
+    return iterated_square(level_set(Z, n + K), K)
+
+
+def iterated_square(L: LevelSet, K: int) -> LevelSet:
+    """Image of L under K >= 1 squarings."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    L = level_set(Z, n + K)
     for _ in range(K):
         L = square_levelset(L)
     return L
@@ -844,5 +848,5 @@ class LevelCache:
     def eventual(self, n: int, K: int) -> LevelSet:
         key = (n, K)
         if key not in self._eventual:
-            self._eventual[key] = eventual_image(self.Z, n, K)
+            self._eventual[key] = iterated_square(self.level(n + K), K)
         return self._eventual[key]

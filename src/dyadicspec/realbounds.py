@@ -2,9 +2,20 @@
 
 Verdict-bearing comparisons stay in exact arithmetic whenever possible
 (angle comparisons, log-modulus comparisons, the rational-cosine special
-angles).  Everything else goes through Fraction-valued Taylor enclosures
-with explicit tail bounds, refined until the comparison separates.  A
-comparison that cannot separate raises instead of guessing.
+angles).  Everything else goes through enclosures with explicit error
+bounds, refined until the comparison separates.  A comparison that cannot
+separate raises instead of guessing.
+
+Both Taylor kernels run on Python integers, so no step pays a gcd:
+
+* `cos_bounds` is a fixed-point ball in the midpoint-radius style of Arb
+  (Johansson, IEEE TC 2017): the reduced angle and pi are integers at
+  scale 2**-p, the series is summed with floor rounding, and the radius
+  counts the rounding error, the tail and the angle width.
+* `exp_bounds` accumulates the exact partial sum N_k / (b**k k!) at
+  x = a/b in integers and normalises to Fractions once.  Its endpoints are
+  exactly those of a term-by-term Fraction sum, because the classifier
+  prints R * exp_bounds(R, 6)[1] into the report.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PiLinear, PrecisionError, reduce_mod_2pi
+from .exactnum import PiLinear, PrecisionError, pi_bounds, reduce_mod_2pi
 
 Interval = tuple[Fraction, Fraction]
 
@@ -29,51 +40,100 @@ _RATIONAL_COS = {
 
 
 def exp_bounds(x: Fraction, digits: int) -> Interval:
-    """Enclosure of exp(x) with width <= 10**-digits."""
+    """Enclosure of exp(x) with width <= 10**-digits.
+
+    The partial sum s_k = N_k / D_k with D_k = b**k k! at x = a/b stops at
+    the first k >= 2|x| + 2 whose geometric tail bound 2|x|**(k+1)/(k+1)!
+    is at most 10**-digits / 2; the result is s_k -+ that bound.
+    """
     if x == 0:
         return Fraction(1), Fraction(1)
-    eps = Fraction(1, 10**digits)
-    ax = abs(x)
-    term = Fraction(1)
-    s = Fraction(1)
-    k = 0
-    # run until the geometric tail bound 2*term is small enough
-    while k < 2 * ax + 2 or 2 * abs(term) * ax / (k + 1) > eps / 2:
-        k += 1
-        term = term * x / k
-        s += term
-    tail = 2 * abs(term) * ax / (k + 1)
-    return s - tail, s + tail
-
-
-def _cos_bounds_frac(t: Fraction, eps: Fraction) -> Interval:
-    # |t| <= 4 assumed (angles are reduced first); alternating tail bound
-    t2 = t * t
-    term = Fraction(1)
-    s = Fraction(1)
+    a, b = x.numerator, x.denominator
+    tail_scale = 4 * 10**digits
+    num = den = power = 1  # N_k, D_k and a**k at k = 0
     k = 0
     while True:
+        next_power = power * a
+        next_den = den * b * (k + 1)
+        if k * b >= 2 * (abs(a) + b) and tail_scale * abs(next_power) <= next_den:
+            break
         k += 1
-        term = -term * t2 / ((2 * k - 1) * (2 * k))
-        s += term
-        nxt = abs(term) * t2 / ((2 * k + 1) * (2 * k + 2))
-        if k >= 2 and nxt < eps:
-            return s - nxt, s + nxt
+        num = num * b * k + next_power
+        den, power = next_den, next_power
+    mid = num * b * (k + 1)
+    tail = 2 * abs(next_power)
+    return Fraction(mid - tail, next_den), Fraction(mid + tail, next_den)
+
+
+_pi_fixed_cache: dict[int, tuple[int, int]] = {}
+
+
+def _pi_fixed(p: int) -> tuple[int, int]:
+    """Integers lo <= pi * 2**p <= hi, from the certified pi enclosure."""
+    cached = _pi_fixed_cache.get(p)
+    if cached is None:
+        lo, hi = pi_bounds(math.ceil(p * math.log10(2)) + 1)
+        cached = _pi_fixed_cache[p] = (
+            (lo.numerator << p) // lo.denominator,
+            -(-(hi.numerator << p) // hi.denominator),
+        )
+    return cached
+
+
+def _angle_fixed(a: PiLinear, p: int) -> tuple[int, int]:
+    """Integers lo <= a * 2**p <= hi, a few units apart."""
+    n0, d0 = a.q0.numerator << p, a.q0.denominator
+    lo, hi = n0 // d0, -(-n0 // d0)
+    if a.q1 == 0:
+        return lo, hi
+    # pi at 2**-(p+s) with 2**s > 4|q1| keeps the q1*pi error under 1 unit
+    s = (abs(a.q1.numerator) // a.q1.denominator).bit_length() + 2
+    plo, phi = _pi_fixed(p + s)
+    n1, d1 = a.q1.numerator, a.q1.denominator << s
+    if n1 < 0:
+        plo, phi = phi, plo
+    return lo + n1 * plo // d1, hi - (-n1 * phi // d1)
+
+
+def _cos_fixed(t: int, p: int) -> tuple[int, int]:
+    """Ball (m, r) with |cos(t * 2**-p) - m * 2**-p| <= r * 2**-p.
+
+    Needs |t| * 2**-p <= 3.2, so that t**2 <= 10.24.  Each term
+    t**(2k)/(2k)! is computed with floor rounding from the previous one
+    and the floored t**2; by induction on k each is within 3 units of the
+    true term (the first step amplifies an error by at most 10.24/2, the
+    later ones shrink it), and the terms decrease from k = 1 on.  The sum
+    stops at the first term that floors to 0: the alternating tail from
+    there is at most that term, again within 3 units.  So k terms cost a
+    radius of 3k units.
+    """
+    t2 = t * t >> p
+    term = total = 1 << p
+    k = 0
+    while term:
+        k += 1
+        term = (term * t2 >> p) // ((2 * k - 1) * (2 * k))
+        total += -term if k & 1 else term
+    return total, 3 * k
 
 
 def cos_bounds(angle: PiLinear, digits: int) -> Interval:
-    """Enclosure of cos(angle); exact for the rational-cosine angles."""
+    """Enclosure of cos(angle) with width <= 10**-digits; exact for the
+    rational-cosine angles."""
     a = reduce_mod_2pi(angle)
     if a.q0 == 0:
         c = _RATIONAL_COS.get(abs(a.q1))
         if c is not None:
             return c, c
-    eps = Fraction(1, 10**digits)
-    tlo, thi = a.bounds(digits + 2)
-    width = thi - tlo
-    lo, hi = _cos_bounds_frac(tlo, eps / 2)
-    # cos is 1-Lipschitz, so the value over [tlo, thi] stays within +-width
-    return lo - width, hi + width
+    # 2**-p0 <= 10**-digits, and the 2 * radius that the ball adds (3 units
+    # per term, fewer terms than p bits, plus a few) stays below 2**(p - p0)
+    p0 = math.ceil(digits * math.log2(10))
+    p = p0 + p0.bit_length() + 5
+    tlo, thi = _angle_fixed(a, p)
+    m, r = _cos_fixed(abs(tlo), p)
+    # cos is even and 1-Lipschitz, so the angle width adds to the radius
+    r += thi - tlo
+    return Fraction(m - r, 1 << p), Fraction(m + r, 1 << p)
 
 
 def sqrt_bounds(x: Fraction, digits: int) -> Interval:

@@ -25,6 +25,7 @@ from .exactnum import PiLinear, reduce_mod_2pi
 from .levels import LevelCache, LevelPoint, power_levelset, sup_abs_one_minus
 from .realbounds import compare_abs1m_sq
 from .spectrum import (
+    ConsistencyError,
     ILattice,
     Point,
     PrimeFamily,
@@ -97,9 +98,12 @@ def decompose(t: DyadicTime, cap: Fraction = Fraction(8)) -> Decomposition:
     exponents = tuple(m - b for b in range(k.bit_length() - 1, -1, -1) if k >> b & 1)
     last = m - v2
     odd = k >> v2
-    assert t.value == Fraction(odd) * Fraction(2) ** (-last)
-    assert odd % 2 == 1
-    assert sum(Fraction(2) ** (-e) for e in exponents) == t.value
+    if not (
+        odd % 2 == 1
+        and t.value == Fraction(odd) * Fraction(2) ** (-last)
+        and sum(Fraction(2) ** (-e) for e in exponents) == t.value
+    ):
+        raise ConsistencyError(f"binary decomposition of {t} does not add up to it")
     return Decomposition(exponents[0], last, odd, exponents)
 
 

@@ -110,8 +110,12 @@ def _search_seeds(L: LevelSet) -> list[LevelPoint]:
 
 
 def _approx_abs1m_sq(p: LevelPoint) -> float:
-    m = math.exp(float(p.log_mod))
-    return (1 - m) ** 2 + 2 * m * (1 - math.cos(float(p.angle)))
+    # ordering heuristic only: a point too far out for floats counts as infinitely far
+    try:
+        m = math.exp(float(p.log_mod))
+        return (1 - m) ** 2 + 2 * m * (1 - math.cos(float(p.angle)))
+    except OverflowError:
+        return math.inf
 
 
 def divergence_search(

@@ -174,6 +174,27 @@ def test_byte_stable_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("spectrum", ["point re=1000 im=1", "vline re=800"])
+def test_far_spectra_end_without_traceback(spectrum):
+    import os
+    import subprocess
+    import sys
+
+    import dyadicspec
+
+    src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadicspec.cli", "classify", "--config", "-"],
+        input=f"spectrum {spectrum}\n",
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_examples_show_config(capsys):
     code = main(["examples", "primefamily", "--show-config"])
     out = capsys.readouterr().out

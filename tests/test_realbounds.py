@@ -1,0 +1,108 @@
+"""Differential tests of the certified enclosures against mpmath and the
+term-by-term Fraction Taylor loop."""
+
+from fractions import Fraction as F
+
+import mpmath
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dyadicspec.exactnum import PiLinear
+from dyadicspec.realbounds import cos_bounds, exp_bounds
+
+digits = st.integers(min_value=1, max_value=60)
+
+
+def fraction_exp_bounds(x: F, digits: int) -> tuple[F, F]:
+    """Reference: the Taylor sum of exp in Fractions, term by term, with the
+    same stopping rule and tail; exp_bounds must return exactly this."""
+    if x == 0:
+        return F(1), F(1)
+    eps = F(1, 10**digits)
+    ax = abs(x)
+    term = F(1)
+    s = F(1)
+    k = 0
+    while k < 2 * ax + 2 or 2 * abs(term) * ax / (k + 1) > eps / 2:
+        k += 1
+        term = term * x / k
+        s += term
+    tail = 2 * abs(term) * ax / (k + 1)
+    return s - tail, s + tail
+
+
+def mp_fraction(v) -> F:
+    man, exp = v.man_exp  # of |v|
+    f = F(int(man)) * F(2) ** int(exp)
+    return -f if v < 0 else f
+
+
+def assert_encloses(lo: F, hi: F, value, digits: int, dps: int):
+    """lo <= value <= hi up to mpmath's own relative error, and the width
+    is at most 10**-digits."""
+    v = mp_fraction(value)
+    slack = abs(v) * F(1, 10 ** (dps - 10)) + F(1, 10 ** (dps - 10))
+    assert lo <= v + slack and v - slack <= hi, (float(lo), float(hi), value)
+    assert hi - lo <= F(1, 10**digits)
+
+
+@given(st.fractions(min_value=-1000, max_value=500, max_denominator=10**6), digits)
+@example(F(-40401, 100), 6)
+@example(F(500), 60)
+@example(F(-1000), 60)
+@settings(max_examples=80, deadline=None)
+def test_exp_bounds_contains_mpmath_value(x, d):
+    # exp(500) has 218 integer digits, on top of which come d fractional ones
+    dps = 218 + d + 40
+    lo, hi = exp_bounds(x, d)
+    with mpmath.workdps(dps):
+        value = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+    assert_encloses(lo, hi, value, d, dps)
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=10**4), st.integers(1, 30))
+@example(F(1414214, 10**6), 6)
+@example(F(-1, 3), 1)
+@example(F(7), 17)
+@settings(max_examples=60, deadline=None)
+def test_exp_bounds_equals_fraction_loop(x, d):
+    assert exp_bounds(x, d) == fraction_exp_bounds(x, d)
+
+
+@given(
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+    st.fractions(min_value=-200, max_value=200, max_denominator=10**6),
+    digits,
+)
+@example(F(1, 7), F(-6, 7), 60)
+@example(F(-3, 2), F(5), 15)
+@example(F(0), F(99999, 100000), 45)
+@example(F(1000), F(0), 17)
+@settings(max_examples=120, deadline=None)
+def test_cos_bounds_contains_mpmath_value(q0, q1, d):
+    dps = d + 60
+    lo, hi = cos_bounds(PiLinear(q0, q1), d)
+    with mpmath.workdps(dps):
+        angle = mpmath.mpf(q0.numerator) / q0.denominator + mpmath.pi * q1.numerator / q1.denominator
+        value = mpmath.cos(angle)
+    assert_encloses(lo, hi, value, d, dps)
+
+
+@pytest.mark.parametrize(
+    "q1, c",
+    [
+        (F(0), F(1)),
+        (F(1, 3), F(1, 2)),
+        (F(-1, 2), F(0)),
+        (F(2, 3), F(-1, 2)),
+        (F(1), F(-1)),
+        (F(7, 3), F(1, 2)),
+        (F(-13, 2), F(0)),
+        (F(-10, 3), F(-1, 2)),
+        (F(-5), F(-1)),
+        (F(8), F(1)),
+    ],
+)
+def test_cos_bounds_exact_at_niven_angles(q1, c):
+    assert cos_bounds(PiLinear(0, q1), 20) == (c, c)

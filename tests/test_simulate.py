@@ -20,6 +20,7 @@ from dyadicspec.simulate import (
     norm_bound_check,
     quasi_uniform_cover,
 )
+from dyadicspec.spectrum import ConsistencyError
 from dyadicspec.threads import Thread
 
 
@@ -63,6 +64,17 @@ def test_decompose_random_identities():
         assert t.value == F(d.odd_part) * F(2) ** (-d.last)
         assert d.first <= d.last
         assert list(d.exponents) == sorted(set(d.exponents))
+
+
+def test_decompose_checks_its_bits_add_up():
+    class Skewed(DyadicTime):
+        # a value that disagrees with the stored k / 2^m
+        @property
+        def value(self):
+            return F(self.k + 2, 2**self.m)
+
+    with pytest.raises(ConsistencyError):
+        decompose(Skewed(3, 3))
 
 
 def test_semigroup_law_exact(roots2k):
