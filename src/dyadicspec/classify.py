@@ -218,7 +218,7 @@ def check_not_uniform(
         A = antipodal_set(cache.eventual(n, params.K))
         if not A.is_empty():
             levels.append(n)
-            pts = enumerate_points(A)
+            pts = enumerate_points(A, 1)
             if pts:
                 samples.append(f"n={n}: angle {pts[0].angle}")
             else:

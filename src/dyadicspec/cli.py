@@ -10,7 +10,8 @@ Spectrum lines use the primitive grammar, e.g.
     spectrum primefamily nseq=2j J=8
 
 Pi-linear literals are written without spaces: `1/3+5/8*pi`.
-Exit codes: 0 definite verdict / success, 2 inconclusive, 1 error.
+Exit codes: 0 definite verdict / success, 2 inconclusive (also when an
+enumeration limit is reached), 1 error.
 """
 
 from __future__ import annotations
@@ -25,8 +26,15 @@ from typing import Optional
 
 from .classify import ClassificationReport, ClassifyParams, Verdict
 from .classify import classify as run_classify
-from .exactnum import PiLinear, parse as parse_pilinear, render as render_pilinear
-from .levels import LevelCache, antipodal_set, enumerate_points, sample_points
+from .exactnum import PiLinear, PrecisionError
+from .exactnum import parse as parse_pilinear, render as render_pilinear
+from .levels import (
+    ComputationLimit,
+    LevelCache,
+    antipodal_set,
+    enumerate_points,
+    sample_points,
+)
 from .simulate import (
     DiagonalModel,
     DyadicTime,
@@ -36,6 +44,7 @@ from .simulate import (
     quasi_uniform_cover,
 )
 from .spectrum import (
+    ConsistencyError,
     ILattice,
     Point,
     PrimeFamily,
@@ -590,9 +599,9 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
             if A.is_empty():
                 out.append(f"level {n}: empty")
             else:
-                pts = enumerate_points(A)
+                pts = enumerate_points(A, 8)
                 desc = (
-                    ", ".join(render_pilinear(p.angle) for p in pts[:8])
+                    ", ".join(render_pilinear(p.angle) for p in pts)
                     if pts
                     else type(A.components[0]).__name__
                 )
@@ -761,8 +770,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                     text_in = fh.read()
             cfg = parse_config(text_in)
             code, text = run(args.command, cfg, args.csv, args.json)
+    except ComputationLimit as e:
+        sys.stderr.write(f"inconclusive: computation limit reached: {e}\n")
+        return 2
     except (ConfigError, SpectrumError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
+        return 1
+    except (PrecisionError, ConsistencyError) as e:
+        sys.stderr.write(f"error: internal: {e}\n")
         return 1
     sys.stdout.write(text)
     return code

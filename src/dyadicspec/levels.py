@@ -97,16 +97,22 @@ class CircleLattice:
     def count(self) -> int:
         return int(Fraction(2) / self.step)
 
-    def points(self) -> list[LevelPoint]:
+    def member(self, j: int) -> LevelPoint:
+        """The orbit point base + j*step*pi, its angle reduced to (-pi, pi]."""
+        return LevelPoint(
+            self.log_mod,
+            reduce_mod_2pi(PiLinear(self.base.q0, self.base.q1 + j * self.step)),
+        )
+
+    def points(self, limit: Optional[int] = None) -> list[LevelPoint]:
+        """The orbit for j = 0, 1, ..., or only its first `limit` members."""
         if self.count > ENUM_LIMIT:
-            raise ComputationLimit(f"lattice orbit of {self.count} points")
-        return [
-            LevelPoint(
-                self.log_mod,
-                reduce_mod_2pi(PiLinear(self.base.q0, self.base.q1 + j * self.step)),
+            raise ComputationLimit(
+                f"lattice orbit of {self.count} points exceeds the enumeration "
+                f"limit {ENUM_LIMIT}"
             )
-            for j in range(self.count)
-        ]
+        take = self.count if limit is None else min(self.count, limit)
+        return [self.member(j) for j in range(take)]
 
     def contains_angle(self, angle: PiLinear) -> bool:
         if angle.q0 != self.base.q0:
@@ -195,10 +201,8 @@ def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component
         raise ValueError("lattice step must be positive and divide 2")
     base = PiLinear(base.q0, base.q1 % step)
     lat = CircleLattice(log_mod, base, step)
-    if lat.count <= ENUM_LIMIT:
-        pts = lat.points()
-        if len(pts) == 1:
-            return IsolatedPoint(pts[0])
+    if lat.count == 1:
+        return IsolatedPoint(lat.member(0))
     return lat
 
 
@@ -381,7 +385,8 @@ def membership(L: LevelSet, p: LevelPoint) -> bool:
 
 def _component_contains(c: Component, p: LevelPoint) -> bool:
     if isinstance(c, IsolatedPoint):
-        return c.point.log_mod == p.log_mod and compare(c.point.angle, p.angle) == 0
+        # values q0 + q1*pi are equal exactly when (q0, q1) are: pi is irrational
+        return c.point == p
     if isinstance(c, Arc):
         return c.log_mod == p.log_mod and _angle_in_interval(p.angle, c.lo, c.hi)
     if isinstance(c, FullCircle):
@@ -422,11 +427,23 @@ def antipode_component(c: Component) -> Component:
 
 
 def antipodal_set(L: LevelSet) -> LevelSet:
-    """The set of points of L whose antipodes also lie in L."""
-    mirrored = [antipode_component(c) for c in L.components]
-    out: list[Component] = []
+    """The set of points of L whose antipodes also lie in L.
+
+    Isolated points pair up by hashing (their reduced angles are equal
+    exactly when their coefficients are); only pairs with an arc, circle,
+    lattice, sector or annulus on one side are intersected.
+    """
+    points = [c for c in L.components if isinstance(c, IsolatedPoint)]
+    spread = [c for c in L.components if not isinstance(c, IsolatedPoint)]
+    point_set = set(points)
+    mirrored_points = [antipode_component(c) for c in points]
+    mirrored_spread = [antipode_component(c) for c in spread]
+    out: list[Component] = [m for m in mirrored_points if m in point_set]
     for a in L.components:
-        for b in mirrored:
+        for b in mirrored_spread:
+            out.extend(component_intersection(a, b))
+    for a in spread:
+        for b in mirrored_points:
             out.extend(component_intersection(a, b))
     return normalize(L.level, out)
 
@@ -463,12 +480,15 @@ def _lattice_points_in_interval(
     jmin = -floor_ratio(base_pl - lo, step_pl)
     jmax = floor_ratio(hi - base_pl, step_pl)
     if jmax - jmin + 1 > ENUM_LIMIT:
-        raise ComputationLimit("lattice-interval intersection too large")
+        raise ComputationLimit(
+            f"lattice-interval intersection of {jmax - jmin + 1} points exceeds "
+            f"the enumeration limit {ENUM_LIMIT}"
+        )
     pts = []
     for j in range(jmin, jmax + 1):
         ang = PiLinear(lat.base.q0, lat.base.q1 + j * lat.step)
         if lo <= ang and ang <= hi:
-            pts.append(LevelPoint(lat.log_mod, reduce_mod_2pi(ang)))
+            pts.append(lat.member(j))
     return pts
 
 
@@ -710,13 +730,7 @@ def component_sup_candidates(c: Component) -> list[LevelPoint]:
         # closest lattice member to angle pi: solve for j around (pi - q0 - b1*pi)/step*pi
         target = PiLinear(-c.base.q0, 1 - c.base.q1)
         j0 = floor_ratio(target, PiLinear(0, c.step))
-        return [
-            LevelPoint(
-                c.log_mod,
-                reduce_mod_2pi(PiLinear(c.base.q0, c.base.q1 + j * c.step)),
-            )
-            for j in (j0 - 1, j0, j0 + 1)
-        ]
+        return [c.member(j) for j in (j0 - 1, j0, j0 + 1)]
     if isinstance(c, Sector):
         out = []
         for m in (c.lo_log, c.hi_log):
@@ -779,18 +793,26 @@ def log_mod_range(L: LevelSet) -> tuple[Fraction, Fraction]:
     return min(los), max(his)
 
 
-def enumerate_points(L: LevelSet) -> Optional[list[LevelPoint]]:
-    """All points when the set is purely point-like and small, else None."""
+def enumerate_points(
+    L: LevelSet, limit: Optional[int] = None
+) -> Optional[list[LevelPoint]]:
+    """All points when the set is purely point-like and small, else None.
+
+    With a limit only the first `limit` points are built; whether the
+    answer is None is read off the lattice counts before any is built.
+    """
+    if not all(
+        isinstance(c, IsolatedPoint)
+        or (isinstance(c, CircleLattice) and c.count <= ENUM_LIMIT)
+        for c in L.components
+    ):
+        return None
     pts: list[LevelPoint] = []
     for c in L.components:
-        if isinstance(c, IsolatedPoint):
-            pts.append(c.point)
-        elif isinstance(c, CircleLattice):
-            if c.count > ENUM_LIMIT:
-                return None
-            pts.extend(c.points())
-        else:
-            return None
+        left = None if limit is None else limit - len(pts)
+        if left == 0:
+            break
+        pts.extend([c.point] if isinstance(c, IsolatedPoint) else c.points(left))
     return pts
 
 

@@ -13,8 +13,8 @@ from dyadicspec.cli import (
     run,
 )
 from dyadicspec.classify import ClassifyParams
-from dyadicspec.exactnum import PiLinear
-from dyadicspec.spectrum import Rect, VLine
+from dyadicspec.exactnum import PiLinear, PrecisionError
+from dyadicspec.spectrum import ConsistencyError, Rect, VLine
 
 
 CONFIG = """
@@ -174,8 +174,7 @@ def test_byte_stable_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("spectrum", ["point re=1000 im=1", "vline re=800"])
-def test_far_spectra_end_without_traceback(spectrum):
+def _classify_in_subprocess(config: str):
     import os
     import subprocess
     import sys
@@ -183,16 +182,47 @@ def test_far_spectra_end_without_traceback(spectrum):
     import dyadicspec
 
     src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "dyadicspec.cli", "classify", "--config", "-"],
-        input=f"spectrum {spectrum}\n",
+        input=config,
         capture_output=True,
         text=True,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("spectrum", ["point re=1000 im=1", "vline re=800"])
+def test_far_spectra_end_without_traceback(spectrum):
+    proc = _classify_in_subprocess(f"spectrum {spectrum}\n")
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_computation_limit_ends_inconclusive():
+    # a segment on the section of a lattice of step pi/8193: at level 0 the
+    # segment meets 8194 orbit points, more than the enumeration limit
+    proc = _classify_in_subprocess(
+        "spectrum ilattice re=0 base=0 step=1/8193*pi\n"
+        "spectrum vsegment re=0 im=[0,1*pi]\n"
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("inconclusive: ") and "enumeration limit 4096" in line
+
+
+@pytest.mark.parametrize("error", [PrecisionError, ConsistencyError])
+def test_internal_errors_exit_1_with_one_line(error, monkeypatch, capsys):
+    import dyadicspec.cli
+
+    def fail(*args, **kwargs):
+        raise error("did not separate")
+
+    monkeypatch.setattr(dyadicspec.cli, "run", fail)
+    assert main(["examples", "rectangle"]) == 1
+    assert capsys.readouterr().err == "error: internal: did not separate\n"
 
 
 def test_examples_show_config(capsys):

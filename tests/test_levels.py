@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import PiLinear, compare, reduce_mod_2pi
+from dyadicspec.exactnum import EQUAL, PiLinear, compare, reduce_mod_2pi
 from dyadicspec.levels import (
+    ENUM_LIMIT,
     Annulus,
     Arc,
     CircleLattice,
+    ComputationLimit,
     FullCircle,
     IsolatedPoint,
     LevelCache,
@@ -16,13 +18,17 @@ from dyadicspec.levels import (
     LevelSet,
     Sector,
     antipodal_set,
+    antipode_component,
     circle_section,
+    component_intersection,
     component_sup_candidates,
     enumerate_points,
     eventual_image,
     level_set,
     levelset_intersection,
     log_mod_range,
+    make_arc,
+    make_lattice,
     membership,
     normalize,
     sample_points,
@@ -256,3 +262,147 @@ def test_lattice_intersection_and_antipodes():
     assert not antipodal_set(L1).is_empty()
     odd = CircleLattice(F(0), PiLinear(0, F(1, 3)), F(2, 3))  # 3 points
     assert antipodal_set(LevelSet(1, (odd,))).is_empty()
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the direct level-set paths against enumeration oracles
+
+
+def _orbit(lat: CircleLattice) -> list[LevelPoint]:
+    """Every orbit point, each reduced on its own."""
+    return [
+        LevelPoint(lat.log_mod, reduce_mod_2pi(PiLinear(lat.base.q0, lat.base.q1 + j * lat.step)))
+        for j in range(lat.count)
+    ]
+
+
+def _make_lattice_by_orbit(log_mod, base, step):
+    """make_lattice that walks the orbit to see whether it is one point."""
+    base = PiLinear(base.q0, base.q1 % step)
+    lat = CircleLattice(log_mod, base, step)
+    if lat.count <= ENUM_LIMIT:
+        pts = _orbit(lat)
+        if len(pts) == 1:
+            return IsolatedPoint(pts[0])
+    return lat
+
+
+def _same_point(a: LevelPoint, b: LevelPoint) -> bool:
+    return a.log_mod == b.log_mod and compare(a.angle, b.angle) == EQUAL
+
+
+def _antipodal_all_pairs(L: LevelSet) -> LevelSet:
+    """antipodal_set as the intersection of every component with every
+    mirrored one, isolated points compared by value."""
+    mirrored = [antipode_component(c) for c in L.components]
+    out = []
+    for a in L.components:
+        for b in mirrored:
+            if isinstance(a, IsolatedPoint) and isinstance(b, IsolatedPoint):
+                out.extend([a] if _same_point(a.point, b.point) else [])
+            else:
+                out.extend(component_intersection(a, b))
+    return normalize(L.level, out)
+
+
+def _enumerate_all(L: LevelSet):
+    """enumerate_points without a limit, walking every lattice orbit."""
+    pts = []
+    for c in L.components:
+        if isinstance(c, IsolatedPoint):
+            pts.append(c.point)
+        elif isinstance(c, CircleLattice) and c.count <= ENUM_LIMIT:
+            pts.extend(_orbit(c))
+        else:
+            return None
+    return pts
+
+
+def _random_mixed_level(rng: random.Random) -> LevelSet:
+    """Points (some in antipodal pairs), lattices and arcs on two circles."""
+    comps = []
+    for _ in range(rng.randint(1, 7)):
+        m = rng.choice((F(0), F(1, 2)))
+        angle = PiLinear(
+            rng.choice((F(0), F(0), F(1, 3), F(-2, 5))),
+            F(rng.randint(-8, 8), rng.choice((1, 2, 4, 8, 16))),
+        )
+        kind = rng.choice(("point", "point", "pair", "lattice", "arc"))
+        if kind in ("point", "pair"):
+            comps.append(IsolatedPoint(LevelPoint(m, reduce_mod_2pi(angle))))
+        if kind == "pair":
+            comps.append(IsolatedPoint(LevelPoint(m, reduce_mod_2pi(angle + PiLinear(0, 1)))))
+        if kind == "lattice":
+            # counts of at most 16 normalize into points, larger ones stay lattices
+            comps.append(make_lattice(m, angle, F(2, rng.choice((1, 3, 4, 32, 64)))))
+        if kind == "arc":
+            comps.append(make_arc(m, angle, angle + PiLinear(0, F(rng.randint(1, 6), 4))))
+    return normalize(rng.randint(0, 5), comps)
+
+
+def _outcome(f, L):
+    try:
+        return f(L)
+    except ComputationLimit:
+        return ComputationLimit
+
+
+def test_make_lattice_matches_orbit_walk():
+    rng = random.Random(41)
+    for count in (1, 2, 16, 17, 4096, 4097):
+        for k in range(3 if count >= 4096 else 12):
+            q0 = F(0) if k == 0 else F(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 6))
+            base = PiLinear(q0, F(rng.randint(-30, 30), rng.randint(1, 9)))
+            log_mod = F(rng.randint(-4, 4), rng.randint(1, 4))
+            step = F(2, count)
+            got = make_lattice(log_mod, base, step)
+            assert got == _make_lattice_by_orbit(log_mod, base, step), (base, count)
+            assert isinstance(got, IsolatedPoint) == (count == 1)
+
+
+def test_antipodal_set_matches_all_pairs():
+    levels = []
+    for nseq in ("2j", "3j+1"):
+        for J in (4, 9, 14):
+            Z = SpectrumSet((PrimeFamily(nseq, J),))
+            levels += [level_set(Z, n) for n in range(0, 9)]
+    rng = random.Random(2024)
+    levels += [_random_mixed_level(rng) for _ in range(150)]
+    for _ in range(60):
+        Z = random_spectrum(rng)
+        levels += [eventual_image(Z, n, K) for n in (0, 1, 3) for K in (1, 2)]
+    nonempty = 0
+    for L in levels:
+        got = _outcome(antipodal_set, L)
+        assert got == _outcome(_antipodal_all_pairs, L), L
+        nonempty += got is not ComputationLimit and not got.is_empty()
+    assert nonempty > 100
+
+
+def test_point_membership_matches_value_comparison():
+    rng = random.Random(8)
+    for _ in range(60):
+        L = _random_mixed_level(rng)
+        pts = [c.point for c in L.components if isinstance(c, IsolatedPoint)]
+        probes = pts + [antipode_component(IsolatedPoint(p)).point for p in pts]
+        for p in pts:
+            single = LevelSet(L.level, (IsolatedPoint(p),))
+            for q in probes:
+                assert membership(single, q) == _same_point(p, q)
+
+
+def test_enumerate_points_prefix_matches_full_enumeration(roots2k, primefamily):
+    rng = random.Random(17)
+    levels = [level_set(roots2k, n) for n in (0, 3, 6, 12, 13)]
+    levels += [level_set(primefamily, n) for n in (0, 2, 5)]
+    levels += [level_set(random_spectrum(rng), n) for _ in range(40) for n in (0, 2)]
+    levels += [_random_mixed_level(rng) for _ in range(40)]
+    nones = 0
+    for L in levels:
+        full = _enumerate_all(L)
+        nones += full is None
+        assert enumerate_points(L) == full
+        for limit in (1, 2, 8, 100):
+            want = None if full is None else full[:limit]
+            assert enumerate_points(L, limit) == want, (L, limit)
+    assert 0 < nones < len(levels)
