@@ -10,7 +10,12 @@ steps.
 
 The enclosure itself is computed from the Machin formula
 pi = 16*atan(1/5) - 4*atan(1/239) with pure Fraction arithmetic; the
-alternating-series tail bound makes both endpoints certified.
+alternating-series tail bound makes both endpoints certified.  It is
+cached per precision, and the scalar kernels (sign, comparison, angle
+reduction, the float midpoint) read it as one fixed-point pair of
+integers lo <= pi * 2**p <= hi: they cross-multiply the rational
+components and compare integers, so no decision builds a Fraction or
+pays a gcd.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ Rat = Union[int, Fraction]
 LESS, EQUAL, GREATER = -1, 0, 1
 
 _MAX_DIGITS = 5000  # refinement cap; exceeding it means a comparison of equals
+_MAX_BITS = math.ceil(_MAX_DIGITS * math.log2(10))
 
 
 class PrecisionError(ArithmeticError):
@@ -72,6 +78,63 @@ def pi_bounds(digits: int) -> tuple[Fraction, Fraction]:
     return cached
 
 
+_pi_fixed_cache: dict[int, tuple[int, int]] = {}
+
+
+def _pi_fixed(p: int) -> tuple[int, int]:
+    """Integers lo <= pi * 2**p <= hi, from the certified pi enclosure."""
+    cached = _pi_fixed_cache.get(p)
+    if cached is None:
+        lo, hi = pi_bounds(math.ceil(p * math.log10(2)) + 1)
+        cached = _pi_fixed_cache[p] = (
+            (lo.numerator << p) // lo.denominator,
+            -(-(hi.numerator << p) // hi.denominator),
+        )
+    return cached
+
+
+_pi_mid_cache: dict[int, tuple[int, int]] = {}
+
+
+def _pi_mid(digits: int) -> tuple[int, int]:
+    """Numerator and denominator of the midpoint of pi_bounds(digits)."""
+    cached = _pi_mid_cache.get(digits)
+    if cached is None:
+        lo, hi = pi_bounds(digits)
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        cached = _pi_mid_cache[digits] = (a * d + c * b, 2 * b * d)
+    return cached
+
+
+def _sign_int(x: int, y: int) -> int:
+    """Sign of x + y*pi for integers x, y."""
+    if y == 0 or x == 0 or (x > 0) == (y > 0):
+        return (x > 0) - (x < 0) if x else (y > 0) - (y < 0)
+    # opposite signs: with lo <= pi * 2**p <= hi the value times 2**p lies
+    # between x * 2**p + y*lo and x * 2**p + y*hi, which are at most 2|y|
+    # apart; double p until both have one sign
+    p = 64
+    while p <= _MAX_BITS:
+        lo, hi = _pi_fixed(p)
+        xs = x << p
+        a, b = xs + y * lo, xs + y * hi
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        p *= 2
+    raise PrecisionError("pi comparison did not separate (impossible for rational r)")
+
+
+def _diff_ints(a: "PiLinear", b: "PiLinear") -> tuple[int, int]:
+    """Integers (x, y) with x + y*pi a positive multiple of a - b."""
+    n0, d0 = a.q0.numerator, a.q0.denominator
+    m0, e0 = b.q0.numerator, b.q0.denominator
+    n1, d1 = a.q1.numerator, a.q1.denominator
+    m1, e1 = b.q1.numerator, b.q1.denominator
+    return (n0 * e0 - m0 * d0) * d1 * e1, (n1 * e1 - m1 * d1) * d0 * e0
+
+
 # ---------------------------------------------------------------------------
 # the scalar type
 
@@ -116,34 +179,20 @@ class PiLinear:
     # -- ordering --
 
     def sign(self) -> int:
-        if self.q1 == 0:
-            return (self.q0 > 0) - (self.q0 < 0)
-        if self.q0 == 0:
-            return (self.q1 > 0) - (self.q1 < 0)
-        # sign of q0 + q1*pi = sign(q1) * sign(pi - r) with r = -q0/q1
-        r = -self.q0 / self.q1
-        s1 = (self.q1 > 0) - (self.q1 < 0)
-        digits = 20
-        while digits <= _MAX_DIGITS:
-            lo, hi = pi_bounds(digits)
-            if r < lo:
-                return s1
-            if r > hi:
-                return -s1
-            digits *= 2
-        raise PrecisionError("pi comparison did not separate (impossible for rational r)")
+        q0, q1 = self.q0, self.q1
+        return _sign_int(q0.numerator * q1.denominator, q1.numerator * q0.denominator)
 
     def __lt__(self, other: "PiLinear") -> bool:
-        return (self - other).sign() < 0
+        return _sign_int(*_diff_ints(self, other)) < 0
 
     def __le__(self, other: "PiLinear") -> bool:
-        return (self - other).sign() <= 0
+        return _sign_int(*_diff_ints(self, other)) <= 0
 
     def __gt__(self, other: "PiLinear") -> bool:
-        return (self - other).sign() > 0
+        return _sign_int(*_diff_ints(self, other)) > 0
 
     def __ge__(self, other: "PiLinear") -> bool:
-        return (self - other).sign() >= 0
+        return _sign_int(*_diff_ints(self, other)) >= 0
 
     # -- numeric enclosure --
 
@@ -158,8 +207,14 @@ class PiLinear:
         return self.q0 + self.q1 * phi, self.q0 + self.q1 * plo
 
     def __float__(self) -> float:
-        lo, hi = self.bounds(20)
-        return float((lo + hi) / 2)
+        # the midpoint of bounds(20), q0 + q1 * (pi_lo + pi_hi)/2, as one
+        # int / int, which CPython rounds correctly like float(Fraction)
+        q0, q1 = self.q0, self.q1
+        if q1 == 0:
+            return float(q0)
+        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+        pn, pd = _pi_mid(20 + len(str(abs(n1))) + len(str(d1)) + 1)
+        return (n0 * d1 * pd + n1 * d0 * pn) / (d0 * d1 * pd)
 
     def __str__(self) -> str:
         return render(self)
@@ -177,7 +232,7 @@ def compare(a: PiLinear, b: PiLinear) -> int:
     """Ordering of the exact values: LESS, EQUAL or GREATER."""
     if a.q0 == b.q0 and a.q1 == b.q1:
         return EQUAL
-    return (a - b).sign()
+    return _sign_int(*_diff_ints(a, b))
 
 
 def scale_pow2(a: PiLinear, k: int) -> PiLinear:
@@ -196,24 +251,22 @@ def reduce_mod_2pi(a: PiLinear) -> PiLinear:
     irrational and an enclosure determines m after finitely many
     refinements.
     """
-    if a.q0 == 0:
-        m = math.ceil(Fraction(a.q1 - 1, 2))
+    n0, d0, n1, d1 = a.q0.numerator, a.q0.denominator, a.q1.numerator, a.q1.denominator
+    if n0 == 0:
+        m = -((d1 - n1) // (2 * d1))  # ceil((q1 - 1)/2)
         return PiLinear(0, a.q1 - 2 * m)
-    # x = q0/(2pi) + (q1 - 1)/2 is irrational; m = ceil(x)
-    shift = Fraction(a.q1 - 1, 2)
-    digits = 20
-    while digits <= _MAX_DIGITS:
-        plo, phi = pi_bounds(digits)
-        if a.q0 > 0:
-            xlo = a.q0 / (2 * phi) + shift
-            xhi = a.q0 / (2 * plo) + shift
-        else:
-            xlo = a.q0 / (2 * plo) + shift
-            xhi = a.q0 / (2 * phi) + shift
-        clo, chi = math.ceil(xlo), math.ceil(xhi)
-        if clo == chi:
+    # x = q0/(2pi) + (q1 - 1)/2 is irrational; m = ceil(x).  With
+    # lo <= pi * 2**p <= hi, x lies between the rationals
+    # (n0 * d1 * 2**p + (n1 - d1) * d0 * P) / (2 * d0 * d1 * P) at P = lo, hi
+    u, v, w = n0 * d1, (n1 - d1) * d0, 2 * d0 * d1
+    p = 64 + max(0, n0.bit_length() - d0.bit_length())
+    while p <= _MAX_BITS:
+        lo, hi = _pi_fixed(p)
+        us = u << p
+        clo = -(-(us + v * lo) // (w * lo))
+        if clo == -(-(us + v * hi) // (w * hi)):
             return PiLinear(a.q0, a.q1 - 2 * clo)
-        digits *= 2
+        p *= 2
     raise PrecisionError("angle reduction did not converge")
 
 

@@ -179,7 +179,7 @@ def make_arc(log_mod: Fraction, lo: PiLinear, hi: PiLinear) -> Component:
     if anchored is None:
         return FullCircle(log_mod)
     lo, hi = anchored
-    if compare(lo, hi) == 0:
+    if lo == hi:
         return IsolatedPoint(LevelPoint(log_mod, lo))
     return Arc(log_mod, lo, hi)
 
@@ -484,12 +484,7 @@ def _lattice_points_in_interval(
             f"lattice-interval intersection of {jmax - jmin + 1} points exceeds "
             f"the enumeration limit {ENUM_LIMIT}"
         )
-    pts = []
-    for j in range(jmin, jmax + 1):
-        ang = PiLinear(lat.base.q0, lat.base.q1 + j * lat.step)
-        if lo <= ang and ang <= hi:
-            pts.append(lat.member(j))
-    return pts
+    return [lat.member(j) for j in range(jmin, jmax + 1)]
 
 
 def _lattice_intersection(a: CircleLattice, b: CircleLattice) -> list[Component]:

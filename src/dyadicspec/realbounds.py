@@ -16,6 +16,11 @@ Both Taylor kernels run on Python integers, so no step pays a gcd:
   x = a/b in integers and normalises to Fractions once.  Its endpoints are
   exactly those of a term-by-term Fraction sum, because the classifier
   prints R * exp_bounds(R, 6)[1] into the report.
+
+`abs1m_sq_bounds` and `compare_abs1m_sq` combine the two kernels' integer
+endpoints over one common denominator and compare integers, so the
+enclosures of |1 - z|**2 are the same rationals as a Fraction evaluation
+without its gcds.
 """
 
 from __future__ import annotations
@@ -23,19 +28,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PiLinear, PrecisionError, pi_bounds, reduce_mod_2pi
+from .exactnum import PiLinear, PrecisionError, _pi_fixed, reduce_mod_2pi
 
 Interval = tuple[Fraction, Fraction]
 
 _MAX_DIGITS = 1500
 
-# cos(q1*pi) is rational exactly for these |q1| in [0, 1] (Niven's theorem)
-_RATIONAL_COS = {
-    Fraction(0): Fraction(1),
-    Fraction(1, 3): Fraction(1, 2),
-    Fraction(1, 2): Fraction(0),
-    Fraction(2, 3): Fraction(-1, 2),
-    Fraction(1): Fraction(-1),
+# cos(q1*pi) is rational exactly for these |q1| in [0, 1] (Niven's theorem);
+# the values are stored doubled, as integers
+_RATIONAL_COS2 = {
+    Fraction(0): 2,
+    Fraction(1, 3): 1,
+    Fraction(1, 2): 0,
+    Fraction(2, 3): -1,
+    Fraction(1): -2,
 }
 
 
@@ -46,8 +52,14 @@ def exp_bounds(x: Fraction, digits: int) -> Interval:
     the first k >= 2|x| + 2 whose geometric tail bound 2|x|**(k+1)/(k+1)!
     is at most 10**-digits / 2; the result is s_k -+ that bound.
     """
+    lo, hi, den = _exp_ints(x, digits)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
+    """Integers lo, hi, den > 0 with exp_bounds(x, digits) = (lo/den, hi/den)."""
     if x == 0:
-        return Fraction(1), Fraction(1)
+        return 1, 1, 1
     a, b = x.numerator, x.denominator
     tail_scale = 4 * 10**digits
     num = den = power = 1  # N_k, D_k and a**k at k = 0
@@ -62,22 +74,7 @@ def exp_bounds(x: Fraction, digits: int) -> Interval:
         den, power = next_den, next_power
     mid = num * b * (k + 1)
     tail = 2 * abs(next_power)
-    return Fraction(mid - tail, next_den), Fraction(mid + tail, next_den)
-
-
-_pi_fixed_cache: dict[int, tuple[int, int]] = {}
-
-
-def _pi_fixed(p: int) -> tuple[int, int]:
-    """Integers lo <= pi * 2**p <= hi, from the certified pi enclosure."""
-    cached = _pi_fixed_cache.get(p)
-    if cached is None:
-        lo, hi = pi_bounds(math.ceil(p * math.log10(2)) + 1)
-        cached = _pi_fixed_cache[p] = (
-            (lo.numerator << p) // lo.denominator,
-            -(-(hi.numerator << p) // hi.denominator),
-        )
-    return cached
+    return mid - tail, mid + tail, next_den
 
 
 def _angle_fixed(a: PiLinear, p: int) -> tuple[int, int]:
@@ -120,11 +117,18 @@ def _cos_fixed(t: int, p: int) -> tuple[int, int]:
 def cos_bounds(angle: PiLinear, digits: int) -> Interval:
     """Enclosure of cos(angle) with width <= 10**-digits; exact for the
     rational-cosine angles."""
-    a = reduce_mod_2pi(angle)
+    lo, hi, p = _cos_ints(reduce_mod_2pi(angle), digits)
+    return Fraction(lo, 1 << p), Fraction(hi, 1 << p)
+
+
+def _cos_ints(a: PiLinear, digits: int) -> tuple[int, int, int]:
+    """Integers lo, hi, p with lo * 2**-p <= cos(a) <= hi * 2**-p for a
+    reduced angle a, width <= 10**-digits; exact (p = 1) at the
+    rational-cosine angles."""
     if a.q0 == 0:
-        c = _RATIONAL_COS.get(abs(a.q1))
-        if c is not None:
-            return c, c
+        c2 = _RATIONAL_COS2.get(abs(a.q1))
+        if c2 is not None:
+            return c2, c2, 1
     # 2**-p0 <= 10**-digits, and the 2 * radius that the ball adds (3 units
     # per term, fewer terms than p bits, plus a few) stays below 2**(p - p0)
     p0 = math.ceil(digits * math.log2(10))
@@ -133,7 +137,7 @@ def cos_bounds(angle: PiLinear, digits: int) -> Interval:
     m, r = _cos_fixed(abs(tlo), p)
     # cos is even and 1-Lipschitz, so the angle width adds to the radius
     r += thi - tlo
-    return Fraction(m - r, 1 << p), Fraction(m + r, 1 << p)
+    return m - r, m + r, p
 
 
 def sqrt_bounds(x: Fraction, digits: int) -> Interval:
@@ -161,54 +165,62 @@ def abs1m_sq_exact(log_mod: Fraction, angle: PiLinear) -> Fraction | None:
     a = reduce_mod_2pi(angle)
     if a.q0 != 0:
         return None
-    c = _RATIONAL_COS.get(abs(a.q1))
-    if c is None:
-        return None
-    return 2 - 2 * c
+    c2 = _RATIONAL_COS2.get(abs(a.q1))
+    return None if c2 is None else Fraction(2 - c2)
+
+
+def _abs1m_sq_ints(log_mod: Fraction, a: PiLinear, digits: int) -> tuple[int, int, int]:
+    """Integers lo, hi, den > 0 with lo/den <= |1 - exp(log_mod + i*a)|**2
+    <= hi/den, for a reduced angle a.
+
+    Uses |1 - z|**2 = 1 - 2ec + e**2 with e = exp(log_mod) in [el, eh] / ed
+    and c = cos(a) in [cl, ch] / 2**p, over den = ed**2 * 4**p.
+    """
+    el, eh, ed = _exp_ints(log_mod, digits + 2)
+    cl, ch, p = _cos_ints(a, digits + 2)
+    ed2 = ed * ed
+    one = ed2 << 2 * p
+    # f(e, c) = 1 - 2 e c + e^2, monotone decreasing in c; in e the extrema
+    # of the quadratic are at the endpoints for e > 0
+    lo = min(one - (e * ch * ed << p + 1) + (e * e << 2 * p) for e in (el, eh))
+    hi = max(one - (e * cl * ed << p + 1) + (e * e << 2 * p) for e in (el, eh))
+    # the quadratic in e attains its minimum at e = c if that lies inside
+    if el << p <= ch * ed <= eh << p:
+        lo = min(lo, ((1 << 2 * p) - ch * ch) * ed2)
+    return max(lo, 0), hi, one
 
 
 def abs1m_sq_bounds(log_mod: Fraction, angle: PiLinear, digits: int) -> Interval:
     """Enclosure of |1 - z|**2 for z = exp(log_mod + i*angle).
 
-    Uses |1 - z|**2 = (1 - e^m)**2 + 2 e^m (1 - cos(angle)).
+    Uses |1 - z|**2 = (1 - e^m)**2 + 2 e^m (1 - cos(angle)); exact for
+    the rational-cosine angles on the unit circle.
     """
-    exact = abs1m_sq_exact(log_mod, angle)
-    if exact is not None:
-        return exact, exact
-    elo, ehi = exp_bounds(log_mod, digits + 2)
-    clo, chi = cos_bounds(angle, digits + 2)
-    # f(e, c) = 1 - 2 e c + e^2, monotone decreasing in c; in e the extrema
-    # of the quadratic are at the endpoints for e > 0
-    cands_lo = [1 - 2 * e * chi + e * e for e in (elo, ehi)]
-    cands_hi = [1 - 2 * e * clo + e * e for e in (elo, ehi)]
-    lo = min(cands_lo)
-    hi = max(cands_hi)
-    # the quadratic in e attains its minimum at e = c if that lies inside
-    if elo <= chi <= ehi:
-        lo = min(lo, 1 - chi * chi)
-    return max(lo, Fraction(0)), hi
+    lo, hi, den = _abs1m_sq_ints(log_mod, reduce_mod_2pi(angle), digits)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def compare_abs1m_sq(log_mod: Fraction, angle: PiLinear, threshold: Fraction) -> int:
     """Sign of |1 - exp(log_mod + i*angle)|**2 - threshold, resolved exactly.
 
-    Fast exact paths: rational-cosine angles on the unit circle, and the
-    threshold-2 case which reduces to the sign of cos(angle).
+    Exact paths: the threshold-2 case on the unit circle, which reduces to
+    the sign of cos(angle), and the rational-cosine angles on the unit
+    circle, whose enclosure is the exact value.
     """
-    exact = abs1m_sq_exact(log_mod, angle)
-    if exact is not None:
-        return (exact > threshold) - (exact < threshold)
+    a = reduce_mod_2pi(angle)
     if log_mod == 0 and threshold == 2:
         # 2 - 2cos(t) > 2 iff cos(t) < 0 iff |t| > pi/2 after reduction
-        a = reduce_mod_2pi(angle)
         mag = -a if a.sign() < 0 else a
         return (mag - PiLinear(0, Fraction(1, 2))).sign()
+    tn, td = threshold.numerator, threshold.denominator
     digits = 15
     while digits <= _MAX_DIGITS:
-        lo, hi = abs1m_sq_bounds(log_mod, angle, digits)
-        if lo > threshold:
+        lo, hi, den = _abs1m_sq_ints(log_mod, a, digits)
+        if lo * td > tn * den:
             return 1
-        if hi < threshold:
+        if hi * td < tn * den:
             return -1
+        if lo == hi:
+            return 0
         digits *= 3
     raise PrecisionError("|1-z|^2 comparison did not separate")

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 from .exactnum import (
     PiLinear,
     ceil_ratio,
-    compare,
     exact_ratio,
     floor_ratio,
     scale_pow2,
@@ -265,17 +264,14 @@ def _normalize_parts(parts: Iterable[SectionPart]) -> tuple[SectionPart, ...]:
     for p in parts:
         if isinstance(p, SectionPoints):
             points.extend(p.values)
-        elif isinstance(p, SectionInterval) and compare(p.lo, p.hi) == 0:
+        elif isinstance(p, SectionInterval) and p.lo == p.hi:
             points.append(p.lo)
         else:
             rest.append(p)
     out: list[SectionPart] = []
     if points:
-        uniq = []
-        for v in points:
-            if all(compare(v, u) != 0 for u in uniq):
-                uniq.append(v)
-        uniq.sort(key=lambda v: (v.q0, v.q1))
+        # values q0 + q1*pi are equal exactly when (q0, q1) are (pi is irrational)
+        uniq = sorted(set(points), key=lambda v: (v.q0, v.q1))
         out.append(SectionPoints(tuple(uniq)))
     seen = set()
     for p in rest:
@@ -291,7 +287,7 @@ def section_set(parts: Iterable[SectionPart]) -> SectionSet:
 
 def _part_contains(p: SectionPart, x: PiLinear) -> bool:
     if isinstance(p, SectionPoints):
-        return any(compare(x, v) == 0 for v in p.values)
+        return x in p.values
     if isinstance(p, SectionInterval):
         return p.lo <= x and x <= p.hi
     if isinstance(p, SectionLattice):

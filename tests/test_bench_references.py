@@ -1,10 +1,11 @@
 """Reports stay byte-identical to the benchmark's recorded references.
 
-``bench/references/{builtin,corpus}.json`` hold the exit code, stdout and
-stderr of every item of the ``builtin`` workload and of the ``corpus``
-workload at the recorded seed.  A change that speeds the program up must
-leave them unchanged, so they are replayed here through ``cli.main`` in
-this process, the way the benchmark calls it.  Only reads ``bench/``.
+``bench/references/<workload>.json`` hold the exit code, stdout and stderr
+of every item of each of the four workloads (``builtin``, ``sections``,
+``enclosures`` and ``corpus``) at the recorded seed.  A change that speeds
+the program up must leave them unchanged, so they are replayed here
+through ``cli.main`` in this process, the way the benchmark calls it.
+Only reads ``bench/``.
 """
 
 import io
@@ -19,7 +20,7 @@ from dyadicspec.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("workload", ["builtin", "corpus"])
+@pytest.mark.parametrize("workload", ["builtin", "sections", "enclosures", "corpus"])
 def test_reports_match_bench_references(workload, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(BENCH))
     from workloads import WORKLOADS

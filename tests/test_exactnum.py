@@ -11,6 +11,7 @@ from dyadicspec.exactnum import (
     EQUAL,
     GREATER,
     LESS,
+    ZERO,
     PiLinear,
     ceil_ratio,
     compare,
@@ -156,3 +157,131 @@ def test_floor_ratio_matches_floats(q0, q1, s1):
     # exact sandwich
     assert compare(s.scaled(got), x) <= 0
     assert compare(s.scaled(got + 1), x) > 0
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction bodies they replaced
+
+
+def fraction_sign(x: PiLinear) -> int:
+    """Reference: sign(q1) * sign(pi - r) with r = -q0/q1, decided against
+    Fraction enclosures of pi of 20, 40, 80, ... digits."""
+    if x.q1 == 0:
+        return (x.q0 > 0) - (x.q0 < 0)
+    if x.q0 == 0:
+        return (x.q1 > 0) - (x.q1 < 0)
+    r = -x.q0 / x.q1
+    s1 = (x.q1 > 0) - (x.q1 < 0)
+    digits = 20
+    while True:
+        lo, hi = pi_bounds(digits)
+        if r < lo:
+            return s1
+        if r > hi:
+            return -s1
+        digits *= 2
+
+
+def fraction_compare(a: PiLinear, b: PiLinear) -> int:
+    if a.q0 == b.q0 and a.q1 == b.q1:
+        return EQUAL
+    return fraction_sign(PiLinear(a.q0 - b.q0, a.q1 - b.q1))
+
+
+def fraction_reduce(a: PiLinear) -> PiLinear:
+    """Reference: m = ceil(q0/(2pi) + (q1 - 1)/2) from Fraction enclosures."""
+    if a.q0 == 0:
+        m = math.ceil(F(a.q1 - 1, 2))
+        return PiLinear(0, a.q1 - 2 * m)
+    shift = F(a.q1 - 1, 2)
+    digits = 20
+    while True:
+        plo, phi = pi_bounds(digits)
+        if a.q0 > 0:
+            xlo, xhi = a.q0 / (2 * phi) + shift, a.q0 / (2 * plo) + shift
+        else:
+            xlo, xhi = a.q0 / (2 * plo) + shift, a.q0 / (2 * phi) + shift
+        if math.ceil(xlo) == math.ceil(xhi):
+            return PiLinear(a.q0, a.q1 - 2 * math.ceil(xlo))
+        digits *= 2
+
+
+def fraction_float(a: PiLinear) -> float:
+    lo, hi = a.bounds(20)
+    return float((lo + hi) / 2)
+
+
+def assert_kernels_match(a: PiLinear, b: PiLinear):
+    want = fraction_compare(a, b)
+    assert compare(a, b) == want
+    assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert a.sign() == fraction_sign(a)
+    assert (a - b).sign() == want
+    assert reduce_mod_2pi(a) == fraction_reduce(a)
+    assert float(a) == fraction_float(a)
+
+
+big_ints = st.integers(min_value=-(10**200), max_value=10**200)
+big_rationals = st.builds(F, big_ints, st.integers(min_value=1, max_value=10**200))
+# coefficients of up to 200 digits: small ones, big integers, big over big,
+# and 20-digit numerators over 200-digit denominators
+mixed_rationals = st.one_of(
+    rationals,
+    big_rationals,
+    st.builds(F, big_ints),
+    st.builds(F, st.integers(-(10**20), 10**20), st.integers(1, 10**200)),
+)
+
+
+@given(mixed_rationals, mixed_rationals, mixed_rationals, mixed_rationals)
+@settings(max_examples=300, deadline=None)
+def test_scalar_kernels_match_fraction_oracles(a0, a1, b0, b1):
+    assert_kernels_match(PiLinear(a0, a1), PiLinear(b0, b1))
+    assert_kernels_match(PiLinear(a0, 0), PiLinear(0, b1))
+
+
+def pi_approximation(k: int, offset: int) -> F:
+    """floor(pi * 10**k)/10**k moved by `offset` units: within (|offset| + 1)
+    * 10**-k of pi, on either side."""
+    lo, _ = pi_bounds(k + 5)
+    return F(math.floor(lo * 10**k) + offset, 10**k)
+
+
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=-2, max_value=2),
+    st.one_of(rationals, big_rationals).filter(lambda c: c != 0),
+    mixed_rationals,
+    mixed_rationals,
+)
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_oracles_near_pi_ties(k, offset, c, a0, a1):
+    # a - b = c * (pi - r) with r within 3 * 10**-k of pi
+    r = pi_approximation(k, offset)
+    a = PiLinear(a0, a1)
+    b = PiLinear(a0 + r * c, a1 - c)
+    assert_kernels_match(a, b)
+    assert_kernels_match(PiLinear(-r * c, c), ZERO)
+    # q0 alone close to an odd multiple of pi: r * (2m + 1) against pi
+    assert_kernels_match(PiLinear(r * (2 * offset + 1), 0), PiLinear(0, 2 * offset + 1))
+
+
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([-1, 1]),
+    st.integers(min_value=1, max_value=9),
+)
+@settings(max_examples=300, deadline=None)
+def test_reduce_matches_oracle_at_odd_pi_boundaries(k, m, side, digit):
+    # (2m + 1) * pi +- digit * 10**-k sits just beside the cut at +-pi
+    a = PiLinear(F(side * digit, 10**k), 2 * m + 1)
+    got = reduce_mod_2pi(a)
+    assert got == fraction_reduce(a)
+    assert got.q0 == a.q0 and got.q1 == (1 if side < 0 else -1)
+    assert reduce_mod_2pi(PiLinear(0, 2 * m + 1)) == PiLinear(0, 1)
+    # the same boundary with the odd multiple of pi carried by q0
+    r = pi_approximation(k, side * digit)
+    b = PiLinear(r * (2 * m + 1), 0)
+    assert reduce_mod_2pi(b) == fraction_reduce(b)
+    assert float(b) == fraction_float(b) and float(a) == fraction_float(a)

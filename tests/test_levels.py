@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import EQUAL, PiLinear, compare, reduce_mod_2pi
+from dyadicspec.exactnum import EQUAL, PiLinear, compare, floor_ratio, reduce_mod_2pi
 from dyadicspec.levels import (
     ENUM_LIMIT,
     Annulus,
@@ -17,6 +17,7 @@ from dyadicspec.levels import (
     LevelPoint,
     LevelSet,
     Sector,
+    _lattice_points_in_interval,
     antipodal_set,
     antipode_component,
     circle_section,
@@ -358,6 +359,47 @@ def test_make_lattice_matches_orbit_walk():
             got = make_lattice(log_mod, base, step)
             assert got == _make_lattice_by_orbit(log_mod, base, step), (base, count)
             assert isinstance(got, IsolatedPoint) == (count == 1)
+
+
+def _lattice_points_in_interval_filtered(lat, lo, hi):
+    """The orbit points with angles in [lo, hi], each j tested against both ends."""
+    step_pl = PiLinear(0, lat.step)
+    base_pl = PiLinear(lat.base.q0, lat.base.q1)
+    jmin = -floor_ratio(base_pl - lo, step_pl)
+    jmax = floor_ratio(hi - base_pl, step_pl)
+    return [
+        lat.member(j)
+        for j in range(jmin - 2, jmax + 3)
+        if lo <= PiLinear(lat.base.q0, lat.base.q1 + j * lat.step) <= hi
+    ]
+
+
+def test_lattice_points_in_interval_matches_filtered_range():
+    rng = random.Random(43)
+    tiny = PiLinear(F(1, 10**30), 0)
+    cases = 0
+    for count in (1, 2, 3, 8, 24, 64):
+        step = F(2, count)
+        for k in range(25):
+            q0 = F(0) if k % 5 == 0 else F(rng.choice((-7, -1, 1, 3)), rng.randint(1, 9))
+            lat = CircleLattice(F(rng.randint(-3, 3), 4), PiLinear(q0, step * F(rng.randint(0, 5), 6)), step)
+            def orbit_angle(j):
+                return PiLinear(q0, lat.base.q1 + j * step)
+            j0 = rng.randint(-2 * count, 2 * count)
+            j1 = j0 + rng.randint(0, count + 1)
+            # ends on orbit points, just beside them, and at generic angles
+            los = [orbit_angle(j0), orbit_angle(j0) - tiny, orbit_angle(j0) + tiny,
+                   PiLinear(F(rng.randint(-9, 9), 5), F(rng.randint(-12, 12), 4))]
+            his = [orbit_angle(j1), orbit_angle(j1) - tiny, orbit_angle(j1) + tiny,
+                   PiLinear(F(rng.randint(-9, 9), 5), F(rng.randint(-12, 12), 4))]
+            for lo in los:
+                for hi in his:
+                    if compare(lo, hi) > 0:
+                        continue
+                    got = _lattice_points_in_interval(lat, lo, hi)
+                    assert got == _lattice_points_in_interval_filtered(lat, lo, hi), (lat, lo, hi)
+                    cases += 1
+    assert cases > 1000
 
 
 def test_antipodal_set_matches_all_pairs():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicspec.exactnum import PiLinear
-from dyadicspec.realbounds import cos_bounds, exp_bounds
+from dyadicspec.exactnum import PiLinear, reduce_mod_2pi
+from dyadicspec.realbounds import abs1m_sq_bounds, compare_abs1m_sq, cos_bounds, exp_bounds
 
 digits = st.integers(min_value=1, max_value=60)
 
@@ -106,3 +106,87 @@ def test_cos_bounds_contains_mpmath_value(q0, q1, d):
 )
 def test_cos_bounds_exact_at_niven_angles(q1, c):
     assert cos_bounds(PiLinear(0, q1), 20) == (c, c)
+
+
+NIVEN_COS = {F(0): F(1), F(1, 3): F(1, 2), F(1, 2): F(0), F(2, 3): F(-1, 2), F(1): F(-1)}
+
+
+def fraction_abs1m_sq_bounds(log_mod: F, angle: PiLinear, digits: int) -> tuple[F, F]:
+    """Reference: 1 - 2ec + e**2 over the exp and cos enclosures in Fractions;
+    abs1m_sq_bounds must return exactly this."""
+    a = reduce_mod_2pi(angle)
+    if log_mod == 0 and a.q0 == 0 and abs(a.q1) in NIVEN_COS:
+        exact = 2 - 2 * NIVEN_COS[abs(a.q1)]
+        return exact, exact
+    elo, ehi = exp_bounds(log_mod, digits + 2)
+    clo, chi = cos_bounds(angle, digits + 2)
+    lo = min(1 - 2 * e * chi + e * e for e in (elo, ehi))
+    hi = max(1 - 2 * e * clo + e * e for e in (elo, ehi))
+    if elo <= chi <= ehi:
+        lo = min(lo, 1 - chi * chi)
+    return max(lo, F(0)), hi
+
+
+def fraction_compare_abs1m_sq(log_mod: F, angle: PiLinear, threshold: F) -> int:
+    a = reduce_mod_2pi(angle)
+    if log_mod == 0 and threshold == 2 and not (a.q0 == 0 and abs(a.q1) in NIVEN_COS):
+        mag = -a if a.sign() < 0 else a
+        return (mag - PiLinear(0, F(1, 2))).sign()
+    digits = 15
+    while True:
+        lo, hi = fraction_abs1m_sq_bounds(log_mod, angle, digits)
+        if lo > threshold:
+            return 1
+        if hi < threshold:
+            return -1
+        if lo == hi:
+            return 0
+        digits *= 3
+
+
+log_mods = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-60, max_value=60, max_denominator=1000),
+    st.fractions(min_value=-400, max_value=400, max_denominator=7),
+)
+niven_angles = st.builds(
+    lambda q1, k, sign: PiLinear(0, sign * q1 + 2 * k),
+    st.sampled_from(sorted(NIVEN_COS)),
+    st.integers(-3, 3),
+    st.sampled_from([-1, 1]),
+)
+angles = st.one_of(
+    niven_angles,
+    st.builds(
+        PiLinear,
+        st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+        st.fractions(min_value=-9, max_value=9, max_denominator=64),
+    ),
+)
+
+
+@given(log_mods, angles, st.integers(min_value=1, max_value=45))
+@example(F(-9, 32), PiLinear(0, -1), 15)
+@example(F(-9, 32), PiLinear(0, 1), 45)
+@example(F(0), PiLinear(0, F(-2, 3)), 15)
+@example(F(0), PiLinear(F(1, 3), 0), 15)
+@example(F(300), PiLinear(F(1, 7), F(5, 3)), 6)
+@example(F(1, 10**4), PiLinear(F(-1, 10**4), 0), 1)  # z near 1: lower end clamped at 0
+@settings(max_examples=200, deadline=None)
+def test_abs1m_sq_bounds_equals_fraction_formula(log_mod, angle, d):
+    assert abs1m_sq_bounds(log_mod, angle, d) == fraction_abs1m_sq_bounds(log_mod, angle, d)
+
+
+@given(log_mods, angles, st.sampled_from([15, 45]), st.integers(0, 3))
+@example(F(-9, 32), PiLinear(0, -1), 15, 0)
+@example(F(0), PiLinear(F(1, 5), F(1, 2)), 15, 2)
+@example(F(0), PiLinear(0, F(1, 3)), 15, 0)
+@settings(max_examples=150, deadline=None)
+def test_compare_abs1m_sq_matches_oracle(log_mod, angle, d, which):
+    # thresholds at the endpoints of an enclosure, where the first
+    # comparisons cannot separate, plus 2 (the sign-of-cosine fast path)
+    lo, hi = fraction_abs1m_sq_bounds(log_mod, angle, d)
+    threshold = (lo, hi, (lo + hi) / 2, F(2))[which]
+    assert compare_abs1m_sq(log_mod, angle, threshold) == fraction_compare_abs1m_sq(
+        log_mod, angle, threshold
+    )
