@@ -16,7 +16,6 @@ from .levels import (
     LevelSet,
     antipodal_set,
     circle_section,
-    eventual_image,
     level_set,
     membership,
     sup_abs_one_minus,

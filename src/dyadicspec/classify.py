@@ -5,7 +5,7 @@ Verdicts:
 * NOT_STRONGLY_CONTINUOUS -- a feasible thread keeps |1 - point| >= delta
   at every level of the search horizon AND a source primitive certifies
   that the pattern continues (full circles, or lattice antipode-closure).
-* UNIFORMLY_CONTINUOUS -- sup |1 - z| over the eventual images decays
+* UNIFORMLY_CONTINUOUS -- sup |1 - z| over the level sets decays
   consistently with rate 1/2^n below tolerance, and the whole spectrum is
   bounded, which yields the symbolic bound |1 - exp(z/2^n)| <= R e^R / 2^n.
 * STRONGLY_CONTINUOUS_NOT_UNIFORM -- antipodal pairs persist at infinitely
@@ -62,7 +62,7 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class ClassifyParams:
     n_max: int = 12
-    K: int = 4
+    K: int = 4  # inert: validated and printed, level n needs no squaring
     search_depth: int = 30
     node_budget: int = 20000
     delta: Fraction = Fraction(7, 5)
@@ -158,13 +158,13 @@ def _symbolic_uniform_constant(Z: SpectrumSet) -> Optional[Fraction]:
 def check_uniform(
     Z: SpectrumSet, cache: LevelCache, params: ClassifyParams, digits: int = 40
 ) -> Optional[UniformRateBound]:
-    """Certified decay of u_n = sup |1 - z| over the eventual images.
+    """Certified decay of u_n = sup |1 - z| over the level sets.
 
-    u_n bounds sup over inverse-limit points of |1 - projection| because
-    the eventual image contains the projection image.  The bound is
-    returned only when the spectrum is bounded (making the 1/2^n decay a
-    theorem, not an extrapolation) and the computed table confirms it by
-    decaying below the coarsest configured tolerance.
+    Level n is the projection of the inverse limit, so u_n is the sup of
+    |1 - projection| over its points.  The bound is returned only when
+    the spectrum is bounded (making the 1/2^n decay a theorem, not an
+    extrapolation) and the computed table confirms it by decaying below
+    the coarsest configured tolerance.
     """
     sym = _symbolic_uniform_constant(Z)
     if sym is None:
@@ -173,7 +173,7 @@ def check_uniform(
     table: list[tuple[int, Fraction, Fraction]] = []
     constant = Fraction(0)
     for n in range(params.n_max + 1):
-        sup = sup_abs_one_minus(cache.eventual(n, params.K), digits)
+        sup = sup_abs_one_minus(cache.level(n), digits)
         lo, hi = interval_sqrt((sup.sq_lo, sup.sq_hi), digits)
         table.append((n, lo, hi))
         constant = max(constant, hi * 2**n)
@@ -204,18 +204,19 @@ def check_not_uniform(
     params: ClassifyParams,
     sections: Optional[SectionFamilyReport] = None,
 ) -> Optional[AntipodalLevels]:
-    """Levels with antipodal pairs in the eventual image, with a symbolic
+    """Levels with antipodal pairs in the level set, with a symbolic
     persistence argument when the pattern is provably infinite.
 
-    An antipodal pair z, -z in the image keeps sup |1 - .| >= |z| at that
-    level, which blocks uniform convergence whenever pairs persist.
+    Level n is the projection of the inverse limit, so a pair z, -z in it
+    keeps sup |1 - .| >= |z|, which blocks uniform convergence whenever
+    pairs persist.
     """
     if sections is None:
         sections = antipode_level_union(Z, params.n_max)
     levels = []
     samples: list[str] = []
     for n in range(params.n_max + 1):
-        A = antipodal_set(cache.eventual(n, params.K))
+        A = antipodal_set(cache.level(n))
         if not A.is_empty():
             levels.append(n)
             pts = enumerate_points(A, 1)

@@ -1,8 +1,9 @@
 """Command-line interface: config parsing, dispatch, reports, CSV.
 
 Config files are line-based, one `key value` per line, `#` comments.
-Keys: spectrum (repeatable), n_max, K, search_depth, node_budget,
-epsilon, delta, float_digits, ext_zero, emit_csv, tower, lambda.
+Keys: spectrum (repeatable), n_max, K (inert: validated and printed only),
+search_depth, node_budget, epsilon, delta, float_digits, ext_zero,
+emit_csv, tower, lambda.
 Spectrum lines use the primitive grammar, e.g.
 
     spectrum rect re=[-1,0] im=[-1*pi,1*pi]
@@ -17,6 +18,7 @@ enumeration limit is reached), 1 error.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import re
 import sys
@@ -358,6 +360,19 @@ def builtin_example(name: str) -> Config:
 # report rendering
 
 
+def format_g(x, digits: int) -> str:
+    """`%.{digits}g` of a float or Fraction.  Past the float range the exact
+    value is rounded half-even and printed as mantissa `e+NNN`."""
+    try:
+        return f"{float(x):.{digits}g}"
+    except OverflowError:
+        x = Fraction(x)
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = max(digits, 1), decimal.MAX_EMAX
+        d = (decimal.Decimal(x.numerator) / x.denominator).normalize()
+    return f"{d:.{len(d.as_tuple().digits) - 1}e}"
+
+
 def report_to_dict(rep: ClassificationReport) -> dict:
     d = {
         "verdict": rep.verdict.value,
@@ -396,16 +411,16 @@ def report_to_dict(rep: ClassificationReport) -> dict:
     if rep.uniform_bound:
         u = rep.uniform_bound
         d["uniform_bound"] = {
-            "constant": f"{float(u.constant):.{rep.params.float_digits}g}",
+            "constant": format_g(u.constant, rep.params.float_digits),
             "symbolic_constant": (
-                f"{float(u.symbolic_constant):.{rep.params.float_digits}g}"
+                format_g(u.symbolic_constant, rep.params.float_digits)
                 if u.symbolic_constant is not None
                 else None
             ),
             "n_range": list(u.n_range),
             "tolerance": str(u.tolerance),
             "u_table": [
-                {"n": n, "hi": f"{float(hi):.{rep.params.float_digits}g}"}
+                {"n": n, "hi": format_g(hi, rep.params.float_digits)}
                 for n, _, hi in u.u_table
             ],
         }
@@ -595,7 +610,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         cache = LevelCache(cfg.spectrum)
         out = []
         for n in range(cfg.params.n_max + 1):
-            A = antipodal_set(cache.eventual(n, cfg.params.K))
+            A = antipodal_set(cache.level(n))
             if A.is_empty():
                 out.append(f"level {n}: empty")
             else:
@@ -653,7 +668,6 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
                 eps,
                 n0=1,
                 search_bound=cfg.params.search_depth,
-                K=cfg.params.K,
                 cache=cache,
             )
             if cov.status == "found":
@@ -704,7 +718,8 @@ def _write_csv(path: str, header: list[str], rows, digits: int):
         w.writerow(header)
         for row in rows:
             w.writerow(
-                [f"{v:.{digits}g}" if isinstance(v, float) else v for v in row]
+                [format_g(v, digits) if isinstance(v, (float, Fraction)) else v
+                 for v in row]
             )
 
 
@@ -712,7 +727,7 @@ def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config):
     rows = []
     if rep.uniform_bound:
         for n, lo, hi in rep.uniform_bound.u_table:
-            rows.append((n, float(lo), float(hi)))
+            rows.append((n, lo, hi))
         _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, cfg.params.float_digits)
     elif rep.witness:
         from .realbounds import abs1m_sq_bounds, interval_sqrt
@@ -727,7 +742,7 @@ def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config):
                 p = step_point(p, th.bit_at(n))
             sq = abs1m_sq_bounds(p.log_mod, p.angle, 30)
             lo, hi = interval_sqrt(sq, 30)
-            rows.append((n, float(lo), float(hi), render_pilinear(p.angle), str(p.log_mod)))
+            rows.append((n, lo, hi, render_pilinear(p.angle), str(p.log_mod)))
         _write_csv(
             path, ["n", "dist_lo", "dist_hi", "angle", "log_mod"], rows, cfg.params.float_digits
         )

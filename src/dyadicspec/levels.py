@@ -11,9 +11,9 @@ rational m (the log-modulus):
   2^n points,
 * sectors and full annuli for rectangle sources.
 
-Squaring acts componentwise (angles double, log-moduli double), so the
-compatibility f(X_{n+1}) subset X_n and the eventual images are exact on
-this grammar.  Closure points demanded by the closedness analysis (dense
+Powers act componentwise, so z -> z^s is exact on this grammar.  Squaring
+maps the compact X_{n+1} onto X_n, so level n is the projection of the
+inverse limit.  Closure points demanded by the closedness analysis (dense
 lattice orbits) appear as full circles.
 """
 
@@ -582,7 +582,7 @@ def component_intersection(a: Component, b: Component) -> list[Component]:
 
 
 # ---------------------------------------------------------------------------
-# circle sections and eventual images
+# circle sections
 
 
 def circle_section(
@@ -646,24 +646,10 @@ def _section_image(S: SectionSet, n: int, log_mod: Fraction) -> LevelSet:
     return normalize(n, comps)
 
 
-def square_levelset(L: LevelSet) -> LevelSet:
-    return normalize(L.level - 1, [power_component(c, 2) for c in L.components])
-
-
 def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
-    """Image of level n+K under K squarings: an upper bound for the
-    projection of the inverse limit onto level n (and always a superset of
-    exp(Z / 2^n))."""
-    return iterated_square(level_set(Z, n + K), K)
-
-
-def iterated_square(L: LevelSet, K: int) -> LevelSet:
-    """Image of L under K >= 1 squarings."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    for _ in range(K):
-        L = square_levelset(L)
-    return L
+    """Level n, which is the image of level n+K under K squarings.  Kept
+    only for the benchmark tracer, which looks the name up; call level_set."""
+    return level_set(Z, n)
 
 
 def power_component(c: Component, s: int) -> Component:
@@ -850,12 +836,11 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
 
 
 class LevelCache:
-    """Memoized level sets and eventual images for one spectrum."""
+    """Memoized level sets for one spectrum."""
 
     def __init__(self, Z: SpectrumSet):
         self.Z = Z
         self._levels: dict[int, LevelSet] = {}
-        self._eventual: dict[tuple[int, int], LevelSet] = {}
 
     def level(self, n: int) -> LevelSet:
         if n not in self._levels:
@@ -863,7 +848,5 @@ class LevelCache:
         return self._levels[n]
 
     def eventual(self, n: int, K: int) -> LevelSet:
-        key = (n, K)
-        if key not in self._eventual:
-            self._eventual[key] = iterated_square(self.level(n + K), K)
-        return self._eventual[key]
+        """Level n; kept only for the benchmark tracer, which looks it up."""
+        return self.level(n)

@@ -7,9 +7,9 @@ point_L(thread_k)^S; the scalar's angle and log-modulus are tracked
 exactly (one float conversion at the very end), so the semigroup law is
 an identity of PiLinear values rather than a float approximation.
 
-Also here: the quasi-uniform subcover criterion over the eventual-image
-level sets, and the sampled joint-spectrum residual for candidate
-eigenvalue prefixes.
+Also here: the quasi-uniform subcover criterion over the level sets (the
+projections of the inverse limit), and the sampled joint-spectrum
+residual for candidate eigenvalue prefixes.
 """
 
 from __future__ import annotations
@@ -243,16 +243,16 @@ def quasi_uniform_cover(
     eps: Fraction,
     n0: int = 1,
     search_bound: int = 30,
-    K: int = 4,
     cache: Optional[LevelCache] = None,
     node_budget: int = 50000,
 ) -> CoverResult:
     """Find indices making min_i |1 - point_{L_i}^{S_i}| < eps everywhere.
 
-    A single index certifies the cover when the sup of |1 - z^S| over the
-    eventual image is below eps.  Absence is certified by exhibiting one
-    thread that violates every candidate index at once (then no finite
-    subfamily can help).  Anything else is reported unknown.
+    A single index certifies the cover when the sup of |1 - z^S| over level
+    L, the projection of the inverse limit, is below eps.  Absence is
+    certified by exhibiting one thread that violates every candidate index
+    at once (then no finite subfamily can help).  Anything else is
+    reported unknown.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -261,7 +261,7 @@ def quasi_uniform_cover(
     eps_sq = Fraction(eps) ** 2
     for n in range(n0, search_bound + 1):
         L, S = _seq_at(L_seq, n), _seq_at(S_seq, n)
-        powered = power_levelset(cache.eventual(L, K), S)
+        powered = power_levelset(cache.level(L), S)
         sup = sup_abs_one_minus(powered)
         if sup.sq_hi < eps_sq:
             return CoverResult("found", (n,), (sup.sq_lo, sup.sq_hi), None)

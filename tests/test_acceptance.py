@@ -20,7 +20,6 @@ from dyadicspec.levels import (
     antipodal_set,
     circle_section,
     enumerate_points,
-    eventual_image,
     level_set,
     sup_abs_one_minus,
 )
@@ -61,6 +60,7 @@ from dyadicspec.towers import (
 )
 
 from conftest import random_spectrum
+from test_levels import _eventual_image
 from test_towers import brute_component_survives, brute_mittag_leffler
 
 mpmath.mp.dps = 50
@@ -163,7 +163,7 @@ def test_criterion_3_rectangle(rectangle):
     constant = F(0)
     sups = []
     for n in range(0, 41):
-        sup = sup_abs_one_minus(eventual_image(rectangle, n, K), digits)
+        sup = sup_abs_one_minus(_eventual_image(rectangle, n, K), digits)
         lo, hi = interval_sqrt((sup.sq_lo, sup.sq_hi), digits)
         sups.append((n, lo, hi))
         constant = max(constant, hi * 2**n)

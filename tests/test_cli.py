@@ -7,6 +7,7 @@ from dyadicspec.cli import (
     Config,
     ConfigError,
     builtin_example,
+    format_g,
     main,
     parse_config,
     render_config,
@@ -174,7 +175,7 @@ def test_byte_stable_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _classify_in_subprocess(config: str):
+def _classify_in_subprocess(config: str, *flags: str):
     import os
     import subprocess
     import sys
@@ -183,7 +184,7 @@ def _classify_in_subprocess(config: str):
 
     src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "dyadicspec.cli", "classify", "--config", "-"],
+        [sys.executable, "-m", "dyadicspec.cli", "classify", "--config", "-", *flags],
         input=config,
         capture_output=True,
         text=True,
@@ -197,6 +198,58 @@ def test_far_spectra_end_without_traceback(spectrum):
     proc = _classify_in_subprocess(f"spectrum {spectrum}\n")
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_overflowing_constant_prints_exactly(flags):
+    # C_sym = R e^R is above the largest float once R > ~703
+    proc = _classify_in_subprocess("spectrum point re=-800 im=0\nn_max 16\n", *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if flags:
+        c_sym = json.loads(proc.stdout)["uniform_bound"]["symbolic_constant"]
+    else:
+        (c_sym,) = [ln for ln in proc.stdout.splitlines() if "C_sym" in ln]
+    assert "e+" in c_sym
+
+
+def test_overflowing_table_prints_exactly_in_csv(tmp_path):
+    # e^1000 - 1 heads the u_n table of a point at re=1000
+    cfg = parse_config("spectrum point re=1000 im=1\nn_max 16\n")
+    code, text = run("classify", cfg, csv_path=str(tmp_path / "u.csv"))
+    assert code == 0 and "C = 1.97007111402e+434" in text
+    rows = (tmp_path / "u.csv").read_text().splitlines()
+    assert rows[1] == "0,1.97007111402e+434,1.97007111402e+434"
+
+
+def _scaled_g(v: float, digits: int, shift: int) -> str:
+    # %g of v * 10^shift, read off the float's own %e digits
+    mant, exp = f"{v:.{max(digits, 1) - 1}e}".split("e")
+    if "." in mant:
+        mant = mant.rstrip("0").rstrip(".")
+    return f"{mant}e+{int(exp) + shift:02d}"
+
+
+def test_format_g_matches_float_formatting():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(2000):
+        v = rng.choice([-1, 1]) * rng.uniform(1, 10) * 10.0 ** rng.randint(-300, 300)
+        v = rng.choice([v, round(v, 2) or v, float(rng.randint(1, 10**6))])
+        d = rng.randint(0, 20)
+        assert format_g(F(v), d) == f"{v:.{d}g}"
+        assert format_g(v, d) == f"{v:.{d}g}"
+        if abs(v) >= 1:
+            assert format_g(F(v) * 10**400, d) == _scaled_g(v, d, 400), (v, d)
+    # ties round half to even, carries bump the exponent
+    assert format_g(F(25) * 10**400, 1) == "2e+401"
+    assert format_g(F(35) * 10**400, 1) == "4e+401"
+    assert format_g(F(9996) * 10**400, 3) == "1e+404"
+    assert format_g(-F(1234) * 10**400, 2) == "-1.2e+403"
+    assert format_g(F(10**320) + F(1, 2), 330) == "1." + "0" * 320 + "5e+320"
+    assert format_g(F(10**320) + F(1, 2), 321) == "1e+320"
+    assert format_g(F(10**5000) / 3, 12) == "3.33333333333e+4999"
 
 
 def test_computation_limit_ends_inconclusive():

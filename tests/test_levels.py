@@ -24,7 +24,6 @@ from dyadicspec.levels import (
     component_intersection,
     component_sup_candidates,
     enumerate_points,
-    eventual_image,
     level_set,
     levelset_intersection,
     log_mod_range,
@@ -32,8 +31,8 @@ from dyadicspec.levels import (
     make_lattice,
     membership,
     normalize,
+    power_component,
     sample_points,
-    square_levelset,
     sup_abs_one_minus,
 )
 from dyadicspec.spectrum import (
@@ -48,6 +47,25 @@ from dyadicspec.spectrum import (
 )
 
 from conftest import random_spectrum
+
+
+# K-fold squaring, kept as an oracle: the image of level n+K under K
+# squarings is level n itself, which the package now reads directly.
+def _square_levelset(L: LevelSet) -> LevelSet:
+    return normalize(L.level - 1, [power_component(c, 2) for c in L.components])
+
+
+def _iterated_square(L: LevelSet, K: int) -> LevelSet:
+    """Image of L under K >= 1 squarings."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    for _ in range(K):
+        L = _square_levelset(L)
+    return L
+
+
+def _eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
+    return _iterated_square(level_set(Z, n + K), K)
 
 
 def test_level_set_examples(roots2k, solenoid, rectangle):
@@ -134,28 +152,26 @@ def test_circle_section_examples(rectangle, roots2k):
 
 
 def test_eventual_image_examples(solenoid, roots2k, rectangle):
-    assert eventual_image(solenoid, 0, 5).components == (FullCircle(F(0)),)
-    pts = enumerate_points(eventual_image(roots2k, 1, 3))
+    assert _eventual_image(solenoid, 0, 5).components == (FullCircle(F(0)),)
+    pts = enumerate_points(_eventual_image(roots2k, 1, 3))
     assert sorted(p.angle.q1 for p in pts) == [F(0), F(1)]
     # brute force: square the 16th roots three times
     raw = {F(2 * k, 16) % 2 for k in range(16)}
     for _ in range(3):
         raw = {(2 * a) % 2 for a in raw}
     assert raw == {p.angle.q1 % 2 for p in pts}
-    ei = eventual_image(rectangle, 0, 2)
+    ei = _eventual_image(rectangle, 0, 2)
     assert ei.components == level_set(rectangle, 0).components
 
 
-def test_eventual_image_decreasing_in_K(roots2k, rectangle):
-    for Z in (roots2k, rectangle):
-        prev = None
-        for K in (1, 2, 3):
-            cur = eventual_image(Z, 1, K)
-            if prev is not None:
-                pts = enumerate_points(cur)
-                if pts is not None:
-                    assert all(membership(prev, p) for p in pts)
-            prev = cur
+def test_squaring_maps_level_n_plus_k_onto_level_n(roots2k, solenoid, rectangle, primefamily):
+    spectra = [roots2k, solenoid, rectangle, primefamily]
+    rng = random.Random(606)
+    spectra += [random_spectrum(rng) for _ in range(200)]
+    for Z in spectra:
+        for n in range(5):
+            for K in (1, 2, 4):
+                assert _eventual_image(Z, n, K) == level_set(Z, n), (Z, n, K)
 
 
 def test_squaring_compatibility_random():
@@ -412,7 +428,7 @@ def test_antipodal_set_matches_all_pairs():
     levels += [_random_mixed_level(rng) for _ in range(150)]
     for _ in range(60):
         Z = random_spectrum(rng)
-        levels += [eventual_image(Z, n, K) for n in (0, 1, 3) for K in (1, 2)]
+        levels += [_eventual_image(Z, n, K) for n in (0, 1, 3) for K in (1, 2)]
     nonempty = 0
     for L in levels:
         got = _outcome(antipodal_set, L)
