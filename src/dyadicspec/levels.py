@@ -1,20 +1,27 @@
 """Level sets cl(exp(Z / 2^n)) and their exact circle geometry.
 
-A level set is a finite union of components on circles |z| = e^m with
-rational m (the log-modulus):
+A level set is a finite union of components, and every component is a
+product of two factors:
 
-* isolated points (log-modulus + reduced angle),
-* arcs (angle intervals, endpoints exact PiLinear values),
-* full circles,
-* circle lattices: finite angle orbits {base + k*step*pi} stored lazily,
-  so lattice spectra stay tractable at deep levels without enumerating
-  2^n points,
-* sectors and full annuli for rectangle sources.
+* radial: the log-modulus range [lo_log, hi_log] (one value m for a
+  component on the circle |z| = e^m);
+* angles: one reduced angle (a PiLinear), an anchored interval
+  ``Interval(lo, hi)``, a lattice orbit ``Orbit(base, step)`` =
+  {base + j*step*pi} stored lazily, so lattice spectra stay tractable at
+  deep levels without enumerating 2^n points, or None for the full circle.
 
-Powers act componentwise, so z -> z^s is exact on this grammar.  Squaring
-maps the compact X_{n+1} onto X_n, so level n is the projection of the
-inverse limit.  Closure points demanded by the closedness analysis (dense
-lattice orbits) appear as full circles.
+The six component classes name the canonical products: IsolatedPoint,
+Arc, FullCircle and CircleLattice on one circle, Sector and Annulus over a
+radial range.  Each exposes its factors as ``radial`` and ``angles``, and
+``make_component`` turns any product back into its canonical class.  Every
+operation acts factor by factor: an intersection meets the radial ranges
+by max/min and the angle sets in one five-case table; the antipode and
+powers are the affine angle maps a -> a + pi and a -> s*a; membership,
+sup |1 - z|, circle sections and normalization read the two factors.
+
+Squaring maps the compact X_{n+1} onto X_n, so level n is the projection
+of the inverse limit.  Closure points demanded by the closedness analysis
+(dense lattice orbits) appear as full circles.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactnum import PiLinear, compare, floor_ratio, reduce_mod_2pi
+from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, compare, floor_ratio, reduce_mod_2pi
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
 from .spectrum import (
     ConsistencyError,
@@ -45,15 +52,56 @@ from .spectrum import (
     vertical_section,
 )
 
-PI = PiLinear(0, 1)
-TWO_PI = PiLinear(0, 2)
-
 ENUM_LIMIT = 4096  # explicit enumeration guard
 SMALL_ORBIT = 16  # lattice orbits at most this size normalize into points
 
 
 class ComputationLimit(RuntimeError):
     """An exact enumeration would exceed the configured size guard."""
+
+
+# ---------------------------------------------------------------------------
+# angle sets
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The angles [lo, hi].  Read off a component it is anchored: lo in
+    (-pi, pi] and hi - lo < 2*pi; make_component anchors any interval."""
+
+    lo: PiLinear
+    hi: PiLinear
+
+
+@dataclass(frozen=True)
+class Orbit:
+    """The angle orbit {base + j*step*pi mod 2*pi : j integer}.
+
+    Read off a component, step is a positive rational with 2/step integral
+    (a finite orbit) and base.q1 lies in [0, step).  All members share the
+    irrational angle offset base.q0.
+    """
+
+    base: PiLinear
+    step: Fraction
+
+    @property
+    def count(self) -> int:
+        return int(Fraction(2) / self.step)
+
+    def angle(self, j: int) -> PiLinear:
+        """The member base + j*step*pi, not reduced."""
+        return PiLinear(self.base.q0, self.base.q1 + j * self.step)
+
+
+Angles = Union[PiLinear, Interval, Orbit, None]  # None is the full circle
+
+# the order in which component_intersection meets two angle sets
+_ANGLE_RANK = {PiLinear: 0, type(None): 1, Interval: 2, Orbit: 3}
+
+
+# ---------------------------------------------------------------------------
+# components
 
 
 @dataclass(frozen=True)
@@ -66,6 +114,14 @@ class LevelPoint:
 class IsolatedPoint:
     point: LevelPoint
 
+    @property
+    def radial(self) -> tuple[Fraction, Fraction]:
+        return self.point.log_mod, self.point.log_mod
+
+    @property
+    def angles(self) -> PiLinear:
+        return self.point.angle
+
 
 @dataclass(frozen=True)
 class Arc:
@@ -75,10 +131,24 @@ class Arc:
     lo: PiLinear
     hi: PiLinear
 
+    @functools.cached_property
+    def radial(self) -> tuple[Fraction, Fraction]:
+        return self.log_mod, self.log_mod
+
+    @functools.cached_property
+    def angles(self) -> Interval:
+        return Interval(self.lo, self.hi)
+
 
 @dataclass(frozen=True)
 class FullCircle:
     log_mod: Fraction
+
+    angles = None
+
+    @functools.cached_property
+    def radial(self) -> tuple[Fraction, Fraction]:
+        return self.log_mod, self.log_mod
 
 
 @dataclass(frozen=True)
@@ -93,16 +163,21 @@ class CircleLattice:
     base: PiLinear
     step: Fraction
 
+    @functools.cached_property
+    def radial(self) -> tuple[Fraction, Fraction]:
+        return self.log_mod, self.log_mod
+
+    @functools.cached_property
+    def angles(self) -> Orbit:
+        return Orbit(self.base, self.step)
+
     @property
     def count(self) -> int:
-        return int(Fraction(2) / self.step)
+        return self.angles.count
 
     def member(self, j: int) -> LevelPoint:
         """The orbit point base + j*step*pi, its angle reduced to (-pi, pi]."""
-        return LevelPoint(
-            self.log_mod,
-            reduce_mod_2pi(PiLinear(self.base.q0, self.base.q1 + j * self.step)),
-        )
+        return LevelPoint(self.log_mod, reduce_mod_2pi(self.angles.angle(j)))
 
     def points(self, limit: Optional[int] = None) -> list[LevelPoint]:
         """The orbit for j = 0, 1, ..., or only its first `limit` members."""
@@ -114,11 +189,6 @@ class CircleLattice:
         take = self.count if limit is None else min(self.count, limit)
         return [self.member(j) for j in range(take)]
 
-    def contains_angle(self, angle: PiLinear) -> bool:
-        if angle.q0 != self.base.q0:
-            return False
-        return ((angle.q1 - self.base.q1) / self.step).denominator == 1
-
 
 @dataclass(frozen=True)
 class Sector:
@@ -129,11 +199,25 @@ class Sector:
     lo: PiLinear
     hi: PiLinear
 
+    @functools.cached_property
+    def radial(self) -> tuple[Fraction, Fraction]:
+        return self.lo_log, self.hi_log
+
+    @functools.cached_property
+    def angles(self) -> Interval:
+        return Interval(self.lo, self.hi)
+
 
 @dataclass(frozen=True)
 class Annulus:
     lo_log: Fraction
     hi_log: Fraction
+
+    angles = None
+
+    @functools.cached_property
+    def radial(self) -> tuple[Fraction, Fraction]:
+        return self.lo_log, self.hi_log
 
 
 Component = Union[IsolatedPoint, Arc, FullCircle, CircleLattice, Sector, Annulus]
@@ -152,47 +236,41 @@ class LevelSet:
 # construction helpers
 
 
-def _cmp_pl(a: PiLinear, b: PiLinear) -> int:
-    return compare(a, b)
+_pl_key = functools.cmp_to_key(compare)
 
 
-_pl_key = functools.cmp_to_key(_cmp_pl)
+def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Component:
+    """The canonical component for log-modulus in [lo_log, hi_log] times angles.
 
-
-def anchor_angles(lo: PiLinear, hi: PiLinear) -> tuple[PiLinear, PiLinear] | None:
-    """Shift [lo, hi] by a multiple of 2*pi so lo lands in (-pi, pi].
-
-    Returns None when the span is >= 2*pi (the full circle).
+    The angles need not be reduced: a point angle is reduced to (-pi, pi],
+    an interval anchored (the full circle once it spans 2*pi) and an
+    orbit's base brought into [0, step).  One radius gives an isolated
+    point, arc, full circle or lattice; a radial range takes an interval
+    (a sector) or the full circle (an annulus).
     """
-    span = hi - lo
-    if span.sign() < 0:
-        raise ValueError("angle interval with lo > hi")
-    if span - TWO_PI >= PiLinear(0, 0):
-        return None
-    new_lo = reduce_mod_2pi(lo)
-    shift = new_lo - lo
-    return new_lo, hi + shift
-
-
-def make_arc(log_mod: Fraction, lo: PiLinear, hi: PiLinear) -> Component:
-    anchored = anchor_angles(lo, hi)
-    if anchored is None:
-        return FullCircle(log_mod)
-    lo, hi = anchored
-    if lo == hi:
-        return IsolatedPoint(LevelPoint(log_mod, lo))
-    return Arc(log_mod, lo, hi)
-
-
-def make_sector(
-    lo_log: Fraction, hi_log: Fraction, lo: PiLinear, hi: PiLinear
-) -> Component:
-    if lo_log == hi_log:
-        return make_arc(lo_log, lo, hi)
-    anchored = anchor_angles(lo, hi)
-    if anchored is None:
-        return Annulus(lo_log, hi_log)
-    return Sector(lo_log, hi_log, anchored[0], anchored[1])
+    one_radius = lo_log is hi_log or lo_log == hi_log
+    if isinstance(angles, Interval):
+        lo, hi = angles.lo, angles.hi
+        span = hi - lo
+        if span.sign() < 0:
+            raise ValueError("angle interval with lo > hi")
+        if span - TWO_PI < ZERO:
+            # shift by a multiple of 2*pi so lo lands in (-pi, pi]
+            lo = reduce_mod_2pi(lo)
+            hi = hi + (lo - angles.lo)
+            if not one_radius:
+                return Sector(lo_log, hi_log, lo, hi)
+            if lo == hi:
+                return IsolatedPoint(LevelPoint(lo_log, lo))
+            return Arc(lo_log, lo, hi)
+        angles = None
+    if angles is None:
+        return FullCircle(lo_log) if one_radius else Annulus(lo_log, hi_log)
+    if not one_radius:
+        raise ValueError("a radial range takes an angle interval or the full circle")
+    if isinstance(angles, Orbit):
+        return make_lattice(lo_log, angles.base, angles.step)
+    return IsolatedPoint(LevelPoint(lo_log, reduce_mod_2pi(angles)))
 
 
 def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component:
@@ -222,14 +300,6 @@ def _rat_gcd2(a: Fraction, b: Fraction) -> Fraction:
 # normalization
 
 
-def _angle_in_interval(angle: PiLinear, lo: PiLinear, hi: PiLinear) -> bool:
-    # angle reduced to (-pi, pi]; the interval is anchored with lo in (-pi, pi]
-    for cand in (angle, angle + TWO_PI):
-        if lo <= cand and cand <= hi:
-            return True
-    return False
-
-
 def normalize(level: int, components: Iterable[Component]) -> LevelSet:
     """Canonical form: circles absorb, arcs merge (with wraparound), points
     dedupe and drop into covering arcs/lattices, small lattices enumerate."""
@@ -240,45 +310,30 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
         else:
             expanded.append(c)
 
-    by_log: dict[Fraction, dict[str, list]] = {}
+    # one bucket per circle, one list per angle kind (indexed by _ANGLE_RANK)
+    by_log: dict[Fraction, tuple[list, list, list, list]] = {}
     others: list[Component] = []
     for c in expanded:
-        if isinstance(c, (IsolatedPoint, Arc, FullCircle, CircleLattice)):
-            key = c.point.log_mod if isinstance(c, IsolatedPoint) else c.log_mod
-            bucket = by_log.setdefault(key, {"pts": [], "arcs": [], "circ": [], "lat": []})
-            if isinstance(c, IsolatedPoint):
-                bucket["pts"].append(c.point)
-            elif isinstance(c, Arc):
-                bucket["arcs"].append(c)
-            elif isinstance(c, FullCircle):
-                bucket["circ"].append(c)
-            else:
-                bucket["lat"].append(c)
-        elif isinstance(c, Sector):
-            others.append(c)
-        elif isinstance(c, Annulus):
-            others.append(c)
+        lo_log, hi_log = c.radial
+        if lo_log is hi_log or lo_log == hi_log:
+            by_log.setdefault(lo_log, ([], [], [], []))[_ANGLE_RANK[type(c.angles)]].append(c)
         else:
-            raise TypeError(type(c).__name__)
+            others.append(c)
 
     out: list[Component] = []
     for log_mod in sorted(by_log):
-        bucket = by_log[log_mod]
-        if bucket["circ"]:
+        points, circles, arcs, lattices = by_log[log_mod]
+        arcs = None if circles else _merge_arcs(log_mod, arcs)
+        if arcs is None:
             out.append(FullCircle(log_mod))
             continue
-        arcs, arc_pts, full = _merge_arcs(log_mod, bucket["arcs"])
-        if full:
-            out.append(FullCircle(log_mod))
-            continue
-        lattices = sorted(set(bucket["lat"]), key=lambda l: (l.step, l.base.q0, l.base.q1))
-        pts: list[LevelPoint] = []
-        for p in dict.fromkeys(bucket["pts"] + arc_pts):
-            covered = any(
-                _angle_in_interval(p.angle, a.lo, a.hi) for a in arcs
-            ) or any(l.contains_angle(p.angle) for l in lattices)
-            if not covered:
-                pts.append(p)
+        lattices = sorted(set(lattices), key=lambda l: (l.step, l.base.q0, l.base.q1))
+        cover = arcs + lattices
+        pts = [
+            p
+            for p in dict.fromkeys(c.point for c in points)
+            if not any(_angles_contain(x.angles, p.angle) for x in cover)
+        ]
         pts.sort(key=lambda p: (_pl_key(p.angle)))
         out.extend(IsolatedPoint(p) for p in pts)
         out.extend(arcs)
@@ -292,12 +347,13 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
     return LevelSet(level, tuple(out))
 
 
-def _merge_arcs(
-    log_mod: Fraction, arcs: list[Arc]
-) -> tuple[list[Arc], list[LevelPoint], bool]:
-    """Union of anchored arcs: merged arcs, degenerate leftovers, full flag."""
+def _merge_arcs(log_mod: Fraction, arcs: list[Arc]) -> Optional[list[Component]]:
+    """Union of anchored arcs on one circle, or None when it is the circle.
+
+    The union of arcs with lo < hi has no isolated points.
+    """
     if not arcs:
-        return [], [], False
+        return []
     ivs = sorted(((a.lo, a.hi) for a in arcs), key=lambda iv: _pl_key(iv[0]))
     merged: list[tuple[PiLinear, PiLinear]] = []
     for lo, hi in ivs:
@@ -314,17 +370,8 @@ def _merge_arcs(
             if compare(hi, last[1]) > 0:
                 merged[-1] = (last[0], hi)
             merged.pop(0)
-    out_arcs: list[Arc] = []
-    out_pts: list[LevelPoint] = []
-    for lo, hi in merged:
-        c = make_arc(log_mod, lo, hi)
-        if isinstance(c, FullCircle):
-            return [], [], True
-        if isinstance(c, IsolatedPoint):
-            out_pts.append(c.point)
-        else:
-            out_arcs.append(c)
-    return out_arcs, out_pts, False
+    out = [make_component(log_mod, log_mod, Interval(lo, hi)) for lo, hi in merged]
+    return None if any(c.angles is None for c in out) else out
 
 
 # ---------------------------------------------------------------------------
@@ -339,91 +386,90 @@ def level_set(Z: SpectrumSet, n: int) -> LevelSet:
     half = Fraction(1, 2**n)
     for p in Z.primitives:
         if isinstance(p, Point):
-            comps.append(
-                IsolatedPoint(LevelPoint(p.re * half, reduce_mod_2pi(p.im.scaled(half))))
-            )
+            lo, hi, angles = p.re, p.re, [p.im]
         elif isinstance(p, VSegment):
-            comps.append(make_arc(p.re * half, p.im_lo.scaled(half), p.im_hi.scaled(half)))
+            lo, hi, angles = p.re, p.re, [Interval(p.im_lo, p.im_hi)]
         elif isinstance(p, ILattice):
-            if p.step.q0 != 0:
-                # dense angle orbit: the closure is the full circle
-                comps.append(FullCircle(p.re * half))
-            else:
-                comps.append(
-                    make_lattice(
-                        p.re * half,
-                        p.base.scaled(half),
-                        _rat_gcd2(p.step.q1 * half, Fraction(2)),
-                    )
-                )
+            # an irrational step makes the orbit dense: its closure is the circle
+            lo, hi, angles = p.re, p.re, [Orbit(p.base, p.step.q1) if p.step.q0 == 0 else None]
         elif isinstance(p, VLine):
-            comps.append(FullCircle(p.re * half))
+            lo, hi, angles = p.re, p.re, [None]
         elif isinstance(p, Rect):
-            comps.append(
-                make_sector(
-                    p.re_lo * half,
-                    p.re_hi * half,
-                    p.im_lo.scaled(half),
-                    p.im_hi.scaled(half),
-                )
-            )
+            lo, hi, angles = p.re_lo, p.re_hi, [Interval(p.im_lo, p.im_hi)]
         elif isinstance(p, PrimeFamily):
-            for j in p.primes():
-                for v in (p.alpha(j), p.beta(j)):
-                    comps.append(
-                        IsolatedPoint(LevelPoint(Fraction(0), reduce_mod_2pi(v.scaled(half))))
-                    )
+            lo = hi = Fraction(0)
+            angles = [v for j in p.primes() for v in (p.alpha(j), p.beta(j))]
         else:
             raise TypeError(type(p).__name__)
+        lo_n = lo * half
+        hi_n = lo_n if hi is lo else hi * half
+        comps.extend(make_component(lo_n, hi_n, _map_angles(a, half)) for a in angles)
     return normalize(n, comps)
+
+
+def _angles_contain(angles: Angles, angle: PiLinear) -> bool:
+    """Whether the reduced angle lies in the angle set."""
+    if angles is None:
+        return True
+    if isinstance(angles, PiLinear):
+        # values q0 + q1*pi are equal exactly when (q0, q1) are: pi is irrational
+        return angles == angle
+    if isinstance(angles, Interval):
+        # the interval is anchored with lo in (-pi, pi]
+        return angles.lo <= angle <= angles.hi or angles.lo <= angle + TWO_PI <= angles.hi
+    base = angles.base
+    return angle.q0 == base.q0 and ((angle.q1 - base.q1) / angles.step).denominator == 1
 
 
 def membership(L: LevelSet, p: LevelPoint) -> bool:
     """Exact containment of a point in a level set."""
-    return any(_component_contains(c, p) for c in L.components)
+    m = p.log_mod
+    for c in L.components:
+        lo, hi = c.radial
+        # one circle needs one comparison (its radial pair is one object twice)
+        if (m == lo if lo is hi else lo <= m <= hi) and _angles_contain(c.angles, p.angle):
+            return True
+    return False
 
 
-def _component_contains(c: Component, p: LevelPoint) -> bool:
-    if isinstance(c, IsolatedPoint):
-        # values q0 + q1*pi are equal exactly when (q0, q1) are: pi is irrational
-        return c.point == p
-    if isinstance(c, Arc):
-        return c.log_mod == p.log_mod and _angle_in_interval(p.angle, c.lo, c.hi)
-    if isinstance(c, FullCircle):
-        return c.log_mod == p.log_mod
-    if isinstance(c, CircleLattice):
-        return c.log_mod == p.log_mod and c.contains_angle(p.angle)
-    if isinstance(c, Sector):
-        if not (c.lo_log <= p.log_mod <= c.hi_log):
-            return False
-        return _angle_in_interval(p.angle, c.lo, c.hi)
-    if isinstance(c, Annulus):
-        return c.lo_log <= p.log_mod <= c.hi_log
-    raise TypeError(type(c).__name__)
+# ---------------------------------------------------------------------------
+# antipodes and powers: the affine angle maps a -> a + pi and a -> s*a
+
+
+def _map_angles(angles: Angles, k: Rat, shift: Optional[PiLinear] = None) -> Angles:
+    """The angle set under a -> k*a + shift for rational k > 0, not reduced.
+
+    An orbit's step may be any positive rational on the way in; on the way
+    out it is gcd(k*step, 2), which divides 2.
+    """
+    if angles is None:
+        return None
+    if isinstance(angles, PiLinear):
+        a = angles if k == 1 else angles.scaled(k)
+        return a if shift is None else a + shift
+    if isinstance(angles, Interval):
+        return Interval(_map_angles(angles.lo, k, shift), _map_angles(angles.hi, k, shift))
+    return Orbit(_map_angles(angles.base, k, shift), _rat_gcd2(k * angles.step, Fraction(2)))
+
+
+def antipode_component(c: Component) -> Component:
+    return make_component(*c.radial, _map_angles(c.angles, 1, PI))
+
+
+def power_component(c: Component, s: int) -> Component:
+    """Image of a component under z -> z**s for s >= 1."""
+    if s < 1:
+        raise ValueError("power must be >= 1")
+    lo, hi = c.radial
+    return make_component(s * lo, s * hi, _map_angles(c.angles, s))
+
+
+def power_levelset(L: LevelSet, s: int) -> LevelSet:
+    return normalize(L.level, [power_component(c, s) for c in L.components])
 
 
 # ---------------------------------------------------------------------------
 # antipodes and intersections
-
-
-def antipode_component(c: Component) -> Component:
-    if isinstance(c, IsolatedPoint):
-        return IsolatedPoint(
-            LevelPoint(c.point.log_mod, reduce_mod_2pi(c.point.angle + PI))
-        )
-    if isinstance(c, Arc):
-        return make_arc(c.log_mod, c.lo + PI, c.hi + PI)
-    if isinstance(c, FullCircle):
-        return c
-    if isinstance(c, CircleLattice):
-        return CircleLattice(
-            c.log_mod, PiLinear(c.base.q0, (c.base.q1 + 1) % c.step), c.step
-        )
-    if isinstance(c, Sector):
-        return make_sector(c.lo_log, c.hi_log, c.lo + PI, c.hi + PI)
-    if isinstance(c, Annulus):
-        return c
-    raise TypeError(type(c).__name__)
 
 
 def antipodal_set(L: LevelSet) -> LevelSet:
@@ -448,137 +494,69 @@ def antipodal_set(L: LevelSet) -> LevelSet:
     return normalize(L.level, out)
 
 
-def levelset_intersection(L1: LevelSet, L2: LevelSet) -> LevelSet:
-    out: list[Component] = []
-    for a in L1.components:
-        for b in L2.components:
-            out.extend(component_intersection(a, b))
-    return normalize(L1.level, out)
-
-
-def _interval_intersections(
-    lo1: PiLinear, hi1: PiLinear, lo2: PiLinear, hi2: PiLinear
-) -> list[tuple[PiLinear, PiLinear]]:
+def _interval_intersections(x: Interval, y: Interval) -> list[Interval]:
     """Intersections of two anchored angle intervals, modulo 2*pi."""
     out = []
     for shift in (-2, 0, 2):
-        a = lo2 + PiLinear(0, shift)
-        b = hi2 + PiLinear(0, shift)
-        lo = a if compare(a, lo1) > 0 else lo1
-        hi = b if compare(b, hi1) < 0 else hi1
+        a = y.lo + PiLinear(0, shift)
+        b = y.hi + PiLinear(0, shift)
+        lo = a if compare(a, x.lo) > 0 else x.lo
+        hi = b if compare(b, x.hi) < 0 else x.hi
         if compare(lo, hi) <= 0:
-            out.append((lo, hi))
+            out.append(Interval(lo, hi))
     return out
 
 
-def _lattice_points_in_interval(
-    lat: CircleLattice, lo: PiLinear, hi: PiLinear
-) -> list[LevelPoint]:
+def _orbit_angles_in_interval(orbit: Orbit, lo: PiLinear, hi: PiLinear) -> list[PiLinear]:
+    """The orbit members with angles in [lo, hi], not reduced."""
     # members have real angles base.q0 + (base.q1 + j*step)*pi (all integers j)
-    step_pl = PiLinear(0, lat.step)
-    base_pl = PiLinear(lat.base.q0, lat.base.q1)
-    jmin = -floor_ratio(base_pl - lo, step_pl)
-    jmax = floor_ratio(hi - base_pl, step_pl)
+    step_pl = PiLinear(0, orbit.step)
+    jmin = -floor_ratio(orbit.base - lo, step_pl)
+    jmax = floor_ratio(hi - orbit.base, step_pl)
     if jmax - jmin + 1 > ENUM_LIMIT:
         raise ComputationLimit(
             f"lattice-interval intersection of {jmax - jmin + 1} points exceeds "
             f"the enumeration limit {ENUM_LIMIT}"
         )
-    return [lat.member(j) for j in range(jmin, jmax + 1)]
+    return [orbit.angle(j) for j in range(jmin, jmax + 1)]
 
 
-def _lattice_intersection(a: CircleLattice, b: CircleLattice) -> list[Component]:
-    if a.log_mod != b.log_mod or a.base.q0 != b.base.q0:
-        return []
+def _orbit_intersection(a: Orbit, b: Orbit) -> list[Orbit]:
+    # a.base + k*a.step meets b's orbit where k*u = t mod v, with u, v the
+    # coprime integers a.step/g, b.step/g and t = (b.base - a.base)/g
     g = _rat_gcd2(a.step, b.step)
-    diff = b.base.q1 - a.base.q1
-    if (diff / g).denominator != 1:
+    t = (b.base.q1 - a.base.q1) / g
+    if a.base.q0 != b.base.q0 or t.denominator != 1:
         return []
-    step = a.step * b.step / g
-    den = math.lcm(
-        a.step.denominator, b.step.denominator, a.base.q1.denominator, b.base.q1.denominator
-    )
-    G1, G2 = int(a.step * den), int(b.step * den)
-    B1, B2 = int(a.base.q1 * den), int(b.base.q1 * den)
-    g12 = math.gcd(G1, G2)
-    u0 = ((B2 - B1) // g12 * pow(G1 // g12, -1, G2 // g12)) % (G2 // g12)
-    x = Fraction(B1 + G1 * u0, den) % step
-    return [make_lattice(a.log_mod, PiLinear(a.base.q0, x), step)]
+    u, v = int(a.step / g), int(b.step / g)
+    k = int(t) * pow(u, -1, v) % v
+    return [Orbit(PiLinear(a.base.q0, a.base.q1 + k * a.step), a.step * v)]
 
 
 def component_intersection(a: Component, b: Component) -> list[Component]:
-    """Exact intersection of two components (possibly empty)."""
-    rank = {IsolatedPoint: 0, Arc: 1, FullCircle: 2, CircleLattice: 3, Sector: 4, Annulus: 5}
-    if rank[type(a)] > rank[type(b)]:
-        a, b = b, a
-    if isinstance(a, IsolatedPoint):
-        return [a] if _component_contains(b, a.point) else []
-    if isinstance(a, Arc):
-        if isinstance(b, Arc):
-            if a.log_mod != b.log_mod:
-                return []
-            return [
-                make_arc(a.log_mod, lo, hi)
-                for lo, hi in _interval_intersections(a.lo, a.hi, b.lo, b.hi)
-            ]
-        if isinstance(b, FullCircle):
-            return [a] if a.log_mod == b.log_mod else []
-        if isinstance(b, CircleLattice):
-            if a.log_mod != b.log_mod:
-                return []
-            return [IsolatedPoint(p) for p in _lattice_points_in_interval(b, a.lo, a.hi)]
-        if isinstance(b, Sector):
-            if not (b.lo_log <= a.log_mod <= b.hi_log):
-                return []
-            return [
-                make_arc(a.log_mod, lo, hi)
-                for lo, hi in _interval_intersections(a.lo, a.hi, b.lo, b.hi)
-            ]
-        if isinstance(b, Annulus):
-            return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
-    if isinstance(a, FullCircle):
-        if isinstance(b, FullCircle):
-            return [a] if a.log_mod == b.log_mod else []
-        if isinstance(b, CircleLattice):
-            return [b] if a.log_mod == b.log_mod else []
-        if isinstance(b, Sector):
-            if not (b.lo_log <= a.log_mod <= b.hi_log):
-                return []
-            return [make_arc(a.log_mod, b.lo, b.hi)]
-        if isinstance(b, Annulus):
-            return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
-    if isinstance(a, CircleLattice):
-        if isinstance(b, CircleLattice):
-            return _lattice_intersection(a, b)
-        if isinstance(b, Sector):
-            if not (b.lo_log <= a.log_mod <= b.hi_log):
-                return []
-            return [IsolatedPoint(p) for p in _lattice_points_in_interval(a, b.lo, b.hi)]
-        if isinstance(b, Annulus):
-            return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
-    if isinstance(a, Sector):
-        if isinstance(b, Sector):
-            lo_log = max(a.lo_log, b.lo_log)
-            hi_log = min(a.hi_log, b.hi_log)
-            if lo_log > hi_log:
-                return []
-            return [
-                make_sector(lo_log, hi_log, lo, hi)
-                for lo, hi in _interval_intersections(a.lo, a.hi, b.lo, b.hi)
-            ]
-        if isinstance(b, Annulus):
-            lo_log = max(a.lo_log, b.lo_log)
-            hi_log = min(a.hi_log, b.hi_log)
-            if lo_log > hi_log:
-                return []
-            return [make_sector(lo_log, hi_log, a.lo, a.hi)]
-    if isinstance(a, Annulus) and isinstance(b, Annulus):
-        lo_log = max(a.lo_log, b.lo_log)
-        hi_log = min(a.hi_log, b.hi_log)
-        if lo_log > hi_log:
-            return []
-        return [Annulus(lo_log, hi_log)]
-    raise TypeError(f"intersection {type(a).__name__}/{type(b).__name__}")
+    """Exact intersection of two components (possibly empty).
+
+    The radial ranges meet by max/min; the angle sets, ordered point <
+    full circle < interval < orbit, meet in one table of five cases.
+    """
+    (alo, ahi), (blo, bhi) = a.radial, b.radial
+    lo, hi = max(alo, blo), min(ahi, bhi)
+    if lo > hi:
+        return []
+    x, y = a.angles, b.angles
+    if _ANGLE_RANK[type(x)] > _ANGLE_RANK[type(y)]:
+        a, b, x, y = b, a, y, x
+    if isinstance(x, PiLinear):  # point x any
+        return [a] if _angles_contain(y, x) else []
+    if x is None:  # full circle x any
+        meet = [y]
+    elif isinstance(y, Interval):  # interval x interval
+        meet = _interval_intersections(x, y)
+    elif isinstance(x, Interval):  # interval x orbit
+        meet = _orbit_angles_in_interval(y, x.lo, x.hi)
+    else:  # orbit x orbit
+        meet = _orbit_intersection(x, y)
+    return [make_component(lo, hi, z) for z in meet]
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +576,9 @@ def circle_section(
     L = level_set(Z, n)
     out: list[Component] = []
     for c in L.components:
-        if isinstance(c, (IsolatedPoint, Arc, FullCircle, CircleLattice)):
-            key = c.point.log_mod if isinstance(c, IsolatedPoint) else c.log_mod
-            if key == r:
-                out.append(c)
-        elif isinstance(c, Sector):
-            if c.lo_log <= r <= c.hi_log:
-                out.append(make_arc(r, c.lo, c.hi))
-        elif isinstance(c, Annulus):
-            if c.lo_log <= r <= c.hi_log:
-                out.append(FullCircle(r))
+        lo, hi = c.radial
+        if lo <= r <= hi:
+            out.append(c if lo == hi else make_component(r, r, c.angles))
     section = normalize(n, out)
     if check_consistency and image_closedness(Z, n).closed:
         expected = _section_image(vertical_section(Z, t), n, r)
@@ -619,62 +590,28 @@ def circle_section(
 
 
 def _section_image(S: SectionSet, n: int, log_mod: Fraction) -> LevelSet:
-    half = Fraction(1, 2**n)
-    comps: list[Component] = []
+    angles: list[Angles] = []
     for part in S.parts:
         if isinstance(part, SectionPoints):
-            comps.extend(
-                IsolatedPoint(LevelPoint(log_mod, reduce_mod_2pi(v.scaled(half))))
-                for v in part.values
-            )
+            angles.extend(part.values)
         elif isinstance(part, SectionInterval):
-            comps.append(make_arc(log_mod, part.lo.scaled(half), part.hi.scaled(half)))
+            angles.append(Interval(part.lo, part.hi))
         elif isinstance(part, SectionLattice):
             if part.step.q0 != 0:
                 raise ConsistencyError("section image of a dense lattice (not closed)")
-            comps.append(
-                make_lattice(
-                    log_mod,
-                    part.base.scaled(half),
-                    _rat_gcd2(part.step.q1 * half, Fraction(2)),
-                )
-            )
+            angles.append(Orbit(part.base, part.step.q1))
         elif isinstance(part, SectionLine):
-            comps.append(FullCircle(log_mod))
+            angles.append(None)
         else:
             raise TypeError(type(part).__name__)
-    return normalize(n, comps)
+    half = Fraction(1, 2**n)
+    return normalize(n, [make_component(log_mod, log_mod, _map_angles(a, half)) for a in angles])
 
 
 def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
     """Level n, which is the image of level n+K under K squarings.  Kept
     only for the benchmark tracer, which looks the name up; call level_set."""
     return level_set(Z, n)
-
-
-def power_component(c: Component, s: int) -> Component:
-    """Image of a component under z -> z**s for s >= 1."""
-    if s < 1:
-        raise ValueError("power must be >= 1")
-    if isinstance(c, IsolatedPoint):
-        p = c.point
-        return IsolatedPoint(LevelPoint(s * p.log_mod, reduce_mod_2pi(p.angle.scaled(s))))
-    if isinstance(c, Arc):
-        return make_arc(s * c.log_mod, c.lo.scaled(s), c.hi.scaled(s))
-    if isinstance(c, FullCircle):
-        return FullCircle(s * c.log_mod)
-    if isinstance(c, CircleLattice):
-        step = _rat_gcd2(s * c.step, Fraction(2))
-        return make_lattice(s * c.log_mod, c.base.scaled(s), step)
-    if isinstance(c, Sector):
-        return make_sector(s * c.lo_log, s * c.hi_log, c.lo.scaled(s), c.hi.scaled(s))
-    if isinstance(c, Annulus):
-        return Annulus(s * c.lo_log, s * c.hi_log)
-    raise TypeError(type(c).__name__)
-
-
-def power_levelset(L: LevelSet, s: int) -> LevelSet:
-    return normalize(L.level, [power_component(c, s) for c in L.components])
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +628,21 @@ class SupResult:
     witness: Optional[LevelPoint]
 
 
+def _angle_sup_candidates(angles: Angles) -> list[PiLinear]:
+    """Reduced angles of the set where |1 - z| at a fixed radius is largest."""
+    if angles is None:
+        return [PI]
+    if isinstance(angles, Interval):
+        cands = [reduce_mod_2pi(angles.lo), reduce_mod_2pi(angles.hi)]
+        if _angles_contain(angles, PI):
+            cands.append(PI)
+        return cands
+    # the members around pi: j around (pi - q0 - b1*pi)/step*pi
+    target = PiLinear(-angles.base.q0, 1 - angles.base.q1)
+    j0 = floor_ratio(target, PiLinear(0, angles.step))
+    return [reduce_mod_2pi(angles.angle(j)) for j in (j0 - 1, j0, j0 + 1)]
+
+
 def component_sup_candidates(c: Component) -> list[LevelPoint]:
     """Finitely many points where sup |1 - z| over the component is attained.
 
@@ -700,29 +652,9 @@ def component_sup_candidates(c: Component) -> list[LevelPoint]:
     """
     if isinstance(c, IsolatedPoint):
         return [c.point]
-    if isinstance(c, Arc):
-        cands = [LevelPoint(c.log_mod, reduce_mod_2pi(c.lo)), LevelPoint(c.log_mod, reduce_mod_2pi(c.hi))]
-        if _angle_in_interval(PI, c.lo, c.hi):
-            cands.append(LevelPoint(c.log_mod, PI))
-        return cands
-    if isinstance(c, FullCircle):
-        return [LevelPoint(c.log_mod, PI)]
-    if isinstance(c, CircleLattice):
-        # closest lattice member to angle pi: solve for j around (pi - q0 - b1*pi)/step*pi
-        target = PiLinear(-c.base.q0, 1 - c.base.q1)
-        j0 = floor_ratio(target, PiLinear(0, c.step))
-        return [c.member(j) for j in (j0 - 1, j0, j0 + 1)]
-    if isinstance(c, Sector):
-        out = []
-        for m in (c.lo_log, c.hi_log):
-            out.append(LevelPoint(m, reduce_mod_2pi(c.lo)))
-            out.append(LevelPoint(m, reduce_mod_2pi(c.hi)))
-            if _angle_in_interval(PI, c.lo, c.hi):
-                out.append(LevelPoint(m, PI))
-        return out
-    if isinstance(c, Annulus):
-        return [LevelPoint(c.lo_log, PI), LevelPoint(c.hi_log, PI)]
-    raise TypeError(type(c).__name__)
+    lo, hi = c.radial
+    angles = _angle_sup_candidates(c.angles)
+    return [LevelPoint(m, a) for m in ((lo,) if lo == hi else (lo, hi)) for a in angles]
 
 
 def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
@@ -756,24 +688,6 @@ def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
     return SupResult(best_lo, best_hi, exact_sq, best_witness)
 
 
-def log_mod_range(L: LevelSet) -> tuple[Fraction, Fraction]:
-    """Exact (min, max) of the log-modulus over a nonempty level set."""
-    if L.is_empty():
-        raise ValueError("empty level set")
-    los, his = [], []
-    for c in L.components:
-        if isinstance(c, IsolatedPoint):
-            los.append(c.point.log_mod)
-            his.append(c.point.log_mod)
-        elif isinstance(c, (Arc, FullCircle, CircleLattice)):
-            los.append(c.log_mod)
-            his.append(c.log_mod)
-        else:
-            los.append(c.lo_log)
-            his.append(c.hi_log)
-    return min(los), max(his)
-
-
 def enumerate_points(
     L: LevelSet, limit: Optional[int] = None
 ) -> Optional[list[LevelPoint]]:
@@ -797,41 +711,43 @@ def enumerate_points(
     return pts
 
 
+def _angle_samples(angles: Angles, count: int) -> list[float]:
+    """Up to `count` float angles spread over the angle set."""
+    if angles is None:
+        return [-math.pi + 2 * math.pi * i / count for i in range(count)]
+    if isinstance(angles, PiLinear):
+        return [float(angles)]
+    if isinstance(angles, Interval):
+        lo, hi = float(angles.lo), float(angles.hi)
+        return [lo + (hi - lo) * i / max(1, count - 1) for i in range(count)]
+    q0, q1, step = float(angles.base.q0), float(angles.base.q1), float(angles.step)
+    return [q0 + (q1 + j * step) * math.pi for j in range(min(angles.count, count))]
+
+
 def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, float]]:
-    """Float (re, im) samples for CSV export and cross-checks."""
+    """Float (re, im) samples for CSV export and cross-checks.
+
+    A coordinate whose magnitude overflows a float is +-inf; one that is
+    exactly 0 stays 0.
+    """
     out: list[tuple[float, float]] = []
-
-    def emit(log_mod: Fraction, angle_val: float):
-        r = math.exp(float(log_mod))
-        out.append((r * math.cos(angle_val), r * math.sin(angle_val)))
-
     for c in L.components:
-        if isinstance(c, IsolatedPoint):
-            emit(c.point.log_mod, float(c.point.angle))
-        elif isinstance(c, Arc):
-            lo, hi = float(c.lo), float(c.hi)
-            for i in range(per_component):
-                emit(c.log_mod, lo + (hi - lo) * i / max(1, per_component - 1))
-        elif isinstance(c, FullCircle):
-            for i in range(per_component):
-                emit(c.log_mod, -math.pi + 2 * math.pi * i / per_component)
-        elif isinstance(c, CircleLattice):
-            take = min(c.count, per_component)
-            for j in range(take):
-                emit(c.log_mod, float(c.base.q0) + (float(c.base.q1) + j * float(c.step)) * math.pi)
-        elif isinstance(c, Sector):
-            side = max(2, int(math.isqrt(per_component)))
-            for i in range(side):
-                m = c.lo_log + (c.hi_log - c.lo_log) * Fraction(i, side - 1)
-                lo, hi = float(c.lo), float(c.hi)
-                for k in range(side):
-                    emit(m, lo + (hi - lo) * k / (side - 1))
-        elif isinstance(c, Annulus):
-            side = max(2, int(math.isqrt(per_component)))
-            for i in range(side):
-                m = c.lo_log + (c.hi_log - c.lo_log) * Fraction(i, side - 1)
-                for k in range(side):
-                    emit(m, -math.pi + 2 * math.pi * k / side)
+        lo, hi = c.radial
+        if lo == hi:
+            radii, count = [lo], per_component
+        else:
+            count = max(2, int(math.isqrt(per_component)))
+            radii = [lo + (hi - lo) * Fraction(i, count - 1) for i in range(count)]
+        angles = _angle_samples(c.angles, count)
+        for m in radii:
+            try:
+                r = math.exp(float(m))
+            except OverflowError:
+                r = math.inf if m > 0 else 0.0
+            for t in angles:
+                x, y = math.cos(t), math.sin(t)
+                # a zero factor is kept as is: inf * 0.0 is nan
+                out.append((r * x if x else x, r * y if y else y))
     return out
 
 

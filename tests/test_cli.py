@@ -175,7 +175,7 @@ def test_byte_stable_across_processes(tmp_path):
     assert outs[0] == outs[1]
 
 
-def _classify_in_subprocess(config: str, *flags: str):
+def _classify_in_subprocess(config: str, *flags: str, command: str = "classify"):
     import os
     import subprocess
     import sys
@@ -184,7 +184,7 @@ def _classify_in_subprocess(config: str, *flags: str):
 
     src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
     return subprocess.run(
-        [sys.executable, "-m", "dyadicspec.cli", "classify", "--config", "-", *flags],
+        [sys.executable, "-m", "dyadicspec.cli", command, "--config", "-", *flags],
         input=config,
         capture_output=True,
         text=True,
@@ -220,6 +220,32 @@ def test_overflowing_table_prints_exactly_in_csv(tmp_path):
     assert code == 0 and "C = 1.97007111402e+434" in text
     rows = (tmp_path / "u.csv").read_text().splitlines()
     assert rows[1] == "0,1.97007111402e+434,1.97007111402e+434"
+
+
+def test_levels_csv_writes_overflowing_coordinates_as_inf(tmp_path):
+    # |z| = e^(1000/2^n) is above the largest float for n <= 3
+    path = tmp_path / "levels.csv"
+    proc = _classify_in_subprocess(
+        "spectrum point re=1000 im=1\nspectrum point re=1000 im=0\nn_max 16\n",
+        "--csv",
+        str(path),
+        command="levels",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = path.read_text().splitlines()
+    assert rows[1:3] == ["0,inf,0", "0,inf,inf"]
+    assert "nan" not in path.read_text()
+    assert rows[-1].startswith("16,") and "inf" not in rows[-1]
+
+
+def test_touching_annuli_meet_in_a_full_circle():
+    # the rectangles share the circle |z| = 1 at level 0
+    cfg = "spectrum rect re=[-1,0] im=[-1*pi,1*pi]\nspectrum rect re=[0,1/2] im=[-1*pi,1*pi]\n"
+    code, text = run("antipodes", parse_config(cfg))
+    assert code == 0 and "level 0: FullCircle" in text.splitlines()
+    code, text = run("classify", parse_config(cfg + "n_max 2\n"), as_json=True)
+    assert json.loads(text)["antipodal"]["pair_samples"][0] == "n=0: FullCircle"
 
 
 def _scaled_g(v: float, digits: int, shift: int) -> str:

@@ -17,7 +17,9 @@ from dyadicspec.levels import (
     LevelPoint,
     LevelSet,
     Sector,
-    _lattice_points_in_interval,
+    Interval,
+    _orbit_angles_in_interval,
+    _rat_gcd2,
     antipodal_set,
     antipode_component,
     circle_section,
@@ -25,9 +27,7 @@ from dyadicspec.levels import (
     component_sup_candidates,
     enumerate_points,
     level_set,
-    levelset_intersection,
-    log_mod_range,
-    make_arc,
+    make_component,
     make_lattice,
     membership,
     normalize,
@@ -41,7 +41,6 @@ from dyadicspec.spectrum import (
     PrimeFamily,
     SpectrumSet,
     image_closedness,
-    real_part_range,
     section_antipode_condition,
     section_representatives,
 )
@@ -187,17 +186,6 @@ def test_squaring_compatibility_random():
                     assert membership(parent, sq), (Z, n, p)
 
 
-def test_log_mod_range_bounds_random():
-    rng = random.Random(99)
-    for _ in range(20):
-        Z = random_spectrum(rng)
-        eta, zeta = real_part_range(Z)
-        for n in (0, 1, 3):
-            lo, hi = log_mod_range(level_set(Z, n))
-            assert eta * F(1, 2**n) <= lo
-            assert hi <= zeta * F(1, 2**n)
-
-
 def test_sup_matches_dense_sampling(rectangle, roots2k, solenoid):
     for Z, n in ((rectangle, 2), (rectangle, 5), (roots2k, 3), (solenoid, 1)):
         L = level_set(Z, n)
@@ -273,10 +261,8 @@ def test_wide_segment_becomes_full_circle():
 def test_lattice_intersection_and_antipodes():
     lat = CircleLattice(F(0), PiLinear(0, 0), F(1, 16))  # 32nd roots of unity
     rot = CircleLattice(F(0), PiLinear(0, F(1, 32)), F(1, 16))
-    L1 = LevelSet(5, (lat,))
-    L2 = LevelSet(5, (rot,))
-    assert levelset_intersection(L1, L2).is_empty()
-    assert not antipodal_set(L1).is_empty()
+    assert component_intersection(lat, rot) == []
+    assert not antipodal_set(LevelSet(5, (lat,))).is_empty()
     odd = CircleLattice(F(0), PiLinear(0, F(1, 3)), F(2, 3))  # 3 points
     assert antipodal_set(LevelSet(1, (odd,))).is_empty()
 
@@ -353,7 +339,8 @@ def _random_mixed_level(rng: random.Random) -> LevelSet:
             # counts of at most 16 normalize into points, larger ones stay lattices
             comps.append(make_lattice(m, angle, F(2, rng.choice((1, 3, 4, 32, 64)))))
         if kind == "arc":
-            comps.append(make_arc(m, angle, angle + PiLinear(0, F(rng.randint(1, 6), 4))))
+            span = PiLinear(0, F(rng.randint(1, 6), 4))
+            comps.append(make_component(m, m, Interval(angle, angle + span)))
     return normalize(rng.randint(0, 5), comps)
 
 
@@ -412,7 +399,10 @@ def test_lattice_points_in_interval_matches_filtered_range():
                 for hi in his:
                     if compare(lo, hi) > 0:
                         continue
-                    got = _lattice_points_in_interval(lat, lo, hi)
+                    got = [
+                        LevelPoint(lat.log_mod, reduce_mod_2pi(a))
+                        for a in _orbit_angles_in_interval(lat.angles, lo, hi)
+                    ]
                     assert got == _lattice_points_in_interval_filtered(lat, lo, hi), (lat, lo, hi)
                     cases += 1
     assert cases > 1000
@@ -464,3 +454,288 @@ def test_enumerate_points_prefix_matches_full_enumeration(roots2k, primefamily):
             want = None if full is None else full[:limit]
             assert enumerate_points(L, limit) == want, (L, limit)
     assert 0 < nones < len(levels)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the radial x angle grammar against the per-kind dispatch
+# it replaced, kept here as the oracle
+
+
+def _old_anchor(lo, hi):
+    span = hi - lo
+    if span - PiLinear(0, 2) >= PiLinear(0, 0):
+        return None
+    new_lo = reduce_mod_2pi(lo)
+    return new_lo, hi + (new_lo - lo)
+
+
+def _old_make_arc(log_mod, lo, hi):
+    anchored = _old_anchor(lo, hi)
+    if anchored is None:
+        return FullCircle(log_mod)
+    lo, hi = anchored
+    if lo == hi:
+        return IsolatedPoint(LevelPoint(log_mod, lo))
+    return Arc(log_mod, lo, hi)
+
+
+def _old_make_sector(lo_log, hi_log, lo, hi):
+    if lo_log == hi_log:
+        return _old_make_arc(lo_log, lo, hi)
+    anchored = _old_anchor(lo, hi)
+    if anchored is None:
+        return Annulus(lo_log, hi_log)
+    return Sector(lo_log, hi_log, anchored[0], anchored[1])
+
+
+def _old_angle_in_interval(angle, lo, hi):
+    for cand in (angle, angle + PiLinear(0, 2)):
+        if lo <= cand and cand <= hi:
+            return True
+    return False
+
+
+def _old_contains_angle(lat, angle):
+    if angle.q0 != lat.base.q0:
+        return False
+    return ((angle.q1 - lat.base.q1) / lat.step).denominator == 1
+
+
+def _old_component_contains(c, p):
+    if isinstance(c, IsolatedPoint):
+        return c.point == p
+    if isinstance(c, Arc):
+        return c.log_mod == p.log_mod and _old_angle_in_interval(p.angle, c.lo, c.hi)
+    if isinstance(c, FullCircle):
+        return c.log_mod == p.log_mod
+    if isinstance(c, CircleLattice):
+        return c.log_mod == p.log_mod and _old_contains_angle(c, p.angle)
+    if isinstance(c, Sector):
+        if not (c.lo_log <= p.log_mod <= c.hi_log):
+            return False
+        return _old_angle_in_interval(p.angle, c.lo, c.hi)
+    return c.lo_log <= p.log_mod <= c.hi_log
+
+
+def _old_antipode_component(c):
+    half_turn = PiLinear(0, 1)
+    if isinstance(c, IsolatedPoint):
+        return IsolatedPoint(LevelPoint(c.point.log_mod, reduce_mod_2pi(c.point.angle + half_turn)))
+    if isinstance(c, Arc):
+        return _old_make_arc(c.log_mod, c.lo + half_turn, c.hi + half_turn)
+    if isinstance(c, CircleLattice):
+        return CircleLattice(c.log_mod, PiLinear(c.base.q0, (c.base.q1 + 1) % c.step), c.step)
+    if isinstance(c, Sector):
+        return _old_make_sector(c.lo_log, c.hi_log, c.lo + half_turn, c.hi + half_turn)
+    return c  # full circles and annuli
+
+
+def _old_power_component(c, s):
+    if isinstance(c, IsolatedPoint):
+        p = c.point
+        return IsolatedPoint(LevelPoint(s * p.log_mod, reduce_mod_2pi(p.angle.scaled(s))))
+    if isinstance(c, Arc):
+        return _old_make_arc(s * c.log_mod, c.lo.scaled(s), c.hi.scaled(s))
+    if isinstance(c, FullCircle):
+        return FullCircle(s * c.log_mod)
+    if isinstance(c, CircleLattice):
+        return make_lattice(s * c.log_mod, c.base.scaled(s), _rat_gcd2(s * c.step, F(2)))
+    if isinstance(c, Sector):
+        return _old_make_sector(s * c.lo_log, s * c.hi_log, c.lo.scaled(s), c.hi.scaled(s))
+    return Annulus(s * c.lo_log, s * c.hi_log)
+
+
+def _old_sup_candidates(c):
+    half_turn = PiLinear(0, 1)
+    if isinstance(c, IsolatedPoint):
+        return [c.point]
+    if isinstance(c, Arc):
+        cands = [
+            LevelPoint(c.log_mod, reduce_mod_2pi(c.lo)),
+            LevelPoint(c.log_mod, reduce_mod_2pi(c.hi)),
+        ]
+        if _old_angle_in_interval(half_turn, c.lo, c.hi):
+            cands.append(LevelPoint(c.log_mod, half_turn))
+        return cands
+    if isinstance(c, FullCircle):
+        return [LevelPoint(c.log_mod, half_turn)]
+    if isinstance(c, CircleLattice):
+        target = PiLinear(-c.base.q0, 1 - c.base.q1)
+        j0 = floor_ratio(target, PiLinear(0, c.step))
+        return [c.member(j) for j in (j0 - 1, j0, j0 + 1)]
+    if isinstance(c, Sector):
+        out = []
+        for m in (c.lo_log, c.hi_log):
+            out.append(LevelPoint(m, reduce_mod_2pi(c.lo)))
+            out.append(LevelPoint(m, reduce_mod_2pi(c.hi)))
+            if _old_angle_in_interval(half_turn, c.lo, c.hi):
+                out.append(LevelPoint(m, half_turn))
+        return out
+    return [LevelPoint(c.lo_log, half_turn), LevelPoint(c.hi_log, half_turn)]
+
+
+def _old_interval_intersections(lo1, hi1, lo2, hi2):
+    out = []
+    for shift in (-2, 0, 2):
+        a = lo2 + PiLinear(0, shift)
+        b = hi2 + PiLinear(0, shift)
+        lo = a if compare(a, lo1) > 0 else lo1
+        hi = b if compare(b, hi1) < 0 else hi1
+        if compare(lo, hi) <= 0:
+            out.append((lo, hi))
+    return out
+
+
+def _old_lattice_points_in_interval(lat, lo, hi):
+    step_pl = PiLinear(0, lat.step)
+    jmin = -floor_ratio(lat.base - lo, step_pl)
+    jmax = floor_ratio(hi - lat.base, step_pl)
+    return [lat.member(j) for j in range(jmin, jmax + 1)]
+
+
+def _old_lattice_intersection(a, b):
+    if a.log_mod != b.log_mod or a.base.q0 != b.base.q0:
+        return []
+    g = _rat_gcd2(a.step, b.step)
+    if ((b.base.q1 - a.base.q1) / g).denominator != 1:
+        return []
+    step = a.step * b.step / g
+    den = math.lcm(
+        a.step.denominator, b.step.denominator, a.base.q1.denominator, b.base.q1.denominator
+    )
+    G1, G2 = int(a.step * den), int(b.step * den)
+    B1, B2 = int(a.base.q1 * den), int(b.base.q1 * den)
+    g12 = math.gcd(G1, G2)
+    u0 = ((B2 - B1) // g12 * pow(G1 // g12, -1, G2 // g12)) % (G2 // g12)
+    return [make_lattice(a.log_mod, PiLinear(a.base.q0, F(B1 + G1 * u0, den) % step), step)]
+
+
+_OLD_RANK = {IsolatedPoint: 0, Arc: 1, FullCircle: 2, CircleLattice: 3, Sector: 4, Annulus: 5}
+
+
+def _old_component_intersection(a, b):
+    if _OLD_RANK[type(a)] > _OLD_RANK[type(b)]:
+        a, b = b, a
+    if isinstance(a, IsolatedPoint):
+        return [a] if _old_component_contains(b, a.point) else []
+    if isinstance(a, Arc):
+        if isinstance(b, Arc):
+            if a.log_mod != b.log_mod:
+                return []
+            return [
+                _old_make_arc(a.log_mod, lo, hi)
+                for lo, hi in _old_interval_intersections(a.lo, a.hi, b.lo, b.hi)
+            ]
+        if isinstance(b, FullCircle):
+            return [a] if a.log_mod == b.log_mod else []
+        if isinstance(b, CircleLattice):
+            if a.log_mod != b.log_mod:
+                return []
+            return [IsolatedPoint(p) for p in _old_lattice_points_in_interval(b, a.lo, a.hi)]
+        if isinstance(b, Sector):
+            if not (b.lo_log <= a.log_mod <= b.hi_log):
+                return []
+            return [
+                _old_make_arc(a.log_mod, lo, hi)
+                for lo, hi in _old_interval_intersections(a.lo, a.hi, b.lo, b.hi)
+            ]
+        return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
+    if isinstance(a, FullCircle):
+        if isinstance(b, FullCircle):
+            return [a] if a.log_mod == b.log_mod else []
+        if isinstance(b, CircleLattice):
+            return [b] if a.log_mod == b.log_mod else []
+        if isinstance(b, Sector):
+            if not (b.lo_log <= a.log_mod <= b.hi_log):
+                return []
+            return [_old_make_arc(a.log_mod, b.lo, b.hi)]
+        return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
+    if isinstance(a, CircleLattice):
+        if isinstance(b, CircleLattice):
+            return _old_lattice_intersection(a, b)
+        if isinstance(b, Sector):
+            if not (b.lo_log <= a.log_mod <= b.hi_log):
+                return []
+            return [IsolatedPoint(p) for p in _old_lattice_points_in_interval(a, b.lo, b.hi)]
+        return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
+    lo_log, hi_log = max(a.lo_log, b.lo_log), min(a.hi_log, b.hi_log)
+    if lo_log > hi_log:
+        return []
+    if isinstance(a, Sector):
+        if isinstance(b, Sector):
+            return [
+                _old_make_sector(lo_log, hi_log, lo, hi)
+                for lo, hi in _old_interval_intersections(a.lo, a.hi, b.lo, b.hi)
+            ]
+        return [_old_make_sector(lo_log, hi_log, a.lo, a.hi)]
+    return [Annulus(lo_log, hi_log)]
+
+
+_RADII = [F(k, 2) for k in range(-2, 3)]
+_ANGLE_OFFSETS = (F(0), F(0), F(0), F(1, 3))
+_LATTICE_COUNTS = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)  # divisors in common
+
+
+def _random_angle(rng):
+    return PiLinear(rng.choice(_ANGLE_OFFSETS), F(rng.randint(-16, 16), 8))
+
+
+def _random_component(rng, kind):
+    """A canonical component of one kind.  Radii and radial ranges come from a
+    short grid, so ranges overlap, touch and miss each other."""
+    lo_log, hi_log = sorted(rng.sample(_RADII, 2))
+    m = rng.choice(_RADII)
+    lo = _random_angle(rng)
+    hi = lo + PiLinear(0, F(rng.randint(1, 15), 8))  # span below 2*pi
+    if kind is IsolatedPoint:
+        # a coarse angle grid, so that points meet points and lattice members
+        angle = PiLinear(rng.choice(_ANGLE_OFFSETS), F(rng.randint(-4, 4), 4))
+        return IsolatedPoint(LevelPoint(m, reduce_mod_2pi(angle)))
+    if kind is Arc:
+        return _old_make_arc(m, lo, hi)
+    if kind is FullCircle:
+        return FullCircle(m)
+    if kind is CircleLattice:
+        return make_lattice(m, lo, F(2, rng.choice(_LATTICE_COUNTS)))
+    if kind is Sector:
+        return _old_make_sector(lo_log, hi_log, lo, hi)
+    return Annulus(lo_log, hi_log)
+
+
+def test_product_grammar_matches_per_kind_dispatch():
+    rng = random.Random(77)
+    kinds = list(_OLD_RANK)
+    nonempty = {}
+    for i, ka in enumerate(kinds):
+        for kb in kinds[i:]:
+            for _ in range(480):
+                a, b = _random_component(rng, ka), _random_component(rng, kb)
+                assert (type(a), type(b)) == (ka, kb)
+                pair = (ka, kb)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                got = normalize(0, component_intersection(a, b))
+                assert got == normalize(0, _old_component_intersection(a, b)), (a, b)
+                nonempty[pair] = nonempty.get(pair, 0) + (not got.is_empty())
+                for p in _old_sup_candidates(b):
+                    assert membership(LevelSet(0, (a,)), p) == _old_component_contains(a, p), (a, p)
+        a = _random_component(rng, ka)
+        for _ in range(40):
+            a = _random_component(rng, ka)
+            assert antipode_component(a) == _old_antipode_component(a), a
+            for s in (2, 3):
+                assert power_component(a, s) == _old_power_component(a, s), (a, s)
+            assert component_sup_candidates(a) == _old_sup_candidates(a), a
+    # every one of the 21 kind pairings is met, and not only by misses
+    assert len(nonempty) == 21 and min(nonempty.values()) > 0, nonempty
+
+
+def test_touching_annuli_meet_in_a_full_circle():
+    m = F(0)
+    assert component_intersection(Annulus(F(-1), m), Annulus(m, F(1, 2))) == [FullCircle(m)]
+    # as two sectors touching at one radius meet in an arc there
+    (arc,) = component_intersection(
+        Sector(F(-1), m, PiLinear(0, F(-1, 2)), PiLinear(0, F(1, 2))),
+        Sector(m, F(1), PiLinear(0, F(-1, 4)), PiLinear(0, F(1))),
+    )
+    assert arc == Arc(m, PiLinear(0, F(-1, 4)), PiLinear(0, F(1, 2)))
