@@ -302,7 +302,8 @@ def _rat_gcd2(a: Fraction, b: Fraction) -> Fraction:
 
 def normalize(level: int, components: Iterable[Component]) -> LevelSet:
     """Canonical form: circles absorb, arcs merge (with wraparound), points
-    dedupe and drop into covering arcs/lattices, small lattices enumerate."""
+    dedupe and drop into covering arcs/lattices, small lattices enumerate,
+    sectors and annuli dedupe into one exact order."""
     expanded: list[Component] = []
     for c in components:
         if isinstance(c, CircleLattice) and c.count <= SMALL_ORBIT:
@@ -339,12 +340,16 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
         out.extend(arcs)
         out.extend(lattices)
 
-    seen = set()
-    for c in others:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
+    out.extend(sorted(set(others), key=_region_key))
     return LevelSet(level, tuple(out))
+
+
+def _region_key(c: Union[Sector, Annulus]) -> tuple:
+    """Exact order of sectors and annuli: radial range, then annuli before
+    sectors, then the sector's angle ends."""
+    if c.angles is None:
+        return (*c.radial, 0)
+    return (*c.radial, 1, _pl_key(c.lo), _pl_key(c.hi))
 
 
 def _merge_arcs(log_mod: Fraction, arcs: list[Arc]) -> Optional[list[Component]]:

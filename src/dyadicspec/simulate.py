@@ -10,16 +10,18 @@ an identity of PiLinear values rather than a float approximation.
 Also here: the quasi-uniform subcover criterion over the level sets (the
 projections of the inverse limit), and the sampled joint-spectrum
 residual for candidate eigenvalue prefixes.
+
+The test vectors and the residual samples are plain Python `complex`
+values; the module needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 from .exactnum import PiLinear, reduce_mod_2pi
 from .levels import LevelCache, LevelPoint, power_levelset, sup_abs_one_minus
@@ -135,20 +137,20 @@ class DiagonalModel:
 
 @dataclass(frozen=True)
 class TestVector:
-    blocks: np.ndarray  # complex, shape (K, d)
+    blocks: tuple[tuple[complex, ...], ...]  # K rows of d coefficients
 
     __test__ = False  # not a pytest class
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "TestVector":
-        return cls(np.asarray(rows, dtype=np.complex128))
+        return cls(tuple(tuple(complex(x) for x in row) for row in rows))
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.sum(np.abs(self.blocks) ** 2, axis=1)
+    def weights(self) -> tuple[float, ...]:
+        return tuple(sum(abs(x) ** 2 for x in row) for row in self.blocks)
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.blocks) ** 2)))
+        return math.sqrt(sum(self.weights))
 
 
 def multipliers(model: DiagonalModel, t: DyadicTime) -> tuple[tuple[Fraction, PiLinear], ...]:
@@ -183,12 +185,10 @@ def apply_semigroup(
     model: DiagonalModel, t: DyadicTime, v: TestVector, digits: int = 15
 ) -> TestVector:
     """Scale block k by the exact multiplier, floated once at the end."""
-    if v.blocks.shape[0] != len(model.threads):
+    if len(v.blocks) != len(model.threads):
         raise ValueError("block count does not match the model")
-    scalars = np.array(
-        [scalar_to_complex(lm, ang, digits) for lm, ang in multipliers(model, t)]
-    )
-    return TestVector(v.blocks * scalars[:, None])
+    scalars = [scalar_to_complex(lm, ang, digits) for lm, ang in multipliers(model, t)]
+    return TestVector(tuple(tuple(x * c for x in row) for row, c in zip(v.blocks, scalars)))
 
 
 @dataclass(frozen=True)
@@ -342,40 +342,54 @@ class ResidualReport:
     consistent: bool
 
 
-def _sample_spectrum(Z: SpectrumSet, density: int, window: float) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """num >= 2 evenly spaced floats: start + i*step with
+    step = (stop - start) / (num - 1), and the last one is stop itself."""
+    step = (stop - start) / (num - 1)
+    out = [start + i * step for i in range(num)]
+    out[-1] = stop
+    return out
+
+
+def _sample_spectrum(Z: SpectrumSet, density: int, window: float) -> list[complex]:
     per = max(16, density // max(1, len(Z.primitives)))
-    chunks: list[np.ndarray] = []
+    out: list[complex] = []
     for p in Z.primitives:
         if isinstance(p, Point):
-            chunks.append(np.array([complex(p.re, float(p.im))]))
+            out.append(complex(p.re, float(p.im)))
         elif isinstance(p, VSegment):
-            u = np.linspace(float(p.im_lo), float(p.im_hi), per)
-            chunks.append(float(p.re) + 1j * u)
+            re = float(p.re)
+            out.extend(complex(re, u) for u in _linspace(float(p.im_lo), float(p.im_hi), per))
         elif isinstance(p, ILattice):
             span = int(math.ceil(window / float(p.step))) + 1
             kk = min(per // 2, max(span, 2))
-            ks = np.arange(-kk, kk + 1)
-            chunks.append(float(p.re) + 1j * (float(p.base) + ks * float(p.step)))
+            re, base, step = float(p.re), float(p.base), float(p.step)
+            out.extend(complex(re, base + k * step) for k in range(-kk, kk + 1))
         elif isinstance(p, VLine):
-            u = np.linspace(-window, window, per)
-            chunks.append(float(p.re) + 1j * u)
+            re = float(p.re)
+            out.extend(complex(re, u) for u in _linspace(-window, window, per))
         elif isinstance(p, Rect):
             side = max(3, math.isqrt(per))
             if side % 2 == 0:
                 side += 1  # odd grid keeps midpoints (and 0 when centered)
-            s = np.linspace(float(p.re_lo), float(p.re_hi), side)
-            u = np.linspace(float(p.im_lo), float(p.im_hi), side)
-            grid = s[:, None] + 1j * u[None, :]
-            chunks.append(grid.ravel())
+            us = _linspace(float(p.im_lo), float(p.im_hi), side)
+            for s in _linspace(float(p.re_lo), float(p.re_hi), side):
+                out.extend(complex(s, u) for u in us)
         elif isinstance(p, PrimeFamily):
-            vals = []
             for j in p.primes():
-                vals.append(complex(0, float(p.alpha(j))))
-                vals.append(complex(0, float(p.beta(j))))
-            chunks.append(np.array(vals))
+                out.append(complex(0, float(p.alpha(j))))
+                out.append(complex(0, float(p.beta(j))))
         else:
             raise TypeError(type(p).__name__)
-    return np.concatenate(chunks)
+    return out
+
+
+def _argmin(values: list[float]) -> int:
+    """Index of the first NaN, else of the first minimum."""
+    for i, x in enumerate(values):
+        if math.isnan(x):
+            return i
+    return values.index(min(values))
 
 
 def joint_spectrum_residual(
@@ -398,24 +412,29 @@ def joint_spectrum_residual(
     _, zeta = real_part_range(Z)
     window = (2.0 ** (N + 1)) * math.pi
     z = _sample_spectrum(Z, sample_density, window)
-    total = np.zeros(z.shape, dtype=float)
-    raw = np.zeros(z.shape, dtype=float)
-    for n, lam in enumerate(lambdas):
-        w = np.exp(z / 2.0**n)
-        phi = np.abs(lam - w) ** 2
-        b = (1.0 + math.exp(float(zeta) / 2.0**n)) ** 2
-        total += phi / b / 2.0**n
-        raw += phi / 2.0**n
-    idx = int(np.argmin(total))
+    terms = [
+        (lam, 2.0**n, (1.0 + math.exp(float(zeta) / 2.0**n)) ** 2)
+        for n, lam in enumerate(lambdas)
+    ]
+    totals, raws = [], []
+    for zi in z:
+        total = raw = 0.0
+        for lam, scale, b in terms:
+            phi = abs(lam - cmath.exp(zi / scale)) ** 2
+            total += phi / b / scale
+            raw += phi / scale
+        totals.append(total)
+        raws.append(raw)
+    idx = _argmin(totals)
     consistency = tuple(
         bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= consistency_tol)
         for i in range(N)
     )
     return ResidualReport(
-        residual=float(total[idx]),
-        raw=float(raw.min()),
-        argmin=complex(z[idx]),
-        sample_count=int(z.size),
+        residual=totals[idx],
+        raw=raws[_argmin(raws)],
+        argmin=z[idx],
+        sample_count=len(z),
         consistency=consistency,
         consistent=all(consistency),
     )

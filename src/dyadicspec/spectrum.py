@@ -17,7 +17,9 @@ All decisions are made in exact arithmetic on PiLinear scalars.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -130,6 +132,7 @@ class PrimeFamily:
 Primitive = Union[Point, VSegment, ILattice, VLine, Rect, PrimeFamily]
 
 
+@functools.cache
 def parse_nseq(spec: str) -> tuple[int, int]:
     """Parse a linear index formula 'a*j+b' (forms: 2j, 3j+1, j+4, j)."""
     s = spec.replace(" ", "").replace("*", "")
@@ -142,10 +145,11 @@ def parse_nseq(spec: str) -> tuple[int, int]:
     return a, b
 
 
-def re_match_nseq(s: str) -> Optional[tuple[int, int]]:
-    import re as _re
+_NSEQ = re.compile(r"(\d*)j(?:\+(\d+))?")
 
-    m = _re.fullmatch(r"(\d*)j(?:\+(\d+))?", s)
+
+def re_match_nseq(s: str) -> Optional[tuple[int, int]]:
+    m = _NSEQ.fullmatch(s)
     if m is None:
         return None
     a = int(m.group(1)) if m.group(1) else 1
@@ -599,8 +603,7 @@ def _pair_levels(A: SectionPart, B: SectionPart) -> Iterable[PairLevels]:
     if isinstance(A, SectionLine) or isinstance(B, SectionLine):
         return (_ALWAYS,)
     if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
-        diffs = (u - v for u in A.values for v in B.values)
-        return (_module_levels((d.q1, [])) for d in diffs if d.q0 == 0)
+        return _points_points_levels(A.values, B.values)
     if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
         return (_interval_levels(u - B.hi, u - B.lo) for u in A.values)
     if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
@@ -619,6 +622,25 @@ def _pair_levels(A: SectionPart, B: SectionPart) -> Iterable[PairLevels]:
         # u - v = base + l*step - v; substituting k -> -k mirrors the set
         return (_interval_lattice_levels(B.lo, B.hi, A.base, A.step),)
     raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
+
+
+def _points_points_levels(
+    us: tuple[PiLinear, ...], vs: tuple[PiLinear, ...]
+) -> tuple[PairLevels, ...]:
+    """u - v can be an odd multiple of 2^n * pi only when it is an integer
+    multiple of pi, that is when u and v share q0 and q1 mod 1; then n is
+    v2 of the difference of the integer parts of q1.  So only points of one
+    coset are paired."""
+    cosets: dict[tuple[Fraction, Fraction], list[int]] = {}
+    for v in vs:
+        frac = v.q1 % 1
+        cosets.setdefault((v.q0, frac), []).append(int(v.q1 - frac))
+    hits = set()
+    for u in us:
+        frac = u.q1 % 1
+        x = int(u.q1 - frac)
+        hits.update(_v2(x - y) for y in cosets.get((u.q0, frac), ()) if x != y)
+    return tuple(PairLevels(frozenset({n}), n + 1, False) for n in sorted(hits))
 
 
 def _section_pair_levels(S: SectionSet) -> Iterator[PairLevels]:

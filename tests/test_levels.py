@@ -716,6 +716,7 @@ def test_product_grammar_matches_per_kind_dispatch():
                     a, b = b, a
                 got = normalize(0, component_intersection(a, b))
                 assert got == normalize(0, _old_component_intersection(a, b)), (a, b)
+                assert got == normalize(0, component_intersection(b, a)), (a, b)
                 nonempty[pair] = nonempty.get(pair, 0) + (not got.is_empty())
                 for p in _old_sup_candidates(b):
                     assert membership(LevelSet(0, (a,)), p) == _old_component_contains(a, p), (a, p)
@@ -739,3 +740,25 @@ def test_touching_annuli_meet_in_a_full_circle():
         Sector(m, F(1), PiLinear(0, F(-1, 4)), PiLinear(0, F(1))),
     )
     assert arc == Arc(m, PiLinear(0, F(-1, 4)), PiLinear(0, F(1, 2)))
+
+
+def test_normalize_orders_sectors_and_annuli():
+    pi = lambda q: PiLinear(0, q)  # noqa: E731
+    a = Sector(F(0), F(1), pi(F(-9, 10)), pi(F(9, 10)))
+    b = Sector(F(0), F(1), pi(F(1, 2)), pi(F(23, 10)))
+    # the angle intervals meet twice, so each order yields two sectors
+    ab, ba = component_intersection(a, b), component_intersection(b, a)
+    assert len(ab) == len(ba) == 2
+    assert normalize(0, ab) == normalize(0, ba)
+    comps = ab + [
+        Annulus(F(0), F(1)),
+        Annulus(F(-1), F(1)),
+        Sector(F(-1), F(1), pi(F(1, 3)), pi(F(1, 2))),
+        Sector(F(0), F(1), PiLinear(F(1, 3), 0), PiLinear(F(1, 3), F(1, 4))),
+        FullCircle(F(1, 2)),
+    ]
+    want = normalize(0, comps)
+    rng = random.Random(5)
+    for _ in range(20):
+        rng.shuffle(comps)
+        assert normalize(0, comps + comps[:2]) == want

@@ -1,8 +1,12 @@
+import cmath
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from dyadicspec.exactnum import PiLinear, compare, reduce_mod_2pi
@@ -19,8 +23,18 @@ from dyadicspec.simulate import (
     multipliers,
     norm_bound_check,
     quasi_uniform_cover,
+    _sample_spectrum,
 )
-from dyadicspec.spectrum import ConsistencyError
+from dyadicspec.spectrum import (
+    ConsistencyError,
+    ILattice,
+    Point,
+    PrimeFamily,
+    Rect,
+    VLine,
+    VSegment,
+    real_part_range,
+)
 from dyadicspec.threads import Thread
 
 
@@ -100,9 +114,15 @@ def test_apply_identity_and_scaling(roots2k):
     v = TestVector.from_rows([[1, 0], [0, 1]])
     # thread 1 is constantly at the fixed point: its block never moves
     w = apply_semigroup(model, DyadicTime.from_fraction(F(1, 2)), v)
-    assert np.allclose(w.blocks[0], v.blocks[0])
-    assert np.allclose(w.blocks[1], -v.blocks[1], atol=1e-12)
-    assert v.weights.tolist() == [1.0, 1.0]
+
+    def close(a, b, atol=1e-8):  # np.allclose's default tolerances
+        return all(
+            cmath.isclose(x, y, rel_tol=1e-5, abs_tol=atol) for x, y in zip(a, b, strict=True)
+        )
+
+    assert close(w.blocks[0], v.blocks[0])
+    assert close(w.blocks[1], tuple(-x for x in v.blocks[1]), atol=1e-12)
+    assert v.weights == (1.0, 1.0)
 
 
 def test_norm_bound_examples(roots2k, solenoid, rectangle):
@@ -161,3 +181,118 @@ def test_continuity_trace_shapes(roots2k):
     assert len(rows) == 6
     # principal-fixed-point block never leaves 1
     assert all(val == 0 for t, k, val in rows if k == 0)
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import dyadicspec.cli
+added = {m.partition(".")[0] for m in set(sys.modules) - before}
+print("numpy" in sys.modules, sorted(added - set(sys.stdlib_module_names) - {"dyadicspec"}))
+"""
+
+
+def test_cli_import_loads_no_numpy():
+    import dyadicspec
+
+    src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # neither numpy nor any other third-party module
+    assert proc.stdout.split() == ["False", "[]"]
+
+
+# The numpy bodies the stdlib port replaced, kept as oracles.
+def _np_sample_spectrum(np, Z, density, window):
+    per = max(16, density // max(1, len(Z.primitives)))
+    chunks = []
+    for p in Z.primitives:
+        if isinstance(p, Point):
+            chunks.append(np.array([complex(p.re, float(p.im))]))
+        elif isinstance(p, VSegment):
+            u = np.linspace(float(p.im_lo), float(p.im_hi), per)
+            chunks.append(float(p.re) + 1j * u)
+        elif isinstance(p, ILattice):
+            span = int(math.ceil(window / float(p.step))) + 1
+            kk = min(per // 2, max(span, 2))
+            ks = np.arange(-kk, kk + 1)
+            chunks.append(float(p.re) + 1j * (float(p.base) + ks * float(p.step)))
+        elif isinstance(p, VLine):
+            u = np.linspace(-window, window, per)
+            chunks.append(float(p.re) + 1j * u)
+        elif isinstance(p, Rect):
+            side = max(3, math.isqrt(per))
+            if side % 2 == 0:
+                side += 1
+            s = np.linspace(float(p.re_lo), float(p.re_hi), side)
+            u = np.linspace(float(p.im_lo), float(p.im_hi), side)
+            chunks.append((s[:, None] + 1j * u[None, :]).ravel())
+        elif isinstance(p, PrimeFamily):
+            vals = []
+            for j in p.primes():
+                vals.append(complex(0, float(p.alpha(j))))
+                vals.append(complex(0, float(p.beta(j))))
+            chunks.append(np.array(vals))
+    return np.concatenate(chunks)
+
+
+def _np_residual(np, Z, lambdas, sample_density):
+    N = len(lambdas) - 1
+    _, zeta = real_part_range(Z)
+    window = (2.0 ** (N + 1)) * math.pi
+    z = _np_sample_spectrum(np, Z, sample_density, window)
+    total = np.zeros(z.shape, dtype=float)
+    raw = np.zeros(z.shape, dtype=float)
+    for n, lam in enumerate(lambdas):
+        w = np.exp(z / 2.0**n)
+        phi = np.abs(lam - w) ** 2
+        b = (1.0 + math.exp(float(zeta) / 2.0**n)) ** 2
+        total += phi / b / 2.0**n
+        raw += phi / 2.0**n
+    idx = int(np.argmin(total))
+    return z, float(total[idx]), float(raw.min()), complex(z[idx])
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+_RECTANGLE_CASES = [
+    ([1.0, 1.0, 1.0], 10000),
+    ([5.0], 10000),
+    ([1.0, -1.0], 10000),
+    ([1.0, 0.5], 2000),
+    ([1.0, 1.0], 10000),
+    ([float("nan"), 1.0], 2000),  # a NaN total is the minimum, as in numpy
+]
+
+
+def _same(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0) or math.isnan(a) and math.isnan(b)
+
+
+@pytest.mark.parametrize("name", ["roots2k", "solenoid", "rectangle", "primefamily"])
+def test_residual_matches_numpy_oracle(name, request):
+    np = pytest.importorskip("numpy")
+    Z = request.getfixturevalue(name)
+    cases = [([1.0, 1.0, 1.0], 10000), ([1.0, 1j, -1.0], 10000)]
+    if name == "rectangle":
+        cases += _RECTANGLE_CASES
+    for lambdas, density in cases:
+        window = (2.0 ** len(lambdas)) * math.pi
+        samples = _sample_spectrum(Z, density, window)
+        want_z, residual, raw, argmin = _np_residual(np, Z, lambdas, density)
+        assert list(map(_bits, samples)) == list(map(_bits, want_z))
+        rep = joint_spectrum_residual(Z, lambdas, density)
+        assert rep.sample_count == want_z.size
+        assert rep.argmin == argmin
+        assert _same(rep.residual, residual) and _same(rep.raw, raw)
+        consistency = tuple(
+            bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= 1e-9) for i in range(len(lambdas) - 1)
+        )
+        assert rep.consistency == consistency

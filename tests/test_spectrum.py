@@ -26,10 +26,13 @@ from dyadicspec.spectrum import (
     section_difference,
     section_representatives,
     vertical_section,
+    _NEVER,
     _interval_lattice_cond,
     _lattice_lattice_params,
+    _module_levels,
     _odd_cond,
     _odd_multiple_in_interval,
+    _pair_levels,
 )
 
 from conftest import random_spectrum
@@ -272,3 +275,26 @@ def test_representatives_cover_rect_interior(rectangle):
     reps = section_representatives(rectangle)
     assert F(-1) in reps and F(0) in reps
     assert any(F(-1) < t < F(0) for t in reps)
+
+
+def _all_pairs_point_levels(A, B):
+    """Oracle: the levels of every difference of two point sets."""
+    diffs = (u - v for u in A.values for v in B.values)
+    return {_module_levels((d.q1, [])) for d in diffs if d.q0 == 0} - {_NEVER}
+
+
+def test_point_pairs_by_coset_match_all_pairs():
+    rng = random.Random(41)
+    for _ in range(3000):
+        def points():
+            return SectionPoints(tuple(
+                PiLinear(
+                    rng.choice((F(0), F(0), F(1, 2))),
+                    F(rng.randint(-40, 40), rng.randint(1, 8)),
+                )
+                for _ in range(rng.randint(1, 6))
+            ))
+        A, B = points(), points()
+        got = list(_pair_levels(A, B))
+        assert len(got) == len(set(got))
+        assert set(got) == _all_pairs_point_levels(A, B), (A, B)
