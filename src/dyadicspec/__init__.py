@@ -44,7 +44,6 @@ from .spectrum import (
     real_part_range,
     section_antipode_condition,
     section_antipode_levels,
-    section_difference,
     vertical_section,
 )
 from .threads import Thread, convergence_rate, divergence_search, evaluate, feasible_branches

@@ -33,14 +33,11 @@ from .levels import (
 )
 from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
 from .spectrum import (
-    ILattice,
-    Point,
     PrimeFamily,
-    Rect,
     SectionFamilyReport,
+    SectionInterval,
+    SectionPoints,
     SpectrumSet,
-    VLine,
-    VSegment,
     antipode_level_union,
     image_closedness,
 )
@@ -123,26 +120,22 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 # uniform-convergence check
 
+# section parts of bounded primitives; lines and lattices are unbounded
+_BOUNDED_PARTS = (SectionPoints, SectionInterval)
+
 
 def _bounded_radius_sq(Z: SpectrumSet) -> Optional[Fraction]:
     """Rational upper bound for sup |z|^2 over Z, None if Z is unbounded."""
     worst = Fraction(0)
     for p in Z.primitives:
-        if isinstance(p, (VLine, ILattice, PrimeFamily)):
-            return None
-        if isinstance(p, Point):
-            re_b, ims = abs(p.re), [p.im]
-        elif isinstance(p, VSegment):
-            re_b, ims = abs(p.re), [p.im_lo, p.im_hi]
-        elif isinstance(p, Rect):
-            re_b, ims = max(abs(p.re_lo), abs(p.re_hi)), [p.im_lo, p.im_hi]
-        else:
+        S = p.section
+        if isinstance(p, PrimeFamily) or not isinstance(S, _BOUNDED_PARTS):
             return None
         im_b = Fraction(0)
-        for v in ims:
+        for v in S.values if isinstance(S, SectionPoints) else (S.lo, S.hi):
             lo, hi = v.bounds(6)
             im_b = max(im_b, abs(lo), abs(hi))
-        worst = max(worst, re_b**2 + im_b**2)
+        worst = max(worst, max(abs(p.re_lo), abs(p.re_hi)) ** 2 + im_b**2)
     return worst
 
 
@@ -271,8 +264,7 @@ def pointwise_certificate(
     shift condition alive at all large levels, and divergent threads
     exist (the witness route covers them).
     """
-    allowed = (Point, VSegment, Rect, PrimeFamily)
-    if not Z.primitives or not all(isinstance(p, allowed) for p in Z.primitives):
+    if not Z.primitives or not all(isinstance(p.section, _BOUNDED_PARTS) for p in Z.primitives):
         return None
     if sections is None:
         sections = antipode_level_union(Z, params.n_max)

@@ -36,18 +36,12 @@ from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, compare, floor_ratio, red
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
 from .spectrum import (
     ConsistencyError,
-    ILattice,
-    Point,
-    PrimeFamily,
-    Rect,
     SectionInterval,
     SectionLattice,
-    SectionLine,
+    SectionPart,
     SectionPoints,
     SectionSet,
     SpectrumSet,
-    VLine,
-    VSegment,
     image_closedness,
     vertical_section,
 )
@@ -383,32 +377,31 @@ def _merge_arcs(log_mod: Fraction, arcs: list[Arc]) -> Optional[list[Component]]
 # the level sets themselves
 
 
+def _part_angles(part: SectionPart) -> list[Angles]:
+    """The angle sets of a section part's exponential image, before the
+    scaling by 1/2^n.  An irrational lattice step makes the orbit dense:
+    its closure is the full circle."""
+    if isinstance(part, SectionPoints):
+        return list(part.values)
+    if isinstance(part, SectionInterval):
+        return [Interval(part.lo, part.hi)]
+    if isinstance(part, SectionLattice):
+        return [Orbit(part.base, part.step.q1) if part.step.q0 == 0 else None]
+    return [None]
+
+
 def level_set(Z: SpectrumSet, n: int) -> LevelSet:
-    """Exact description of cl(exp(Z / 2^n))."""
+    """Exact description of cl(exp(Z / 2^n)): each primitive's real range
+    scaled to a radial range, times the angles of its section part."""
     if n < 0:
         raise ValueError("level must be >= 0")
     comps: list[Component] = []
     half = Fraction(1, 2**n)
     for p in Z.primitives:
-        if isinstance(p, Point):
-            lo, hi, angles = p.re, p.re, [p.im]
-        elif isinstance(p, VSegment):
-            lo, hi, angles = p.re, p.re, [Interval(p.im_lo, p.im_hi)]
-        elif isinstance(p, ILattice):
-            # an irrational step makes the orbit dense: its closure is the circle
-            lo, hi, angles = p.re, p.re, [Orbit(p.base, p.step.q1) if p.step.q0 == 0 else None]
-        elif isinstance(p, VLine):
-            lo, hi, angles = p.re, p.re, [None]
-        elif isinstance(p, Rect):
-            lo, hi, angles = p.re_lo, p.re_hi, [Interval(p.im_lo, p.im_hi)]
-        elif isinstance(p, PrimeFamily):
-            lo = hi = Fraction(0)
-            angles = [v for j in p.primes() for v in (p.alpha(j), p.beta(j))]
-        else:
-            raise TypeError(type(p).__name__)
-        lo_n = lo * half
-        hi_n = lo_n if hi is lo else hi * half
-        comps.extend(make_component(lo_n, hi_n, _map_angles(a, half)) for a in angles)
+        lo, hi = p.re_lo * half, p.re_hi * half
+        comps.extend(
+            make_component(lo, hi, _map_angles(a, half)) for a in _part_angles(p.section)
+        )
     return normalize(n, comps)
 
 
@@ -595,21 +588,8 @@ def circle_section(
 
 
 def _section_image(S: SectionSet, n: int, log_mod: Fraction) -> LevelSet:
-    angles: list[Angles] = []
-    for part in S.parts:
-        if isinstance(part, SectionPoints):
-            angles.extend(part.values)
-        elif isinstance(part, SectionInterval):
-            angles.append(Interval(part.lo, part.hi))
-        elif isinstance(part, SectionLattice):
-            if part.step.q0 != 0:
-                raise ConsistencyError("section image of a dense lattice (not closed)")
-            angles.append(Orbit(part.base, part.step.q1))
-        elif isinstance(part, SectionLine):
-            angles.append(None)
-        else:
-            raise TypeError(type(part).__name__)
     half = Fraction(1, 2**n)
+    angles = [a for part in S.parts for a in _part_angles(part)]
     return normalize(n, [make_component(log_mod, log_mod, _map_angles(a, half)) for a in angles])
 
 

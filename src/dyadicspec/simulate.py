@@ -197,7 +197,6 @@ class NormBound:
     level: int
     max_log_mod: Fraction
     bound_log_mod: Fraction
-    measured: float
 
 
 def norm_bound_check(model: DiagonalModel, n: int) -> NormBound:
@@ -216,7 +215,6 @@ def norm_bound_check(model: DiagonalModel, n: int) -> NormBound:
         level=n,
         max_log_mod=worst,
         bound_log_mod=bound,
-        measured=math.exp(float(worst)),
     )
 
 
@@ -412,19 +410,22 @@ def joint_spectrum_residual(
     _, zeta = real_part_range(Z)
     window = (2.0 ** (N + 1)) * math.pi
     z = _sample_spectrum(Z, sample_density, window)
-    terms = [
-        (lam, 2.0**n, (1.0 + math.exp(float(zeta) / 2.0**n)) ** 2)
-        for n, lam in enumerate(lambdas)
-    ]
     totals, raws = [], []
-    for zi in z:
-        total = raw = 0.0
-        for lam, scale, b in terms:
-            phi = abs(lam - cmath.exp(zi / scale)) ** 2
-            total += phi / b / scale
-            raw += phi / scale
-        totals.append(total)
-        raws.append(raw)
+    try:
+        terms = [
+            (lam, 2.0**n, (1.0 + math.exp(float(zeta) / 2.0**n)) ** 2)
+            for n, lam in enumerate(lambdas)
+        ]
+        for zi in z:
+            total = raw = 0.0
+            for lam, scale, b in terms:
+                phi = abs(lam - cmath.exp(zi / scale)) ** 2
+                total += phi / b / scale
+                raw += phi / scale
+            totals.append(total)
+            raws.append(raw)
+    except OverflowError as e:
+        raise ValueError(f"joint-spectrum residual: exp overflows a float ({e})") from None
     idx = _argmin(totals)
     consistency = tuple(
         bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= consistency_tol)

@@ -2,7 +2,10 @@
 
 A spectrum set is a finite union of primitives (points, vertical segments,
 vertical lattices, vertical lines, axis-aligned rectangles, and the
-two-angle prime family).  Everything downstream is derived from it:
+two-angle prime family).  Every primitive is a product: a real range
+[re_lo, re_hi] times one section part (points, an interval, a lattice or
+the whole line), which is its vertical section at each t in the range.
+Everything downstream is derived from these two factors:
 
 * vertical sections S_t = {u : t + iu in Z},
 * the antipode condition at level n: S_t - S_t contains an odd multiple
@@ -24,15 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import (
-    PiLinear,
-    ceil_ratio,
-    exact_ratio,
-    floor_ratio,
-    scale_pow2,
-)
-
-Rat = Fraction
+from .exactnum import PiLinear, ceil_ratio, floor_ratio
 
 
 class SpectrumError(ValueError):
@@ -40,17 +35,65 @@ class SpectrumError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# primitives
+# section parts
 
 
 @dataclass(frozen=True)
-class Point:
+class SectionPoints:
+    values: tuple[PiLinear, ...]
+
+
+@dataclass(frozen=True)
+class SectionInterval:
+    lo: PiLinear
+    hi: PiLinear  # lo < hi strictly (degenerate intervals become points)
+
+
+@dataclass(frozen=True)
+class SectionLattice:
+    base: PiLinear
+    step: PiLinear  # step > 0
+
+
+@dataclass(frozen=True)
+class SectionLine:
+    pass
+
+
+SectionPart = Union[SectionPoints, SectionInterval, SectionLattice, SectionLine]
+
+# the order in which the antipode condition pairs section parts
+_KIND_ORDER = (SectionPoints, SectionInterval, SectionLattice, SectionLine)
+
+
+# ---------------------------------------------------------------------------
+# primitives: a real range [re_lo, re_hi] times a section part
+
+
+class _OnOneLine:
+    """A primitive inside the vertical line at `re`: one real value."""
+
+    @property
+    def re_lo(self) -> Fraction:
+        return self.re
+
+    @property
+    def re_hi(self) -> Fraction:
+        return self.re
+
+
+@dataclass(frozen=True)
+class Point(_OnOneLine):
     re: Fraction
     im: PiLinear
 
+    @property
+    def section(self) -> SectionPart:
+        return SectionPoints((self.im,))
+
 
 @dataclass(frozen=True)
-class VSegment:
+class VSegment(_OnOneLine):
     re: Fraction
     im_lo: PiLinear
     im_hi: PiLinear
@@ -59,9 +102,13 @@ class VSegment:
         if self.im_lo > self.im_hi:
             raise SpectrumError("segment with im_lo > im_hi")
 
+    @property
+    def section(self) -> SectionPart:
+        return SectionInterval(self.im_lo, self.im_hi)
+
 
 @dataclass(frozen=True)
-class ILattice:
+class ILattice(_OnOneLine):
     """Points re + i(base + k*step) for all integers k."""
 
     re: Fraction
@@ -72,10 +119,18 @@ class ILattice:
         if self.step.sign() <= 0:
             raise SpectrumError("lattice step must be positive")
 
+    @property
+    def section(self) -> SectionPart:
+        return SectionLattice(self.base, self.step)
+
 
 @dataclass(frozen=True)
-class VLine:
+class VLine(_OnOneLine):
     re: Fraction
+
+    @property
+    def section(self) -> SectionPart:
+        return SectionLine()
 
 
 @dataclass(frozen=True)
@@ -90,6 +145,10 @@ class Rect:
             raise SpectrumError("rectangle with re_lo > re_hi")
         if self.im_lo > self.im_hi:
             raise SpectrumError("rectangle with im_lo > im_hi")
+
+    @property
+    def section(self) -> SectionPart:
+        return SectionInterval(self.im_lo, self.im_hi)
 
 
 @dataclass(frozen=True)
@@ -106,11 +165,18 @@ class PrimeFamily:
 
     n_seq: str = "2j"
     J: int = 8
+    re_lo = re_hi = Fraction(0)
 
     def __post_init__(self):
         if self.J < 1:
             raise SpectrumError("prime family truncation must be >= 1")
         parse_nseq(self.n_seq)  # validate
+
+    @functools.cached_property
+    def section(self) -> SectionPart:
+        """The J materialized primes' points a_j, b_j."""
+        values = (v for j in self.primes() for v in (self.alpha(j), self.beta(j)))
+        return SectionPoints(tuple(values))
 
     def primes(self) -> tuple[int, ...]:
         return primes_from_3(self.J)
@@ -131,29 +197,19 @@ class PrimeFamily:
 
 Primitive = Union[Point, VSegment, ILattice, VLine, Rect, PrimeFamily]
 
+_NSEQ = re.compile(r"(\d*)j(?:\+(\d+))?")
+
 
 @functools.cache
 def parse_nseq(spec: str) -> tuple[int, int]:
     """Parse a linear index formula 'a*j+b' (forms: 2j, 3j+1, j+4, j)."""
-    s = spec.replace(" ", "").replace("*", "")
-    m = re_match_nseq(s)
+    m = _NSEQ.fullmatch(spec.replace(" ", "").replace("*", ""))
     if m is None:
         raise SpectrumError(f"unsupported n_seq {spec!r} (expected e.g. '2j' or '2j+1')")
-    a, b = m
-    if a < 1:
-        raise SpectrumError("n_seq slope must be >= 1")
-    return a, b
-
-
-_NSEQ = re.compile(r"(\d*)j(?:\+(\d+))?")
-
-
-def re_match_nseq(s: str) -> Optional[tuple[int, int]]:
-    m = _NSEQ.fullmatch(s)
-    if m is None:
-        return None
     a = int(m.group(1)) if m.group(1) else 1
     b = int(m.group(2)) if m.group(2) else 0
+    if a < 1:
+        raise SpectrumError("n_seq slope must be >= 1")
     return a, b
 
 
@@ -182,73 +238,11 @@ def real_part_range(Z: SpectrumSet) -> tuple[Fraction, Fraction]:
     """Exact (inf, sup) of real parts over the whole set."""
     if Z.is_empty():
         raise SpectrumError("empty spectrum set")
-    los: list[Fraction] = []
-    his: list[Fraction] = []
-    for p in Z.primitives:
-        if isinstance(p, Rect):
-            los.append(p.re_lo)
-            his.append(p.re_hi)
-        elif isinstance(p, PrimeFamily):
-            los.append(Fraction(0))
-            his.append(Fraction(0))
-        else:
-            los.append(p.re)
-            his.append(p.re)
-    return min(los), max(his)
+    return min(p.re_lo for p in Z.primitives), max(p.re_hi for p in Z.primitives)
 
 
 # ---------------------------------------------------------------------------
 # vertical sections
-
-
-@dataclass(frozen=True)
-class SectionPoints:
-    values: tuple[PiLinear, ...]
-
-
-@dataclass(frozen=True)
-class SectionInterval:
-    lo: PiLinear
-    hi: PiLinear  # lo < hi strictly (degenerate intervals become points)
-
-
-@dataclass(frozen=True)
-class SectionLattice:
-    base: PiLinear
-    step: PiLinear  # step > 0
-
-
-@dataclass(frozen=True)
-class SectionLine:
-    pass
-
-
-@dataclass(frozen=True)
-class SectionPeriodicIntervals:
-    """Union of [lo + k*step, hi + k*step] over all integers k (difference sets only)."""
-
-    lo: PiLinear
-    hi: PiLinear
-    step: PiLinear
-
-
-@dataclass(frozen=True)
-class SectionModule2:
-    """base + Z*gen1 + Z*gen2 with irrational generator ratio (difference sets only)."""
-
-    base: PiLinear
-    gen1: PiLinear
-    gen2: PiLinear
-
-
-SectionPart = Union[
-    SectionPoints,
-    SectionInterval,
-    SectionLattice,
-    SectionLine,
-    SectionPeriodicIntervals,
-    SectionModule2,
-]
 
 
 @dataclass(frozen=True)
@@ -257,9 +251,6 @@ class SectionSet:
 
     def is_empty(self) -> bool:
         return not self.parts
-
-    def contains(self, x: PiLinear) -> bool:
-        return any(_part_contains(p, x) for p in self.parts)
 
 
 def _normalize_parts(parts: Iterable[SectionPart]) -> tuple[SectionPart, ...]:
@@ -289,119 +280,18 @@ def section_set(parts: Iterable[SectionPart]) -> SectionSet:
     return SectionSet(_normalize_parts(parts))
 
 
-def _part_contains(p: SectionPart, x: PiLinear) -> bool:
-    if isinstance(p, SectionPoints):
-        return x in p.values
-    if isinstance(p, SectionInterval):
-        return p.lo <= x and x <= p.hi
-    if isinstance(p, SectionLattice):
-        r = exact_ratio(x - p.base, p.step)
-        return r is not None and r.denominator == 1
-    if isinstance(p, SectionLine):
-        return True
-    if isinstance(p, SectionPeriodicIntervals):
-        kmin = ceil_ratio(x - p.hi, p.step)
-        kmax = floor_ratio(x - p.lo, p.step)
-        return kmax >= kmin
-    if isinstance(p, SectionModule2):
-        # solve u*gen1 + v*gen2 = x - base componentwise over Q
-        w = x - p.base
-        a0, a1 = p.gen1.q0, p.gen1.q1
-        b0, b1 = p.gen2.q0, p.gen2.q1
-        det = a0 * b1 - a1 * b0
-        if det == 0:
-            raise SpectrumError("degenerate rank-2 module")
-        u = (w.q0 * b1 - w.q1 * b0) / det
-        v = (a0 * w.q1 - a1 * w.q0) / det
-        return u.denominator == 1 and v.denominator == 1
-    raise TypeError(f"unknown section part {type(p).__name__}")
-
-
 def vertical_section(Z: SpectrumSet, t: Fraction) -> SectionSet:
-    """Exact S_t = {u : t + iu in Z}."""
+    """Exact S_t = {u : t + iu in Z}: the section part of every primitive
+    whose real range holds t."""
     t = Fraction(t)
-    parts: list[SectionPart] = []
-    for p in Z.primitives:
-        if isinstance(p, Point):
-            if p.re == t:
-                parts.append(SectionPoints((p.im,)))
-        elif isinstance(p, VSegment):
-            if p.re == t:
-                parts.append(SectionInterval(p.im_lo, p.im_hi))
-        elif isinstance(p, ILattice):
-            if p.re == t:
-                parts.append(SectionLattice(p.base, p.step))
-        elif isinstance(p, VLine):
-            if p.re == t:
-                parts.append(SectionLine())
-        elif isinstance(p, Rect):
-            if p.re_lo <= t <= p.re_hi:
-                parts.append(SectionInterval(p.im_lo, p.im_hi))
-        elif isinstance(p, PrimeFamily):
-            if t == 0:
-                vals = []
-                for j in p.primes():
-                    vals.append(p.alpha(j))
-                    vals.append(p.beta(j))
-                parts.append(SectionPoints(tuple(vals)))
-        else:
-            raise TypeError(f"unknown primitive {type(p).__name__}")
-    return section_set(parts)
-
-
-# ---------------------------------------------------------------------------
-# difference sets
-
-
-def section_difference(S: SectionSet) -> SectionSet:
-    """Exact S - S as a union of parts (closed under the section grammar
-    extended by periodic intervals and rank-2 point modules)."""
-    out: list[SectionPart] = []
-    for A in S.parts:
-        for B in S.parts:
-            out.extend(_part_difference(A, B))
-    return section_set(out)
-
-
-def _part_difference(A: SectionPart, B: SectionPart) -> list[SectionPart]:
-    if isinstance(A, SectionLine) or isinstance(B, SectionLine):
-        return [SectionLine()]
-    if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
-        return [SectionPoints(tuple(u - v for u in A.values for v in B.values))]
-    if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
-        return [SectionInterval(u - B.hi, u - B.lo) for u in A.values]
-    if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
-        return [SectionInterval(A.lo - v, A.hi - v) for v in B.values]
-    if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
-        return [SectionInterval(A.lo - B.hi, A.hi - B.lo)]
-    if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
-        return [SectionLattice(u - B.base, B.step) for u in A.values]
-    if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
-        return [SectionLattice(A.base - v, A.step) for v in B.values]
-    if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
-        r = exact_ratio(A.step, B.step)
-        base = A.base - B.base
-        if r is None:
-            return [SectionModule2(base, A.step, B.step)]
-        return [SectionLattice(base, A.step.scaled(Fraction(1, r.numerator)))]
-    if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
-        lo, hi = A.lo - B.base, A.hi - B.base
-        if hi - lo >= B.step:
-            return [SectionLine()]
-        return [SectionPeriodicIntervals(lo, hi, B.step)]
-    if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
-        lo, hi = A.base - B.hi, A.base - B.lo
-        if hi - lo >= A.step:
-            return [SectionLine()]
-        return [SectionPeriodicIntervals(lo, hi, A.step)]
-    raise TypeError(f"difference of {type(A).__name__} and {type(B).__name__}")
+    return section_set(p.section for p in Z.primitives if p.re_lo <= t <= p.re_hi)
 
 
 # ---------------------------------------------------------------------------
 # the antipode condition and its level descriptions
 #
 # The question at level n is whether S_t - S_t contains an odd multiple of
-# 2^n * pi.  Each ordered pair of section parts splits into instances of
+# 2^n * pi.  Each pair of section parts splits into instances of
 # three kinds: membership of 2^n - c in the rational module
 # 2^{n+1} Z + m_1 Z + ... (an exact gcd computation), an odd multiple of
 # 2^n * pi inside an interval, or an interval meeting a lattice coset.
@@ -599,29 +489,24 @@ def _interval_lattice_levels(
 
 def _pair_levels(A: SectionPart, B: SectionPart) -> Iterable[PairLevels]:
     """Descriptions whose union is the set of levels n at which
-    {u - v : u in A, v in B} contains an odd multiple of 2^n * pi."""
-    if isinstance(A, SectionLine) or isinstance(B, SectionLine):
+    {u - v : u in A, v in B} contains an odd multiple of 2^n * pi.
+
+    The kind of A must not come after the kind of B in _KIND_ORDER: the
+    set is the same for (B, A), since u - v is an odd multiple of 2^n * pi
+    exactly when v - u is, so only one order of each pair has a branch."""
+    if isinstance(B, SectionLine):
         return (_ALWAYS,)
-    if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
-        return _points_points_levels(A.values, B.values)
-    if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
-        return (_interval_levels(u - B.hi, u - B.lo) for u in A.values)
-    if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
-        return (_interval_levels(A.lo - v, A.hi - v) for v in B.values)
-    if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
-        return (_interval_levels(A.lo - B.hi, A.hi - B.lo),)
-    if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
+    if isinstance(A, SectionPoints):
+        if isinstance(B, SectionPoints):
+            return _points_points_levels(A.values, B.values)
+        if isinstance(B, SectionInterval):
+            return (_interval_levels(u - B.hi, u - B.lo) for u in A.values)
         return (_module_levels(_point_lattice_params(u - B.base, B.step)) for u in A.values)
-    if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
-        return (_module_levels(_point_lattice_params(A.base - v, A.step)) for v in B.values)
-    if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
-        return (_module_levels(_lattice_lattice_params(A.base - B.base, A.step, B.step)),)
-    if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
+    if isinstance(A, SectionInterval):
+        if isinstance(B, SectionInterval):
+            return (_interval_levels(A.lo - B.hi, A.hi - B.lo),)
         return (_interval_lattice_levels(A.lo, A.hi, B.base, B.step),)
-    if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
-        # u - v = base + l*step - v; substituting k -> -k mirrors the set
-        return (_interval_lattice_levels(B.lo, B.hi, A.base, A.step),)
-    raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
+    return (_module_levels(_lattice_lattice_params(A.base - B.base, A.step, B.step)),)
 
 
 def _points_points_levels(
@@ -644,8 +529,11 @@ def _points_points_levels(
 
 
 def _section_pair_levels(S: SectionSet) -> Iterator[PairLevels]:
-    for A in S.parts:
-        for B in S.parts:
+    """The descriptions of every unordered pair of parts of S, each pair
+    once and in kind order."""
+    parts = sorted(S.parts, key=lambda p: _KIND_ORDER.index(type(p)))
+    for i, A in enumerate(parts):
+        for B in parts[i:]:
             yield from _pair_levels(A, B)
 
 
@@ -721,24 +609,16 @@ class SectionFamilyReport:
 
 
 def section_representatives(Z: SpectrumSet) -> tuple[Fraction, ...]:
-    """Finitely many t values meeting every distinct section of Z."""
-    crits: set[Fraction] = set()
-    rects: list[Rect] = []
-    for p in Z.primitives:
-        if isinstance(p, Rect):
-            crits.add(p.re_lo)
-            crits.add(p.re_hi)
-            rects.append(p)
-        elif isinstance(p, PrimeFamily):
-            crits.add(Fraction(0))
-        else:
-            crits.add(p.re)
-    reps = sorted(crits)
-    ordered = sorted(crits)
-    for c1, c2 in zip(ordered, ordered[1:]):
-        if any(r.re_lo <= c1 and c2 <= r.re_hi for r in rects):
-            reps.append(Fraction(c1 + c2, 2))
-    return tuple(sorted(set(reps)))
+    """Finitely many t values meeting every distinct section of Z: the ends
+    of the real ranges, and a midpoint of each gap between consecutive ends
+    that a real range covers."""
+    ends = sorted({x for p in Z.primitives for x in (p.re_lo, p.re_hi)})
+    mids = [
+        Fraction(c1 + c2, 2)
+        for c1, c2 in zip(ends, ends[1:])
+        if any(p.re_lo <= c1 and c2 <= p.re_hi for p in Z.primitives)
+    ]
+    return tuple(sorted(ends + mids))
 
 
 def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:

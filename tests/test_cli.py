@@ -200,6 +200,26 @@ def test_far_spectra_end_without_traceback(spectrum):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["classify", "levels", "antipodes", "mt", "simulate"])
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        "point re=1000 im=1",
+        "rect re=[-1000,1000] im=[0,1*pi]",
+        "ilattice re=800 base=0 step=1/3*pi",
+        "vline re=-900",
+    ],
+)
+def test_extreme_re_ends_in_a_verdict_an_error_or_inconclusive(spectrum, command):
+    # e^|re| is above the largest float, so float-side code must not leak
+    # an OverflowError
+    proc = _classify_in_subprocess(
+        f"spectrum {spectrum}\nn_max 8\nlambda 1,1\n", command=command
+    )
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_overflowing_constant_prints_exactly(flags):
     # C_sym = R e^R is above the largest float once R > ~703

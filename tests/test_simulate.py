@@ -135,7 +135,7 @@ def test_norm_bound_examples(roots2k, solenoid, rectangle):
     model = DiagonalModel(rectangle, (corner,), block_dim=1, level_cap=34)
     for n in (0, 5, 30):
         nb = norm_bound_check(model, n)
-        assert nb.ok and nb.measured <= 1.0
+        assert nb.ok and nb.max_log_mod <= 0
 
 
 def test_quasi_uniform_cover_found_rectangle(rectangle):

@@ -23,16 +23,23 @@ from dyadicspec.spectrum import (
     real_part_range,
     section_antipode_condition,
     section_antipode_levels,
-    section_difference,
     section_representatives,
+    section_set,
     vertical_section,
+    _ALWAYS,
+    _KIND_ORDER,
     _NEVER,
     _interval_lattice_cond,
+    _interval_lattice_levels,
+    _interval_levels,
     _lattice_lattice_params,
     _module_levels,
     _odd_cond,
     _odd_multiple_in_interval,
     _pair_levels,
+    _point_lattice_params,
+    _points_points_levels,
+    _section_pair_levels,
 )
 
 from conftest import random_spectrum
@@ -65,33 +72,6 @@ def test_vertical_section_examples(roots2k, rectangle):
     s = vertical_section(rectangle, F(-1, 2))
     assert s.parts == (SectionInterval(PiLinear(0, -1), PiLinear(0, 1)),)
     assert vertical_section(rectangle, F(1)).is_empty()
-
-
-def test_section_difference_examples(roots2k, rectangle):
-    d = section_difference(vertical_section(roots2k, F(0)))
-    assert d.parts == (SectionLattice(PiLinear(0, 0), PiLinear(0, 2)),)
-    d = section_difference(vertical_section(rectangle, F(0)))
-    assert d.parts == (SectionInterval(PiLinear(0, -2), PiLinear(0, 2)),)
-    assert section_difference(SectionSet(())).is_empty()
-
-
-def test_section_difference_symmetric_contains_zero():
-    rng = random.Random(11)
-    zero = PiLinear(0, 0)
-    for _ in range(40):
-        Z = random_spectrum(rng)
-        for t in section_representatives(Z):
-            S = vertical_section(Z, t)
-            if S.is_empty():
-                continue
-            D = section_difference(S)
-            assert D.contains(zero)
-            # spot-check symmetry on a few members
-            for part in S.parts:
-                if isinstance(part, SectionPoints):
-                    for u in part.values[:3]:
-                        for v in part.values[:3]:
-                            assert D.contains(u - v) and D.contains(v - u)
 
 
 def test_star_examples(roots2k, rectangle, solenoid):
@@ -298,3 +278,136 @@ def test_point_pairs_by_coset_match_all_pairs():
         got = list(_pair_levels(A, B))
         assert len(got) == len(set(got))
         assert set(got) == _all_pairs_point_levels(A, B), (A, B)
+
+
+# ---------------------------------------------------------------------------
+# differential oracles: the per-primitive dispatch and the ordered pair table
+# that the real range x section part grammar and the unordered pairs replaced
+
+
+def _oracle_real_part_range(Z):
+    los, his = [], []
+    for p in Z.primitives:
+        if isinstance(p, Rect):
+            los.append(p.re_lo)
+            his.append(p.re_hi)
+        elif isinstance(p, PrimeFamily):
+            los.append(F(0))
+            his.append(F(0))
+        else:
+            los.append(p.re)
+            his.append(p.re)
+    return min(los), max(his)
+
+
+def _oracle_vertical_section(Z, t):
+    parts = []
+    for p in Z.primitives:
+        if isinstance(p, Point):
+            if p.re == t:
+                parts.append(SectionPoints((p.im,)))
+        elif isinstance(p, VSegment):
+            if p.re == t:
+                parts.append(SectionInterval(p.im_lo, p.im_hi))
+        elif isinstance(p, ILattice):
+            if p.re == t:
+                parts.append(SectionLattice(p.base, p.step))
+        elif isinstance(p, VLine):
+            if p.re == t:
+                parts.append(SectionLine())
+        elif isinstance(p, Rect):
+            if p.re_lo <= t <= p.re_hi:
+                parts.append(SectionInterval(p.im_lo, p.im_hi))
+        elif isinstance(p, PrimeFamily):
+            if t == 0:
+                vals = []
+                for j in p.primes():
+                    vals.append(p.alpha(j))
+                    vals.append(p.beta(j))
+                parts.append(SectionPoints(tuple(vals)))
+        else:
+            raise TypeError(f"unknown primitive {type(p).__name__}")
+    return section_set(parts)
+
+
+def _oracle_section_representatives(Z):
+    crits, rects = set(), []
+    for p in Z.primitives:
+        if isinstance(p, Rect):
+            crits.add(p.re_lo)
+            crits.add(p.re_hi)
+            rects.append(p)
+        elif isinstance(p, PrimeFamily):
+            crits.add(F(0))
+        else:
+            crits.add(p.re)
+    reps = sorted(crits)
+    ordered = sorted(crits)
+    for c1, c2 in zip(ordered, ordered[1:]):
+        if any(r.re_lo <= c1 and c2 <= r.re_hi for r in rects):
+            reps.append(F(c1 + c2, 2))
+    return tuple(sorted(set(reps)))
+
+
+def _oracle_pair_levels(A, B):
+    """The ordered ten-branch table: every order of every pair has a branch."""
+    if isinstance(A, SectionLine) or isinstance(B, SectionLine):
+        return (_ALWAYS,)
+    if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
+        return _points_points_levels(A.values, B.values)
+    if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
+        return tuple(_interval_levels(u - B.hi, u - B.lo) for u in A.values)
+    if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
+        return tuple(_interval_levels(A.lo - v, A.hi - v) for v in B.values)
+    if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
+        return (_interval_levels(A.lo - B.hi, A.hi - B.lo),)
+    if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
+        return tuple(
+            _module_levels(_point_lattice_params(u - B.base, B.step)) for u in A.values
+        )
+    if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
+        return tuple(
+            _module_levels(_point_lattice_params(A.base - v, A.step)) for v in B.values
+        )
+    if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
+        return (_module_levels(_lattice_lattice_params(A.base - B.base, A.step, B.step)),)
+    if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
+        return (_interval_lattice_levels(A.lo, A.hi, B.base, B.step),)
+    if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
+        return (_interval_lattice_levels(B.lo, B.hi, A.base, A.step),)
+    raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
+
+
+def test_product_grammar_matches_per_primitive_dispatch(roots2k, solenoid, rectangle, primefamily):
+    rng = random.Random(901)
+    spectra = [roots2k, solenoid, rectangle, primefamily]
+    spectra += [random_spectrum(rng) for _ in range(1500)]
+    for Z in spectra:
+        assert real_part_range(Z) == _oracle_real_part_range(Z), Z
+        reps = section_representatives(Z)
+        assert reps == _oracle_section_representatives(Z), Z
+        # the representatives, plus a value left and right of every range
+        for t in reps + (reps[0] - 1, reps[-1] + F(1, 3)):
+            assert vertical_section(Z, t) == _oracle_vertical_section(Z, t), (Z, t)
+
+
+def test_unordered_pairs_match_ordered_table():
+    rng = random.Random(902)
+    pairs, kinds = 0, set()
+    for _ in range(1000):
+        Z = random_spectrum(rng)
+        for t in section_representatives(Z):
+            S = vertical_section(Z, t)
+            for A in S.parts:
+                for B in S.parts:
+                    want = set(_oracle_pair_levels(A, B))
+                    assert set(_oracle_pair_levels(B, A)) == want, (A, B)
+                    if _KIND_ORDER.index(type(A)) <= _KIND_ORDER.index(type(B)):
+                        assert set(_pair_levels(A, B)) == want, (A, B)
+                        pairs += 1
+                        kinds.add((type(A), type(B)))
+            # the union over the unordered pairs equals the ordered table's
+            # union, hits and start included
+            want = {d for A in S.parts for B in S.parts for d in _oracle_pair_levels(A, B)}
+            assert set(_section_pair_levels(S)) == want, (Z, t)
+    assert pairs > 2000 and len(kinds) == 10
