@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import re
 import sys
@@ -750,7 +751,9 @@ def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config):
         _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, cfg.params.float_digits)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     ap = argparse.ArgumentParser(
         prog="dyadicspec",
         description="Continuity classifier for dyadic semigroups built from "
@@ -768,7 +771,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     spe.add_argument("--json", action="store_true")
     spe.add_argument("--csv", default=None)
     spe.add_argument("--show-config", action="store_true", help="print the config and exit")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "examples":

@@ -8,21 +8,23 @@ difference reduces to comparing a rational number against pi, which a
 certified rational enclosure of pi settles in finitely many refinement
 steps.
 
-The enclosure itself is computed from the Machin formula
+A value is held as one reduced integer triple, (a + b*pi)/d, so
+equality, hashing and the algebra run on integers; q0 = a/d and
+q1 = b/d are Fraction views for rendering and the cold paths.
+
+The enclosure of pi is computed from the Machin formula
 pi = 16*atan(1/5) - 4*atan(1/239) with pure Fraction arithmetic; the
 alternating-series tail bound makes both endpoints certified.  It is
 cached per precision, and the scalar kernels (sign, comparison, angle
 reduction, the float midpoint) read it as one fixed-point pair of
-integers lo <= pi * 2**p <= hi: they cross-multiply the rational
-components and compare integers, so no decision builds a Fraction or
-pays a gcd.
+integers lo <= pi * 2**p <= hi: they cross-multiply the triples and
+compare integers, so no decision builds a Fraction.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -126,61 +128,96 @@ def _sign_int(x: int, y: int) -> int:
     raise PrecisionError("pi comparison did not separate (impossible for rational r)")
 
 
-def _diff_ints(a: "PiLinear", b: "PiLinear") -> tuple[int, int]:
-    """Integers (x, y) with x + y*pi a positive multiple of a - b."""
-    n0, d0 = a.q0.numerator, a.q0.denominator
-    m0, e0 = b.q0.numerator, b.q0.denominator
-    n1, d1 = a.q1.numerator, a.q1.denominator
-    m1, e1 = b.q1.numerator, b.q1.denominator
-    return (n0 * e0 - m0 * d0) * d1 * e1, (n1 * e1 - m1 * d1) * d0 * e0
+def _diff_ints(x: "PiLinear", y: "PiLinear") -> tuple[int, int]:
+    """Integers (u, v) with u + v*pi a positive multiple of x - y."""
+    d, e = x.d, y.d
+    if d == e:
+        return x.a - y.a, x.b - y.b
+    return x.a * e - y.a * d, x.b * e - y.b * d
 
 
 # ---------------------------------------------------------------------------
 # the scalar type
 
 
-def _as_fraction(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x: Rat) -> Rat:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class PiLinear:
-    """Exact real number q0 + q1*pi with rational components."""
+    """Exact real number q0 + q1*pi with rational components.
 
-    q0: Fraction
-    q1: Fraction
+    The value is held as one integer triple, (a + b*pi)/d with d > 0 and
+    gcd(a, b, d) = 1.  Since pi is irrational equal values have equal
+    triples, so equality and hashing compare integers.  q0 and q1 are
+    read-only Fraction views; no field can be assigned.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, q0: Rat = 0, q1: Rat = 0):
-        object.__setattr__(self, "q0", _as_fraction(q0))
-        object.__setattr__(self, "q1", _as_fraction(q1))
+        # over the lcm of the two reduced denominators the triple is reduced
+        d0, d1 = _rational(q0).denominator, _rational(q1).denominator
+        d = d0 if d0 == d1 else math.lcm(d0, d1)
+        _set_a(self, q0.numerator * (d // d0))
+        _set_b(self, q1.numerator * (d // d1))
+        _set_d(self, d)
 
-    # -- algebra (exact, componentwise) --
+    @property
+    def q0(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def q1(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PiLinear is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PiLinear is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _raw, (self.a, self.b, self.d)
+
+    def __eq__(self, other):
+        if other.__class__ is not PiLinear:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
+
+    # -- algebra (exact, on the triple) --
 
     def __add__(self, other: "PiLinear") -> "PiLinear":
-        return PiLinear(self.q0 + other.q0, self.q1 + other.q1)
+        d, e = self.d, other.d
+        if d == e:
+            return _mk(self.a + other.a, self.b + other.b, d)
+        return _mk(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "PiLinear") -> "PiLinear":
-        return PiLinear(self.q0 - other.q0, self.q1 - other.q1)
+        d, e = self.d, other.d
+        if d == e:
+            return _mk(self.a - other.a, self.b - other.b, d)
+        return _mk(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "PiLinear":
-        return PiLinear(-self.q0, -self.q1)
+        return _raw(-self.a, -self.b, self.d)
 
     def scaled(self, r: Rat) -> "PiLinear":
-        r = _as_fraction(r)
-        return PiLinear(self.q0 * r, self.q1 * r)
+        n = _rational(r).numerator
+        return _mk(self.a * n, self.b * n, self.d * r.denominator)
 
     def is_zero(self) -> bool:
-        return self.q0 == 0 and self.q1 == 0
+        return self.a == 0 and self.b == 0
 
     # -- ordering --
 
     def sign(self) -> int:
-        q0, q1 = self.q0, self.q1
-        return _sign_int(q0.numerator * q1.denominator, q1.numerator * q0.denominator)
+        return _sign_int(self.a, self.b)
 
     def __lt__(self, other: "PiLinear") -> bool:
         return _sign_int(*_diff_ints(self, other)) < 0
@@ -198,29 +235,59 @@ class PiLinear:
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Enclosure of the value with width <= 10**-digits."""
-        if self.q1 == 0:
-            return self.q0, self.q0
-        extra = len(str(abs(self.q1.numerator))) + len(str(self.q1.denominator)) + 1
+        q0, q1 = self.q0, self.q1
+        if q1 == 0:
+            return q0, q0
+        extra = len(str(abs(q1.numerator))) + len(str(q1.denominator)) + 1
         plo, phi = pi_bounds(digits + extra)
-        if self.q1 > 0:
-            return self.q0 + self.q1 * plo, self.q0 + self.q1 * phi
-        return self.q0 + self.q1 * phi, self.q0 + self.q1 * plo
+        if q1 > 0:
+            return q0 + q1 * plo, q0 + q1 * phi
+        return q0 + q1 * phi, q0 + q1 * plo
 
     def __float__(self) -> float:
         # the midpoint of bounds(20), q0 + q1 * (pi_lo + pi_hi)/2, as one
-        # int / int, which CPython rounds correctly like float(Fraction)
-        q0, q1 = self.q0, self.q1
-        if q1 == 0:
-            return float(q0)
-        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
-        pn, pd = _pi_mid(20 + len(str(abs(n1))) + len(str(d1)) + 1)
-        return (n0 * d1 * pd + n1 * d0 * pn) / (d0 * d1 * pd)
+        # int / int, which CPython rounds correctly like float(Fraction);
+        # the pi digits follow the reduced q1, as in bounds
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return a / d
+        g = math.gcd(b, d)
+        pn, pd = _pi_mid(20 + len(str(abs(b) // g)) + len(str(d // g)) + 1)
+        return (a * pd + b * pn) / (d * pd)
 
     def __str__(self) -> str:
         return render(self)
 
     def __repr__(self) -> str:
         return f"PiLinear({self.q0!r}, {self.q1!r})"
+
+
+_set_a, _set_b, _set_d = PiLinear.a.__set__, PiLinear.b.__set__, PiLinear.d.__set__
+_alloc = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> PiLinear:
+    """The PiLinear (a + b*pi)/d of a triple that is already reduced."""
+    x = _alloc(PiLinear)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _mk(a: int, b: int, d: int) -> PiLinear:
+    """The PiLinear (a + b*pi)/d for integers a, b and d > 0."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
+
+
+def _v2(n: int) -> int:
+    """The exponent of 2 in the integer n != 0."""
+    if n == 0:
+        raise ValueError("v2(0)")
+    return (n & -n).bit_length() - 1
 
 
 ZERO = PiLinear(0, 0)
@@ -230,42 +297,48 @@ TWO_PI = PiLinear(0, 2)
 
 def compare(a: PiLinear, b: PiLinear) -> int:
     """Ordering of the exact values: LESS, EQUAL or GREATER."""
-    if a.q0 == b.q0 and a.q1 == b.q1:
-        return EQUAL
     return _sign_int(*_diff_ints(a, b))
 
 
-def scale_pow2(a: PiLinear, k: int) -> PiLinear:
+def scale_pow2(x: PiLinear, k: int) -> PiLinear:
     """Exact multiplication by 2**k (k may be negative)."""
-    f = Fraction(2) ** k
-    return PiLinear(a.q0 * f, a.q1 * f)
+    a, b, d = x.a, x.b, x.d
+    if k >= 0:
+        # move t = min(k, v2(d)) factors of 2 out of d: if d keeps one, then
+        # t = k and a, b are not shifted, so no common factor appears
+        t = min(k, _v2(d))
+        return _raw(a << k - t, b << k - t, d >> t)
+    if not (a or b):
+        return x
+    t = min(-k, _v2(a | b))
+    return _raw(a >> t, b >> t, d << -k - t)
 
 
-def reduce_mod_2pi(a: PiLinear) -> PiLinear:
-    """The unique representative of a modulo 2*pi lying in (-pi, pi].
+def reduce_mod_2pi(x: PiLinear) -> PiLinear:
+    """The unique representative of x modulo 2*pi lying in (-pi, pi].
 
     The reduction subtracts 2*pi*m where m is the single integer in
     [v/(2pi) - 1/2, v/(2pi) + 1/2).  When q0 = 0 that bracket has rational
     endpoints and is resolved exactly (this covers the boundary value
     (2m+1)*pi, which maps to +pi); otherwise the bracket endpoint is
     irrational and an enclosure determines m after finitely many
-    refinements.
+    refinements.  Subtracting 2*m*d from b keeps the triple reduced.
     """
-    n0, d0, n1, d1 = a.q0.numerator, a.q0.denominator, a.q1.numerator, a.q1.denominator
-    if n0 == 0:
-        m = -((d1 - n1) // (2 * d1))  # ceil((q1 - 1)/2)
-        return PiLinear(0, a.q1 - 2 * m)
-    # x = q0/(2pi) + (q1 - 1)/2 is irrational; m = ceil(x).  With
-    # lo <= pi * 2**p <= hi, x lies between the rationals
-    # (n0 * d1 * 2**p + (n1 - d1) * d0 * P) / (2 * d0 * d1 * P) at P = lo, hi
-    u, v, w = n0 * d1, (n1 - d1) * d0, 2 * d0 * d1
-    p = 64 + max(0, n0.bit_length() - d0.bit_length())
+    a, b, d = x.a, x.b, x.d
+    if a == 0:
+        m = -((d - b) // (2 * d))  # ceil((q1 - 1)/2)
+        return _raw(0, b - 2 * m * d, d) if m else x
+    # y = q0/(2pi) + (q1 - 1)/2 = (a/pi + b - d)/(2d) is irrational; m =
+    # ceil(y).  With lo <= pi * 2**p <= hi, y lies between the rationals
+    # (a * 2**p + (b - d) * P) / (2d * P) at P = lo, hi
+    v, w = b - d, 2 * d
+    p = 64 + max(0, a.bit_length() - d.bit_length())
     while p <= _MAX_BITS:
         lo, hi = _pi_fixed(p)
-        us = u << p
+        us = a << p
         clo = -(-(us + v * lo) // (w * lo))
         if clo == -(-(us + v * hi) // (w * hi)):
-            return PiLinear(a.q0, a.q1 - 2 * clo)
+            return _raw(a, b - 2 * clo * d, d) if clo else x
         p *= 2
     raise PrecisionError("angle reduction did not converge")
 
@@ -285,16 +358,12 @@ def exact_ratio(x: PiLinear, s: PiLinear) -> Fraction | None:
     """Return r with x = r*s if that rational r exists, else None."""
     if s.is_zero():
         raise ZeroDivisionError("ratio by zero")
-    if s.q0 == 0:
-        if x.q0 != 0:
-            return None
-        return x.q1 / s.q1
-    if s.q1 == 0:
-        if x.q1 != 0:
-            return None
-        return x.q0 / s.q0
-    r = x.q0 / s.q0
-    return r if x.q1 == r * s.q1 else None
+    if x.a * s.b != x.b * s.a:
+        return None
+    # (x.a, x.b) is parallel to (s.a, s.b): read the ratio off a nonzero one
+    if s.a:
+        return Fraction(x.a * s.d, s.a * x.d)
+    return Fraction(x.b * s.d, s.b * x.d)
 
 
 def floor_ratio(x: PiLinear, s: PiLinear) -> int:
@@ -373,10 +442,13 @@ def parse(text: str) -> PiLinear:
         if m is None:
             raise ValueError(f"bad pi-linear term: {t!r}")
         coeff_pi, plain = m.groups()
-        if coeff_pi is not None:
-            q1 += sign * Fraction(coeff_pi)
-        elif plain is not None:
-            q0 += sign * Fraction(plain)
-        else:
-            q1 += sign
+        try:
+            if coeff_pi is not None:
+                q1 += sign * Fraction(coeff_pi)
+            elif plain is not None:
+                q0 += sign * Fraction(plain)
+            else:
+                q1 += sign
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in pi-linear term: {t!r}") from None
     return PiLinear(q0, q1)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, compare, floor_ratio, reduce_mod_2pi
+from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, _mk, compare, floor_ratio, reduce_mod_2pi
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
 from .spectrum import (
     ConsistencyError,
@@ -81,11 +81,13 @@ class Orbit:
 
     @property
     def count(self) -> int:
-        return int(Fraction(2) / self.step)
+        return 2 * self.step.denominator // self.step.numerator
 
     def angle(self, j: int) -> PiLinear:
         """The member base + j*step*pi, not reduced."""
-        return PiLinear(self.base.q0, self.base.q1 + j * self.step)
+        base, step = self.base, self.step
+        sd = step.denominator
+        return _mk(base.a * sd, base.b * sd + j * step.numerator * base.d, base.d * sd)
 
 
 Angles = Union[PiLinear, Interval, Orbit, None]  # None is the full circle
@@ -269,9 +271,11 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
 
 def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component:
     step = Fraction(step)
-    if step <= 0 or (Fraction(2) / step).denominator != 1:
+    sn, sd = step.numerator, step.denominator
+    if sn <= 0 or 2 * sd % sn:
         raise ValueError("lattice step must be positive and divide 2")
-    base = PiLinear(base.q0, base.q1 % step)
+    # the member of the orbit with q1 in [0, step): j = -floor(q1 / step)
+    base = Orbit(base, step).angle(-(base.b * sd // (base.d * sn)))
     lat = CircleLattice(log_mod, base, step)
     if lat.count == 1:
         return IsolatedPoint(lat.member(0))
@@ -415,8 +419,13 @@ def _angles_contain(angles: Angles, angle: PiLinear) -> bool:
     if isinstance(angles, Interval):
         # the interval is anchored with lo in (-pi, pi]
         return angles.lo <= angle <= angles.hi or angles.lo <= angle + TWO_PI <= angles.hi
-    base = angles.base
-    return angle.q0 == base.q0 and ((angle.q1 - base.q1) / angles.step).denominator == 1
+    # the same q0, and q1 - base.q1 = (angle.b*e - base.b*d) / (d*e) a
+    # multiple of step
+    base, step = angles.base, angles.step
+    d, e = angle.d, base.d
+    return angle.a * e == base.a * d and (
+        (angle.b * e - base.b * d) * step.denominator % (d * e * step.numerator) == 0
+    )
 
 
 def membership(L: LevelSet, p: LevelPoint) -> bool:
@@ -622,9 +631,8 @@ def _angle_sup_candidates(angles: Angles) -> list[PiLinear]:
         if _angles_contain(angles, PI):
             cands.append(PI)
         return cands
-    # the members around pi: j around (pi - q0 - b1*pi)/step*pi
-    target = PiLinear(-angles.base.q0, 1 - angles.base.q1)
-    j0 = floor_ratio(target, PiLinear(0, angles.step))
+    # the members around pi: j around (pi - base)/step*pi
+    j0 = floor_ratio(PI - angles.base, PiLinear(0, angles.step))
     return [reduce_mod_2pi(angles.angle(j)) for j in (j0 - 1, j0, j0 + 1)]
 
 

@@ -34,15 +34,12 @@ Interval = tuple[Fraction, Fraction]
 
 _MAX_DIGITS = 1500
 
-# cos(q1*pi) is rational exactly for these |q1| in [0, 1] (Niven's theorem);
-# the values are stored doubled, as integers
-_RATIONAL_COS2 = {
-    Fraction(0): 2,
-    Fraction(1, 3): 1,
-    Fraction(1, 2): 0,
-    Fraction(2, 3): -1,
-    Fraction(1): -2,
-}
+# cos(q1*pi) is rational exactly for these |q1| in [0, 1] (Niven's theorem),
+# keyed by the reduced (|numerator|, denominator) of q1; the values are
+# stored doubled, as integers
+_RATIONAL_COS2 = {(0, 1): 2, (1, 3): 1, (1, 2): 0, (2, 3): -1, (1, 1): -2}
+
+_HALF_PI = PiLinear(0, Fraction(1, 2))
 
 
 def exp_bounds(x: Fraction, digits: int) -> Interval:
@@ -79,14 +76,14 @@ def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
 
 def _angle_fixed(a: PiLinear, p: int) -> tuple[int, int]:
     """Integers lo <= a * 2**p <= hi, a few units apart."""
-    n0, d0 = a.q0.numerator << p, a.q0.denominator
-    lo, hi = n0 // d0, -(-n0 // d0)
-    if a.q1 == 0:
+    n0, n1, d = a.a << p, a.b, a.d
+    lo, hi = n0 // d, -(-n0 // d)
+    if n1 == 0:
         return lo, hi
     # pi at 2**-(p+s) with 2**s > 4|q1| keeps the q1*pi error under 1 unit
-    s = (abs(a.q1.numerator) // a.q1.denominator).bit_length() + 2
+    s = (abs(n1) // d).bit_length() + 2
     plo, phi = _pi_fixed(p + s)
-    n1, d1 = a.q1.numerator, a.q1.denominator << s
+    d1 = d << s
     if n1 < 0:
         plo, phi = phi, plo
     return lo + n1 * plo // d1, hi - (-n1 * phi // d1)
@@ -125,8 +122,8 @@ def _cos_ints(a: PiLinear, digits: int) -> tuple[int, int, int]:
     """Integers lo, hi, p with lo * 2**-p <= cos(a) <= hi * 2**-p for a
     reduced angle a, width <= 10**-digits; exact (p = 1) at the
     rational-cosine angles."""
-    if a.q0 == 0:
-        c2 = _RATIONAL_COS2.get(abs(a.q1))
+    if a.a == 0:
+        c2 = _RATIONAL_COS2.get((abs(a.b), a.d))
         if c2 is not None:
             return c2, c2, 1
     # 2**-p0 <= 10**-digits, and the 2 * radius that the ball adds (3 units
@@ -163,9 +160,9 @@ def abs1m_sq_exact(log_mod: Fraction, angle: PiLinear) -> Fraction | None:
     if log_mod != 0:
         return None
     a = reduce_mod_2pi(angle)
-    if a.q0 != 0:
+    if a.a != 0:
         return None
-    c2 = _RATIONAL_COS2.get(abs(a.q1))
+    c2 = _RATIONAL_COS2.get((abs(a.b), a.d))
     return None if c2 is None else Fraction(2 - c2)
 
 
@@ -211,7 +208,7 @@ def compare_abs1m_sq(log_mod: Fraction, angle: PiLinear, threshold: Fraction) ->
     if log_mod == 0 and threshold == 2:
         # 2 - 2cos(t) > 2 iff cos(t) < 0 iff |t| > pi/2 after reduction
         mag = -a if a.sign() < 0 else a
-        return (mag - PiLinear(0, Fraction(1, 2))).sign()
+        return (mag - _HALF_PI).sign()
     tn, td = threshold.numerator, threshold.denominator
     digits = 15
     while digits <= _MAX_DIGITS:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, ceil_ratio, floor_ratio
+from .exactnum import PiLinear, _v2, ceil_ratio, floor_ratio
 
 
 class SpectrumError(ValueError):
@@ -319,12 +319,6 @@ class PairLevels:
 
 _NEVER = PairLevels(frozenset(), 0, False)
 _ALWAYS = PairLevels(frozenset(), 0, True)
-
-
-def _v2(n: int) -> int:
-    if n == 0:
-        raise ValueError("v2(0)")
-    return (n & -n).bit_length() - 1
 
 
 def _rat_gcd(values: Iterable[Fraction]) -> Fraction:

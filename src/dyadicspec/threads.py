@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactnum import PiLinear, reduce_mod_2pi
+from .exactnum import PiLinear, _mk, reduce_mod_2pi
 from .levels import (
     LevelCache,
     LevelPoint,
@@ -31,8 +31,6 @@ from .levels import (
 )
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .spectrum import ILattice, SpectrumSet, VLine
-
-PI = PiLinear(0, 1)
 
 
 class InfeasibleThread(ValueError):
@@ -62,9 +60,9 @@ class Thread:
 
 
 def step_point(p: LevelPoint, bit: int) -> LevelPoint:
-    angle = p.angle.scaled(Fraction(1, 2))
-    if bit:
-        angle = angle + PI
+    # angle/2 + bit*pi = (a + (b + 2*bit*d)*pi) / 2d
+    x = p.angle
+    angle = _mk(x.a, x.b + 2 * bit * x.d, 2 * x.d)
     return LevelPoint(p.log_mod / 2, reduce_mod_2pi(angle))
 
 

@@ -329,3 +329,47 @@ def test_examples_show_config(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "primefamily nseq=2j J=8" in out
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        "point re=0 im=1/0*pi",
+        "ilattice re=0 base=0 step=1/0*pi",
+        "vsegment re=0 im=[0,1/0*pi]",
+    ],
+)
+def test_zero_denominator_literal_is_one_error_line(spectrum):
+    proc = _classify_in_subprocess(f"spectrum {spectrum}\n")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: line 1, col ") and "zero denominator" in line
+    assert proc.stdout == ""
+
+
+def test_main_twice_in_one_process_gives_identical_output(capsys):
+    # the parser is built once per process; a second call must not differ
+    calls = (
+        ["examples", "roots2k", "--json"],
+        ["examples", "solenoid", "--show-config"],
+        ["--help"],
+        ["examples", "--help"],
+        ["bogus"],
+        ["classify", "--nope"],
+    )
+
+    def one_round():
+        out = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    first = one_round()
+    assert first == one_round()
+    assert [c[0] for c in first] == [0, 0, 0, 0, 2, 2]
+    assert first[4][2].startswith("usage: dyadicspec ")

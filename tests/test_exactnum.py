@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import mpmath
@@ -13,6 +16,10 @@ from dyadicspec.exactnum import (
     LESS,
     ZERO,
     PiLinear,
+    _MAX_BITS,
+    _pi_fixed,
+    _pi_mid,
+    _sign_int,
     ceil_ratio,
     compare,
     exact_ratio,
@@ -135,6 +142,9 @@ def test_parse_variants():
         parse("1 + 2*e")
     with pytest.raises(ValueError):
         parse("")
+    for text in ("1/0*pi", "1/0", "1 + 3/0*pi"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse(text)
 
 
 def test_floor_ratio_rational_and_irrational():
@@ -285,3 +295,177 @@ def test_reduce_matches_oracle_at_odd_pi_boundaries(k, m, side, digit):
     b = PiLinear(r * (2 * m + 1), 0)
     assert reduce_mod_2pi(b) == fraction_reduce(b)
     assert float(b) == fraction_float(b) and float(a) == fraction_float(a)
+
+
+# ---------------------------------------------------------------------------
+# the integer triple against the Fraction-backed PiLinear it replaced
+
+
+@dataclass(frozen=True)
+class FractionPiLinear:
+    """The Fraction-backed PiLinear that the triple (a, b, d) replaced: two
+    reduced Fraction fields, with the same integer kernels read off them."""
+
+    q0: F
+    q1: F
+
+    def __init__(self, q0=0, q1=0):
+        object.__setattr__(self, "q0", F(q0))
+        object.__setattr__(self, "q1", F(q1))
+
+    def __add__(self, other):
+        return FractionPiLinear(self.q0 + other.q0, self.q1 + other.q1)
+
+    def __sub__(self, other):
+        return FractionPiLinear(self.q0 - other.q0, self.q1 - other.q1)
+
+    def __neg__(self):
+        return FractionPiLinear(-self.q0, -self.q1)
+
+    def scaled(self, r):
+        return FractionPiLinear(self.q0 * r, self.q1 * r)
+
+    def scale_pow2(self, k):
+        f = F(2) ** k
+        return FractionPiLinear(self.q0 * f, self.q1 * f)
+
+    def sign(self):
+        q0, q1 = self.q0, self.q1
+        return _sign_int(q0.numerator * q1.denominator, q1.numerator * q0.denominator)
+
+    def compare(self, other):
+        if self.q0 == other.q0 and self.q1 == other.q1:
+            return EQUAL
+        n0, d0, n1, d1 = self.q0.numerator, self.q0.denominator, self.q1.numerator, self.q1.denominator
+        m0, e0, m1, e1 = other.q0.numerator, other.q0.denominator, other.q1.numerator, other.q1.denominator
+        return _sign_int((n0 * e0 - m0 * d0) * d1 * e1, (n1 * e1 - m1 * d1) * d0 * e0)
+
+    def reduce_mod_2pi(self):
+        n0, d0, n1, d1 = self.q0.numerator, self.q0.denominator, self.q1.numerator, self.q1.denominator
+        if n0 == 0:
+            m = -((d1 - n1) // (2 * d1))
+            return FractionPiLinear(0, self.q1 - 2 * m)
+        u, v, w = n0 * d1, (n1 - d1) * d0, 2 * d0 * d1
+        p = 64 + max(0, n0.bit_length() - d0.bit_length())
+        while p <= _MAX_BITS:
+            lo, hi = _pi_fixed(p)
+            us = u << p
+            clo = -(-(us + v * lo) // (w * lo))
+            if clo == -(-(us + v * hi) // (w * hi)):
+                return FractionPiLinear(self.q0, self.q1 - 2 * clo)
+            p *= 2
+        raise AssertionError("angle reduction did not converge")
+
+    def bounds(self, digits):
+        if self.q1 == 0:
+            return self.q0, self.q0
+        extra = len(str(abs(self.q1.numerator))) + len(str(self.q1.denominator)) + 1
+        plo, phi = pi_bounds(digits + extra)
+        if self.q1 > 0:
+            return self.q0 + self.q1 * plo, self.q0 + self.q1 * phi
+        return self.q0 + self.q1 * phi, self.q0 + self.q1 * plo
+
+    def __float__(self):
+        q0, q1 = self.q0, self.q1
+        if q1 == 0:
+            return float(q0)
+        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
+        pn, pd = _pi_mid(20 + len(str(abs(n1))) + len(str(d1)) + 1)
+        return (n0 * d1 * pd + n1 * d0 * pn) / (d0 * d1 * pd)
+
+    def __str__(self):
+        return render(self)
+
+    def __repr__(self):
+        return f"PiLinear({self.q0!r}, {self.q1!r})"
+
+
+def assert_same(x: PiLinear, want: FractionPiLinear):
+    """x is the canonical triple of the oracle's value."""
+    assert (x.q0, x.q1) == (want.q0, want.q1)
+    assert type(x.a) is int and type(x.b) is int and type(x.d) is int
+    assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+    assert x == PiLinear(want.q0, want.q1) and hash(x) == hash(PiLinear(want.q0, want.q1))
+
+
+def assert_matches_fraction_pilinear(q0, q1, r0, r1, r, k):
+    x, y = PiLinear(q0, q1), PiLinear(r0, r1)
+    X, Y = FractionPiLinear(q0, q1), FractionPiLinear(r0, r1)
+    assert_same(x, X)
+    assert_same(x + y, X + Y)
+    assert_same(x - y, X - Y)
+    assert_same(-x, -X)
+    assert_same(x.scaled(r), X.scaled(r))
+    assert_same(scale_pow2(x, k), X.scale_pow2(k))
+    assert_same(reduce_mod_2pi(x), X.reduce_mod_2pi())
+    want = X.compare(Y)
+    assert compare(x, y) == want and (x - y).sign() == want
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert x.sign() == X.sign() and (x == y) == (want == EQUAL)
+    assert float(x).hex() == float(X).hex()
+    assert x.bounds(30) == X.bounds(30)
+    assert (str(x), repr(x)) == (str(X), repr(X))
+
+
+@given(
+    mixed_rationals,
+    mixed_rationals,
+    mixed_rationals,
+    mixed_rationals,
+    mixed_rationals,
+    st.integers(min_value=-700, max_value=700),
+)
+@settings(max_examples=300, deadline=None)
+def test_triple_matches_fraction_pilinear(q0, q1, r0, r1, r, k):
+    assert_matches_fraction_pilinear(q0, q1, r0, r1, r, k)
+    assert_matches_fraction_pilinear(q0, 0, 0, r1, r, k)
+    assert_matches_fraction_pilinear(0, q1, r0, 0, r, -k)
+
+
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=-2, max_value=2),
+    st.one_of(rationals, big_rationals).filter(lambda c: c != 0),
+    mixed_rationals,
+    mixed_rationals,
+    st.integers(min_value=-64, max_value=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_triple_matches_fraction_pilinear_near_pi_ties(k, offset, c, q0, q1, e):
+    # x - y = c * (pi - r) with r within 3 * 10**-k of pi
+    r = pi_approximation(k, offset)
+    assert_matches_fraction_pilinear(q0, q1, q0 + r * c, q1 - c, c, e)
+    # q0 alone close to an odd multiple of pi, against that multiple
+    assert_matches_fraction_pilinear(r * (2 * offset + 1), 0, 0, 2 * offset + 1, r, e)
+
+
+def test_triple_is_canonical_and_immutable():
+    x = PiLinear(F(2, 4), 1)
+    assert (x.a, x.b, x.d) == (1, 2, 2)
+    # one value built four ways: one triple, one hash
+    for y in (
+        PiLinear(F(1, 2), F(2, 2)),
+        PiLinear(F(1, 4), F(1, 2)) + PiLinear(F(1, 4), F(1, 2)),
+        PiLinear(3, 6).scaled(F(1, 6)),
+        scale_pow2(PiLinear(4, 8), -3),
+    ):
+        assert (y.a, y.b, y.d) == (1, 2, 2)
+        assert y == x and hash(y) == hash(x)
+    assert PiLinear(F(1, 6), F(-3, 4)).d == 12 and PiLinear(F(5, 3), F(5, 3)).a == 5
+    z = PiLinear(0, F(0, 7))
+    assert (z.a, z.b, z.d) == (ZERO.a, ZERO.b, ZERO.d) == (0, 0, 1)
+    # copies go through the triple, not through field assignment
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert (y.a, y.b, y.d) == (1, 2, 2) and y == x
+    assert PiLinear.__slots__ == ("a", "b", "d") and not hasattr(x, "__dict__")
+    for name in ("a", "b", "d", "q0", "q1"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    with pytest.raises(AttributeError):
+        del x.a
+    for bad in ((1.5,), (0, 1.5), ("1",)):
+        with pytest.raises(TypeError):
+            PiLinear(*bad)
+    with pytest.raises(TypeError):
+        x.scaled(0.5)
+    assert x != (1, 2, 2) and x != F(1, 2)
