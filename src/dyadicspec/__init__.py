@@ -46,7 +46,7 @@ from .spectrum import (
     section_antipode_levels,
     vertical_section,
 )
-from .threads import Thread, convergence_rate, divergence_search, evaluate, feasible_branches
+from .threads import Thread, convergence_rate, divergence_search, evaluate, feasible_branches, search, walk
 from .towers import Tower, inverse_limit, lim1_vanishes, middle_group_bounds
 
 __version__ = "0.1.0"

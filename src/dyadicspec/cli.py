@@ -60,7 +60,7 @@ from .spectrum import (
     image_closedness,
     real_part_range,
 )
-from .threads import Thread, feasible_branches
+from .threads import Thread, convergence_rate, feasible_branches
 from .towers import (
     ConstantMaps,
     PeriodicMaps,
@@ -130,20 +130,16 @@ def _parse_pair(text: str, line: int, col: int) -> tuple[str, str]:
     return parts[0].strip(), parts[1].strip()
 
 
-def _parse_primitive(rest: str, line: int):
-    fields = rest.split(None, 1)
-    kind = fields[0]
-    tail = fields[1] if len(fields) > 1 else ""
+def _parse_primitive(rest: str, line: int, col: int):
+    """Parse `kind key=value ...`; `col` is the line column where `rest` starts."""
+    kind = rest.split(None, 1)[0]
     kvs: dict[str, tuple[str, int]] = {}
-    consumed = ""
-    for m in _KV_RE.finditer(tail):
-        kvs[m.group(1)] = (m.group(2), m.start() + 1)
-        consumed += m.group(0) + " "
-    leftover = tail
-    for m in _KV_RE.finditer(tail):
+    leftover = rest[len(kind):]
+    for m in _KV_RE.finditer(rest, len(kind)):
+        kvs[m.group(1)] = (m.group(2), col + m.start())
         leftover = leftover.replace(m.group(0), "", 1)
     if leftover.strip():
-        raise ConfigError(line, rest.find(leftover.strip()) + 1, f"unparsed text {leftover.strip()!r}")
+        raise ConfigError(line, col + rest.find(leftover.strip()), f"unparsed text {leftover.strip()!r}")
 
     def need(*names):
         for nm in names:
@@ -238,7 +234,8 @@ def parse_config(text: str) -> Config:
         if not rest:
             raise ConfigError(lineno, len(key) + 1, f"{key} needs a value")
         if key == "spectrum":
-            primitives.append(_parse_primitive(rest, lineno))
+            col = raw.index(rest, raw.index(key) + len(key)) + 1
+            primitives.append(_parse_primitive(rest, lineno, col))
         elif key in {"n_max", "K", "search_depth", "node_budget", "float_digits"}:
             try:
                 val = int(rest)
@@ -731,19 +728,9 @@ def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config):
             rows.append((n, lo, hi))
         _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, cfg.params.float_digits)
     elif rep.witness:
-        from .realbounds import abs1m_sq_bounds, interval_sqrt
-        from .threads import evaluate, step_point
-
-        cache = LevelCache(cfg.spectrum)
-
-        th = rep.witness.thread
-        p = evaluate(cache, th, th.base_level)
-        for n in range(th.base_level, rep.witness.depth + 1):
-            if n > th.base_level:
-                p = step_point(p, th.bit_at(n))
-            sq = abs1m_sq_bounds(p.log_mod, p.angle, 30)
-            lo, hi = interval_sqrt(sq, 30)
-            rows.append((n, lo, hi, render_pilinear(p.angle), str(p.log_mod)))
+        rate = convergence_rate(LevelCache(cfg.spectrum), rep.witness.thread, rep.witness.depth)
+        for r in rate.rows:
+            rows.append((r.level, r.dist_lo, r.dist_hi, render_pilinear(r.angle), str(r.log_mod)))
         _write_csv(
             path, ["n", "dist_lo", "dist_hi", "angle", "log_mod"], rows, cfg.params.float_digits
         )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -288,6 +288,18 @@ def _v2(n: int) -> int:
     if n == 0:
         raise ValueError("v2(0)")
     return (n & -n).bit_length() - 1
+
+
+def _rat_gcd(values: Iterable[Fraction]) -> Fraction:
+    """The largest g with every value an integer multiple of g (0 if all are 0)."""
+    g = Fraction(0)
+    for v in values:
+        if v:
+            g = Fraction(
+                math.gcd(g.numerator * v.denominator, v.numerator * g.denominator),
+                g.denominator * v.denominator,
+            )
+    return g
 
 
 ZERO = PiLinear(0, 0)

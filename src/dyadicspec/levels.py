@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, _mk, compare, floor_ratio, reduce_mod_2pi
+from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, _mk, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
 from .spectrum import (
     ConsistencyError,
@@ -282,18 +282,6 @@ def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component
     return lat
 
 
-def _rat_gcd2(a: Fraction, b: Fraction) -> Fraction:
-    a, b = abs(a), abs(b)
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return Fraction(
-        math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-        a.denominator * b.denominator,
-    )
-
-
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -456,7 +444,7 @@ def _map_angles(angles: Angles, k: Rat, shift: Optional[PiLinear] = None) -> Ang
         return a if shift is None else a + shift
     if isinstance(angles, Interval):
         return Interval(_map_angles(angles.lo, k, shift), _map_angles(angles.hi, k, shift))
-    return Orbit(_map_angles(angles.base, k, shift), _rat_gcd2(k * angles.step, Fraction(2)))
+    return Orbit(_map_angles(angles.base, k, shift), _rat_gcd((k * angles.step, Fraction(2))))
 
 
 def antipode_component(c: Component) -> Component:
@@ -531,7 +519,7 @@ def _orbit_angles_in_interval(orbit: Orbit, lo: PiLinear, hi: PiLinear) -> list[
 def _orbit_intersection(a: Orbit, b: Orbit) -> list[Orbit]:
     # a.base + k*a.step meets b's orbit where k*u = t mod v, with u, v the
     # coprime integers a.step/g, b.step/g and t = (b.base - a.base)/g
-    g = _rat_gcd2(a.step, b.step)
+    g = _rat_gcd((a.step, b.step))
     t = (b.base.q1 - a.base.q1) / g
     if a.base.q0 != b.base.q0 or t.denominator != 1:
         return []

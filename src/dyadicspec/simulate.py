@@ -37,7 +37,7 @@ from .spectrum import (
     VSegment,
     real_part_range,
 )
-from .threads import Thread, evaluate, feasible_branches
+from .threads import Thread, search, search_seeds, walk
 
 IntSeq = Union[Callable[[int], int], Sequence[int]]
 
@@ -126,13 +126,21 @@ class DiagonalModel:
         if self.block_dim < 1 or self.level_cap < 1:
             raise ValueError("block_dim and level_cap must be >= 1")
         cache = LevelCache(self.spectrum)
-        for th in self.threads:
-            evaluate(cache, th, self.level_cap)  # raises if infeasible
+        # one walk per thread checks feasibility and keeps every point
+        walks = tuple(dict(walk(cache, th, self.level_cap)) for th in self.threads)
         object.__setattr__(self, "_cache", cache)
+        object.__setattr__(self, "_walks", walks)
 
     @property
     def cache(self) -> LevelCache:
         return self._cache  # type: ignore[attr-defined]
+
+    def points(self, n: int) -> tuple[LevelPoint, ...]:
+        """Every thread's point at level n, as walked at construction."""
+        try:
+            return tuple(w[n] for w in self._walks)  # type: ignore[attr-defined]
+        except KeyError:
+            raise ValueError(f"level {n} outside the walked levels") from None
 
 
 @dataclass(frozen=True)
@@ -167,11 +175,9 @@ def multipliers(model: DiagonalModel, t: DyadicTime) -> tuple[tuple[Fraction, Pi
         raise DyadicRangeError(
             f"time {t} needs level {level} > cap {model.level_cap}"
         )
-    out = []
-    for th in model.threads:
-        p = evaluate(model.cache, th, level)
-        out.append((p.log_mod * power, reduce_mod_2pi(p.angle.scaled(power))))
-    return tuple(out)
+    return tuple(
+        (p.log_mod * power, reduce_mod_2pi(p.angle.scaled(power))) for p in model.points(level)
+    )
 
 
 def scalar_to_complex(log_mod: Fraction, angle: PiLinear, digits: int = 15) -> complex:
@@ -205,11 +211,7 @@ def norm_bound_check(model: DiagonalModel, n: int) -> NormBound:
         raise DyadicRangeError(f"level {n} exceeds cap {model.level_cap}")
     _, zeta = real_part_range(model.spectrum)
     bound = zeta * Fraction(1, 2**n)
-    worst = None
-    for th in model.threads:
-        lm = evaluate(model.cache, th, n).log_mod
-        if worst is None or lm > worst:
-            worst = lm
+    worst = max(p.log_mod for p in model.points(n))
     return NormBound(
         ok=worst <= bound,
         level=n,
@@ -287,7 +289,6 @@ def _blocking_thread(
     checks: dict[int, list[int]] = {}
     for n in range(n0, search_bound + 1):
         checks.setdefault(_seq_at(L_seq, n), []).append(_seq_at(S_seq, n))
-    depth = max(checks)
 
     def passes(level: int, p: LevelPoint) -> bool:
         for s in checks.get(level, ()):
@@ -296,34 +297,7 @@ def _blocking_thread(
                 return False
         return True
 
-    from .threads import _search_seeds  # shared candidate heuristic
-
-    budget = node_budget
-    for seed in _search_seeds(cache.level(0)):
-        if not passes(0, seed):
-            continue
-        stack = [(0, seed, ())]
-        while stack and budget > 0:
-            level, p, bits = stack.pop()
-            budget -= 1
-            if level == depth:
-                return Thread(0, seed, bits)
-            children = [
-                (bit, q)
-                for bit, q in feasible_branches(cache, level, p)
-                if passes(level + 1, q)
-            ]
-            children.sort(
-                key=lambda bq: (
-                    (1 - math.cos(float(bq[1].angle))),
-                    -bq[0],
-                )
-            )
-            for bit, q in children:
-                stack.append((level + 1, q, bits + (bit,)))
-        if budget <= 0:
-            break
-    return None
+    return search(cache, search_seeds(cache, (0,)), max(checks), passes, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +356,14 @@ def _sample_spectrum(Z: SpectrumSet, density: int, window: float) -> list[comple
     return out
 
 
+def _sq_dist(lam: complex, w: complex) -> float:
+    """|lam - exp(w)|^2, inf past the float range."""
+    try:
+        return abs(lam - cmath.exp(w)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _argmin(values: list[float]) -> int:
     """Index of the first NaN, else of the first minimum."""
     for i, x in enumerate(values):
@@ -402,7 +384,9 @@ def joint_spectrum_residual(
     worst modulus the exponential image can reach, keeping terms O(1)
     without tying the scale to |lambda_n|.  A small residual is necessary
     for the prefix to extend to a joint-spectrum point; the square-chain
-    consistency lambda_{n+1}^2 = lambda_n is reported separately.
+    consistency lambda_{n+1}^2 = lambda_n is reported separately.  When
+    zeta > 0 both |...|^2 and B_n are scaled by exp(-2 zeta / 2^n), so no
+    exp argument is positive; the raw sum prints inf past the float range.
     """
     if not lambdas:
         raise ValueError("need at least lambda_0")
@@ -412,16 +396,24 @@ def joint_spectrum_residual(
     z = _sample_spectrum(Z, sample_density, window)
     totals, raws = [], []
     try:
-        terms = [
-            (lam, 2.0**n, (1.0 + math.exp(float(zeta) / 2.0**n)) ** 2)
-            for n, lam in enumerate(lambdas)
-        ]
+        terms = []
+        for n, lam in enumerate(lambdas):
+            scale = 2.0**n
+            c = max(float(zeta) / scale, 0.0)
+            f = math.exp(-c)
+            terms.append((lam, scale, c, f, (f + math.exp(float(zeta) / scale - c)) ** 2))
         for zi in z:
             total = raw = 0.0
-            for lam, scale, b in terms:
-                phi = abs(lam - cmath.exp(zi / scale)) ** 2
-                total += phi / b / scale
-                raw += phi / scale
+            for lam, scale, c, f, b in terms:
+                w = zi / scale
+                # the unscaled branch keeps zeta <= 0 bit-identical to before
+                if c:
+                    total += abs(lam * f - cmath.exp(w - c)) ** 2 / b / scale
+                    raw += _sq_dist(lam, w) / scale
+                else:
+                    phi = abs(lam - cmath.exp(w)) ** 2
+                    total += phi / b / scale
+                    raw += phi / scale
             totals.append(total)
             raws.append(raw)
     except OverflowError as e:

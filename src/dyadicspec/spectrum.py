@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, _v2, ceil_ratio, floor_ratio
+from .exactnum import PiLinear, _rat_gcd, _v2, ceil_ratio, floor_ratio
 
 
 class SpectrumError(ValueError):
@@ -319,22 +319,6 @@ class PairLevels:
 
 _NEVER = PairLevels(frozenset(), 0, False)
 _ALWAYS = PairLevels(frozenset(), 0, True)
-
-
-def _rat_gcd(values: Iterable[Fraction]) -> Fraction:
-    g = Fraction(0)
-    for v in values:
-        v = abs(v)
-        if v == 0:
-            continue
-        if g == 0:
-            g = v
-        else:
-            g = Fraction(
-                math.gcd(g.numerator * v.denominator, v.numerator * g.denominator),
-                g.denominator * v.denominator,
-            )
-    return g
 
 
 def _stable_from(m: Fraction) -> int:

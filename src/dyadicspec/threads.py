@@ -1,13 +1,14 @@
 """Inverse-limit points as branch-bit threads over the squaring tower.
 
 A thread is a base point at some level plus a sequence of square-root
-branch bits (0 = principal root, 1 = negated root); evaluating it at
-level n halves the log-modulus per step and applies
-angle -> angle/2 + bit*pi, reduced to (-pi, pi].  Feasibility means every
-evaluated point stays inside the level set.
+branch bits (0 = principal root, 1 = negated root).  `walk` steps it
+level by level, halving the log-modulus and applying
+angle -> angle/2 + bit*pi, reduced to (-pi, pi]; feasibility means every
+point stays inside its level set.  `search` is the one budgeted
+depth-first search over the tree of feasible threads.
 
 The divergence search looks for threads that keep |1 - point| above a
-threshold at every represented level; witnesses re-verify from scratch in
+threshold at every represented level; witnesses re-walk from scratch in
 exact arithmetic.  A prefix alone never outruns its depth, so verdict
 consumers pair it with a persistence certificate: a source primitive
 (vertical line, or vertical lattice) whose level sets provably contain
@@ -19,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import takewhile
+from typing import Callable, Iterable, Iterator, Optional
 
-from .exactnum import PiLinear, _mk, reduce_mod_2pi
+from .exactnum import PiLinear, _mk, _v2, reduce_mod_2pi
 from .levels import (
     LevelCache,
     LevelPoint,
-    LevelSet,
     component_sup_candidates,
     membership,
 )
@@ -66,17 +67,24 @@ def step_point(p: LevelPoint, bit: int) -> LevelPoint:
     return LevelPoint(p.log_mod / 2, reduce_mod_2pi(angle))
 
 
-def evaluate(cache: LevelCache, th: Thread, n: int) -> LevelPoint:
-    """The thread's point at level n, with feasibility checked en route."""
+def walk(cache: LevelCache, th: Thread, n: int) -> Iterator[tuple[int, LevelPoint]]:
+    """Yield (level, point) from the thread's base level through level n,
+    each point checked to lie in its level set."""
     if n < th.base_level:
         raise ValueError("level below the thread base")
     p = th.base
-    if not membership(cache.level(th.base_level), p):
-        raise InfeasibleThread(th.base_level, p)
-    for level in range(th.base_level + 1, n + 1):
-        p = step_point(p, th.bit_at(level))
+    for level in range(th.base_level, n + 1):
+        if level > th.base_level:
+            p = step_point(p, th.bit_at(level))
         if not membership(cache.level(level), p):
             raise InfeasibleThread(level, p)
+        yield level, p
+
+
+def evaluate(cache: LevelCache, th: Thread, n: int) -> LevelPoint:
+    """The thread's point at level n, with feasibility checked en route."""
+    for _, p in walk(cache, th, n):
+        pass
     return p
 
 
@@ -95,16 +103,20 @@ def feasible_branches(
 
 
 # ---------------------------------------------------------------------------
-# divergence search
+# budgeted search
 
 
-def _search_seeds(L: LevelSet) -> list[LevelPoint]:
-    seeds: list[LevelPoint] = []
-    for c in L.components:
-        seeds.extend(component_sup_candidates(c))
-    uniq = list(dict.fromkeys(seeds))
-    uniq.sort(key=lambda p: (-_approx_abs1m_sq(p), float(p.angle), float(p.log_mod)))
-    return uniq
+def search_seeds(cache: LevelCache, levels: Iterable[int]) -> Iterator[tuple[int, LevelPoint]]:
+    """(level, point) starts for `search`, farthest from 1 first within each
+    level; a level set is built only when its seeds are reached."""
+    for n in levels:
+        seeds: list[LevelPoint] = []
+        for c in cache.level(n).components:
+            seeds.extend(component_sup_candidates(c))
+        uniq = list(dict.fromkeys(seeds))
+        uniq.sort(key=lambda p: (-_approx_abs1m_sq(p), float(p.angle), float(p.log_mod)))
+        for p in uniq:
+            yield n, p
 
 
 def _approx_abs1m_sq(p: LevelPoint) -> float:
@@ -114,6 +126,42 @@ def _approx_abs1m_sq(p: LevelPoint) -> float:
         return (1 - m) ** 2 + 2 * m * (1 - math.cos(float(p.angle)))
     except OverflowError:
         return math.inf
+
+
+def search(
+    cache: LevelCache,
+    seeds: Iterable[tuple[int, LevelPoint]],
+    depth: int,
+    keep: Callable[[int, LevelPoint], bool],
+    node_budget: int,
+) -> Optional[Thread]:
+    """A thread from one of the seeds whose every point, through level
+    `depth`, satisfies keep(level, point); None once the seeds or the
+    budget of stack pops run out.
+
+    Depth-first over the feasible branches, greedy on |1 - z|: the child
+    farther from 1 is tried first, the principal root on a tie.
+    """
+    budget = node_budget
+    for n0, seed in seeds:
+        if not keep(n0, seed):
+            continue
+        stack: list[tuple[int, LevelPoint, tuple[int, ...]]] = [(n0, seed, ())]
+        while stack and budget > 0:
+            level, p, bits = stack.pop()
+            budget -= 1
+            if level == depth:
+                return Thread(n0, seed, bits)
+            children = [
+                (bit, q) for bit, q in feasible_branches(cache, level, p) if keep(level + 1, q)
+            ]
+            # push the larger-|1-z| child last so it pops first
+            children.sort(key=lambda bq: (_approx_abs1m_sq(bq[1]), -bq[0]))
+            for bit, q in children:
+                stack.append((level + 1, q, bits + (bit,)))
+        if budget <= 0:
+            return None
+    return None
 
 
 def divergence_search(
@@ -126,59 +174,34 @@ def divergence_search(
     """Search for a feasible thread with |1 - point|^2 >= delta^2 at every
     level from its base down to `depth`.
 
-    Greedy on |angle| with backtracking under a node budget.  Several base
-    levels are tried because early levels can pinch (a lattice tower
-    starts at the single point 1; an off-axis line needs the modulus near
-    1 before the band exceeds the threshold).  A returned witness is
-    exact; None only means nothing was found at this effort.
+    Several base levels are tried because early levels can pinch (a
+    lattice tower starts at the single point 1; an off-axis line needs the
+    modulus near 1 before the band exceeds the threshold).  A returned
+    witness is exact; None only means nothing was found at this effort.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if base_levels is None:
         base_levels = tuple(range(0, min(depth, max(9, depth * 2 // 3))))
     delta_sq = Fraction(delta) ** 2
-    budget = node_budget
-    for n0 in base_levels:
-        if n0 >= depth:
-            break
-        for seed in _search_seeds(cache.level(n0)):
-            if compare_abs1m_sq(seed.log_mod, seed.angle, delta_sq) < 0:
-                continue
-            stack: list[tuple[int, LevelPoint, tuple[int, ...]]] = [(n0, seed, ())]
-            while stack and budget > 0:
-                level, p, bits = stack.pop()
-                budget -= 1
-                if level == depth:
-                    return Thread(n0, seed, bits)
-                children = []
-                for bit, q in feasible_branches(cache, level, p):
-                    if compare_abs1m_sq(q.log_mod, q.angle, delta_sq) >= 0:
-                        children.append((bit, q))
-                # greedy: push the larger-|1-z| child last so it pops first
-                children.sort(key=lambda bq: (_approx_abs1m_sq(bq[1]), -bq[0]))
-                for bit, q in children:
-                    stack.append((level + 1, q, bits + (bit,)))
-            if budget <= 0:
-                return None
-    return None
+
+    def keep(level: int, p: LevelPoint) -> bool:
+        return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+
+    seeds = search_seeds(cache, takewhile(lambda n0: n0 < depth, base_levels))
+    return search(cache, seeds, depth, keep, node_budget)
 
 
 def verify_witness(cache: LevelCache, th: Thread, depth: int, delta: Fraction) -> bool:
     """Independent re-check of a witness from scratch."""
     delta_sq = Fraction(delta) ** 2
     try:
-        p = evaluate(cache, th, th.base_level)
+        return all(
+            compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+            for _, p in walk(cache, th, max(depth, th.base_level))
+        )
     except InfeasibleThread:
         return False
-    if compare_abs1m_sq(p.log_mod, p.angle, delta_sq) < 0:
-        return False
-    for level in range(th.base_level + 1, depth + 1):
-        p = step_point(p, th.bit_at(level))
-        if not membership(cache.level(level), p):
-            return False
-        if compare_abs1m_sq(p.log_mod, p.angle, delta_sq) < 0:
-            return False
-    return True
 
 
 def persistence_certificate(Z: SpectrumSet, cache: LevelCache, th: Thread, depth: int) -> Optional[str]:
@@ -215,17 +238,12 @@ def persistence_certificate(Z: SpectrumSet, cache: LevelCache, th: Thread, depth
                 f"lattice at re={prim.re}: dense angle orbit, every level set "
                 "closes to the full circle"
             )
-        e = _v2_frac(step.q1)
+        e = _v2(step.q1.numerator)
         return (
             f"lattice at re={prim.re}: level sets are antipode-closed for all "
             f"levels >= {max(e, 0)}, so the negated branch stays feasible"
         )
     return None
-
-
-def _v2_frac(x: Fraction) -> int:
-    n = abs(x.numerator)
-    return (n & -n).bit_length() - 1 if n else 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +275,7 @@ def convergence_rate(cache: LevelCache, th: Thread, n_max: int, digits: int = 30
         raise ValueError("rate requires an eventually-principal thread")
     rows: list[RateRow] = []
     constant = Fraction(0)
-    p = evaluate(cache, th, th.base_level)
-    for n in range(th.base_level, n_max + 1):
-        if n > th.base_level:
-            p = step_point(p, th.bit_at(n))
-            if not membership(cache.level(n), p):
-                raise InfeasibleThread(n, p)
+    for n, p in walk(cache, th, n_max):
         sq = abs1m_sq_bounds(p.log_mod, p.angle, digits)
         lo, hi = interval_sqrt(sq, digits)
         rows.append(RateRow(n, lo, hi, p.angle, p.log_mod))

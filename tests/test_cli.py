@@ -1,5 +1,7 @@
 import json
+import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -373,3 +375,55 @@ def test_main_twice_in_one_process_gives_identical_output(capsys):
     assert first == one_round()
     assert [c[0] for c in first] == [0, 0, 0, 0, 2, 2]
     assert first[4][2].startswith("usage: dyadicspec ")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["examples", "solenoid"], "classify_solenoid.csv"),
+        (["examples", "roots2k"], "classify_roots2k.csv"),
+    ]
+    + [
+        (["examples", name, "--run", "simulate"], f"simulate_{name}.csv")
+        for name in ("roots2k", "solenoid", "rectangle", "primefamily")
+    ],
+)
+def test_csv_writers_match_golden_bytes(argv, golden, tmp_path, capsys):
+    # the witness table and the continuity trace, byte for byte
+    path = tmp_path / golden
+    assert main([*argv, "--csv", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line, col",
+    [
+        ("spectrum point re=0 im=1+2*e", 21),
+        ("spectrum point re=x im=1", 16),
+        ("spectrum point re=0 im=1 junk", 26),
+        ("  spectrum  point re=x im=1  # note", 19),
+    ],
+)
+def test_config_error_columns_count_from_line_start(line, col, tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(line + "\n")
+    assert main(["classify", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line 1, col {col}: ")
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        "point re=1000 im=1",
+        "rect re=[-1000,1000] im=[0,1*pi]",
+        "ilattice re=800 base=0 step=1/3*pi",
+    ],
+)
+def test_residual_past_the_float_range_is_finite(spectrum):
+    code, text = run("simulate", parse_config(f"spectrum {spectrum}\nlambda 1,1\n"))
+    assert code == 0
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("joint-spectrum residual")]
+    assert math.isfinite(float(line.split("]: ")[1].split(" (")[0]))

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import EQUAL, PiLinear, compare, floor_ratio, reduce_mod_2pi
+from dyadicspec.exactnum import EQUAL, PiLinear, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from dyadicspec.levels import (
     ENUM_LIMIT,
     Annulus,
@@ -19,7 +19,6 @@ from dyadicspec.levels import (
     Sector,
     Interval,
     _orbit_angles_in_interval,
-    _rat_gcd2,
     antipodal_set,
     antipode_component,
     circle_section,
@@ -539,7 +538,7 @@ def _old_power_component(c, s):
     if isinstance(c, FullCircle):
         return FullCircle(s * c.log_mod)
     if isinstance(c, CircleLattice):
-        return make_lattice(s * c.log_mod, c.base.scaled(s), _rat_gcd2(s * c.step, F(2)))
+        return make_lattice(s * c.log_mod, c.base.scaled(s), _rat_gcd((s * c.step, F(2))))
     if isinstance(c, Sector):
         return _old_make_sector(s * c.lo_log, s * c.hi_log, c.lo.scaled(s), c.hi.scaled(s))
     return Annulus(s * c.lo_log, s * c.hi_log)
@@ -596,7 +595,7 @@ def _old_lattice_points_in_interval(lat, lo, hi):
 def _old_lattice_intersection(a, b):
     if a.log_mod != b.log_mod or a.base.q0 != b.base.q0:
         return []
-    g = _rat_gcd2(a.step, b.step)
+    g = _rat_gcd((a.step, b.step))
     if ((b.base.q1 - a.base.q1) / g).denominator != 1:
         return []
     step = a.step * b.step / g

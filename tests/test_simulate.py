@@ -31,11 +31,12 @@ from dyadicspec.spectrum import (
     Point,
     PrimeFamily,
     Rect,
+    SpectrumSet,
     VLine,
     VSegment,
     real_part_range,
 )
-from dyadicspec.threads import Thread
+from dyadicspec.threads import Thread, evaluate
 
 
 def model_for(Z, caches={}):
@@ -296,3 +297,43 @@ def test_residual_matches_numpy_oracle(name, request):
             bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= 1e-9) for i in range(len(lambdas) - 1)
         )
         assert rep.consistency == consistency
+
+
+def test_blocking_threads_pinned(solenoid, roots2k):
+    # the exact blocking threads found before the search moved into threads.search
+    expected = (
+        (solenoid, Thread(0, LevelPoint(F(0), PiLinear(0, 1)), (0,) + (1,) * 49)),
+        (roots2k, Thread(0, LevelPoint(F(0), PiLinear(0, 0)), (1, 0) + (1,) * 48)),
+    )
+    for Z, th in expected:
+        cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), 1, 50)
+        assert cov.absent_witness == th
+
+
+def test_stored_points_match_a_per_level_walk(roots2k, solenoid, rectangle):
+    corner = Thread(0, LevelPoint(F(-1), PiLinear(0, 1)))
+    late = Thread(3, LevelPoint(F(0), PiLinear(0, 1)), bits=(1, 0, 1))
+    models = (
+        model_for(roots2k),
+        DiagonalModel(rectangle, (corner,), block_dim=1, level_cap=20),
+        DiagonalModel(solenoid, (late, late), block_dim=1, level_cap=20),
+    )
+    for model in models:
+        base = max(th.base_level for th in model.threads)
+        for n in range(base, model.level_cap + 1):
+            pts = [evaluate(model.cache, th, n) for th in model.threads]
+            t = DyadicTime.from_fraction(F(1, 2**n))
+            assert multipliers(model, t) == tuple((p.log_mod, p.angle) for p in pts)
+            assert norm_bound_check(model, n).max_log_mod == max(p.log_mod for p in pts)
+        for n in range(base):
+            with pytest.raises(ValueError):
+                norm_bound_check(model, n)
+        with pytest.raises(DyadicRangeError):
+            norm_bound_check(model, model.level_cap + 1)
+
+
+def test_residual_far_right_is_scaled_not_overflowed():
+    # zeta = 1000: term n is |e^-c - e^(i/2^n)|^2 / (e^-c + 1)^2 with c = 1000/2^n
+    rep = joint_spectrum_residual(SpectrumSet((Point(F(1000), PiLinear(1, 0)),)), [1, 1])
+    assert rep.residual == pytest.approx(1.5)
+    assert rep.raw == math.inf

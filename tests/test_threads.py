@@ -15,8 +15,11 @@ from dyadicspec.threads import (
     evaluate,
     feasible_branches,
     persistence_certificate,
+    search,
+    search_seeds,
     step_point,
     verify_witness,
+    walk,
 )
 
 from conftest import random_spectrum
@@ -140,3 +143,57 @@ def test_rate_requires_principal_tail(roots2k):
     th = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(1, 1), tail_principal=False)
     with pytest.raises(ValueError):
         convergence_rate(ck, th, 10)
+
+
+def test_walk_yields_every_level_from_the_base(roots2k):
+    ck = LevelCache(roots2k)
+    th = Thread(2, LevelPoint(F(0), PiLinear(0, 0)), bits=(1,))
+    steps = list(walk(ck, th, 5))
+    assert [n for n, _ in steps] == [2, 3, 4, 5]
+    assert steps[1][1].angle == PiLinear(0, 1)
+    assert evaluate(ck, th, 5) == steps[-1][1]
+    assert evaluate(ck, th, 2) == th.base
+
+
+def test_walk_rejects_levels_it_cannot_reach(roots2k):
+    ck = LevelCache(roots2k)
+    th = Thread(2, LevelPoint(F(0), PiLinear(0, 0)))
+    with pytest.raises(ValueError, match="below the thread base"):
+        evaluate(ck, th, 1)
+    prefix = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(1, 1), tail_principal=False)
+    assert evaluate(ck, prefix, 2).angle == PiLinear(0, F(-1, 2))
+    with pytest.raises(ValueError, match="prefix ends before level 3") as err:
+        evaluate(ck, prefix, 3)
+    assert not isinstance(err.value, InfeasibleThread)
+
+
+def test_walk_stops_at_the_infeasible_level(rectangle):
+    cr = LevelCache(rectangle)
+    th = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(0, 1))  # -1 leaves X_2
+    seen = []
+    with pytest.raises(InfeasibleThread) as err:
+        for n, _ in walk(cr, th, 4):
+            seen.append(n)
+    assert seen == [0, 1] and err.value.level == 2
+    with pytest.raises(InfeasibleThread) as err:
+        evaluate(cr, Thread(0, LevelPoint(F(1), PiLinear(0, 0))), 3)
+    assert err.value.level == 0
+
+
+def test_verify_witness_below_the_base_checks_the_base_only(solenoid):
+    cs = LevelCache(solenoid)
+    delta = F(7, 5)
+    assert verify_witness(cs, Thread(3, LevelPoint(F(0), PiLinear(0, 1))), 1, delta)
+    assert not verify_witness(cs, Thread(3, LevelPoint(F(0), PiLinear(0, F(1, 100)))), 1, delta)
+    assert not verify_witness(cs, Thread(3, LevelPoint(F(1), PiLinear(0, 1))), 1, delta)
+
+
+def test_search_budget_of_one_node_finds_nothing(solenoid):
+    cs = LevelCache(solenoid)
+
+    def keep(level, p):
+        return compare_abs1m_sq(p.log_mod, p.angle, F(49, 25)) >= 0
+
+    found = search(cs, search_seeds(cs, range(13)), 20, keep, 20000)
+    assert found is not None and found == divergence_search(cs, 20, F(7, 5))
+    assert search(cs, search_seeds(cs, range(13)), 20, keep, 1) is None
