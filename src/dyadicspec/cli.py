@@ -134,12 +134,13 @@ def _parse_primitive(rest: str, line: int, col: int):
     """Parse `kind key=value ...`; `col` is the line column where `rest` starts."""
     kind = rest.split(None, 1)[0]
     kvs: dict[str, tuple[str, int]] = {}
-    leftover = rest[len(kind):]
     for m in _KV_RE.finditer(rest, len(kind)):
         kvs[m.group(1)] = (m.group(2), col + m.start())
-        leftover = leftover.replace(m.group(0), "", 1)
+    # blank out the key=value spans so the first stray character keeps its column
+    leftover = _KV_RE.sub(lambda m: " " * len(m.group(0)), rest[len(kind):])
     if leftover.strip():
-        raise ConfigError(line, col + rest.find(leftover.strip()), f"unparsed text {leftover.strip()!r}")
+        start = len(kind) + len(leftover) - len(leftover.lstrip())
+        raise ConfigError(line, col + start, f"unparsed text {' '.join(leftover.split())!r}")
 
     def need(*names):
         for nm in names:

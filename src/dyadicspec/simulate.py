@@ -401,19 +401,15 @@ def joint_spectrum_residual(
             scale = 2.0**n
             c = max(float(zeta) / scale, 0.0)
             f = math.exp(-c)
-            terms.append((lam, scale, c, f, (f + math.exp(float(zeta) / scale - c)) ** 2))
+            # componentwise: lam * f would turn inf+infj into nan+nanj at f == 1
+            lam_f = complex(lam.real * f, lam.imag * f)
+            terms.append((lam, lam_f, scale, c, (f + math.exp(float(zeta) / scale - c)) ** 2))
         for zi in z:
             total = raw = 0.0
-            for lam, scale, c, f, b in terms:
+            for lam, lam_f, scale, c, b in terms:
                 w = zi / scale
-                # the unscaled branch keeps zeta <= 0 bit-identical to before
-                if c:
-                    total += abs(lam * f - cmath.exp(w - c)) ** 2 / b / scale
-                    raw += _sq_dist(lam, w) / scale
-                else:
-                    phi = abs(lam - cmath.exp(w)) ** 2
-                    total += phi / b / scale
-                    raw += phi / scale
+                total += abs(lam_f - cmath.exp(w - c)) ** 2 / b / scale
+                raw += _sq_dist(lam, w) / scale
             totals.append(total)
             raws.append(raw)
     except OverflowError as e:

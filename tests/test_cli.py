@@ -405,6 +405,8 @@ def test_csv_writers_match_golden_bytes(argv, golden, tmp_path, capsys):
         ("spectrum point re=x im=1", 16),
         ("spectrum point re=0 im=1 junk", 26),
         ("  spectrum  point re=x im=1  # note", 19),
+        ("spectrum point re=0 im=1 t", 26),
+        ("spectrum point junk re=0 im=1 more", 16),
     ],
 )
 def test_config_error_columns_count_from_line_start(line, col, tmp_path, capsys):

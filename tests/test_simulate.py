@@ -337,3 +337,10 @@ def test_residual_far_right_is_scaled_not_overflowed():
     rep = joint_spectrum_residual(SpectrumSet((Point(F(1000), PiLinear(1, 0)),)), [1, 1])
     assert rep.residual == pytest.approx(1.5)
     assert rep.raw == math.inf
+
+
+def test_residual_keeps_an_infinite_lambda_infinite():
+    # zeta <= 0 scales nothing, so inf+infj stays inf rather than turning nan
+    Z = SpectrumSet((Point(F(0), PiLinear(1, 0)),))
+    rep = joint_spectrum_residual(Z, [complex(math.inf, math.inf)], 10)
+    assert rep.residual == math.inf and rep.raw == math.inf
