@@ -8,6 +8,8 @@ machine-checkable evidence computed in exact arithmetic over numbers
 q0 + q1*pi.
 """
 
+import importlib
+
 from .classify import ClassificationReport, ClassifyParams, Verdict, classify
 from .exactnum import PiLinear, compare, parse, reduce_mod_2pi, render, scale_pow2, to_float
 from .levels import (
@@ -19,17 +21,6 @@ from .levels import (
     level_set,
     membership,
     sup_abs_one_minus,
-)
-from .simulate import (
-    DiagonalModel,
-    DyadicTime,
-    TestVector,
-    apply_semigroup,
-    decompose,
-    joint_spectrum_residual,
-    multipliers,
-    norm_bound_check,
-    quasi_uniform_cover,
 )
 from .spectrum import (
     ILattice,
@@ -47,6 +38,29 @@ from .spectrum import (
     vertical_section,
 )
 from .threads import Thread, convergence_rate, divergence_search, evaluate, feasible_branches, search, walk
-from .towers import Tower, inverse_limit, lim1_vanishes, middle_group_bounds
 
 __version__ = "0.1.0"
+
+# simulate and towers load on first use (PEP 562): importing the package,
+# or the CLI for a command that needs neither, does not pay for them
+_LAZY = {
+    "simulate": (
+        "DiagonalModel",
+        "DyadicTime",
+        "TestVector",
+        "apply_semigroup",
+        "decompose",
+        "joint_spectrum_residual",
+        "multipliers",
+        "norm_bound_check",
+        "quasi_uniform_cover",
+    ),
+    "towers": ("Tower", "inverse_limit", "lim1_vanishes", "middle_group_bounds"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

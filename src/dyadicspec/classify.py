@@ -21,7 +21,6 @@ witnesses, levels, constants and parameters used.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -32,6 +31,7 @@ from .levels import (
     sup_abs_one_minus,
 )
 from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
+from .records import record
 from .spectrum import (
     PrimeFamily,
     SectionFamilyReport,
@@ -56,7 +56,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class ClassifyParams:
     n_max: int = 12
     K: int = 4  # inert: validated and printed, level n needs no squaring
@@ -72,7 +72,7 @@ class ClassifyParams:
     ext_zero: bool = True
 
 
-@dataclass(frozen=True)
+@record
 class UniformRateBound:
     constant: Fraction  # sup |1 - z| <= constant / 2^n over the table
     symbolic_constant: Optional[Fraction]  # R e^R bound valid for every n
@@ -81,7 +81,7 @@ class UniformRateBound:
     u_table: tuple[tuple[int, Fraction, Fraction], ...]  # (n, lo, hi) of sup
 
 
-@dataclass(frozen=True)
+@record
 class AntipodalLevels:
     levels: tuple[int, ...]
     persistent: bool
@@ -89,7 +89,7 @@ class AntipodalLevels:
     pair_samples: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class WitnessThread:
     thread: Thread
     delta: Fraction
@@ -97,13 +97,13 @@ class WitnessThread:
     persistence: str
 
 
-@dataclass(frozen=True)
+@record
 class PointwiseCertificate:
     last_branch_level: int
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     verdict: Verdict
     witness: Optional[WitnessThread]
@@ -327,8 +327,18 @@ def check_not_strong(
 # the classifier
 
 
-def classify(Z: SpectrumSet, params: ClassifyParams = ClassifyParams()) -> ClassificationReport:
-    cache = LevelCache(Z)
+def classify(
+    Z: SpectrumSet,
+    params: ClassifyParams = ClassifyParams(),
+    cache: Optional[LevelCache] = None,
+) -> ClassificationReport:
+    """The verdict for Z with its evidence.  `cache` holds level sets of Z
+    to reuse and fill, so a caller can walk the witness again cheaply; a
+    fresh one is made by default."""
+    if cache is None:
+        cache = LevelCache(Z)
+    elif cache.Z != Z:
+        raise ValueError("the level cache belongs to another spectrum")
     sections = antipode_level_union(Z, params.n_max)
     closed_by_level = tuple(
         (n, image_closedness(Z, n).closed) for n in range(min(params.n_max, 8) + 1)

@@ -23,7 +23,6 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -34,18 +33,14 @@ from .exactnum import parse as parse_pilinear, render as render_pilinear
 from .levels import (
     ComputationLimit,
     LevelCache,
+    LevelPoint,
     antipodal_set,
+    component_sup_candidates,
     enumerate_points,
+    membership,
     sample_points,
 )
-from .simulate import (
-    DiagonalModel,
-    DyadicTime,
-    continuity_trace,
-    joint_spectrum_residual,
-    norm_bound_check,
-    quasi_uniform_cover,
-)
+from .records import record
 from .spectrum import (
     ConsistencyError,
     ILattice,
@@ -58,18 +53,10 @@ from .spectrum import (
     VSegment,
     antipode_level_union,
     image_closedness,
-    real_part_range,
 )
-from .threads import Thread, convergence_rate, feasible_branches
-from .towers import (
-    ConstantMaps,
-    PeriodicMaps,
-    Tower,
-    ZeroTower,
-    inverse_limit,
-    lim1_vanishes,
-    middle_group_bounds,
-)
+from .threads import Thread, convergence_rate, step_point
+
+# simulate and towers load on first use: most calls need neither
 
 
 class ConfigError(ValueError):
@@ -79,7 +66,7 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}, col {col}: {msg}")
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     spectrum: SpectrumSet
     params: ClassifyParams
@@ -198,6 +185,8 @@ def _parse_primitive(rest: str, line: int, col: int):
 
 
 def _parse_tower(rest: str, line: int) -> Tower:
+    from .towers import ConstantMaps, PeriodicMaps, Tower, ZeroTower
+
     fields = rest.split(None, 1)
     kind = fields[0]
     tail = fields[1].strip() if len(fields) > 1 else ""
@@ -317,6 +306,8 @@ def render_config(cfg: Config) -> str:
     lines.append(f"ext_zero {'true' if pr.ext_zero else 'false'}")
     lines.append(f"emit_csv {'true' if cfg.emit_csv else 'false'}")
     if cfg.tower is not None:
+        from .towers import ConstantMaps, ZeroTower
+
         m = cfg.tower.maps
         if isinstance(m, ZeroTower):
             lines.append("tower zero")
@@ -544,9 +535,28 @@ def _describe_levelset(L) -> list[str]:
     return out
 
 
+def _greedy_bits(cache: LevelCache, seed: LevelPoint, cap: int) -> Optional[tuple[int, ...]]:
+    """Branch bits of the thread from `seed` at level 0 through level `cap`
+    that takes the principal root whenever it stays in the level set and
+    the other root otherwise; None if both roots leave it at some level."""
+    bits = []
+    p = seed
+    for level in range(1, cap + 1):
+        for bit in (0, 1):
+            q = step_point(p, bit)
+            if membership(cache.level(level), q):
+                break
+        else:
+            return None
+        bits.append(bit)
+        p = q
+    return tuple(bits)
+
+
 def _default_model(cfg: Config, cache: LevelCache) -> DiagonalModel:
-    """A small deterministic model: a few feasible threads grown greedily."""
-    from .levels import component_sup_candidates
+    """A small deterministic model: a few feasible threads grown greedily.
+    The model's own walk re-checks every point of every thread."""
+    from .simulate import DiagonalModel
 
     seeds = []
     for c in cache.level(0).components:
@@ -555,18 +565,9 @@ def _default_model(cfg: Config, cache: LevelCache) -> DiagonalModel:
     cap = max(cfg.params.search_depth, 30)
     threads = []
     for seed in seeds:
-        bits = []
-        p = seed
-        ok = True
-        for level in range(0, cap):
-            branches = feasible_branches(cache, level, p)
-            if not branches:
-                ok = False
-                break
-            bit, p = branches[0]
-            bits.append(bit)
-        if ok:
-            threads.append(Thread(0, seed, tuple(bits)))
+        bits = _greedy_bits(cache, seed, cap)
+        if bits is not None:
+            threads.append(Thread(0, seed, bits))
     if not threads:
         raise SpectrumError("no feasible threads found for the model")
     return DiagonalModel(cfg.spectrum, tuple(threads), block_dim=2, level_cap=cap)
@@ -579,14 +580,15 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
     if csv_path is None and cfg.emit_csv:
         csv_path = f"dyadicspec_{command}.csv"
     if command == "classify":
-        rep = run_classify(cfg.spectrum, cfg.params)
+        cache = LevelCache(cfg.spectrum)
+        rep = run_classify(cfg.spectrum, cfg.params, cache)
         text = (
             json.dumps(report_to_dict(rep), indent=2) + "\n"
             if as_json
             else render_report(rep)
         )
         if csv_path:
-            _write_classify_csv(csv_path, rep, cfg)
+            _write_classify_csv(csv_path, rep, cfg, cache)
         code = 2 if rep.verdict is Verdict.INCONCLUSIVE else 0
         return code, text
 
@@ -647,6 +649,14 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         return 0, "\n".join(out) + "\n"
 
     if command == "simulate":
+        from .simulate import (
+            DyadicTime,
+            continuity_trace,
+            joint_spectrum_residual,
+            norm_bound_check,
+            quasi_uniform_cover,
+        )
+
         cache = LevelCache(cfg.spectrum)
         model = _default_model(cfg, cache)
         out = [f"diagonal model: {len(model.threads)} threads, level cap {model.level_cap}"]
@@ -696,6 +706,8 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
     if command == "towers":
         if cfg.tower is None:
             return 1, "error: no tower line in config\n"
+        from .towers import inverse_limit, lim1_vanishes, middle_group_bounds
+
         lim = inverse_limit(cfg.tower)
         ml = lim1_vanishes(cfg.tower)
         mid = middle_group_bounds(ml, lim.rank)
@@ -722,14 +734,16 @@ def _write_csv(path: str, header: list[str], rows, digits: int):
             )
 
 
-def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config):
+def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config, cache: LevelCache):
+    """The uniform bound's sup table or the witness's distance table; the
+    witness is re-walked through `cache`, the level sets classify built."""
     rows = []
     if rep.uniform_bound:
         for n, lo, hi in rep.uniform_bound.u_table:
             rows.append((n, lo, hi))
         _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, cfg.params.float_digits)
     elif rep.witness:
-        rate = convergence_rate(LevelCache(cfg.spectrum), rep.witness.thread, rep.witness.depth)
+        rate = convergence_rate(cache, rep.witness.thread, rep.witness.depth)
         for r in rate.rows:
             rows.append((r.level, r.dist_lo, r.dist_hi, render_pilinear(r.angle), str(r.log_mod)))
         _write_csv(

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, _mk, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
+from .records import Frozen, record
 from .spectrum import (
     ConsistencyError,
     SectionInterval,
@@ -58,7 +58,7 @@ class ComputationLimit(RuntimeError):
 # angle sets
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """The angles [lo, hi].  Read off a component it is anchored: lo in
     (-pi, pi] and hi - lo < 2*pi; make_component anchors any interval."""
@@ -67,7 +67,7 @@ class Interval:
     hi: PiLinear
 
 
-@dataclass(frozen=True)
+@record
 class Orbit:
     """The angle orbit {base + j*step*pi mod 2*pi : j integer}.
 
@@ -100,15 +100,55 @@ _ANGLE_RANK = {PiLinear: 0, type(None): 1, Interval: 2, Orbit: 3}
 # components
 
 
-@dataclass(frozen=True)
-class LevelPoint:
-    log_mod: Fraction  # modulus is e**log_mod
-    angle: PiLinear  # reduced to (-pi, pi]
+# LevelPoint and IsolatedPoint are nearly all the records a run builds and
+# hashes, so they are written out: slotted, set through their slot
+# descriptors, and compared and hashed with direct attribute loads.  Repr,
+# equality and hash are those of the records in records.py.
 
 
-@dataclass(frozen=True)
-class IsolatedPoint:
-    point: LevelPoint
+class LevelPoint(Frozen):
+    """The point e**log_mod * exp(i*angle), angle reduced to (-pi, pi]."""
+
+    __slots__ = _fields = ("log_mod", "angle")
+
+    def __init__(self, log_mod: Fraction, angle: PiLinear):
+        _set_log_mod(self, log_mod)
+        _set_angle(self, angle)
+
+    def __eq__(self, other):
+        if other.__class__ is not LevelPoint:
+            return NotImplemented
+        return self.log_mod == other.log_mod and self.angle == other.angle
+
+    def __hash__(self) -> int:
+        return hash((self.log_mod, self.angle))
+
+    def __repr__(self) -> str:
+        return f"LevelPoint(log_mod={self.log_mod!r}, angle={self.angle!r})"
+
+    def __reduce__(self):
+        return LevelPoint, (self.log_mod, self.angle)
+
+
+class IsolatedPoint(Frozen):
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: LevelPoint):
+        _set_point(self, point)
+
+    def __eq__(self, other):
+        if other.__class__ is not IsolatedPoint:
+            return NotImplemented
+        return self.point == other.point
+
+    def __hash__(self) -> int:
+        return hash((self.point,))
+
+    def __repr__(self) -> str:
+        return f"IsolatedPoint(point={self.point!r})"
+
+    def __reduce__(self):
+        return IsolatedPoint, (self.point,)
 
     @property
     def radial(self) -> tuple[Fraction, Fraction]:
@@ -119,7 +159,11 @@ class IsolatedPoint:
         return self.point.angle
 
 
-@dataclass(frozen=True)
+_set_log_mod, _set_angle = LevelPoint.log_mod.__set__, LevelPoint.angle.__set__
+_set_point = IsolatedPoint.point.__set__
+
+
+@record
 class Arc:
     """Angles [lo, hi] at one radius; lo anchored in (-pi, pi], span < 2*pi."""
 
@@ -136,7 +180,7 @@ class Arc:
         return Interval(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@record
 class FullCircle:
     log_mod: Fraction
 
@@ -147,7 +191,7 @@ class FullCircle:
         return self.log_mod, self.log_mod
 
 
-@dataclass(frozen=True)
+@record
 class CircleLattice:
     """Finite angle orbit {base + k*step*pi mod 2*pi}, stored without enumeration.
 
@@ -186,7 +230,7 @@ class CircleLattice:
         return [self.member(j) for j in range(take)]
 
 
-@dataclass(frozen=True)
+@record
 class Sector:
     """log_mod in [lo_log, hi_log], angle in [lo, hi] (span < 2*pi, anchored)."""
 
@@ -204,7 +248,7 @@ class Sector:
         return Interval(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@record
 class Annulus:
     lo_log: Fraction
     hi_log: Fraction
@@ -219,7 +263,7 @@ class Annulus:
 Component = Union[IsolatedPoint, Arc, FullCircle, CircleLattice, Sector, Annulus]
 
 
-@dataclass(frozen=True)
+@record
 class LevelSet:
     level: int
     components: tuple[Component, ...]
@@ -600,7 +644,7 @@ def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
 # sup of |1 - z| over a level set
 
 
-@dataclass(frozen=True)
+@record
 class SupResult:
     """Certified enclosure of sup |1 - z|^2 with the attaining candidate."""
 

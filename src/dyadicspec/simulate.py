@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import PiLinear, reduce_mod_2pi
 from .levels import LevelCache, LevelPoint, power_levelset, sup_abs_one_minus
 from .realbounds import compare_abs1m_sq
+from .records import record
 from .spectrum import (
     ConsistencyError,
     ILattice,
@@ -46,7 +46,7 @@ class DyadicRangeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class DyadicTime:
     """Positive dyadic rational k / 2^m, stored reduced (k odd unless m=0)."""
 
@@ -77,7 +77,7 @@ class DyadicTime:
         return f"{self.k}/2^{self.m}" if self.m else str(self.k)
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """t = sum of 2^-exponents; first = min, last = max, odd_part satisfies
     t = odd_part / 2^last exactly."""
@@ -113,7 +113,7 @@ def decompose(t: DyadicTime, cap: Fraction = Fraction(8)) -> Decomposition:
 # diagonal model
 
 
-@dataclass(frozen=True)
+@record
 class DiagonalModel:
     spectrum: SpectrumSet
     threads: tuple[Thread, ...]
@@ -143,7 +143,7 @@ class DiagonalModel:
             raise ValueError(f"level {n} outside the walked levels") from None
 
 
-@dataclass(frozen=True)
+@record
 class TestVector:
     blocks: tuple[tuple[complex, ...], ...]  # K rows of d coefficients
 
@@ -197,7 +197,7 @@ def apply_semigroup(
     return TestVector(tuple(tuple(x * c for x in row) for row, c in zip(v.blocks, scalars)))
 
 
-@dataclass(frozen=True)
+@record
 class NormBound:
     ok: bool
     level: int
@@ -224,7 +224,7 @@ def norm_bound_check(model: DiagonalModel, n: int) -> NormBound:
 # quasi-uniform subcovers
 
 
-@dataclass(frozen=True)
+@record
 class CoverResult:
     status: str  # "found" | "absent" | "unknown"
     indices: Optional[tuple[int, ...]]
@@ -304,7 +304,7 @@ def _blocking_thread(
 # joint-spectrum residual
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     residual: float  # min over samples of the normalized weighted sum
     raw: float  # same without normalizers

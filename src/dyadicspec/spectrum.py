@@ -23,11 +23,11 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactnum import PiLinear, _rat_gcd, _v2, ceil_ratio, floor_ratio
+from .records import record
 
 
 class SpectrumError(ValueError):
@@ -38,24 +38,24 @@ class SpectrumError(ValueError):
 # section parts
 
 
-@dataclass(frozen=True)
+@record
 class SectionPoints:
     values: tuple[PiLinear, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SectionInterval:
     lo: PiLinear
     hi: PiLinear  # lo < hi strictly (degenerate intervals become points)
 
 
-@dataclass(frozen=True)
+@record
 class SectionLattice:
     base: PiLinear
     step: PiLinear  # step > 0
 
 
-@dataclass(frozen=True)
+@record
 class SectionLine:
     pass
 
@@ -82,7 +82,7 @@ class _OnOneLine:
         return self.re
 
 
-@dataclass(frozen=True)
+@record
 class Point(_OnOneLine):
     re: Fraction
     im: PiLinear
@@ -92,7 +92,7 @@ class Point(_OnOneLine):
         return SectionPoints((self.im,))
 
 
-@dataclass(frozen=True)
+@record
 class VSegment(_OnOneLine):
     re: Fraction
     im_lo: PiLinear
@@ -107,7 +107,7 @@ class VSegment(_OnOneLine):
         return SectionInterval(self.im_lo, self.im_hi)
 
 
-@dataclass(frozen=True)
+@record
 class ILattice(_OnOneLine):
     """Points re + i(base + k*step) for all integers k."""
 
@@ -124,7 +124,7 @@ class ILattice(_OnOneLine):
         return SectionLattice(self.base, self.step)
 
 
-@dataclass(frozen=True)
+@record
 class VLine(_OnOneLine):
     re: Fraction
 
@@ -133,7 +133,7 @@ class VLine(_OnOneLine):
         return SectionLine()
 
 
-@dataclass(frozen=True)
+@record
 class Rect:
     re_lo: Fraction
     re_hi: Fraction
@@ -151,7 +151,7 @@ class Rect:
         return SectionInterval(self.im_lo, self.im_hi)
 
 
-@dataclass(frozen=True)
+@record
 class PrimeFamily:
     """The purely imaginary two-angle family over primes j >= 3.
 
@@ -223,7 +223,7 @@ def primes_from_3(count: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class SpectrumSet:
     primitives: tuple[Primitive, ...]
 
@@ -245,7 +245,7 @@ def real_part_range(Z: SpectrumSet) -> tuple[Fraction, Fraction]:
 # vertical sections
 
 
-@dataclass(frozen=True)
+@record
 class SectionSet:
     parts: tuple[SectionPart, ...]
 
@@ -304,7 +304,7 @@ class ConsistencyError(AssertionError):
     """Two independent routes to the same set disagreed (internal bug)."""
 
 
-@dataclass(frozen=True)
+@record
 class PairLevels:
     """Levels of one instance: the condition holds exactly at `hits` below
     `start` and equals `value` at every n >= `start`."""
@@ -524,7 +524,7 @@ def section_antipode_condition(Z: SpectrumSet, t: Fraction, n: int) -> bool:
 # per-section level sets (with tails) and the all-sections union
 
 
-@dataclass(frozen=True)
+@record
 class SectionLevels:
     """Levels n at which the antipode condition holds for one section."""
 
@@ -574,7 +574,7 @@ def _primefamily_schedule_text(Z: SpectrumSet) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class SectionFamilyReport:
     """Union of the per-section level sets over all distinct sections."""
 
@@ -633,7 +633,7 @@ def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
 # closedness of the exponential images
 
 
-@dataclass(frozen=True)
+@record
 class ClosednessWitness:
     """A limit point of the exponential image that the image misses."""
 
@@ -642,7 +642,7 @@ class ClosednessWitness:
     angle: PiLinear
 
 
-@dataclass(frozen=True)
+@record
 class ClosednessReport:
     closed: bool
     witnesses: tuple[ClosednessWitness, ...]

@@ -18,7 +18,6 @@ the negated root of every member at all deeper levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import takewhile
 from typing import Callable, Iterable, Iterator, Optional
@@ -31,6 +30,7 @@ from .levels import (
     membership,
 )
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
+from .records import record
 from .spectrum import ILattice, SpectrumSet, VLine
 
 
@@ -41,7 +41,7 @@ class InfeasibleThread(ValueError):
         super().__init__(f"thread leaves the level set at level {level}")
 
 
-@dataclass(frozen=True)
+@record
 class Thread:
     base_level: int
     base: LevelPoint
@@ -250,7 +250,7 @@ def persistence_certificate(Z: SpectrumSet, cache: LevelCache, th: Thread, depth
 # convergence rate
 
 
-@dataclass(frozen=True)
+@record
 class RateRow:
     level: int
     dist_lo: Fraction  # enclosure of |1 - point|
@@ -259,7 +259,7 @@ class RateRow:
     log_mod: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class RateReport:
     constant: Fraction  # certified: |1 - point| <= constant / 2^n on the table
     rows: tuple[RateRow, ...]

@@ -17,20 +17,21 @@ sequence 0 -> lim^1 -> middle -> lim -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
+
+from .records import record
 
 
 class TowerError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ConstantMaps:
     entries: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class PeriodicMaps:
     cycle: tuple[tuple[int, ...], ...]
 
@@ -42,7 +43,7 @@ class PeriodicMaps:
             raise TowerError("cycle entries must share the rank")
 
 
-@dataclass(frozen=True)
+@record
 class ZeroTower:
     pass
 
@@ -50,7 +51,7 @@ class ZeroTower:
 Maps = Union[ConstantMaps, PeriodicMaps, ZeroTower]
 
 
-@dataclass(frozen=True)
+@record
 class Tower:
     rank: int
     maps: Maps
@@ -86,7 +87,7 @@ class Tower:
         return tuple(step[i] for step in self.maps.cycle)
 
 
-@dataclass(frozen=True)
+@record
 class LimitResult:
     rank: int
     surviving: tuple[int, ...]  # component indices contributing Z
@@ -127,7 +128,7 @@ def lim1_vanishes(T: Tower) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class MiddleGroup:
     determined: bool
     rank: int | None

@@ -22,6 +22,14 @@ def test_four_canonical_verdicts(roots2k, solenoid, rectangle, primefamily):
     assert classify(primefamily).verdict is Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
 
 
+def test_classify_fills_the_callers_cache(solenoid, rectangle):
+    cache = LevelCache(solenoid)
+    assert classify(solenoid, cache=cache) == classify(solenoid)
+    assert cache._levels  # the witness search filled it
+    with pytest.raises(ValueError):
+        classify(rectangle, cache=cache)
+
+
 def test_report_contents(roots2k, rectangle, primefamily):
     rep = classify(roots2k)
     assert rep.witness is not None

@@ -15,8 +15,10 @@ from dyadicspec.cli import (
     render_config,
     run,
 )
+from dyadicspec import cli, levels, threads
 from dyadicspec.classify import ClassifyParams
 from dyadicspec.exactnum import PiLinear, PrecisionError
+from dyadicspec.levels import LevelCache
 from dyadicspec.spectrum import ConsistencyError, Rect, VLine
 
 
@@ -396,6 +398,42 @@ def test_csv_writers_match_golden_bytes(argv, golden, tmp_path, capsys):
     path = tmp_path / golden
     assert main([*argv, "--csv", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def _counting(monkeypatch, name, modules):
+    """Replace levels.<name> in `modules` by a wrapper; returns its call list."""
+    calls = []
+    fn = getattr(levels, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["roots2k", "solenoid"])
+def test_classify_csv_rewalks_the_witness_in_the_classify_cache(name, monkeypatch, tmp_path):
+    calls = _counting(monkeypatch, "level_set", [levels])
+    counts = []
+    for csv in (None, str(tmp_path / "w.csv")):
+        calls.clear()
+        assert run("classify", builtin_example(name), csv)[0] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert (tmp_path / "w.csv").read_text().startswith("n,dist_lo,dist_hi,angle,log_mod")
+
+
+@pytest.mark.parametrize("name, checks", [("roots2k", 61), ("rectangle", 122), ("primefamily", 183)])
+def test_default_model_tries_the_other_root_only_when_needed(name, checks, monkeypatch):
+    # 30 levels of greedy steps (the principal root holds throughout on
+    # these) plus the model's own walk of 31 points, per thread
+    calls = _counting(monkeypatch, "membership", [cli, threads])
+    cfg = builtin_example(name)
+    model = cli._default_model(cfg, LevelCache(cfg.spectrum))
+    assert len(calls) == checks == 61 * len(model.threads)
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,47 @@ def test_cli_import_loads_no_numpy():
     assert proc.stdout.split() == ["False", "[]"]
 
 
+# -S: no site hooks, so only the package can load what is checked
+_LAZY_PROBE = """
+import sys
+import dyadicspec.cli
+print([m for m in ("dataclasses", "inspect", "dyadicspec.simulate", "dyadicspec.towers") if m in sys.modules])
+from dyadicspec import DiagonalModel, Tower
+print(DiagonalModel.__module__, Tower.__module__)
+"""
+
+
+def test_cli_import_defers_simulate_and_towers():
+    import dyadicspec
+
+    src = os.path.dirname(os.path.dirname(dyadicspec.__file__))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": src}
+
+    def python(*args, stdin=None):
+        proc = subprocess.run(
+            [sys.executable, "-S", *args], input=stdin, capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    assert python("-c", _LAZY_PROBE).splitlines() == [
+        "[]",
+        "dyadicspec.simulate dyadicspec.towers",
+    ]
+    # the commands that need them load them
+    out = python("-m", "dyadicspec.cli", "examples", "roots2k", "--run", "simulate")
+    assert out.startswith("diagonal model: 1 threads")
+    out = python(
+        "-m", "dyadicspec.cli", "towers", "--config", "-",
+        stdin="spectrum vline re=0\ntower periodic 2,1|1,1\n",
+    )
+    assert out.splitlines() == [
+        "inverse limit: lim = Z^1",
+        "Mittag-Leffler / lim^1 = 0: no",
+        "middle group: undetermined: lim^1 does not vanish",
+    ]
+
+
 # The numpy bodies the stdlib port replaced, kept as oracles.
 def _np_sample_spectrum(np, Z, density, window):
     per = max(16, density // max(1, len(Z.primitives)))
