@@ -33,9 +33,9 @@ from .levels import (
 from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
 from .records import record
 from .spectrum import (
+    BOUNDED_PARTS,
     PrimeFamily,
     SectionFamilyReport,
-    SectionInterval,
     SectionPoints,
     SpectrumSet,
     antipode_level_union,
@@ -120,16 +120,12 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 # uniform-convergence check
 
-# section parts of bounded primitives; lines and lattices are unbounded
-_BOUNDED_PARTS = (SectionPoints, SectionInterval)
-
-
 def _bounded_radius_sq(Z: SpectrumSet) -> Optional[Fraction]:
     """Rational upper bound for sup |z|^2 over Z, None if Z is unbounded."""
     worst = Fraction(0)
     for p in Z.primitives:
         S = p.section
-        if isinstance(p, PrimeFamily) or not isinstance(S, _BOUNDED_PARTS):
+        if isinstance(p, PrimeFamily) or not isinstance(S, BOUNDED_PARTS):
             return None
         im_b = Fraction(0)
         for v in S.values if isinstance(S, SectionPoints) else (S.lo, S.hi):
@@ -264,7 +260,7 @@ def pointwise_certificate(
     shift condition alive at all large levels, and divergent threads
     exist (the witness route covers them).
     """
-    if not Z.primitives or not all(isinstance(p.section, _BOUNDED_PARTS) for p in Z.primitives):
+    if not Z.primitives or not all(isinstance(p.section, BOUNDED_PARTS) for p in Z.primitives):
         return None
     if sections is None:
         sections = antipode_level_union(Z, params.n_max)

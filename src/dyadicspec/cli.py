@@ -570,7 +570,7 @@ def _default_model(cfg: Config, cache: LevelCache) -> DiagonalModel:
             threads.append(Thread(0, seed, bits))
     if not threads:
         raise SpectrumError("no feasible threads found for the model")
-    return DiagonalModel(cfg.spectrum, tuple(threads), block_dim=2, level_cap=cap)
+    return DiagonalModel(cfg.spectrum, tuple(threads), block_dim=2, level_cap=cap, cache=cache)
 
 
 def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool = False) -> tuple[int, str]:

@@ -120,12 +120,17 @@ class DiagonalModel:
     block_dim: int
     level_cap: int
 
-    def __post_init__(self):
+    def __post_init__(self, *, cache: Optional[LevelCache] = None):
+        """`cache` holds level sets of the spectrum to reuse and fill; a
+        fresh one is made by default."""
         if not self.threads:
             raise ValueError("model needs at least one thread")
         if self.block_dim < 1 or self.level_cap < 1:
             raise ValueError("block_dim and level_cap must be >= 1")
-        cache = LevelCache(self.spectrum)
+        if cache is None:
+            cache = LevelCache(self.spectrum)
+        elif cache.Z != self.spectrum:
+            raise ValueError("the level cache belongs to another spectrum")
         # one walk per thread checks feasibility and keeps every point
         walks = tuple(dict(walk(cache, th, self.level_cap)) for th in self.threads)
         object.__setattr__(self, "_cache", cache)

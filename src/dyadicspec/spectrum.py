@@ -65,6 +65,9 @@ SectionPart = Union[SectionPoints, SectionInterval, SectionLattice, SectionLine]
 # the order in which the antipode condition pairs section parts
 _KIND_ORDER = (SectionPoints, SectionInterval, SectionLattice, SectionLine)
 
+# the bounded section parts; a lattice or a line is unbounded
+BOUNDED_PARTS = (SectionPoints, SectionInterval)
+
 
 # ---------------------------------------------------------------------------
 # primitives: a real range [re_lo, re_hi] times a section part

@@ -28,10 +28,11 @@ from .levels import (
     LevelPoint,
     component_sup_candidates,
     membership,
+    sup_abs_one_minus,
 )
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
-from .spectrum import ILattice, SpectrumSet, VLine
+from .spectrum import BOUNDED_PARTS, ILattice, SpectrumSet, VLine
 
 
 class InfeasibleThread(ValueError):
@@ -178,12 +179,23 @@ def divergence_search(
     lattice tower starts at the single point 1; an off-axis line needs the
     modulus near 1 before the band exceeds the threshold).  A returned
     witness is exact; None only means nothing was found at this effort.
+
+    `search` returns a thread only from a node at level `depth`: a point
+    of that level set with |1 - z|^2 >= delta^2.  When every section part
+    is bounded, a certified sup over that level set below delta^2 rules
+    out every such node, so the search is skipped as it could only return
+    None.  Lines and lattices keep a point near -1 at every level, so
+    their sup never drops and they go straight to the search.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    delta_sq = Fraction(delta) ** 2
+    if all(isinstance(p.section, BOUNDED_PARTS) for p in cache.Z.primitives) and (
+        sup_abs_one_minus(cache.level(depth), 15).sq_hi < delta_sq
+    ):
+        return None
     if base_levels is None:
         base_levels = tuple(range(0, min(depth, max(9, depth * 2 // 3))))
-    delta_sq = Fraction(delta) ** 2
 
     def keep(level: int, p: LevelPoint) -> bool:
         return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0

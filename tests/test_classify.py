@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dyadicspec import levels
 from dyadicspec.classify import (
     ClassifyParams,
     Verdict,
@@ -10,8 +11,9 @@ from dyadicspec.classify import (
     classify,
     pointwise_certificate,
 )
+from dyadicspec.cli import parse_config
 from dyadicspec.exactnum import PiLinear
-from dyadicspec.levels import LevelCache
+from dyadicspec.levels import LevelCache, level_set
 from dyadicspec.spectrum import ILattice, Point, SpectrumSet, VLine
 
 
@@ -126,3 +128,29 @@ def test_primefamily_other_sequence():
     for n in (9, 10, 11, 16, 17):
         assert antipodal_set(level_set(Z, n)).is_empty() == (n not in schedule)
     assert classify(Z).verdict is Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("spectrum point re=0 im=1\nsearch_depth 2000\n", Verdict.UNIFORMLY_CONTINUOUS),
+        (
+            "spectrum primefamily nseq=2j J=40\nsearch_depth 200\n",
+            Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM,
+        ),
+    ],
+)
+def test_deep_search_on_a_bounded_spectrum_builds_few_levels(text, verdict, monkeypatch):
+    # no thread can stay delta away from 1 at level search_depth, so the
+    # witness search builds that one level set instead of failing through
+    # every level below it
+    calls = []
+
+    def counted(Z, n):
+        calls.append(n)
+        return level_set(Z, n)
+
+    monkeypatch.setattr(levels, "level_set", counted)
+    cfg = parse_config(text)
+    assert classify(cfg.spectrum, cfg.params).verdict is verdict
+    assert len(calls) <= cfg.params.n_max + 2

@@ -182,6 +182,22 @@ def test_record_without_fields():
     assert repr(Empty()).endswith("Empty()")
 
 
+def test_init_only_keywords_reach_post_init():
+    @record
+    class Scaled:
+        x: int
+
+        def __post_init__(self, *, scale=1):
+            self.__dict__["scaled"] = self.x * scale
+
+    assert Scaled(2).scaled == 2 and Scaled(2, scale=3).scaled == 6
+    # an init-only value is not a field
+    assert Scaled(2, scale=3) == Scaled(2) and repr(Scaled(2, scale=3)).endswith("Scaled(x=2)")
+    for bad in (lambda: Scaled(2, 3), lambda: Scaled(2, colour=1), lambda: VLine(F(0), scale=2)):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_source_generates_no_code():
     """No module imports dataclasses, and none calls exec, eval or compile."""
     src = pathlib.Path(dyadicspec.__file__).parent

@@ -385,3 +385,35 @@ def test_residual_keeps_an_infinite_lambda_infinite():
     Z = SpectrumSet((Point(F(0), PiLinear(1, 0)),))
     rep = joint_spectrum_residual(Z, [complex(math.inf, math.inf)], 10)
     assert rep.residual == math.inf and rep.raw == math.inf
+
+
+@pytest.mark.parametrize("name", ["roots2k", "solenoid", "rectangle", "primefamily"])
+def test_simulate_builds_each_level_once(name, monkeypatch):
+    # the default model walks its threads in the run's level cache
+    from dyadicspec import levels
+    from dyadicspec.cli import builtin_example, run
+
+    calls = []
+    level_set = levels.level_set
+
+    def counted(Z, n):
+        calls.append(n)
+        return level_set(Z, n)
+
+    monkeypatch.setattr(levels, "level_set", counted)
+    assert run("simulate", builtin_example(name))[0] == 0
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_diagonal_model_reuses_the_callers_cache(roots2k, solenoid):
+    cache = LevelCache(roots2k)
+    own = model_for(roots2k)
+    shared = DiagonalModel(roots2k, own.threads, block_dim=2, level_cap=34, cache=cache)
+    assert shared.cache is cache and set(cache._levels) == set(range(35))
+    assert own.cache is not cache
+    # the cache is not a field: equality, hash and repr are unchanged
+    assert shared == own and hash(shared) == hash(own) and repr(shared) == repr(own)
+    with pytest.raises(ValueError):
+        DiagonalModel(solenoid, own.threads, 2, 34, cache=cache)
+    with pytest.raises(TypeError):
+        DiagonalModel(roots2k, own.threads, 2, 34, cache)  # keyword only

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from dyadicspec.exactnum import PiLinear, compare, reduce_mod_2pi
-from dyadicspec.levels import LevelCache, LevelPoint, level_set
+from dyadicspec.levels import LevelCache, LevelPoint, level_set, sup_abs_one_minus
 from dyadicspec.realbounds import compare_abs1m_sq
+from dyadicspec.spectrum import BOUNDED_PARTS
 from dyadicspec.threads import (
     InfeasibleThread,
     Thread,
@@ -197,3 +198,35 @@ def test_search_budget_of_one_node_finds_nothing(solenoid):
     found = search(cs, search_seeds(cs, range(13)), 20, keep, 20000)
     assert found is not None and found == divergence_search(cs, 20, F(7, 5))
     assert search(cs, search_seeds(cs, range(13)), 20, keep, 1) is None
+
+
+def test_bounded_cut_returns_what_the_full_search_returns():
+    # on bounded section parts divergence_search may skip the search after
+    # one sup over level `depth`; it must still return exactly the thread,
+    # or the None, of the search it skips
+    rng = random.Random(1303)
+    spectra = [random_spectrum(rng) for _ in range(24)]
+    bounded = [all(isinstance(p.section, BOUNDED_PARTS) for p in Z.primitives) for Z in spectra]
+    assert any(bounded) and not all(bounded)
+
+    def direct(cache, depth, delta, budget):
+        delta_sq = delta**2
+
+        def keep(level, p):
+            return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+
+        seeds = search_seeds(cache, range(min(depth, max(9, depth * 2 // 3))))
+        return search(cache, seeds, depth, keep, budget)
+
+    grid = [(d, delta, 20000) for d in (1, 4, 8, 12) for delta in (F(1, 2), F(1), F(7, 5), F(2))]
+    cut = found = 0
+    for Z, is_bounded in zip(spectra, bounded):
+        cache = LevelCache(Z)
+        for depth, delta, budget in grid + [(12, F(1, 2), 5)]:
+            th = divergence_search(cache, depth, delta, budget)
+            assert th == direct(cache, depth, delta, budget), (Z, depth, delta, budget)
+            if is_bounded:
+                cut += sup_abs_one_minus(cache.level(depth), 15).sq_hi < delta**2
+                found += th is not None
+    # on bounded spectra the cut skips some searches and leaves others to succeed
+    assert cut and found
