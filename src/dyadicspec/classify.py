@@ -238,7 +238,6 @@ def check_not_uniform(
 
 def pointwise_certificate(
     Z: SpectrumSet,
-    cache: LevelCache,
     params: ClassifyParams,
     sections: Optional[SectionFamilyReport] = None,
 ) -> Optional[PointwiseCertificate]:
@@ -258,7 +257,9 @@ def pointwise_certificate(
 
     Vertical lines and lattices are rejected: their sections keep the
     shift condition alive at all large levels, and divergent threads
-    exist (the witness route covers them).
+    exist (the witness route covers them).  The classifier asks only once
+    antipodes persist, and a bounded section's pair levels end, so the
+    persistence comes from a prime family.
     """
     if not Z.primitives or not all(isinstance(p.section, BOUNDED_PARTS) for p in Z.primitives):
         return None
@@ -271,26 +272,14 @@ def pointwise_certificate(
         known = s.levels | s.tail_extra
         if known:
             last = max(last, max(known))
-    has_family = any(isinstance(p, PrimeFamily) for p in Z.primitives)
-    if not has_family:
-        # purely bounded: branch levels are globally finite
-        for m in range(last + 1, last + 4):
-            if not antipodal_set(cache.level(m)).is_empty():
-                return None
-        reason = (
-            f"branching levels are exactly the section pair levels, all <= {last}; "
-            "beyond them every feasible branch is principal, so angles halve and "
-            "all threads converge"
-        )
-    else:
-        reason = (
-            f"last materialized branching level {last}; every branching either "
-            "keeps the thread principal inside a bounded component or commits it "
-            "to a single prime-family chain (cross-chain angle differences keep a "
-            "prime denominator), and each chain carries finitely many pair "
-            "levels, so every thread branches finitely often and is eventually "
-            "principal"
-        )
+    reason = (
+        f"last materialized branching level {last}; every branching either "
+        "keeps the thread principal inside a bounded component or commits it "
+        "to a single prime-family chain (cross-chain angle differences keep a "
+        "prime denominator), and each chain carries finitely many pair "
+        "levels, so every thread branches finitely often and is eventually "
+        "principal"
+    )
     return PointwiseCertificate(last_branch_level=last, reason=reason)
 
 
@@ -386,7 +375,7 @@ def classify(
         else:
             antipodal = check_not_uniform(Z, cache, params, sections)
             if antipodal is not None and antipodal.persistent:
-                pointwise = pointwise_certificate(Z, cache, params, sections)
+                pointwise = pointwise_certificate(Z, params, sections)
                 if pointwise is not None:
                     verdict = Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
                 else:

@@ -1,10 +1,12 @@
 """Command-line interface: config parsing, dispatch, reports, CSV.
 
 Config files are line-based, one `key value` per line, `#` comments.
-Keys: spectrum (repeatable), n_max, K (inert: validated and printed only),
-search_depth, node_budget, epsilon, delta, float_digits, ext_zero,
-emit_csv, tower, lambda.
-Spectrum lines use the primitive grammar, e.g.
+The keys are `spectrum` (repeatable) and those of `_SETTINGS`: n_max, K
+(inert: validated and printed only), search_depth, node_budget, delta,
+epsilon, float_digits, ext_zero, emit_csv, tower, lambda.  Each row there
+parses and renders its value, so `parse_config`, `render_config` and the
+report's params read one grammar.  Spectrum lines use the primitive
+grammar of `_PRIMITIVES`, e.g.
 
     spectrum rect re=[-1,0] im=[-1*pi,1*pi]
     spectrum ilattice re=0 base=0 step=2*pi
@@ -28,7 +30,7 @@ from typing import Optional
 
 from .classify import ClassificationReport, ClassifyParams, Verdict
 from .classify import classify as run_classify
-from .exactnum import PiLinear, PrecisionError
+from .exactnum import PrecisionError
 from .exactnum import parse as parse_pilinear, render as render_pilinear
 from .levels import (
     ComputationLimit,
@@ -75,121 +77,59 @@ class Config:
     lambdas: Optional[tuple[complex, ...]] = None
 
 
-_KNOWN_KEYS = {
-    "spectrum",
-    "n_max",
-    "K",
-    "search_depth",
-    "node_budget",
-    "epsilon",
-    "delta",
-    "float_digits",
-    "ext_zero",
-    "emit_csv",
-    "tower",
-    "lambda",
-}
-
-_KV_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
+# ---------------------------------------------------------------------------
+# the config grammar
+#
+# A value kind is a (parse, render) pair: parse(text, field) returns the
+# value or raises ValueError with the message to report, and render(value)
+# is text that parses back to the same value.
 
 
-def _parse_rat(text: str, line: int, col: int) -> Fraction:
+def _integer(text: str, field: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad integer {text!r}") from None
+
+
+def _rational(text: str, field: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(line, col, f"bad rational {text!r}")
+        raise ValueError(f"bad rational {text!r}") from None
 
 
-def _parse_pl(text: str, line: int, col: int) -> PiLinear:
-    try:
-        return parse_pilinear(text)
-    except ValueError as e:
-        raise ConfigError(line, col, str(e))
+def _count(text: str, field: str) -> int:
+    if (n := _integer(text, field)) < 1:
+        raise ValueError(f"{field} must be >= 1")
+    return n
 
 
-def _parse_pair(text: str, line: int, col: int) -> tuple[str, str]:
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ConfigError(line, col, f"expected [a,b], got {text!r}")
-    inner = text[1:-1]
-    parts = inner.split(",")
-    if len(parts) != 2:
-        raise ConfigError(line, col, f"expected two comma-separated values in {text!r}")
-    return parts[0].strip(), parts[1].strip()
+def _positive(text: str, field: str) -> Fraction:
+    if (x := _rational(text, field)) <= 0:
+        raise ValueError(f"{field} must be positive")
+    return x
 
 
-def _parse_primitive(rest: str, line: int, col: int):
-    """Parse `kind key=value ...`; `col` is the line column where `rest` starts."""
-    kind = rest.split(None, 1)[0]
-    kvs: dict[str, tuple[str, int]] = {}
-    for m in _KV_RE.finditer(rest, len(kind)):
-        kvs[m.group(1)] = (m.group(2), col + m.start())
-    # blank out the key=value spans so the first stray character keeps its column
-    leftover = _KV_RE.sub(lambda m: " " * len(m.group(0)), rest[len(kind):])
-    if leftover.strip():
-        start = len(kind) + len(leftover) - len(leftover.lstrip())
-        raise ConfigError(line, col + start, f"unparsed text {' '.join(leftover.split())!r}")
-
-    def need(*names):
-        for nm in names:
-            if nm not in kvs:
-                raise ConfigError(line, 1, f"{kind} needs {nm}=")
-        extra = set(kvs) - set(names)
-        if extra:
-            raise ConfigError(line, 1, f"{kind} got unknown fields {sorted(extra)}")
-
-    try:
-        if kind == "point":
-            need("re", "im")
-            return Point(
-                _parse_rat(kvs["re"][0], line, kvs["re"][1]),
-                _parse_pl(kvs["im"][0], line, kvs["im"][1]),
-            )
-        if kind == "vsegment":
-            need("re", "im")
-            lo, hi = _parse_pair(kvs["im"][0], line, kvs["im"][1])
-            return VSegment(
-                _parse_rat(kvs["re"][0], line, kvs["re"][1]),
-                _parse_pl(lo, line, kvs["im"][1]),
-                _parse_pl(hi, line, kvs["im"][1]),
-            )
-        if kind == "ilattice":
-            need("re", "base", "step")
-            return ILattice(
-                _parse_rat(kvs["re"][0], line, kvs["re"][1]),
-                _parse_pl(kvs["base"][0], line, kvs["base"][1]),
-                _parse_pl(kvs["step"][0], line, kvs["step"][1]),
-            )
-        if kind == "vline":
-            need("re")
-            return VLine(_parse_rat(kvs["re"][0], line, kvs["re"][1]))
-        if kind == "rect":
-            need("re", "im")
-            rlo, rhi = _parse_pair(kvs["re"][0], line, kvs["re"][1])
-            ilo, ihi = _parse_pair(kvs["im"][0], line, kvs["im"][1])
-            return Rect(
-                _parse_rat(rlo, line, kvs["re"][1]),
-                _parse_rat(rhi, line, kvs["re"][1]),
-                _parse_pl(ilo, line, kvs["im"][1]),
-                _parse_pl(ihi, line, kvs["im"][1]),
-            )
-        if kind == "primefamily":
-            need("nseq", "J")
-            try:
-                J = int(kvs["J"][0])
-            except ValueError:
-                raise ConfigError(line, kvs["J"][1], f"bad integer {kvs['J'][0]!r}")
-            return PrimeFamily(kvs["nseq"][0], J)
-    except SpectrumError as e:
-        raise ConfigError(line, 1, str(e))
-    raise ConfigError(line, 1, f"unknown primitive {kind!r}")
+def _positives(text: str, field: str) -> tuple[Fraction, ...]:
+    xs = tuple(_rational(x.strip(), field) for x in text.split(","))
+    if any(x <= 0 for x in xs):
+        raise ValueError(f"{field} must be positive")
+    return xs
 
 
-def _parse_tower(rest: str, line: int) -> Tower:
+def _boolean(text: str, field: str) -> bool:
+    if text in {"true", "yes", "1"}:
+        return True
+    if text in {"false", "no", "0"}:
+        return False
+    raise ValueError(f"bad boolean {text!r}")
+
+
+def _tower(text: str, field: str) -> Tower:
     from .towers import ConstantMaps, PeriodicMaps, Tower, ZeroTower
 
-    fields = rest.split(None, 1)
-    kind = fields[0]
-    tail = fields[1].strip() if len(fields) > 1 else ""
+    kind, tail = (text.split(None, 1) + [""])[:2]
     try:
         if kind == "zero":
             return Tower(0, ZeroTower())
@@ -202,130 +142,174 @@ def _parse_tower(rest: str, line: int) -> Tower:
             )
             return Tower(len(cycle[0]), PeriodicMaps(cycle))
     except ValueError:
-        raise ConfigError(line, 1, f"bad tower entries {tail!r}")
-    raise ConfigError(line, 1, f"unknown tower kind {kind!r} (constant|periodic|zero)")
+        raise ValueError(f"bad tower entries {tail!r}") from None
+    raise ValueError(f"unknown tower kind {kind!r} (constant|periodic|zero)")
 
 
-def parse_config(text: str) -> Config:
-    primitives = []
-    overrides: dict = {}
-    emit_csv = False
-    tower: Optional[Tower] = None
-    lambdas: Optional[tuple[complex, ...]] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split(None, 1)
-        key = fields[0]
-        rest = fields[1].strip() if len(fields) > 1 else ""
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(lineno, 1, f"unknown key {key!r}")
-        if not rest:
-            raise ConfigError(lineno, len(key) + 1, f"{key} needs a value")
-        if key == "spectrum":
-            col = raw.index(rest, raw.index(key) + len(key)) + 1
-            primitives.append(_parse_primitive(rest, lineno, col))
-        elif key in {"n_max", "K", "search_depth", "node_budget", "float_digits"}:
-            try:
-                val = int(rest)
-            except ValueError:
-                raise ConfigError(lineno, len(key) + 2, f"bad integer {rest!r}")
-            if val < 1:
-                raise ConfigError(lineno, len(key) + 2, f"{key} must be >= 1")
-            overrides[key] = val
-        elif key == "epsilon":
-            eps = tuple(_parse_rat(x.strip(), lineno, 1) for x in rest.split(","))
-            if any(e <= 0 for e in eps):
-                raise ConfigError(lineno, 1, "epsilons must be positive")
-            overrides["epsilons"] = eps
-        elif key == "delta":
-            d = _parse_rat(rest, lineno, len(key) + 2)
-            if d <= 0:
-                raise ConfigError(lineno, 1, "delta must be positive")
-            overrides["delta"] = d
-        elif key == "ext_zero":
-            overrides["ext_zero"] = _parse_bool(rest, lineno)
-        elif key == "emit_csv":
-            emit_csv = _parse_bool(rest, lineno)
-        elif key == "tower":
-            tower = _parse_tower(rest, lineno)
-        elif key == "lambda":
-            try:
-                lambdas = tuple(complex(x.strip()) for x in rest.split(","))
-            except ValueError:
-                raise ConfigError(lineno, 1, f"bad complex list {rest!r}")
-    params = ClassifyParams(**overrides)
-    return Config(
-        spectrum=SpectrumSet(tuple(primitives)),
-        params=params,
-        emit_csv=emit_csv,
-        tower=tower,
-        lambdas=lambdas,
-    )
+def _render_tower(tower: Tower) -> str:
+    from .towers import ConstantMaps, ZeroTower
+
+    m = tower.maps
+    if isinstance(m, ZeroTower):
+        return "zero"
+    if isinstance(m, ConstantMaps):
+        return "constant " + ",".join(map(str, m.entries))
+    return "periodic " + "|".join(",".join(map(str, s)) for s in m.cycle)
 
 
-def _parse_bool(text: str, line: int) -> bool:
-    if text in {"true", "yes", "1"}:
-        return True
-    if text in {"false", "no", "0"}:
-        return False
-    raise ConfigError(line, 1, f"bad boolean {text!r}")
-
-
-def _pl(x: PiLinear) -> str:
-    return render_pilinear(x).replace(" ", "")
-
-
-def render_config(cfg: Config) -> str:
-    """Canonical text form; parses back to an identical Config."""
-    lines = []
-    for p in cfg.spectrum.primitives:
-        if isinstance(p, Point):
-            lines.append(f"spectrum point re={p.re} im={_pl(p.im)}")
-        elif isinstance(p, VSegment):
-            lines.append(f"spectrum vsegment re={p.re} im=[{_pl(p.im_lo)},{_pl(p.im_hi)}]")
-        elif isinstance(p, ILattice):
-            lines.append(f"spectrum ilattice re={p.re} base={_pl(p.base)} step={_pl(p.step)}")
-        elif isinstance(p, VLine):
-            lines.append(f"spectrum vline re={p.re}")
-        elif isinstance(p, Rect):
-            lines.append(
-                f"spectrum rect re=[{p.re_lo},{p.re_hi}] im=[{_pl(p.im_lo)},{_pl(p.im_hi)}]"
-            )
-        elif isinstance(p, PrimeFamily):
-            lines.append(f"spectrum primefamily nseq={p.n_seq} J={p.J}")
-    pr = cfg.params
-    lines.append(f"n_max {pr.n_max}")
-    lines.append(f"K {pr.K}")
-    lines.append(f"search_depth {pr.search_depth}")
-    lines.append(f"node_budget {pr.node_budget}")
-    lines.append("epsilon " + ",".join(str(e) for e in pr.epsilons))
-    lines.append(f"delta {pr.delta}")
-    lines.append(f"float_digits {pr.float_digits}")
-    lines.append(f"ext_zero {'true' if pr.ext_zero else 'false'}")
-    lines.append(f"emit_csv {'true' if cfg.emit_csv else 'false'}")
-    if cfg.tower is not None:
-        from .towers import ConstantMaps, ZeroTower
-
-        m = cfg.tower.maps
-        if isinstance(m, ZeroTower):
-            lines.append("tower zero")
-        elif isinstance(m, ConstantMaps):
-            lines.append("tower constant " + ",".join(map(str, m.entries)))
-        else:
-            lines.append(
-                "tower periodic " + "|".join(",".join(map(str, s)) for s in m.cycle)
-            )
-    if cfg.lambdas is not None:
-        lines.append("lambda " + ",".join(_fmt_complex(c) for c in cfg.lambdas))
-    return "\n".join(lines) + "\n"
+def _complexes(text: str, field: str) -> tuple[complex, ...]:
+    try:
+        return tuple(complex(x.strip()) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad complex list {text!r}") from None
 
 
 def _fmt_complex(c: complex) -> str:
     if c.imag == 0:
         return repr(c.real) if c.real != int(c.real) else str(int(c.real))
     return str(c).strip("()")
+
+
+def _pair(text: str, field: str) -> tuple[str, str]:
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ValueError(f"expected [a,b], got {text!r}")
+    parts = text[1:-1].split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected two comma-separated values in {text!r}")
+    return parts[0].strip(), parts[1].strip()
+
+
+def _value(parse, text: str, field: str, line: int, col: int):
+    """parse(text, field), its error reported at column `col` of `line`."""
+    try:
+        return parse(text, field)
+    except ValueError as e:
+        raise ConfigError(line, col, str(e)) from None
+
+
+_RATIONAL = (_rational, str)
+_PILINEAR = (
+    lambda text, field: parse_pilinear(text),
+    lambda x: render_pilinear(x).replace(" ", ""),
+)
+_COUNT = (_count, str)
+_BOOLEAN = (_boolean, lambda b: str(b).lower())
+
+# keyword -> (class, fields); a field is (key, kind, attribute), or
+# (key, kind, low attribute, high attribute) for an `[a,b]` pair
+_PRIMITIVES = {
+    "point": (Point, (("re", _RATIONAL, "re"), ("im", _PILINEAR, "im"))),
+    "vsegment": (VSegment, (("re", _RATIONAL, "re"), ("im", _PILINEAR, "im_lo", "im_hi"))),
+    "ilattice": (
+        ILattice,
+        (("re", _RATIONAL, "re"), ("base", _PILINEAR, "base"), ("step", _PILINEAR, "step")),
+    ),
+    "vline": (VLine, (("re", _RATIONAL, "re"),)),
+    "rect": (Rect, (("re", _RATIONAL, "re_lo", "re_hi"), ("im", _PILINEAR, "im_lo", "im_hi"))),
+    "primefamily": (
+        PrimeFamily,
+        (("nseq", (lambda text, field: text, str), "n_seq"), ("J", (_integer, str), "J")),
+    ),
+}
+
+# key -> (ClassifyParams or Config field, kind), in ClassifyParams field
+# order; the config text and both report params blocks follow this order
+_SETTINGS = {
+    "n_max": ("n_max", _COUNT),
+    "K": ("K", _COUNT),  # inert: validated and printed only
+    "search_depth": ("search_depth", _COUNT),
+    "node_budget": ("node_budget", _COUNT),
+    "delta": ("delta", (_positive, str)),
+    "epsilon": ("epsilons", (_positives, lambda xs: ",".join(map(str, xs)))),
+    "float_digits": ("float_digits", _COUNT),
+    "ext_zero": ("ext_zero", _BOOLEAN),
+    "emit_csv": ("emit_csv", _BOOLEAN),
+    "tower": ("tower", (_tower, _render_tower)),
+    "lambda": ("lambdas", (_complexes, lambda cs: ",".join(map(_fmt_complex, cs)))),
+}
+
+_KV_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
+
+
+def _parse_primitive(rest: str, line: int, col: int):
+    """Parse `kind key=value ...`; `col` is the line column where `rest` starts."""
+    kind = rest.split(None, 1)[0]
+    kvs = {m.group(1): (m.group(2), col + m.start()) for m in _KV_RE.finditer(rest, len(kind))}
+    # blank out the key=value spans so the first stray character keeps its column
+    leftover = _KV_RE.sub(lambda m: " " * len(m.group(0)), rest[len(kind):])
+    if leftover.strip():
+        start = len(kind) + len(leftover) - len(leftover.lstrip())
+        raise ConfigError(line, col + start, f"unparsed text {' '.join(leftover.split())!r}")
+    if kind not in _PRIMITIVES:
+        raise ConfigError(line, 1, f"unknown primitive {kind!r}")
+    cls, fields = _PRIMITIVES[kind]
+    for key, *_ in fields:
+        if key not in kvs:
+            raise ConfigError(line, 1, f"{kind} needs {key}=")
+    extra = set(kvs) - {key for key, *_ in fields}
+    if extra:
+        raise ConfigError(line, 1, f"{kind} got unknown fields {sorted(extra)}")
+    # split every [a,b] pair before parsing any value: a pair error comes first
+    texts = [
+        _value(_pair, kvs[key][0], key, line, kvs[key][1]) if len(attrs) == 2 else (kvs[key][0],)
+        for key, _, *attrs in fields
+    ]
+    args = {}
+    for (key, (parse, _), *attrs), parts in zip(fields, texts):
+        for attr, text in zip(attrs, parts):
+            args[attr] = _value(parse, text, key, line, kvs[key][1])
+    try:
+        return cls(**args)
+    except SpectrumError as e:
+        raise ConfigError(line, 1, str(e))
+
+
+def parse_config(text: str) -> Config:
+    primitives = []
+    values: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        key, rest = (stripped.split(None, 1) + [""])[:2]
+        if key != "spectrum" and key not in _SETTINGS:
+            raise ConfigError(lineno, 1, f"unknown key {key!r}")
+        if not rest:
+            raise ConfigError(lineno, len(key) + 1, f"{key} needs a value")
+        col = raw.index(rest, raw.index(key) + len(key)) + 1
+        if key == "spectrum":
+            primitives.append(_parse_primitive(rest, lineno, col))
+        else:
+            attr, (parse, _) = _SETTINGS[key]
+            values[attr] = _value(parse, rest, attr, lineno, col)
+    params = {attr: values.pop(attr) for attr in ClassifyParams._fields if attr in values}
+    return Config(SpectrumSet(tuple(primitives)), ClassifyParams(**params), **values)
+
+
+def _param_settings(params: ClassifyParams) -> list[tuple]:
+    """(key, field, value, render) of each ClassifyParams setting, in table order."""
+    return [
+        (key, attr, getattr(params, attr), render)
+        for key, (attr, (_, render)) in _SETTINGS.items()
+        if attr in ClassifyParams._fields
+    ]
+
+
+def render_config(cfg: Config) -> str:
+    """Canonical text form; parses back to an identical Config."""
+    lines = []
+    for p in cfg.spectrum.primitives:
+        kind = next(k for k, (cls, _) in _PRIMITIVES.items() if type(p) is cls)
+        words = [kind]
+        for key, (_, render), *attrs in _PRIMITIVES[kind][1]:
+            vals = ",".join(render(getattr(p, a)) for a in attrs)
+            words.append(f"{key}=[{vals}]" if len(attrs) == 2 else f"{key}={vals}")
+        lines.append("spectrum " + " ".join(words))
+    for key, (attr, (_, render)) in _SETTINGS.items():
+        value = getattr(cfg.params if attr in ClassifyParams._fields else cfg, attr)
+        if value is not None:
+            lines.append(f"{key} {render(value)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +360,10 @@ def report_to_dict(rep: ClassificationReport) -> dict:
             {"level": n, "closed": c} for n, c in rep.closedness_by_level
         ],
         "notes": list(rep.notes),
+        # numbers and booleans as they are, rationals as text
         "params": {
-            "n_max": rep.params.n_max,
-            "K": rep.params.K,
-            "search_depth": rep.params.search_depth,
-            "node_budget": rep.params.node_budget,
-            "delta": str(rep.params.delta),
-            "epsilons": [str(e) for e in rep.params.epsilons],
-            "float_digits": rep.params.float_digits,
-            "ext_zero": rep.params.ext_zero,
+            k: [str(x) for x in v] if isinstance(v, tuple) else v if isinstance(v, int) else str(v)
+            for _, k, v, _ in _param_settings(rep.params)
         },
     }
     if rep.witness:
@@ -504,35 +483,15 @@ def render_report(rep: ClassificationReport) -> str:
     out.append("notes:")
     for n in d["notes"]:
         out.append(f"  - {n}")
-    p = d["params"]
     out.append(
-        "params: n_max=%s K=%s search_depth=%s node_budget=%s delta=%s "
-        "epsilon=%s float_digits=%s ext_zero=%s"
-        % (
-            p["n_max"],
-            p["K"],
-            p["search_depth"],
-            p["node_budget"],
-            p["delta"],
-            ",".join(p["epsilons"]),
-            p["float_digits"],
-            str(p["ext_zero"]).lower(),
-        )
+        "params: "
+        + " ".join(f"{key}={render(v)}" for key, _, v, render in _param_settings(rep.params))
     )
     return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _describe_levelset(L) -> list[str]:
-    out = []
-    for c in L.components:
-        out.append(f"  {type(c).__name__}: {c}")
-    if not L.components:
-        out.append("  (empty)")
-    return out
 
 
 def _greedy_bits(cache: LevelCache, seed: LevelPoint, cap: int) -> Optional[tuple[int, ...]]:
@@ -599,7 +558,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         for n in range(cfg.params.n_max + 1):
             L = cache.level(n)
             out.append(f"level {n}:")
-            out.extend(_describe_levelset(L))
+            out.extend([f"  {type(c).__name__}: {c}" for c in L.components] or ["  (empty)"])
             if csv_path:
                 for re_, im_ in sample_points(L):
                     rows.append((n, re_, im_))
@@ -735,22 +694,19 @@ def _write_csv(path: str, header: list[str], rows, digits: int):
 
 
 def _write_classify_csv(path: str, rep: ClassificationReport, cfg: Config, cache: LevelCache):
-    """The uniform bound's sup table or the witness's distance table; the
-    witness is re-walked through `cache`, the level sets classify built."""
-    rows = []
-    if rep.uniform_bound:
-        for n, lo, hi in rep.uniform_bound.u_table:
-            rows.append((n, lo, hi))
-        _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, cfg.params.float_digits)
-    elif rep.witness:
+    """The witness's distance table, else the uniform bound's sup table
+    (empty without a bound); the witness is re-walked through `cache`, the
+    level sets classify built."""
+    digits = cfg.params.float_digits
+    if rep.witness:
         rate = convergence_rate(cache, rep.witness.thread, rep.witness.depth)
-        for r in rate.rows:
-            rows.append((r.level, r.dist_lo, r.dist_hi, render_pilinear(r.angle), str(r.log_mod)))
-        _write_csv(
-            path, ["n", "dist_lo", "dist_hi", "angle", "log_mod"], rows, cfg.params.float_digits
-        )
+        rows = [
+            (r.level, r.dist_lo, r.dist_hi, render_pilinear(r.angle), str(r.log_mod)) for r in rate.rows
+        ]
+        _write_csv(path, ["n", "dist_lo", "dist_hi", "angle", "log_mod"], rows, digits)
     else:
-        _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, cfg.params.float_digits)
+        rows = rep.uniform_bound.u_table if rep.uniform_bound else ()
+        _write_csv(path, ["n", "sup_lo", "sup_hi"], rows, digits)
 
 
 @functools.cache

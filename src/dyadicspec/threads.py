@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import takewhile
 from typing import Callable, Iterable, Iterator, Optional
 
 from .exactnum import PiLinear, _mk, _v2, reduce_mod_2pi
@@ -170,7 +169,6 @@ def divergence_search(
     depth: int,
     delta: Fraction,
     node_budget: int = 20000,
-    base_levels: Optional[tuple[int, ...]] = None,
 ) -> Optional[Thread]:
     """Search for a feasible thread with |1 - point|^2 >= delta^2 at every
     level from its base down to `depth`.
@@ -194,14 +192,12 @@ def divergence_search(
         sup_abs_one_minus(cache.level(depth), 15).sq_hi < delta_sq
     ):
         return None
-    if base_levels is None:
-        base_levels = tuple(range(0, min(depth, max(9, depth * 2 // 3))))
+    base_levels = range(0, min(depth, max(9, depth * 2 // 3)))
 
     def keep(level: int, p: LevelPoint) -> bool:
         return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
 
-    seeds = search_seeds(cache, takewhile(lambda n0: n0 < depth, base_levels))
-    return search(cache, seeds, depth, keep, node_budget)
+    return search(cache, search_seeds(cache, base_levels), depth, keep, node_budget)
 
 
 def verify_witness(cache: LevelCache, th: Thread, depth: int, delta: Fraction) -> bool:
@@ -234,7 +230,8 @@ def persistence_certificate(Z: SpectrumSet, cache: LevelCache, th: Thread, depth
     for prim in Z.primitives:
         if not isinstance(prim, (VLine, ILattice)):
             continue
-        sub = LevelCache(SpectrumSet((prim,)))
+        # the caller's cache already holds the levels of a one-primitive Z
+        sub = cache if cache.Z.primitives == (prim,) else LevelCache(SpectrumSet((prim,)))
         try:
             evaluate(sub, th, depth)
         except (InfeasibleThread, ValueError):

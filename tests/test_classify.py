@@ -70,8 +70,8 @@ def test_not_uniform_persistent_reasons(roots2k, primefamily, rectangle):
 
 def test_pointwise_certificate_scope(primefamily, solenoid):
     p = ClassifyParams()
-    assert pointwise_certificate(primefamily, LevelCache(primefamily), p) is not None
-    assert pointwise_certificate(solenoid, LevelCache(solenoid), p) is None
+    assert pointwise_certificate(primefamily, p) is not None
+    assert pointwise_certificate(solenoid, p) is None
 
 
 def test_single_point_spectra_uniform():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from dyadicspec.classify import ClassifyParams
 from dyadicspec.exactnum import PiLinear, PrecisionError
 from dyadicspec.levels import LevelCache
 from dyadicspec.spectrum import ConsistencyError, Rect, VLine
+
+from conftest import random_spectrum
 
 
 CONFIG = """
@@ -54,13 +57,18 @@ def test_parse_config_fields():
     assert cfg.lambdas == (1 + 0j, 0.5 + 0j)
 
 
+def _roundtrips(cfg: Config):
+    text = render_config(cfg)
+    assert parse_config(text) == cfg
+    assert render_config(parse_config(text)) == text
+
+
 def test_roundtrip_render_parse():
     cfg = parse_config(CONFIG)
-    again = parse_config(render_config(cfg))
-    assert again == cfg
+    assert "tower constant 2,1" in render_config(cfg) and "lambda 1,0.5" in render_config(cfg)
+    _roundtrips(cfg)
     for name in ("roots2k", "solenoid", "rectangle", "primefamily"):
-        cfg = builtin_example(name)
-        assert parse_config(render_config(cfg)) == cfg
+        _roundtrips(builtin_example(name))
 
 
 def test_parse_errors_carry_line_numbers():
@@ -467,3 +475,110 @@ def test_residual_past_the_float_range_is_finite(spectrum):
     assert code == 0
     (line,) = [ln for ln in text.splitlines() if ln.startswith("joint-spectrum residual")]
     assert math.isfinite(float(line.split("]: ")[1].split(" (")[0]))
+
+
+BUILTINS = ("roots2k", "solenoid", "rectangle", "primefamily")
+
+# every setting and primitive kind; setting-value errors name the column
+# where the value starts, spectrum-field errors the column of `key=`, and
+# missing, extra or unknown fields and constructor errors column 1
+ERROR_GRID = [
+    ("bogus 3", "line 1, col 1: unknown key 'bogus'"),
+    ("n_max", "line 1, col 6: n_max needs a value"),
+    ("ext_zero  # no value", "line 1, col 9: ext_zero needs a value"),
+    ("n_max x", "line 1, col 7: bad integer 'x'"),
+    ("   n_max   x", "line 1, col 12: bad integer 'x'"),
+    ("n_max 0", "line 1, col 7: n_max must be >= 1"),
+    ("K -2", "line 1, col 3: K must be >= 1"),
+    ("search_depth 1.5", "line 1, col 14: bad integer '1.5'"),
+    ("node_budget 0", "line 1, col 13: node_budget must be >= 1"),
+    ("float_digits abc", "line 1, col 14: bad integer 'abc'"),
+    ("delta x", "line 1, col 7: bad rational 'x'"),
+    ("delta -1", "line 1, col 7: delta must be positive"),
+    ("delta 0", "line 1, col 7: delta must be positive"),
+    ("delta 1/0", "line 1, col 7: bad rational '1/0'"),
+    ("delta 1 2", "line 1, col 7: bad rational '1 2'"),
+    ("  delta   -1   # comment", "line 1, col 11: delta must be positive"),
+    ("delta\t-1", "line 1, col 7: delta must be positive"),
+    ("epsilon 1/10,x", "line 1, col 9: bad rational 'x'"),
+    ("epsilon 1/10,-1/2", "line 1, col 9: epsilons must be positive"),
+    ("epsilon -1,x", "line 1, col 9: bad rational 'x'"),
+    ("epsilon 0", "line 1, col 9: epsilons must be positive"),
+    ("ext_zero maybe", "line 1, col 10: bad boolean 'maybe'"),
+    ("emit_csv 2", "line 1, col 10: bad boolean '2'"),
+    ("tower spiral", "line 1, col 7: unknown tower kind 'spiral' (constant|periodic|zero)"),
+    ("tower constant 2,x", "line 1, col 7: bad tower entries '2,x'"),
+    ("tower periodic 1,2|x", "line 1, col 7: bad tower entries '1,2|x'"),
+    ("tower periodic 1,2|3", "line 1, col 7: bad tower entries '1,2|3'"),
+    ("lambda 1,q", "line 1, col 8: bad complex list '1,q'"),
+    ("spectrum", "line 1, col 9: spectrum needs a value"),
+    ("spectrum blob re=0", "line 1, col 1: unknown primitive 'blob'"),
+    ("spectrum blob junk", "line 1, col 15: unparsed text 'junk'"),
+    ("spectrum point re=0", "line 1, col 1: point needs im="),
+    ("spectrum point im=1", "line 1, col 1: point needs re="),
+    ("spectrum point re=0 im=1 extra=2", "line 1, col 1: point got unknown fields ['extra']"),
+    ("spectrum point re=x im=1", "line 1, col 16: bad rational 'x'"),
+    ("spectrum point re=0 im=1+2*e", "line 1, col 21: bad pi-linear term: '2*e'"),
+    ("spectrum point re=0 im=1/0*pi", "line 1, col 21: zero denominator in pi-linear term: '1/0*pi'"),
+    ("spectrum point re=0 re=1 im=x", "line 1, col 26: bad pi-linear term: 'x'"),
+    ("spectrum point re=0 im=1 junk", "line 1, col 26: unparsed text 'junk'"),
+    ("  spectrum  point re=x im=1  # note", "line 1, col 19: bad rational 'x'"),
+    ("spectrum point junk re=0 im=1 more", "line 1, col 16: unparsed text 'junk more'"),
+    ("spectrum vsegment re=0", "line 1, col 1: vsegment needs im="),
+    ("spectrum vsegment re=0 im=5", "line 1, col 24: expected [a,b], got '5'"),
+    ("spectrum vsegment re=x im=5", "line 1, col 24: expected [a,b], got '5'"),
+    ("spectrum vsegment re=0 im=[1,2,3]", "line 1, col 24: expected two comma-separated values in '[1,2,3]'"),
+    ("spectrum vsegment re=0 im=[1*pi,0]", "line 1, col 1: segment with im_lo > im_hi"),
+    ("spectrum vsegment re=0 im=[0,x]", "line 1, col 24: bad pi-linear term: 'x'"),
+    ("spectrum ilattice re=0 base=0 step=-2*pi", "line 1, col 1: lattice step must be positive"),
+    ("spectrum ilattice re=0 base=x step=2*pi", "line 1, col 24: bad pi-linear term: 'x'"),
+    ("spectrum ilattice re=0 step=2*pi", "line 1, col 1: ilattice needs base="),
+    ("spectrum vline re=1/0", "line 1, col 16: bad rational '1/0'"),
+    ("spectrum vline", "line 1, col 1: vline needs re="),
+    ("spectrum vline re=0 im=1", "line 1, col 1: vline got unknown fields ['im']"),
+    ("spectrum rect re=[0,1]", "line 1, col 1: rect needs im="),
+    ("spectrum rect re=[x,0] im=5", "line 1, col 24: expected [a,b], got '5'"),
+    ("spectrum rect re=[0,-1] im=[0,1*pi]", "line 1, col 1: rectangle with re_lo > re_hi"),
+    ("spectrum rect re=0 im=[0,1]", "line 1, col 15: expected [a,b], got '0'"),
+    ("spectrum rect re=[0,1] im=[0,y]", "line 1, col 24: bad pi-linear term: 'y'"),
+    ("spectrum primefamily nseq=2j J=x", "line 1, col 30: bad integer 'x'"),
+    ("spectrum primefamily nseq=jj J=3", "line 1, col 1: unsupported n_seq 'jj' (expected e.g. '2j' or '2j+1')"),
+    ("spectrum primefamily nseq=2j J=0", "line 1, col 1: prime family truncation must be >= 1"),
+    ("spectrum primefamily J=3", "line 1, col 1: primefamily needs nseq="),
+    ("# header\n\nn_max 3\ndelta x", "line 4, col 7: bad rational 'x'"),
+    ("n_max 3  # fine\n  bogus 1", "line 2, col 1: unknown key 'bogus'"),
+]
+
+
+@pytest.mark.parametrize("config, error", ERROR_GRID)
+def test_malformed_config_gives_one_exact_error_line(config, error, tmp_path, capsys):
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_text(config + "\n")
+    assert main(["classify", "--config", str(cfgfile)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_error_grid_covers_every_setting_and_primitive():
+    words = {w for config, _ in ERROR_GRID for w in config.split()[:2]}
+    assert set(cli._SETTINGS) | set(cli._PRIMITIVES) <= words
+
+
+def test_render_config_roundtrips_random_spectra():
+    rng = random.Random(1501)
+    for _ in range(200):
+        _roundtrips(Config(random_spectrum(rng), ClassifyParams()))
+
+
+def test_render_config_lists_settings_in_table_order():
+    keys = [line.split()[0] for line in render_config(parse_config(CONFIG)).splitlines()]
+    assert keys == ["spectrum", "spectrum", *cli._SETTINGS]
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, "config"])
+@pytest.mark.parametrize("as_json, ext", [(False, "txt"), (True, "json")])
+def test_classify_reports_match_golden_bytes(name, as_json, ext, tmp_path):
+    cfg = parse_config(CONFIG) if name == "config" else builtin_example(name)
+    code, text = run("classify", cfg, str(tmp_path / "c.csv"), as_json)
+    assert code == (2 if name == "config" else 0)
+    assert text.encode() == (GOLDEN / f"report_{name}.{ext}").read_bytes()
+

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from dyadicspec import threads
 from dyadicspec.exactnum import PiLinear, compare, reduce_mod_2pi
 from dyadicspec.levels import LevelCache, LevelPoint, level_set, sup_abs_one_minus
 from dyadicspec.realbounds import compare_abs1m_sq
-from dyadicspec.spectrum import BOUNDED_PARTS
+from dyadicspec.spectrum import BOUNDED_PARTS, Point, SpectrumSet, VLine
 from dyadicspec.threads import (
     InfeasibleThread,
     Thread,
@@ -230,3 +231,25 @@ def test_bounded_cut_returns_what_the_full_search_returns():
                 found += th is not None
     # on bounded spectra the cut skips some searches and leaves others to succeed
     assert cut and found
+
+
+@pytest.mark.parametrize(
+    "Z, new_caches",
+    [
+        (SpectrumSet((VLine(F(0)),)), 0),
+        (SpectrumSet((VLine(F(0)), Point(F(-1), PiLinear(0, F(1, 2))))), 1),
+    ],
+)
+def test_persistence_certificate_builds_a_cache_only_for_a_proper_part(Z, new_caches, monkeypatch):
+    # on a one-primitive spectrum the caller's cache holds the primitive's own levels
+    cache = LevelCache(Z)
+    th = divergence_search(cache, 10, F(7, 5))
+    built = []
+
+    def counted(sub):
+        built.append(sub)
+        return LevelCache(sub)
+
+    monkeypatch.setattr(threads, "LevelCache", counted)
+    assert persistence_certificate(Z, cache, th, 10).startswith("vertical line re=0")
+    assert len(built) == new_caches
