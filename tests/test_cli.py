@@ -574,11 +574,32 @@ def test_render_config_lists_settings_in_table_order():
     assert keys == ["spectrum", "spectrum", *cli._SETTINGS]
 
 
-@pytest.mark.parametrize("name", [*BUILTINS, "config"])
+# name -> (config text, exit code): configs beyond the built-ins whose
+# reports hold sentences no built-in reaches
+GOLDEN_CONFIGS = {
+    "config": (CONFIG, 2),
+    # a depth-8 divergent prefix that no source primitive certifies
+    "prefix": ("spectrum primefamily nseq=2j J=8\nsearch_depth 8\n", 0),
+    # a lattice with an irrational step: the dense-orbit persistence
+    "dense": ("spectrum ilattice re=0 base=0 step=1\n", 0),
+    # no gate closes: the sup table at n_max 2 stays above the tolerance
+    "open": ("spectrum point re=0 im=1\nn_max 2\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, *GOLDEN_CONFIGS])
 @pytest.mark.parametrize("as_json, ext", [(False, "txt"), (True, "json")])
 def test_classify_reports_match_golden_bytes(name, as_json, ext, tmp_path):
-    cfg = parse_config(CONFIG) if name == "config" else builtin_example(name)
+    text, want = GOLDEN_CONFIGS.get(name, (None, 0))
+    cfg = builtin_example(name) if text is None else parse_config(text)
     code, text = run("classify", cfg, str(tmp_path / "c.csv"), as_json)
-    assert code == (2 if name == "config" else 0)
+    assert code == want
     assert text.encode() == (GOLDEN / f"report_{name}.{ext}").read_bytes()
+
+
+def test_mt_report_of_a_dense_lattice_matches_golden_bytes():
+    # the closedness witness of a dense orbit: the missed angle and limit point
+    code, text = run("mt", parse_config(GOLDEN_CONFIGS["dense"][0]))
+    assert code == 0
+    assert text.encode() == (GOLDEN / "mt_dense.txt").read_bytes()
 
