@@ -6,6 +6,11 @@ cl(exp(Z / 2^n)) under squaring is uniformly continuous, strongly
 continuous but not uniformly, or not strongly continuous, with
 machine-checkable evidence computed in exact arithmetic over numbers
 q0 + q1*pi.
+
+The package attribute `dyadicspec.classify` is the function, not the
+submodule of the same name, and `import dyadicspec.classify as m` binds
+the function too; reach the module through
+`sys.modules["dyadicspec.classify"]`, for instance to patch it in a test.
 """
 
 import importlib

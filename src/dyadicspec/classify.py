@@ -15,17 +15,20 @@ Verdicts:
   is reported as-is.
 
 Everything the verdict relies on is replayable: the report stores the
-witnesses, levels, constants and parameters used.
+spectrum, witnesses, levels, constants and parameters used, as exact
+values.  The report's sentences are written from them by `cli`.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from .levels import (
+    Component,
     LevelCache,
+    LevelPoint,
     antipodal_set,
     enumerate_points,
     sup_abs_one_minus,
@@ -34,12 +37,14 @@ from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
 from .records import record
 from .spectrum import (
     BOUNDED_PARTS,
+    ConsistencyError,
+    ILattice,
     PrimeFamily,
     SectionFamilyReport,
     SectionPoints,
     SpectrumSet,
+    VLine,
     antipode_level_union,
-    image_closedness,
 )
 from .threads import (
     Thread,
@@ -84,9 +89,9 @@ class UniformRateBound:
 @record
 class AntipodalLevels:
     levels: tuple[int, ...]
-    persistent: bool
-    reason: Optional[str]
-    pair_samples: tuple[str, ...]
+    # per level: its first antipodal point, or its first component when
+    # the antipodal set is not a short list of points
+    samples: tuple[tuple[int, Union[LevelPoint, Component]], ...]
 
 
 @record
@@ -94,27 +99,26 @@ class WitnessThread:
     thread: Thread
     delta: Fraction
     depth: int
-    persistence: str
+    source: Union[VLine, ILattice]  # the primitive that makes the pattern persist
+    closed_from: Optional[int]  # a rational lattice's antipode-closed level
 
 
 @record
 class PointwiseCertificate:
     last_branch_level: int
-    reason: str
 
 
 @record
 class ClassificationReport:
     verdict: Verdict
+    spectrum: SpectrumSet
     witness: Optional[WitnessThread]
+    prefix: Optional[Thread]  # a divergent prefix no primitive certifies
     uniform_bound: Optional[UniformRateBound]
     antipodal: Optional[AntipodalLevels]
     pointwise: Optional[PointwiseCertificate]
     sections: SectionFamilyReport
-    closedness_by_level: tuple[tuple[int, bool], ...]
     params: ClassifyParams
-    ext_zero_assumed: bool
-    notes: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -193,43 +197,25 @@ def check_not_uniform(
     params: ClassifyParams,
     sections: Optional[SectionFamilyReport] = None,
 ) -> Optional[AntipodalLevels]:
-    """Levels with antipodal pairs in the level set, with a symbolic
-    persistence argument when the pattern is provably infinite.
+    """Levels up to n_max with antipodal pairs in the level set, each with
+    a sample; None when there are none and the section union is finite.
 
     Level n is the projection of the inverse limit, so a pair z, -z in it
     keeps sup |1 - .| >= |z|, which blocks uniform convergence whenever
-    pairs persist.
+    pairs persist.  They persist exactly when a section has infinitely
+    many pair levels (`sections.holds` is False), which its tail certifies.
     """
     if sections is None:
         sections = antipode_level_union(Z, params.n_max)
-    levels = []
-    samples: list[str] = []
+    samples = []
     for n in range(params.n_max + 1):
         A = antipodal_set(cache.level(n))
         if not A.is_empty():
-            levels.append(n)
             pts = enumerate_points(A, 1)
-            if pts:
-                samples.append(f"n={n}: angle {pts[0].angle}")
-            else:
-                samples.append(f"n={n}: {type(A.components[0]).__name__}")
-    persistent = False
-    reason = None
-    for s in sections.sections:
-        if s.tail_all_from is not None:
-            persistent = True
-            reason = (
-                f"section t={s.t}: the shift condition holds for every level "
-                f">= {s.tail_all_from}"
-            )
-            break
-        if s.unbounded_schedule is not None:
-            persistent = True
-            reason = f"section t={s.t}: antipodal levels {s.unbounded_schedule}"
-            break
-    if not levels and not persistent:
+            samples.append((n, pts[0] if pts else A.components[0]))
+    if not samples and sections.holds:
         return None
-    return AntipodalLevels(tuple(levels), persistent, reason, tuple(samples))
+    return AntipodalLevels(tuple(n for n, _ in samples), tuple(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +258,7 @@ def pointwise_certificate(
         known = s.levels | s.tail_extra
         if known:
             last = max(last, max(known))
-    reason = (
-        f"last materialized branching level {last}; every branching either "
-        "keeps the thread principal inside a bounded component or commits it "
-        "to a single prime-family chain (cross-chain angle differences keep a "
-        "prime denominator), and each chain carries finitely many pair "
-        "levels, so every thread branches finitely often and is eventually "
-        "principal"
-    )
-    return PointwiseCertificate(last_branch_level=last, reason=reason)
+    return PointwiseCertificate(last_branch_level=last)
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +267,20 @@ def pointwise_certificate(
 
 def check_not_strong(
     Z: SpectrumSet, cache: LevelCache, params: ClassifyParams
-) -> tuple[Optional[WitnessThread], Optional[str]]:
-    """Witness thread with a persistence certificate, or a note about an
-    uncertified prefix (second slot)."""
+) -> tuple[Optional[WitnessThread], Optional[Thread]]:
+    """Witness thread with a persistence certificate, or the divergent
+    prefix that no source primitive certifies (second slot)."""
     th = divergence_search(
         cache, params.search_depth, params.delta, params.node_budget
     )
     if th is None:
         return None, None
     if not verify_witness(cache, th, params.search_depth, params.delta):
-        return None, "search produced a thread that failed re-verification (bug)"
+        raise ConsistencyError("the divergence search returned a thread that fails re-verification")
     cert = persistence_certificate(Z, cache, th, params.search_depth)
     if cert is None:
-        return None, (
-            f"a depth-{params.search_depth} divergent prefix exists but no source "
-            "primitive certifies that the pattern persists; not used for a verdict"
-        )
-    return WitnessThread(th, params.delta, params.search_depth, cert), None
+        return None, th
+    return WitnessThread(th, params.delta, params.search_depth, *cert), None
 
 
 # ---------------------------------------------------------------------------
@@ -325,46 +300,8 @@ def classify(
     elif cache.Z != Z:
         raise ValueError("the level cache belongs to another spectrum")
     sections = antipode_level_union(Z, params.n_max)
-    closed_by_level = tuple(
-        (n, image_closedness(Z, n).closed) for n in range(min(params.n_max, 8) + 1)
-    )
-    h1_ok = all(c for _, c in closed_by_level)
-    h2_ok = sections.holds
-    notes: list[str] = [
-        "classification concerns the dyadic semigroup induced by the zero "
-        "extension; nonzero extensions are out of scope",
-        "automatic-continuity hypotheses: image closedness "
-        + ("holds" if h1_ok else "fails")
-        + ", section level union "
-        + ("finite" if sections.holds else "infinite")
-        + (
-            "; with the assumed trivial extension group both hypotheses of the "
-            "automatic-continuity route are met"
-            if h1_ok and h2_ok and params.ext_zero
-            else ""
-        ),
-    ]
-    if any(isinstance(p, PrimeFamily) for p in Z.primitives):
-        J = max(p.J for p in Z.primitives if isinstance(p, PrimeFamily))
-        notes.append(
-            f"prime family truncated at J={J} for level computations; the family "
-            "itself is infinite and its antipodal schedule is certified symbolically"
-        )
-    if params.ext_zero:
-        notes.append("Ext(X) = 0 assumed (user flag); not computed by this tool")
-    else:
-        notes.append(
-            "ext_zero=false: the automatic-continuity conclusions need the zero "
-            "extension; verdict applies to the trivial-extension semigroup only"
-        )
-
-    witness, prefix_note = check_not_strong(Z, cache, params)
-    if prefix_note:
-        notes.append(prefix_note)
-    uniform = None
-    antipodal = None
-    pointwise = None
-
+    witness, prefix = check_not_strong(Z, cache, params)
+    uniform = antipodal = pointwise = None
     if witness is not None:
         verdict = Verdict.NOT_STRONGLY_CONTINUOUS
         antipodal = check_not_uniform(Z, cache, params, sections)
@@ -374,29 +311,22 @@ def classify(
             verdict = Verdict.UNIFORMLY_CONTINUOUS
         else:
             antipodal = check_not_uniform(Z, cache, params, sections)
-            if antipodal is not None and antipodal.persistent:
+            if not sections.holds:
                 pointwise = pointwise_certificate(Z, params, sections)
-                if pointwise is not None:
-                    verdict = Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
-                else:
-                    verdict = Verdict.INCONCLUSIVE
-                    notes.append(
-                        "persistent antipodes found but pointwise convergence "
-                        "could not be certified"
-                    )
-            else:
-                verdict = Verdict.INCONCLUSIVE
-                notes.append("no certificate closed at the configured depths")
+            verdict = (
+                Verdict.INCONCLUSIVE
+                if pointwise is None
+                else Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
+            )
 
     return ClassificationReport(
         verdict=verdict,
+        spectrum=Z,
         witness=witness,
+        prefix=prefix,
         uniform_bound=uniform,
         antipodal=antipodal,
         pointwise=pointwise,
         sections=sections,
-        closedness_by_level=closed_by_level,
         params=params,
-        ext_zero_assumed=params.ext_zero,
-        notes=tuple(notes),
     )

@@ -1,12 +1,16 @@
 """Command-line interface: config parsing, dispatch, reports, CSV.
 
+This is the one module that writes report sentences: `classify`,
+`threads` and `spectrum` return exact values, and the text and JSON
+reports put them into words here.
+
 Config files are line-based, one `key value` per line, `#` comments.
-The keys are `spectrum` (repeatable) and those of `_SETTINGS`: n_max, K
-(inert: validated and printed only), search_depth, node_budget, delta,
-epsilon, float_digits, ext_zero, emit_csv, tower, lambda.  Each row there
-parses and renders its value, so `parse_config`, `render_config` and the
-report's params read one grammar.  Spectrum lines use the primitive
-grammar of `_PRIMITIVES`, e.g.
+The keys are `spectrum` (repeatable) and those of `_SETTINGS`, each at
+most once: n_max, K (inert: validated and printed only), search_depth,
+node_budget, delta, epsilon, float_digits, ext_zero, emit_csv, tower,
+lambda.  Each row there parses and renders its value, so `parse_config`,
+`render_config` and the report's params read one grammar.  Spectrum lines
+use the primitive grammar of `_PRIMITIVES`, each field at most once, e.g.
 
     spectrum rect re=[-1,0] im=[-1*pi,1*pi]
     spectrum ilattice re=0 base=0 step=2*pi
@@ -28,7 +32,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .classify import ClassificationReport, ClassifyParams, Verdict
+from .classify import ClassificationReport, ClassifyParams, Verdict, WitnessThread
 from .classify import classify as run_classify
 from .exactnum import PrecisionError
 from .exactnum import parse as parse_pilinear, render as render_pilinear
@@ -44,11 +48,13 @@ from .levels import (
 )
 from .records import record
 from .spectrum import (
+    ClosednessWitness,
     ConsistencyError,
     ILattice,
     Point,
     PrimeFamily,
     Rect,
+    SectionFamilyReport,
     SpectrumError,
     SpectrumSet,
     VLine,
@@ -179,6 +185,11 @@ def _pair(text: str, field: str) -> tuple[str, str]:
     return parts[0].strip(), parts[1].strip()
 
 
+def _render_nseq(n_seq: tuple[int, int]) -> str:
+    a, b = n_seq
+    return f"{a if a > 1 else ''}j" + (f"+{b}" if b else "")
+
+
 def _value(parse, text: str, field: str, line: int, col: int):
     """parse(text, field), its error reported at column `col` of `line`."""
     try:
@@ -208,7 +219,8 @@ _PRIMITIVES = {
     "rect": (Rect, (("re", _RATIONAL, "re_lo", "re_hi"), ("im", _PILINEAR, "im_lo", "im_hi"))),
     "primefamily": (
         PrimeFamily,
-        (("nseq", (lambda text, field: text, str), "n_seq"), ("J", (_integer, str), "J")),
+        # the text goes to the constructor, which reports a bad formula
+        (("nseq", (lambda text, field: text, _render_nseq), "n_seq"), ("J", (_integer, str), "J")),
     ),
 }
 
@@ -234,7 +246,8 @@ _KV_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
 def _parse_primitive(rest: str, line: int, col: int):
     """Parse `kind key=value ...`; `col` is the line column where `rest` starts."""
     kind = rest.split(None, 1)[0]
-    kvs = {m.group(1): (m.group(2), col + m.start()) for m in _KV_RE.finditer(rest, len(kind))}
+    matches = list(_KV_RE.finditer(rest, len(kind)))
+    kvs = {m.group(1): (m.group(2), col + m.start()) for m in matches}
     # blank out the key=value spans so the first stray character keeps its column
     leftover = _KV_RE.sub(lambda m: " " * len(m.group(0)), rest[len(kind):])
     if leftover.strip():
@@ -258,6 +271,9 @@ def _parse_primitive(rest: str, line: int, col: int):
     for (key, (parse, _), *attrs), parts in zip(fields, texts):
         for attr, text in zip(attrs, parts):
             args[attr] = _value(parse, text, key, line, kvs[key][1])
+    for i, m in enumerate(matches):
+        if m.group(1) in {k.group(1) for k in matches[:i]}:
+            raise ConfigError(line, col + m.start(), f"repeated field {m.group(1)}=")
     try:
         return cls(**args)
     except SpectrumError as e:
@@ -279,9 +295,11 @@ def parse_config(text: str) -> Config:
         col = raw.index(rest, raw.index(key) + len(key)) + 1
         if key == "spectrum":
             primitives.append(_parse_primitive(rest, lineno, col))
-        else:
-            attr, (parse, _) = _SETTINGS[key]
-            values[attr] = _value(parse, rest, attr, lineno, col)
+            continue
+        attr, (parse, _) = _SETTINGS[key]
+        if attr in values:
+            raise ConfigError(lineno, raw.index(key) + 1, f"repeated key {key!r}")
+        values[attr] = _value(parse, rest, attr, lineno, col)
     params = {attr: values.pop(attr) for attr in ClassifyParams._fields if attr in values}
     return Config(SpectrumSet(tuple(primitives)), ClassifyParams(**params), **values)
 
@@ -347,19 +365,98 @@ def format_g(x, digits: int) -> str:
     return f"{d:.{len(d.as_tuple().digits) - 1}e}"
 
 
+def _schedule(family: PrimeFamily) -> str:
+    return f"n_j = {_render_nseq(family.n_seq)} for every prime j >= 3 (family is infinite)"
+
+
+def _persistence(w: WitnessThread) -> str:
+    """Why the witness pattern continues: its source primitive's level sets."""
+    src = w.source
+    if isinstance(src, VLine):
+        return f"vertical line re={src.re}: every level set is the full circle"
+    if w.closed_from is None:
+        return f"lattice at re={src.re}: dense angle orbit, every level set closes to the full circle"
+    return (
+        f"lattice at re={src.re}: level sets are antipode-closed for all "
+        f"levels >= {w.closed_from}, so the negated branch stays feasible"
+    )
+
+
+def _antipodal_reason(sections: SectionFamilyReport) -> Optional[str]:
+    """The tail of the first infinite section, which makes antipodes persist."""
+    s = next((s for s in sections.sections if s.infinite), None)
+    if s is None:
+        return None
+    if s.tail_all_from is not None:
+        return f"section t={s.t}: the shift condition holds for every level >= {s.tail_all_from}"
+    return f"section t={s.t}: antipodal levels {_schedule(s.unbounded_schedule)}"
+
+
+def _closedness_gap(w: ClosednessWitness) -> str:
+    if isinstance(w.primitive, PrimeFamily):
+        return "prime family: image angles accumulate at the missing point with angle 0"
+    return f"lattice at re={w.primitive.re}: dense angle orbit misses angle {w.angle.q0}"
+
+
+def _notes(rep: ClassificationReport, closed: bool) -> list[str]:
+    """The hypotheses and scope of the verdict, and why a run stayed open."""
+    holds, params = rep.sections.holds, rep.params
+    notes = [
+        "classification concerns the dyadic semigroup induced by the zero "
+        "extension; nonzero extensions are out of scope",
+        "automatic-continuity hypotheses: image closedness "
+        + ("holds" if closed else "fails")
+        + ", section level union "
+        + ("finite" if holds else "infinite")
+        + (
+            "; with the assumed trivial extension group both hypotheses of the "
+            "automatic-continuity route are met"
+            if closed and holds and params.ext_zero
+            else ""
+        ),
+    ]
+    truncations = [p.J for p in rep.spectrum.primitives if isinstance(p, PrimeFamily)]
+    if truncations:
+        notes.append(
+            f"prime family truncated at J={max(truncations)} for level computations; the family "
+            "itself is infinite and its antipodal schedule is certified symbolically"
+        )
+    if params.ext_zero:
+        notes.append("Ext(X) = 0 assumed (user flag); not computed by this tool")
+    else:
+        notes.append(
+            "ext_zero=false: the automatic-continuity conclusions need the zero "
+            "extension; verdict applies to the trivial-extension semigroup only"
+        )
+    if rep.prefix is not None:
+        notes.append(
+            f"a depth-{params.search_depth} divergent prefix exists but no source "
+            "primitive certifies that the pattern persists; not used for a verdict"
+        )
+    if rep.verdict is Verdict.INCONCLUSIVE:
+        notes.append(
+            "no certificate closed at the configured depths"
+            if holds
+            else "persistent antipodes found but pointwise convergence could not be certified"
+        )
+    return notes
+
+
 def report_to_dict(rep: ClassificationReport) -> dict:
+    # the image is closed at every level or at none
+    closed = image_closedness(rep.spectrum, 0).closed
     d = {
         "verdict": rep.verdict.value,
-        "ext_zero_assumed": rep.ext_zero_assumed,
+        "ext_zero_assumed": rep.params.ext_zero,
         "witness": None,
         "uniform_bound": None,
         "antipodal": None,
         "pointwise": None,
         "sections": [],
         "closedness_by_level": [
-            {"level": n, "closed": c} for n, c in rep.closedness_by_level
+            {"level": n, "closed": closed} for n in range(min(rep.params.n_max, 8) + 1)
         ],
-        "notes": list(rep.notes),
+        "notes": _notes(rep, closed),
         # numbers and booleans as they are, rationals as text
         "params": {
             k: [str(x) for x in v] if isinstance(v, tuple) else v if isinstance(v, int) else str(v)
@@ -375,7 +472,7 @@ def report_to_dict(rep: ClassificationReport) -> dict:
             "bits": "".join(map(str, w.thread.bits)),
             "delta": str(w.delta),
             "depth": w.depth,
-            "persistence": w.persistence,
+            "persistence": _persistence(w),
         }
     if rep.uniform_bound:
         u = rep.uniform_bound
@@ -397,14 +494,25 @@ def report_to_dict(rep: ClassificationReport) -> dict:
         a = rep.antipodal
         d["antipodal"] = {
             "levels": list(a.levels),
-            "persistent": a.persistent,
-            "reason": a.reason,
-            "pair_samples": list(a.pair_samples),
+            "persistent": not rep.sections.holds,
+            "reason": _antipodal_reason(rep.sections),
+            "pair_samples": [
+                f"n={n}: angle {x.angle}" if isinstance(x, LevelPoint) else f"n={n}: {type(x).__name__}"
+                for n, x in a.samples
+            ],
         }
     if rep.pointwise:
+        last = rep.pointwise.last_branch_level
         d["pointwise"] = {
-            "last_branch_level": rep.pointwise.last_branch_level,
-            "reason": rep.pointwise.reason,
+            "last_branch_level": last,
+            "reason": (
+                f"last materialized branching level {last}; every branching either "
+                "keeps the thread principal inside a bounded component or commits it "
+                "to a single prime-family chain (cross-chain angle differences keep a "
+                "prime denominator), and each chain carries finitely many pair "
+                "levels, so every thread branches finitely often and is eventually "
+                "principal"
+            ),
         }
     for s in rep.sections.sections:
         d["sections"].append(
@@ -413,7 +521,9 @@ def report_to_dict(rep: ClassificationReport) -> dict:
                 "levels": sorted(s.levels),
                 "tail_extra": sorted(s.tail_extra),
                 "tail_all_from": s.tail_all_from,
-                "unbounded_schedule": s.unbounded_schedule,
+                "unbounded_schedule": (
+                    None if s.unbounded_schedule is None else _schedule(s.unbounded_schedule)
+                ),
             }
         )
     d["section_union"] = {
@@ -592,8 +702,8 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
                 tail.append(f"all n >= {s.tail_all_from}")
             if s.tail_extra:
                 tail.append(f"beyond bound: {sorted(s.tail_extra)}")
-            if s.unbounded_schedule:
-                tail.append(s.unbounded_schedule)
+            if s.unbounded_schedule is not None:
+                tail.append(_schedule(s.unbounded_schedule))
             suffix = f" ({'; '.join(tail)})" if tail else ""
             out.append(f"t={s.t}: {sorted(s.levels)}{suffix}")
         fin = "finite" if rep.holds else "infinite"
@@ -602,7 +712,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         out.append(f"exponential images closed: {'yes' if closed.closed else 'no'}")
         for w in closed.witnesses:
             out.append(
-                f"  not closed: {w.description} (limit point at log-mod "
+                f"  not closed: {_closedness_gap(w)} (limit point at log-mod "
                 f"{w.log_mod}, angle {render_pilinear(w.angle)})"
             )
         return 0, "\n".join(out) + "\n"

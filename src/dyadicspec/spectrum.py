@@ -154,6 +154,9 @@ class Rect:
         return SectionInterval(self.im_lo, self.im_hi)
 
 
+_NSEQ = re.compile(r"(\d*)j(?:\+(\d+))?")
+
+
 @record
 class PrimeFamily:
     """The purely imaginary two-angle family over primes j >= 3.
@@ -166,14 +169,20 @@ class PrimeFamily:
     which pins the antipodal schedule for every j).
     """
 
-    n_seq: str = "2j"
+    n_seq: tuple[int, int] = (2, 0)  # n_j = a*j + b, or as text: 2j, 3j+1, j+4, j
     J: int = 8
     re_lo = re_hi = Fraction(0)
 
     def __post_init__(self):
         if self.J < 1:
             raise SpectrumError("prime family truncation must be >= 1")
-        parse_nseq(self.n_seq)  # validate
+        if isinstance(self.n_seq, str):
+            m = _NSEQ.fullmatch(self.n_seq.replace(" ", "").replace("*", ""))
+            if m is None:
+                raise SpectrumError(f"unsupported n_seq {self.n_seq!r} (expected e.g. '2j' or '2j+1')")
+            object.__setattr__(self, "n_seq", (int(m.group(1) or 1), int(m.group(2) or 0)))
+        if self.n_seq[0] < 1 or self.n_seq[1] < 0:
+            raise SpectrumError("n_seq slope must be >= 1 and its offset >= 0")
 
     @functools.cached_property
     def section(self) -> SectionPart:
@@ -185,11 +194,8 @@ class PrimeFamily:
         return primes_from_3(self.J)
 
     def n_of(self, j: int) -> int:
-        a, b = parse_nseq(self.n_seq)
-        n = a * j + b
-        if n < 1:
-            raise SpectrumError(f"n_seq {self.n_seq!r} gives n_{j} = {n} < 1")
-        return n
+        a, b = self.n_seq
+        return a * j + b
 
     def alpha(self, j: int) -> PiLinear:
         return PiLinear(0, Fraction(1, j) + 2 ** (self.n_of(j) + 1))
@@ -199,21 +205,6 @@ class PrimeFamily:
 
 
 Primitive = Union[Point, VSegment, ILattice, VLine, Rect, PrimeFamily]
-
-_NSEQ = re.compile(r"(\d*)j(?:\+(\d+))?")
-
-
-@functools.cache
-def parse_nseq(spec: str) -> tuple[int, int]:
-    """Parse a linear index formula 'a*j+b' (forms: 2j, 3j+1, j+4, j)."""
-    m = _NSEQ.fullmatch(spec.replace(" ", "").replace("*", ""))
-    if m is None:
-        raise SpectrumError(f"unsupported n_seq {spec!r} (expected e.g. '2j' or '2j+1')")
-    a = int(m.group(1)) if m.group(1) else 1
-    b = int(m.group(2)) if m.group(2) else 0
-    if a < 1:
-        raise SpectrumError("n_seq slope must be >= 1")
-    return a, b
 
 
 def primes_from_3(count: int) -> tuple[int, ...]:
@@ -411,16 +402,6 @@ def _lattice_lattice_params(
     A = int(a0 * den)
     B = int(-c0 * den)
     C = int(-w.q0 * den)
-    if A == 0:
-        if C % B != 0:
-            return None
-        k2 = C // B
-        return w.q1 - k2 * c1, [a1]
-    if B == 0:
-        if C % A != 0:
-            return None
-        k1 = C // A
-        return w.q1 + k1 * a1, [c1]
     g = math.gcd(A, B)
     if C % g != 0:
         return None
@@ -536,7 +517,7 @@ class SectionLevels:
     levels: frozenset[int]
     tail_extra: frozenset[int]  # exact hits beyond n_max (finitely many)
     tail_all_from: Optional[int]  # all n >= this are hits
-    unbounded_schedule: Optional[str] = None  # sparse infinite tail, described
+    unbounded_schedule: Optional[PrimeFamily] = None  # its n_j: a sparse infinite tail
 
     @property
     def infinite(self) -> bool:
@@ -557,7 +538,10 @@ def section_antipode_levels(Z: SpectrumSet, t: Fraction, n_max: int) -> SectionL
     end = math.inf if true_from is None else true_from
     levels = {n for n in hits if n <= n_max}
     levels.update(range(min(end, n_max + 1), n_max + 1))
-    schedule = _primefamily_schedule_text(Z) if t == 0 else None
+    # a_j - b_j = -2^(n_j) * pi for every prime j, so the condition holds at
+    # n = n_j for all j, not only the materialized ones
+    families = (p for p in Z.primitives if isinstance(p, PrimeFamily))
+    schedule = next(families, None) if t == 0 else None
     return SectionLevels(
         t=t,
         n_max=n_max,
@@ -566,15 +550,6 @@ def section_antipode_levels(Z: SpectrumSet, t: Fraction, n_max: int) -> SectionL
         tail_all_from=true_from,
         unbounded_schedule=schedule,
     )
-
-
-def _primefamily_schedule_text(Z: SpectrumSet) -> Optional[str]:
-    for p in Z.primitives:
-        if isinstance(p, PrimeFamily):
-            # a_j - b_j = -2^(n_j) * pi for every prime j, so the condition
-            # holds at n = n_j for all j, not only the materialized ones
-            return f"n_j = {p.n_seq} for every prime j >= 3 (family is infinite)"
-    return None
 
 
 @record
@@ -638,9 +613,10 @@ def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
 
 @record
 class ClosednessWitness:
-    """A limit point of the exponential image that the image misses."""
+    """A limit point of the exponential image that the image misses, and
+    the primitive whose image accumulates there."""
 
-    description: str
+    primitive: Union[ILattice, PrimeFamily]
     log_mod: Fraction
     angle: PiLinear
 
@@ -659,19 +635,8 @@ def _dense_orbit_witness(p: ILattice, n: int) -> ClosednessWitness:
     for den in range(1, 300):
         theta = Fraction(1, den)
         k = (theta / half - p.base.q0) / p.step.q0
-        if k.denominator != 1:
-            return ClosednessWitness(
-                f"lattice at re={p.re}: dense angle orbit misses angle {theta}",
-                p.re * half,
-                PiLinear(theta, 0),
-            )
-        m = (p.base.q1 + k * p.step.q1) * half
-        if (m / 2).denominator != 1:
-            return ClosednessWitness(
-                f"lattice at re={p.re}: dense angle orbit misses angle {theta}",
-                p.re * half,
-                PiLinear(theta, 0),
-            )
+        if k.denominator != 1 or ((p.base.q1 + k * p.step.q1) * half / 2).denominator != 1:
+            return ClosednessWitness(p, p.re * half, PiLinear(theta, 0))
     raise AssertionError("candidate angles exhausted (impossible: one hit per angle)")
 
 
@@ -691,12 +656,6 @@ def image_closedness(Z: SpectrumSet, n: int) -> ClosednessReport:
         if isinstance(p, ILattice) and p.step.q0 != 0:
             witnesses.append(_dense_orbit_witness(p, n))
         elif isinstance(p, PrimeFamily):
-            witnesses.append(
-                ClosednessWitness(
-                    "prime family: image angles accumulate at the missing point "
-                    "with angle 0",
-                    Fraction(0),
-                    PiLinear(0, 0),
-                )
-            )
+            # image angles accumulate at the missing point with angle 0
+            witnesses.append(ClosednessWitness(p, Fraction(0), PiLinear(0, 0)))
     return ClosednessReport(closed=not witnesses, witnesses=tuple(witnesses))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactnum import PiLinear, _mk, _v2, reduce_mod_2pi
 from .levels import (
@@ -212,15 +212,19 @@ def verify_witness(cache: LevelCache, th: Thread, depth: int, delta: Fraction) -
         return False
 
 
-def persistence_certificate(Z: SpectrumSet, cache: LevelCache, th: Thread, depth: int) -> Optional[str]:
-    """Symbolic reason the witness pattern continues past the search depth.
+def persistence_certificate(
+    Z: SpectrumSet, cache: LevelCache, th: Thread, depth: int
+) -> Optional[tuple[Union[VLine, ILattice], Optional[int]]]:
+    """The source primitive whose levels make the witness pattern continue
+    past the search depth, and the level from which they are antipode-closed.
 
-    A vertical line keeps every level set a full circle; a vertical
-    lattice keeps level sets antipode-closed from some level on (so the
-    negated root of any member stays inside).  In both cases a point with
-    |angle| >= pi/2 always has a child with |angle| >= pi/2, hence the
-    divergence band extends to every level.  The witness must live on the
-    certifying primitive's own tower.
+    A vertical line keeps every level set a full circle, and so does a
+    lattice with a dense angle orbit (no level is given for either); a
+    lattice with a rational step keeps level sets antipode-closed from the
+    level given (so the negated root of any member stays inside).  In each
+    case a point with |angle| >= pi/2 always has a child with |angle| >=
+    pi/2, hence the divergence band extends to every level.  The witness
+    must live on the certifying primitive's own tower.
     """
     half_pi = PiLinear(0, Fraction(1, 2))
     p = evaluate(cache, th, depth)
@@ -236,22 +240,12 @@ def persistence_certificate(Z: SpectrumSet, cache: LevelCache, th: Thread, depth
             evaluate(sub, th, depth)
         except (InfeasibleThread, ValueError):
             continue
-        if isinstance(prim, VLine):
-            return f"vertical line re={prim.re}: every level set is the full circle"
-        # lattice: antipode-closure of the angle orbit holds from some level
-        # on (the orbit step eventually divides 1), keeping both square
-        # roots of every member feasible forever
-        step = prim.step
-        if step.q0 != 0:
-            return (
-                f"lattice at re={prim.re}: dense angle orbit, every level set "
-                "closes to the full circle"
-            )
-        e = _v2(step.q1.numerator)
-        return (
-            f"lattice at re={prim.re}: level sets are antipode-closed for all "
-            f"levels >= {max(e, 0)}, so the negated branch stays feasible"
-        )
+        if isinstance(prim, VLine) or prim.step.q0 != 0:
+            return prim, None
+        # antipode-closure of the angle orbit holds from some level on (the
+        # orbit step eventually divides 1), keeping both square roots of
+        # every member feasible forever
+        return prim, _v2(prim.step.q1.numerator)
     return None
 
 

@@ -1,9 +1,11 @@
+import typing
 from fractions import Fraction as F
 
 import pytest
 
 from dyadicspec import levels
 from dyadicspec.classify import (
+    ClassificationReport,
     ClassifyParams,
     Verdict,
     check_not_uniform,
@@ -14,7 +16,15 @@ from dyadicspec.classify import (
 from dyadicspec.cli import parse_config
 from dyadicspec.exactnum import PiLinear
 from dyadicspec.levels import LevelCache, level_set
-from dyadicspec.spectrum import ILattice, Point, SpectrumSet, VLine
+from dyadicspec.spectrum import (
+    ClosednessReport,
+    ILattice,
+    Point,
+    SpectrumSet,
+    VLine,
+    antipode_level_union,
+    image_closedness,
+)
 
 
 def test_four_canonical_verdicts(roots2k, solenoid, rectangle, primefamily):
@@ -35,8 +45,9 @@ def test_classify_fills_the_callers_cache(solenoid, rectangle):
 def test_report_contents(roots2k, rectangle, primefamily):
     rep = classify(roots2k)
     assert rep.witness is not None
-    assert rep.witness.persistence
-    assert rep.antipodal is not None and rep.antipodal.persistent
+    # the lattice step 2*pi keeps level sets antipode-closed from level 1 on
+    assert (rep.witness.source, rep.witness.closed_from) == (roots2k.primitives[0], 1)
+    assert rep.antipodal is not None
     assert rep.sections.holds is False
 
     rep = classify(rectangle)
@@ -44,11 +55,11 @@ def test_report_contents(roots2k, rectangle, primefamily):
     assert rep.uniform_bound.symbolic_constant is not None
     assert rep.sections.holds is True
     assert sorted(rep.sections.union_levels) == [0, 1]
-    assert all(closed for _, closed in rep.closedness_by_level)
+    assert image_closedness(rep.spectrum, 0).closed
 
     rep = classify(primefamily)
     assert rep.pointwise is not None
-    assert rep.antipodal.persistent
+    assert rep.antipodal is not None and rep.sections.holds is False
     assert rep.witness is None
 
 
@@ -59,13 +70,16 @@ def test_uniform_check_fails_on_circleish(solenoid, roots2k, primefamily):
 
 
 def test_not_uniform_persistent_reasons(roots2k, primefamily, rectangle):
+    # antipodes persist through the tail of the first infinite section:
+    # every level from 1 on for the lattice, the schedule n_j for the family
     p = ClassifyParams(n_max=8)
-    a = check_not_uniform(roots2k, LevelCache(roots2k), p)
-    assert a is not None and a.persistent and "every level >= 1" in a.reason
-    a = check_not_uniform(primefamily, LevelCache(primefamily), p)
-    assert a is not None and a.persistent and "prime" in a.reason
+    for Z, tail in ((roots2k, (1, None)), (primefamily, (None, primefamily.primitives[0]))):
+        sections = antipode_level_union(Z, p.n_max)
+        assert check_not_uniform(Z, LevelCache(Z), p, sections) is not None
+        s = next(s for s in sections.sections if s.infinite)
+        assert (s.tail_all_from, s.unbounded_schedule) == tail
     a = check_not_uniform(rectangle, LevelCache(rectangle), p)
-    assert a is None or not a.persistent
+    assert a is None or antipode_level_union(rectangle, p.n_max).holds
 
 
 def test_pointwise_certificate_scope(primefamily, solenoid):
@@ -107,7 +121,8 @@ def test_dense_lattice_not_strong():
     Z = SpectrumSet((ILattice(F(0), PiLinear(0, 0), PiLinear(1, 0)),))
     rep = classify(Z)
     assert rep.verdict is Verdict.NOT_STRONGLY_CONTINUOUS
-    assert "dense" in rep.witness.persistence
+    # an irrational step: a dense orbit, no antipode-closed level
+    assert (rep.witness.source, rep.witness.closed_from) == (Z.primitives[0], None)
 
 
 def test_mixture_line_dominates(rectangle):
@@ -154,3 +169,40 @@ def test_deep_search_on_a_bounded_spectrum_builds_few_levels(text, verdict, monk
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
     assert len(calls) <= cfg.params.n_max + 2
+
+
+def _leaf_types(t) -> set:
+    """The classes a field annotation names, through unions and containers."""
+    args = typing.get_args(t)
+    return {x for a in args if a is not Ellipsis for x in _leaf_types(a)} if args else {t}
+
+
+def _reachable_fields(*roots) -> list[tuple[type, str, set]]:
+    """(record, field, leaf classes) of every field of every record reachable
+    from `roots` through field annotations."""
+    seen: set = set()
+    todo, out = list(roots), []
+    while todo:
+        cls = todo.pop()
+        if cls in seen or not hasattr(cls, "_fields"):
+            continue
+        seen.add(cls)
+        # records written out by hand annotate their __init__ instead
+        hints = typing.get_type_hints(cls) or typing.get_type_hints(cls.__init__)
+        for name in cls._fields:
+            leaves = _leaf_types(hints[name])
+            out.append((cls, name, leaves))
+            todo.extend(leaves)
+    return out
+
+
+def test_report_records_hold_exact_values_only():
+    # the reports hold no text: cli alone writes their sentences
+    fields = _reachable_fields(ClassificationReport, ClosednessReport)
+    records = {cls.__name__ for cls, _, _ in fields}
+    assert {
+        "WitnessThread", "AntipodalLevels", "PointwiseCertificate", "SectionLevels",
+        "PrimeFamily", "ILattice", "VLine", "Thread", "LevelPoint", "FullCircle",
+        "ClosednessWitness", "ClassifyParams",
+    } <= records
+    assert [(cls.__name__, name) for cls, name, leaves in fields if str in leaves] == []

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -336,6 +337,17 @@ def test_internal_errors_exit_1_with_one_line(error, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: internal: did not separate\n"
 
 
+def test_a_witness_failing_reverification_is_an_internal_error(monkeypatch, capsys):
+    # the package attribute dyadicspec.classify is the function, so the
+    # module is reached through sys.modules
+    monkeypatch.setattr(sys.modules["dyadicspec.classify"], "verify_witness", lambda *args: False)
+    assert main(["examples", "solenoid"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: internal: the divergence search returned a thread that fails re-verification\n",
+    )
+
+
 def test_examples_show_config(capsys):
     code = main(["examples", "primefamily", "--show-config"])
     out = capsys.readouterr().out
@@ -547,6 +559,10 @@ ERROR_GRID = [
     ("spectrum primefamily J=3", "line 1, col 1: primefamily needs nseq="),
     ("# header\n\nn_max 3\ndelta x", "line 4, col 7: bad rational 'x'"),
     ("n_max 3  # fine\n  bogus 1", "line 2, col 1: unknown key 'bogus'"),
+    # a key or a field given twice is an error at its second occurrence
+    ("n_max 3\nn_max 5", "line 2, col 1: repeated key 'n_max'"),
+    ("ext_zero true\n  ext_zero true", "line 2, col 3: repeated key 'ext_zero'"),
+    ("spectrum point re=0 re=1 im=1", "line 1, col 21: repeated field re="),
 ]
 
 
@@ -567,6 +583,15 @@ def test_render_config_roundtrips_random_spectra():
     rng = random.Random(1501)
     for _ in range(200):
         _roundtrips(Config(random_spectrum(rng), ClassifyParams()))
+
+
+@pytest.mark.parametrize(
+    "text, canonical", [("2j", "2j"), ("2*j", "2j"), ("1j+0", "j"), ("3j+1", "3j+1"), ("j+4", "j+4")]
+)
+def test_nseq_is_rendered_in_one_form(text, canonical):
+    cfg = parse_config(f"spectrum primefamily nseq={text} J=2\n")
+    assert render_config(cfg).splitlines()[0] == f"spectrum primefamily nseq={canonical} J=2"
+    _roundtrips(cfg)
 
 
 def test_render_config_lists_settings_in_table_order():

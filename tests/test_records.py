@@ -100,7 +100,7 @@ def test_keywords_defaults_and_bad_arguments():
     th = Thread(base=P, base_level=2)
     assert (th.base_level, th.base, th.bits, th.tail_principal) == (2, P, (), True)
     assert Thread(0, P, (1, 0)).bits == (1, 0)
-    assert (PrimeFamily().n_seq, PrimeFamily().J) == ("2j", 8)
+    assert (PrimeFamily().n_seq, PrimeFamily().J) == ((2, 0), 8)
     assert PrimeFamily(J=3) == PrimeFamily("2j", 3)
     assert ClassifyParams(n_max=5) == ClassifyParams(5)
     assert LevelPoint(angle=P.angle, log_mod=P.log_mod) == P

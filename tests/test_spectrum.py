@@ -411,3 +411,35 @@ def test_unordered_pairs_match_ordered_table():
             want = {d for A in S.parts for B in S.parts for d in _oracle_pair_levels(A, B)}
             assert set(_section_pair_levels(S)) == want, (Z, t)
     assert pairs > 2000 and len(kinds) == 10
+
+
+def test_mixed_lattice_pairs_match_brute_force():
+    # one step with an irrational part and one rational multiple of pi, in
+    # both orders: the two-lattice reduction solves for the dense index
+    # with the extended gcd.  Small entries keep a solution, when there is
+    # one, inside brute_star's ranges: |k| <= 33 and indices within 10.
+    rng = random.Random(1603)
+    outcomes = set()
+    for _ in range(50):
+        a0 = rng.choice((F(1), F(2), F(1, 2)))
+        dense = PiLinear(a0, rng.choice((F(0), F(1), F(1, 2))))
+        rational = PiLinear(0, F(rng.randint(1, 6), rng.randint(1, 2)))
+        # the irrational parts of the bases differ by a multiple of a0 or not
+        shift = a0 * rng.randint(-3, 3) if rng.random() < 0.7 else F(rng.randint(1, 5), 3)
+        base = PiLinear(shift, F(rng.randint(-6, 6), rng.randint(1, 2)))
+        lattices = [ILattice(F(0), base, dense), ILattice(F(0), PiLinear(0, 0), rational)]
+        rng.shuffle(lattices)
+        Z = SpectrumSet(tuple(lattices))
+        S = vertical_section(Z, F(0))
+        for n in range(3):
+            got = section_antipode_condition(Z, F(0), n)
+            assert got == brute_star(S, n, k_range=10), (Z, n)
+            outcomes.add(got)
+    assert outcomes == {False, True}
+
+
+def test_prime_family_formula_is_held_as_integers():
+    assert PrimeFamily("3*j+1") == PrimeFamily((3, 1)) and PrimeFamily("j").n_seq == (1, 0)
+    for bad in ("0j", "jj", "2j-1", (0, 1), (2, -1)):
+        with pytest.raises(SpectrumError):
+            PrimeFamily(bad)

@@ -251,5 +251,5 @@ def test_persistence_certificate_builds_a_cache_only_for_a_proper_part(Z, new_ca
         return LevelCache(sub)
 
     monkeypatch.setattr(threads, "LevelCache", counted)
-    assert persistence_certificate(Z, cache, th, 10).startswith("vertical line re=0")
+    assert persistence_certificate(Z, cache, th, 10) == (VLine(F(0)), None)
     assert len(built) == new_caches
