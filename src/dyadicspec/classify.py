@@ -195,27 +195,35 @@ def check_not_uniform(
     Z: SpectrumSet,
     cache: LevelCache,
     params: ClassifyParams,
-    sections: Optional[SectionFamilyReport] = None,
+    sections: SectionFamilyReport,
 ) -> Optional[AntipodalLevels]:
-    """Levels up to n_max with antipodal pairs in the level set, each with
-    a sample; None when there are none and the section union is finite.
-
-    Level n is the projection of the inverse limit, so a pair z, -z in it
-    keeps sup |1 - .| >= |z|, which blocks uniform convergence whenever
-    pairs persist.  They persist exactly when a section has infinitely
-    many pair levels (`sections.holds` is False), which its tail certifies.
+    """Levels up to n_max whose level set holds a pair z, -z, each with a
+    sample; None when there are none and the section union is finite.
+    A pair lies in level n exactly when two points of one section differ in
+    im by an odd multiple of 2^n * pi, so these are the section levels, and
+    `antipodal_set` runs only there.  A lattice with an irrational step is
+    the exception: its dense orbit closes up to the full circle, which the
+    sections cannot see, so then every level is reported.
+    A pair keeps sup |1 - .| >= |z|, so pairs that persist (`sections.holds`
+    is False, certified by a tail) block uniform convergence.
     """
-    if sections is None:
-        sections = antipode_level_union(Z, params.n_max)
+    # the point 1, where a prime family's image accumulates, is in neither
+    # route: with a point at im = pi on its section, level 0 (-1 and 1) goes
+    # unreported, yet no verdict turns on it (|1 - 1| = 0, families are unbounded)
+    if any(isinstance(p, ILattice) and p.step.q0 != 0 for p in Z.primitives):
+        levels = range(params.n_max + 1)
+    else:
+        levels = sorted(n for n in sections.union_levels if n <= params.n_max)
     samples = []
-    for n in range(params.n_max + 1):
+    for n in levels:
         A = antipodal_set(cache.level(n))
-        if not A.is_empty():
-            pts = enumerate_points(A, 1)
-            samples.append((n, pts[0] if pts else A.components[0]))
+        if A.is_empty():
+            raise ConsistencyError(f"level {n} holds a section pair but no antipodal pair")
+        pts = enumerate_points(A, 1)
+        samples.append((n, pts[0] if pts else A.components[0]))
     if not samples and sections.holds:
         return None
-    return AntipodalLevels(tuple(n for n, _ in samples), tuple(samples))
+    return AntipodalLevels(tuple(levels), tuple(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +231,7 @@ def check_not_uniform(
 
 
 def pointwise_certificate(
-    Z: SpectrumSet,
-    params: ClassifyParams,
-    sections: Optional[SectionFamilyReport] = None,
+    Z: SpectrumSet, sections: SectionFamilyReport
 ) -> Optional[PointwiseCertificate]:
     """Every feasible thread is eventually principal, so all projections
     converge to 1 pointwise.
@@ -249,16 +255,10 @@ def pointwise_certificate(
     """
     if not Z.primitives or not all(isinstance(p.section, BOUNDED_PARTS) for p in Z.primitives):
         return None
-    if sections is None:
-        sections = antipode_level_union(Z, params.n_max)
-    last = -1
-    for s in sections.sections:
-        if s.tail_all_from is not None:
-            return None
-        known = s.levels | s.tail_extra
-        if known:
-            last = max(last, max(known))
-    return PointwiseCertificate(last_branch_level=last)
+    if any(s.tail_all_from is not None for s in sections.sections):
+        return None
+    known = [n for s in sections.sections for n in s.levels | s.tail_extra]
+    return PointwiseCertificate(last_branch_level=max(known, default=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def classify(
         else:
             antipodal = check_not_uniform(Z, cache, params, sections)
             if not sections.holds:
-                pointwise = pointwise_certificate(Z, params, sections)
+                pointwise = pointwise_certificate(Z, sections)
             verdict = (
                 Verdict.INCONCLUSIVE
                 if pointwise is None

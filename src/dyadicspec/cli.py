@@ -244,7 +244,7 @@ _KV_RE = re.compile(r"(\w+)=(\[[^\]]*\]|\S+)")
 
 
 def _parse_primitive(rest: str, line: int, col: int):
-    """Parse `kind key=value ...`; `col` is the line column where `rest` starts."""
+    """Parse `kind key=value ...`; `col` is the line column of the kind."""
     kind = rest.split(None, 1)[0]
     matches = list(_KV_RE.finditer(rest, len(kind)))
     kvs = {m.group(1): (m.group(2), col + m.start()) for m in matches}
@@ -254,14 +254,14 @@ def _parse_primitive(rest: str, line: int, col: int):
         start = len(kind) + len(leftover) - len(leftover.lstrip())
         raise ConfigError(line, col + start, f"unparsed text {' '.join(leftover.split())!r}")
     if kind not in _PRIMITIVES:
-        raise ConfigError(line, 1, f"unknown primitive {kind!r}")
+        raise ConfigError(line, col, f"unknown primitive {kind!r}")
     cls, fields = _PRIMITIVES[kind]
     for key, *_ in fields:
         if key not in kvs:
-            raise ConfigError(line, 1, f"{kind} needs {key}=")
+            raise ConfigError(line, col, f"{kind} needs {key}=")
     extra = set(kvs) - {key for key, *_ in fields}
     if extra:
-        raise ConfigError(line, 1, f"{kind} got unknown fields {sorted(extra)}")
+        raise ConfigError(line, col, f"{kind} got unknown fields {sorted(extra)}")
     # split every [a,b] pair before parsing any value: a pair error comes first
     texts = [
         _value(_pair, kvs[key][0], key, line, kvs[key][1]) if len(attrs) == 2 else (kvs[key][0],)
@@ -277,7 +277,7 @@ def _parse_primitive(rest: str, line: int, col: int):
     try:
         return cls(**args)
     except SpectrumError as e:
-        raise ConfigError(line, 1, str(e))
+        raise ConfigError(line, col, str(e))
 
 
 def parse_config(text: str) -> Config:
@@ -288,17 +288,18 @@ def parse_config(text: str) -> Config:
         if not stripped:
             continue
         key, rest = (stripped.split(None, 1) + [""])[:2]
+        key_col = raw.index(key) + 1
         if key != "spectrum" and key not in _SETTINGS:
-            raise ConfigError(lineno, 1, f"unknown key {key!r}")
+            raise ConfigError(lineno, key_col, f"unknown key {key!r}")
         if not rest:
-            raise ConfigError(lineno, len(key) + 1, f"{key} needs a value")
-        col = raw.index(rest, raw.index(key) + len(key)) + 1
+            raise ConfigError(lineno, key_col + len(key), f"{key} needs a value")
+        col = raw.index(rest, key_col + len(key) - 1) + 1
         if key == "spectrum":
             primitives.append(_parse_primitive(rest, lineno, col))
             continue
         attr, (parse, _) = _SETTINGS[key]
         if attr in values:
-            raise ConfigError(lineno, raw.index(key) + 1, f"repeated key {key!r}")
+            raise ConfigError(lineno, key_col, f"repeated key {key!r}")
         values[attr] = _value(parse, rest, attr, lineno, col)
     params = {attr: values.pop(attr) for attr in ClassifyParams._fields if attr in values}
     return Config(SpectrumSet(tuple(primitives)), ClassifyParams(**params), **values)

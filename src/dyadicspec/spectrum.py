@@ -259,14 +259,12 @@ def _normalize_parts(parts: Iterable[SectionPart]) -> tuple[SectionPart, ...]:
             rest.append(p)
     out: list[SectionPart] = []
     if points:
-        # values q0 + q1*pi are equal exactly when (q0, q1) are (pi is irrational)
-        uniq = sorted(set(points), key=lambda v: (v.q0, v.q1))
+        # values q0 + q1*pi are equal exactly when (q0, q1) are (pi is
+        # irrational); sorted by the integers (q0, q1) * L, L the lcm of d
+        L = math.lcm(*(v.d for v in points))
+        uniq = sorted(set(points), key=lambda v: (v.a * (L // v.d), v.b * (L // v.d)))
         out.append(SectionPoints(tuple(uniq)))
-    seen = set()
-    for p in rest:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
+    out.extend(dict.fromkeys(rest))
     return tuple(out)
 
 
@@ -477,16 +475,15 @@ def _points_points_levels(
     """u - v can be an odd multiple of 2^n * pi only when it is an integer
     multiple of pi, that is when u and v share q0 and q1 mod 1; then n is
     v2 of the difference of the integer parts of q1.  So only points of one
-    coset are paired."""
-    cosets: dict[tuple[Fraction, Fraction], list[int]] = {}
+    coset are paired.  Over the reduced triple (a + b*pi)/d the coset is
+    (a, b mod d, d), as its values share d, and the integer part is b // d."""
+    cosets: dict[tuple[int, int, int], list[int]] = {}
     for v in vs:
-        frac = v.q1 % 1
-        cosets.setdefault((v.q0, frac), []).append(int(v.q1 - frac))
+        cosets.setdefault((v.a, v.b % v.d, v.d), []).append(v.b // v.d)
     hits = set()
     for u in us:
-        frac = u.q1 % 1
-        x = int(u.q1 - frac)
-        hits.update(_v2(x - y) for y in cosets.get((u.q0, frac), ()) if x != y)
+        x = u.b // u.d
+        hits.update(_v2(x - y) for y in cosets.get((u.a, u.b % u.d, u.d), ()) if x != y)
     return tuple(PairLevels(frozenset({n}), n + 1, False) for n in sorted(hits))
 
 
@@ -581,27 +578,13 @@ def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
     """Union of section level sets; finite union is the finiteness hypothesis."""
     reps = section_representatives(Z)
     sections = tuple(section_antipode_levels(Z, t, n_max) for t in reps)
-    union: set[int] = set()
-    all_from: Optional[int] = None
-    witness: Optional[Fraction] = None
-    holds = True
-    for s in sections:
-        union |= s.levels | s.tail_extra
-        if s.infinite:
-            holds = False
-            if witness is None:
-                witness = s.t
-            if s.tail_all_from is not None:
-                all_from = (
-                    s.tail_all_from
-                    if all_from is None
-                    else min(all_from, s.tail_all_from)
-                )
+    infinite = [s for s in sections if s.infinite]
+    all_from = [s.tail_all_from for s in infinite if s.tail_all_from is not None]
     return SectionFamilyReport(
-        holds=holds,
-        union_levels=frozenset(union),
-        union_all_from=all_from,
-        witness_t=witness,
+        holds=not infinite,
+        union_levels=frozenset().union(*(s.levels | s.tail_extra for s in sections)),
+        union_all_from=min(all_from, default=None),
+        witness_t=infinite[0].t if infinite else None,
         sections=sections,
         representatives=reps,
     )

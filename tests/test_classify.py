@@ -1,3 +1,5 @@
+import random
+import sys
 import typing
 from fractions import Fraction as F
 
@@ -13,7 +15,7 @@ from dyadicspec.classify import (
     classify,
     pointwise_certificate,
 )
-from dyadicspec.cli import parse_config
+from dyadicspec.cli import builtin_example, parse_config
 from dyadicspec.exactnum import PiLinear
 from dyadicspec.levels import LevelCache, level_set
 from dyadicspec.spectrum import (
@@ -25,6 +27,8 @@ from dyadicspec.spectrum import (
     antipode_level_union,
     image_closedness,
 )
+
+from conftest import random_spectrum
 
 
 def test_four_canonical_verdicts(roots2k, solenoid, rectangle, primefamily):
@@ -78,14 +82,15 @@ def test_not_uniform_persistent_reasons(roots2k, primefamily, rectangle):
         assert check_not_uniform(Z, LevelCache(Z), p, sections) is not None
         s = next(s for s in sections.sections if s.infinite)
         assert (s.tail_all_from, s.unbounded_schedule) == tail
-    a = check_not_uniform(rectangle, LevelCache(rectangle), p)
-    assert a is None or antipode_level_union(rectangle, p.n_max).holds
+    sections = antipode_level_union(rectangle, p.n_max)
+    a = check_not_uniform(rectangle, LevelCache(rectangle), p, sections)
+    assert a is None or sections.holds
 
 
 def test_pointwise_certificate_scope(primefamily, solenoid):
-    p = ClassifyParams()
-    assert pointwise_certificate(primefamily, p) is not None
-    assert pointwise_certificate(solenoid, p) is None
+    n_max = ClassifyParams().n_max
+    assert pointwise_certificate(primefamily, antipode_level_union(primefamily, n_max)) is not None
+    assert pointwise_certificate(solenoid, antipode_level_union(solenoid, n_max)) is None
 
 
 def test_single_point_spectra_uniform():
@@ -143,6 +148,63 @@ def test_primefamily_other_sequence():
     for n in (9, 10, 11, 16, 17):
         assert antipodal_set(level_set(Z, n)).is_empty() == (n not in schedule)
     assert classify(Z).verdict is Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
+
+
+def _oracle_antipodal(Z, n_max):
+    """(level, sample) at every level 0..n_max whose full level set holds
+    an antipodal pair, from `antipodal_set` alone."""
+    out = []
+    for n in range(n_max + 1):
+        A = levels.antipodal_set(level_set(Z, n))
+        if not A.is_empty():
+            pts = levels.enumerate_points(A, 1)
+            out.append((n, pts[0] if pts else A.components[0]))
+    return out
+
+
+def test_antipodal_levels_from_sections_match_every_level_set():
+    # the section levels (or every level, for a dense lattice) are exactly
+    # the levels whose level set holds z and -z, with the same samples
+    names = ("roots2k", "solenoid", "rectangle", "primefamily")
+    spectra = [builtin_example(name).spectrum for name in names]
+    spectra.append(parse_config("spectrum ilattice re=0 base=0 step=1\n").spectrum)
+    rng = random.Random(1901)
+    spectra += [random_spectrum(rng) for _ in range(600)]
+    for k, Z in enumerate(spectra):
+        n_max = (4, 8, 12)[k % 3]
+        sections = antipode_level_union(Z, n_max)
+        a = check_not_uniform(Z, LevelCache(Z), ClassifyParams(n_max=n_max), sections)
+        got = [] if a is None else list(a.samples)
+        assert got == _oracle_antipodal(Z, n_max), Z
+        assert a is None or a.levels == tuple(n for n, _ in got)
+
+
+def test_antipodal_set_built_once_per_reported_level(monkeypatch):
+    calls = []
+
+    def counted(L):
+        calls.append(L.level)
+        return levels.antipodal_set(L)
+
+    # `dyadicspec.classify` as an attribute of the package is the function
+    monkeypatch.setattr(sys.modules["dyadicspec.classify"], "antipodal_set", counted)
+    cfg = parse_config("spectrum primefamily nseq=2j J=40\n")
+    rep = classify(cfg.spectrum, cfg.params)
+    assert rep.antipodal.levels == (6, 10)
+    assert calls == list(rep.antipodal.levels)
+
+
+def test_prime_family_accumulation_point_is_not_an_antipode():
+    # X_0 holds -1 (the point im=pi) and, in its closure, the point 1 where
+    # the family's image accumulates; neither route sees 1, so level 0 is
+    # not reported, and the verdict does not depend on it
+    cfg = parse_config("spectrum primefamily nseq=2j J=8\nspectrum point re=0 im=1*pi\n")
+    Z = cfg.spectrum
+    rep = classify(Z, cfg.params)
+    assert rep.verdict is Verdict.STRONGLY_CONTINUOUS_NOT_UNIFORM
+    assert rep.antipodal.levels == (6, 10)
+    assert [n for n, _ in _oracle_antipodal(Z, cfg.params.n_max)] == [6, 10]
+    assert not image_closedness(Z, 0).closed
 
 
 @pytest.mark.parametrize(

@@ -524,11 +524,11 @@ ERROR_GRID = [
     ("tower periodic 1,2|3", "line 1, col 7: bad tower entries '1,2|3'"),
     ("lambda 1,q", "line 1, col 8: bad complex list '1,q'"),
     ("spectrum", "line 1, col 9: spectrum needs a value"),
-    ("spectrum blob re=0", "line 1, col 1: unknown primitive 'blob'"),
+    ("spectrum blob re=0", "line 1, col 10: unknown primitive 'blob'"),
     ("spectrum blob junk", "line 1, col 15: unparsed text 'junk'"),
-    ("spectrum point re=0", "line 1, col 1: point needs im="),
-    ("spectrum point im=1", "line 1, col 1: point needs re="),
-    ("spectrum point re=0 im=1 extra=2", "line 1, col 1: point got unknown fields ['extra']"),
+    ("spectrum point re=0", "line 1, col 10: point needs im="),
+    ("spectrum point im=1", "line 1, col 10: point needs re="),
+    ("spectrum point re=0 im=1 extra=2", "line 1, col 10: point got unknown fields ['extra']"),
     ("spectrum point re=x im=1", "line 1, col 16: bad rational 'x'"),
     ("spectrum point re=0 im=1+2*e", "line 1, col 21: bad pi-linear term: '2*e'"),
     ("spectrum point re=0 im=1/0*pi", "line 1, col 21: zero denominator in pi-linear term: '1/0*pi'"),
@@ -536,29 +536,31 @@ ERROR_GRID = [
     ("spectrum point re=0 im=1 junk", "line 1, col 26: unparsed text 'junk'"),
     ("  spectrum  point re=x im=1  # note", "line 1, col 19: bad rational 'x'"),
     ("spectrum point junk re=0 im=1 more", "line 1, col 16: unparsed text 'junk more'"),
-    ("spectrum vsegment re=0", "line 1, col 1: vsegment needs im="),
+    ("spectrum vsegment re=0", "line 1, col 10: vsegment needs im="),
     ("spectrum vsegment re=0 im=5", "line 1, col 24: expected [a,b], got '5'"),
     ("spectrum vsegment re=x im=5", "line 1, col 24: expected [a,b], got '5'"),
     ("spectrum vsegment re=0 im=[1,2,3]", "line 1, col 24: expected two comma-separated values in '[1,2,3]'"),
-    ("spectrum vsegment re=0 im=[1*pi,0]", "line 1, col 1: segment with im_lo > im_hi"),
+    ("spectrum vsegment re=0 im=[1*pi,0]", "line 1, col 10: segment with im_lo > im_hi"),
     ("spectrum vsegment re=0 im=[0,x]", "line 1, col 24: bad pi-linear term: 'x'"),
-    ("spectrum ilattice re=0 base=0 step=-2*pi", "line 1, col 1: lattice step must be positive"),
+    ("spectrum ilattice re=0 base=0 step=-2*pi", "line 1, col 10: lattice step must be positive"),
     ("spectrum ilattice re=0 base=x step=2*pi", "line 1, col 24: bad pi-linear term: 'x'"),
-    ("spectrum ilattice re=0 step=2*pi", "line 1, col 1: ilattice needs base="),
+    ("spectrum ilattice re=0 step=2*pi", "line 1, col 10: ilattice needs base="),
     ("spectrum vline re=1/0", "line 1, col 16: bad rational '1/0'"),
-    ("spectrum vline", "line 1, col 1: vline needs re="),
-    ("spectrum vline re=0 im=1", "line 1, col 1: vline got unknown fields ['im']"),
-    ("spectrum rect re=[0,1]", "line 1, col 1: rect needs im="),
+    ("spectrum vline", "line 1, col 10: vline needs re="),
+    ("spectrum vline re=0 im=1", "line 1, col 10: vline got unknown fields ['im']"),
+    ("spectrum rect re=[0,1]", "line 1, col 10: rect needs im="),
     ("spectrum rect re=[x,0] im=5", "line 1, col 24: expected [a,b], got '5'"),
-    ("spectrum rect re=[0,-1] im=[0,1*pi]", "line 1, col 1: rectangle with re_lo > re_hi"),
+    ("spectrum rect re=[0,-1] im=[0,1*pi]", "line 1, col 10: rectangle with re_lo > re_hi"),
     ("spectrum rect re=0 im=[0,1]", "line 1, col 15: expected [a,b], got '0'"),
     ("spectrum rect re=[0,1] im=[0,y]", "line 1, col 24: bad pi-linear term: 'y'"),
     ("spectrum primefamily nseq=2j J=x", "line 1, col 30: bad integer 'x'"),
-    ("spectrum primefamily nseq=jj J=3", "line 1, col 1: unsupported n_seq 'jj' (expected e.g. '2j' or '2j+1')"),
-    ("spectrum primefamily nseq=2j J=0", "line 1, col 1: prime family truncation must be >= 1"),
-    ("spectrum primefamily J=3", "line 1, col 1: primefamily needs nseq="),
+    ("spectrum primefamily nseq=jj J=3", "line 1, col 10: unsupported n_seq 'jj' (expected e.g. '2j' or '2j+1')"),
+    ("spectrum primefamily nseq=2j J=0", "line 1, col 10: prime family truncation must be >= 1"),
+    ("spectrum primefamily J=3", "line 1, col 10: primefamily needs nseq="),
     ("# header\n\nn_max 3\ndelta x", "line 4, col 7: bad rational 'x'"),
-    ("n_max 3  # fine\n  bogus 1", "line 2, col 1: unknown key 'bogus'"),
+    ("n_max 3  # fine\n  bogus 1", "line 2, col 3: unknown key 'bogus'"),
+    ("   n_max", "line 1, col 9: n_max needs a value"),
+    ("  spectrum  point re=0", "line 1, col 13: point needs im="),
     # a key or a field given twice is an error at its second occurrence
     ("n_max 3\nn_max 5", "line 2, col 1: repeated key 'n_max'"),
     ("ext_zero true\n  ext_zero true", "line 2, col 3: repeated key 'ext_zero'"),

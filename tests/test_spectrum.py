@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import PiLinear, compare
+from dyadicspec.exactnum import PiLinear, _v2, compare
 from dyadicspec.spectrum import (
     ILattice,
     Point,
@@ -278,6 +278,45 @@ def test_point_pairs_by_coset_match_all_pairs():
         got = list(_pair_levels(A, B))
         assert len(got) == len(set(got))
         assert set(got) == _all_pairs_point_levels(A, B), (A, B)
+
+
+def _fraction_coset_levels(us, vs):
+    """_points_points_levels with Fraction coset keys (q0, q1 mod 1)."""
+    cosets: dict = {}
+    for v in vs:
+        cosets.setdefault((v.q0, v.q1 % 1), []).append(int(v.q1 - v.q1 % 1))
+    hits = set()
+    for u in us:
+        x = int(u.q1 - u.q1 % 1)
+        hits.update(_v2(x - y) for y in cosets.get((u.q0, u.q1 % 1), ()) if x != y)
+    return sorted(hits)
+
+
+def test_integer_section_keys_match_fraction_keys():
+    # equal q1 mod 1 under different q0, negative q1 and mixed denominators
+    fixed = [
+        PiLinear(F(q0), F(q1))
+        for q0 in (0, 1, F(-1, 2), F(1, 3))
+        for q1 in (F(1, 3), F(4, 3), F(-2, 3), F(-5, 3), F(7, 6), F(-7, 2), 0, 5, -3)
+    ]
+    rng = random.Random(1907)
+    draws = [fixed] + [
+        [
+            PiLinear(
+                F(rng.randint(-6, 6), rng.randint(1, 6)),
+                F(rng.randint(-90, 90), rng.randint(1, 12)),
+            )
+            for _ in range(rng.randint(1, 12))
+        ]
+        for _ in range(300)
+    ]
+    for vals in draws:
+        (got,) = section_set([SectionPoints(tuple(vals))]).parts
+        assert got.values == tuple(sorted(set(vals), key=lambda v: (v.q0, v.q1)))
+        half = len(vals) // 2
+        for us, vs in ((vals, vals), (vals[:half], vals[half:])):
+            got = [d.hits for d in _points_points_levels(tuple(us), tuple(vs))]
+            assert got == [frozenset({n}) for n in _fraction_coset_levels(us, vs)]
 
 
 # ---------------------------------------------------------------------------
