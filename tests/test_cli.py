@@ -624,6 +624,25 @@ def test_classify_reports_match_golden_bytes(name, as_json, ext, tmp_path):
     assert text.encode() == (GOLDEN / f"report_{name}.{ext}").read_bytes()
 
 
+# name -> config text: simulate runs beyond the built-ins, so that each
+# cover outcome (indices, a blocking thread, inconclusive) is pinned
+SIMULATE_CONFIGS = {
+    # inconclusive at eps 1/100 and 1/1000
+    "primefamily40": "spectrum primefamily nseq=2j J=40\n",
+    # a cover found at a later index for each eps
+    "farpoint": "spectrum point re=1000 im=1\n",
+}
+
+
+@pytest.mark.parametrize("name", [*BUILTINS, *SIMULATE_CONFIGS])
+def test_simulate_reports_match_golden_bytes(name):
+    text = SIMULATE_CONFIGS.get(name)
+    cfg = builtin_example(name) if text is None else parse_config(text)
+    code, text = run("simulate", cfg)
+    assert code == 0
+    assert text.encode() == (GOLDEN / f"simulate_{name}.txt").read_bytes()
+
+
 def test_mt_report_of_a_dense_lattice_matches_golden_bytes():
     # the closedness witness of a dense orbit: the missed angle and limit point
     code, text = run("mt", parse_config(GOLDEN_CONFIGS["dense"][0]))
