@@ -31,7 +31,6 @@ from .levels import (
     LevelPoint,
     antipodal_set,
     enumerate_points,
-    sup_abs_one_minus,
 )
 from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
 from .records import record
@@ -166,7 +165,7 @@ def check_uniform(
     table: list[tuple[int, Fraction, Fraction]] = []
     constant = Fraction(0)
     for n in range(params.n_max + 1):
-        sup = sup_abs_one_minus(cache.level(n), digits)
+        sup = cache.sup(n, digits)
         lo, hi = interval_sqrt((sup.sq_lo, sup.sq_hi), digits)
         table.append((n, lo, hi))
         constant = max(constant, hi * 2**n)

@@ -777,16 +777,29 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
 
 
 class LevelCache:
-    """Memoized level sets for one spectrum."""
+    """Memoized level sets for one spectrum, and their certified sups.
+
+    One cache lives for one run, so every reader of a level's
+    sup |1 - z|^2 at the same precision (the uniform gate, the divergence
+    search's skip, a quasi-uniform cover for each eps) shares one result.
+    """
 
     def __init__(self, Z: SpectrumSet):
         self.Z = Z
         self._levels: dict[int, LevelSet] = {}
+        self._sups: dict[tuple[int, int], SupResult] = {}
 
     def level(self, n: int) -> LevelSet:
         if n not in self._levels:
             self._levels[n] = level_set(self.Z, n)
         return self._levels[n]
+
+    def sup(self, n: int, digits: int = 30) -> SupResult:
+        """sup_abs_one_minus(self.level(n), digits), computed once."""
+        key = (n, digits)
+        if key not in self._sups:
+            self._sups[key] = sup_abs_one_minus(self.level(n), digits)
+        return self._sups[key]
 
     def eventual(self, n: int, K: int) -> LevelSet:
         """Level n; kept only for the benchmark tracer, which looks it up."""

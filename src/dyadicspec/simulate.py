@@ -253,21 +253,24 @@ def quasi_uniform_cover(
 ) -> CoverResult:
     """Find indices making min_i |1 - point_{L_i}^{S_i}| < eps everywhere.
 
-    A single index certifies the cover when the sup of |1 - z^S| over level
-    L, the projection of the inverse limit, is below eps.  Absence is
-    certified by exhibiting one thread that violates every candidate index
-    at once (then no finite subfamily can help).  Anything else is
-    reported unknown.
+    The candidate indices are n0..search_bound.  A single index certifies
+    the cover when the sup of |1 - z^S| over level L, the projection of the
+    inverse limit, is below eps.  With S = 1 that sup is the level's own,
+    read from `cache`, so covers for several eps on one cache compute each
+    level's sup once.  Absence is certified by exhibiting one thread that
+    violates every candidate index at once (then no finite subfamily can
+    help).  Anything else is reported unknown.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if n0 > search_bound:
+        raise ValueError(f"n0 ({n0}) exceeds search_bound ({search_bound}): no candidate index")
     if cache is None:
         cache = LevelCache(Z)
     eps_sq = Fraction(eps) ** 2
     for n in range(n0, search_bound + 1):
         L, S = _seq_at(L_seq, n), _seq_at(S_seq, n)
-        powered = power_levelset(cache.level(L), S)
-        sup = sup_abs_one_minus(powered)
+        sup = cache.sup(L) if S == 1 else sup_abs_one_minus(power_levelset(cache.level(L), S))
         if sup.sq_hi < eps_sq:
             return CoverResult("found", (n,), (sup.sq_lo, sup.sq_hi), None)
     witness = _blocking_thread(cache, L_seq, S_seq, eps_sq, n0, search_bound, node_budget)
@@ -297,7 +300,7 @@ def _blocking_thread(
 
     def passes(level: int, p: LevelPoint) -> bool:
         for s in checks.get(level, ()):
-            q = _power_point(p, s)
+            q = p if s == 1 else _power_point(p, s)
             if compare_abs1m_sq(q.log_mod, q.angle, eps_sq) < 0:
                 return False
         return True

@@ -27,7 +27,6 @@ from .levels import (
     LevelPoint,
     component_sup_candidates,
     membership,
-    sup_abs_one_minus,
 )
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
@@ -189,7 +188,7 @@ def divergence_search(
         raise ValueError("depth must be >= 1")
     delta_sq = Fraction(delta) ** 2
     if all(isinstance(p.section, BOUNDED_PARTS) for p in cache.Z.primitives) and (
-        sup_abs_one_minus(cache.level(depth), 15).sq_hi < delta_sq
+        cache.sup(depth, 15).sq_hi < delta_sq
     ):
         return None
     base_levels = range(0, min(depth, max(9, depth * 2 // 3)))

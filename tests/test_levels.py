@@ -31,6 +31,7 @@ from dyadicspec.levels import (
     membership,
     normalize,
     power_component,
+    power_levelset,
     sample_points,
     sup_abs_one_minus,
 )
@@ -194,6 +195,20 @@ def test_sup_matches_dense_sampling(rectangle, roots2k, solenoid):
             best = max(best, (1 - re_) ** 2 + im_**2)
         assert best <= float(res.sq_hi) + 1e-9
         assert float(res.sq_lo) <= best + 0.05  # candidates dominate samples
+
+
+def test_power_one_and_the_cached_sup_change_nothing(roots2k, solenoid, rectangle, primefamily):
+    # the quasi-uniform cover's two shortcuts: z -> z^1 maps a level set to
+    # itself, and the cache's sup is the sup of the level set it holds
+    rng = random.Random(2001)
+    for Z in (roots2k, solenoid, rectangle, primefamily, *(random_spectrum(rng) for _ in range(30))):
+        cache = LevelCache(Z)
+        for n in range(8):
+            L = level_set(Z, n)
+            assert power_levelset(L, 1) == L, (Z, n)
+            for digits in (15, 30):
+                assert cache.sup(n, digits) == sup_abs_one_minus(L, digits), (Z, n, digits)
+            assert cache.sup(n) is cache.sup(n, 30)
 
 
 def test_claim_antipodal_iff_shift_condition_on_builtins(

@@ -38,6 +38,8 @@ from dyadicspec.spectrum import (
 )
 from dyadicspec.threads import Thread, evaluate
 
+from conftest import random_spectrum
+
 
 def model_for(Z, caches={}):
     thr1 = Thread(0, LevelPoint(F(0), PiLinear(0, 0)))
@@ -152,6 +154,28 @@ def test_quasi_uniform_cover_absent(solenoid, roots2k):
         cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), 1, 50)
         assert cov.status == "absent"
         assert cov.absent_witness is not None
+
+
+def test_covers_on_a_shared_cache_match_fresh_caches(roots2k, solenoid, rectangle, primefamily):
+    # the run's covers, one per eps in order on one cache, as the CLI calls them
+    from dyadicspec.classify import ClassifyParams
+
+    rng = random.Random(2002)
+    cases = [(Z, 30, 50000) for Z in (roots2k, solenoid, rectangle, primefamily)]
+    cases += [(random_spectrum(rng), 8, 2000) for _ in range(20)]
+    for Z, bound, budget in cases:
+        shared = LevelCache(Z)
+        for eps in ClassifyParams().epsilons:
+            args = (Z, lambda n: n, lambda n: 1, eps, 1, bound)
+            got = quasi_uniform_cover(*args, cache=shared, node_budget=budget)
+            assert got == quasi_uniform_cover(*args, node_budget=budget), (Z, eps)
+
+
+def test_quasi_uniform_cover_needs_a_candidate_index(solenoid):
+    with pytest.raises(ValueError, match=r"n0 \(3\) exceeds search_bound \(2\)"):
+        quasi_uniform_cover(solenoid, lambda n: n, lambda n: 1, F(1, 10), n0=3, search_bound=2)
+    cov = quasi_uniform_cover(solenoid, lambda n: n, lambda n: 1, F(1, 10), n0=2, search_bound=2)
+    assert cov.status == "absent"
 
 
 def test_residual_rectangle(rectangle):
@@ -403,6 +427,28 @@ def test_simulate_builds_each_level_once(name, monkeypatch):
     monkeypatch.setattr(levels, "level_set", counted)
     assert run("simulate", builtin_example(name))[0] == 0
     assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("name", ["roots2k", "solenoid", "rectangle", "primefamily"])
+def test_simulate_computes_each_sup_once(name, monkeypatch, capsys):
+    # the covers for the three eps read each level's sup from the run's
+    # cache, and z -> z^1 builds no powered level set
+    from dyadicspec import levels
+    from dyadicspec.cli import main
+
+    sups, powers = [], []
+    sup_abs_one_minus = levels.sup_abs_one_minus
+
+    def counted(L, digits=30):
+        sups.append((L.level, digits))
+        return sup_abs_one_minus(L, digits)
+
+    for module in ("dyadicspec.levels", "dyadicspec.simulate"):
+        monkeypatch.setattr(sys.modules[module], "sup_abs_one_minus", counted)
+        monkeypatch.setattr(sys.modules[module], "power_levelset", lambda *args: powers.append(args))
+    assert main(["examples", name, "--run", "simulate"]) == 0
+    assert sups and len(sups) == len(set(sups))
+    assert powers == []
 
 
 def test_diagonal_model_reuses_the_callers_cache(roots2k, solenoid):
