@@ -6,21 +6,22 @@ angles).  Everything else goes through enclosures with explicit error
 bounds, refined until the comparison separates.  A comparison that cannot
 separate raises instead of guessing.
 
-Both Taylor kernels run on Python integers, so no step pays a gcd:
+Both kernels are fixed-point series on Python integers, in the
+midpoint-radius style of Arb (Johansson, IEEE TC 2017), so no step pays
+a gcd and every denominator is a power of two:
 
-* `cos_bounds` is a fixed-point ball in the midpoint-radius style of Arb
-  (Johansson, IEEE TC 2017): the reduced angle and pi are integers at
-  scale 2**-p, the series is summed with floor rounding, and the radius
-  counts the rounding error, the tail and the angle width.
-* `exp_bounds` accumulates the exact partial sum N_k / (b**k k!) at
-  x = a/b in integers and normalises to Fractions once.  Its endpoints are
-  exactly those of a term-by-term Fraction sum, because the classifier
-  prints R * exp_bounds(R, 6)[1] into the report.
+* `_cos_ints`: the reduced angle and pi are integers at scale 2**-p, the
+  series is summed with floor rounding, and the radius counts the
+  rounding error, the tail and the angle width.
+* `_exp_ints`: argument reduction to |x| / 2**s < 1/2, a floor-rounded
+  Taylor sum, s squarings and a reciprocal for x < 0, at a cost that
+  grows with the bits of the result, not with |x|**2.  The printed
+  `exp_bounds` keeps exact Taylor endpoints for |x| <= 64 (see there).
 
 `abs1m_sq_bounds` and `compare_abs1m_sq` combine the two kernels' integer
 endpoints over one common denominator and compare integers, so the
 enclosures of |1 - z|**2 are the same rationals as a Fraction evaluation
-without its gcds.
+over the kernels' endpoints, without its gcds.
 """
 
 from __future__ import annotations
@@ -45,16 +46,24 @@ _HALF_PI = PiLinear(0, Fraction(1, 2))
 def exp_bounds(x: Fraction, digits: int) -> Interval:
     """Enclosure of exp(x) with width <= 10**-digits.
 
+    The classifier prints R * exp_bounds(R, 6)[1], and the Taylor sum's
+    slack of up to 10**-6 shows in that print at small R, so for |x| <= 64
+    the endpoints stay those of the term-by-term sum.  Above 64 either
+    kernel's slack of at most 10**-6 is under e**-64 * 10**-6 ~ 2e-34
+    relative, 18 orders of magnitude below a double's ulp, so `_exp_ints`
+    moves no printed digit.
+    """
+    lo, hi, den = (_exp_taylor if abs(x) <= 64 else _exp_ints)(x, digits)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _exp_taylor(x: Fraction, digits: int) -> tuple[int, int, int]:
+    """Integers lo, hi, den > 0 with lo/den <= exp(x) <= hi/den.
+
     The partial sum s_k = N_k / D_k with D_k = b**k k! at x = a/b stops at
     the first k >= 2|x| + 2 whose geometric tail bound 2|x|**(k+1)/(k+1)!
     is at most 10**-digits / 2; the result is s_k -+ that bound.
     """
-    lo, hi, den = _exp_ints(x, digits)
-    return Fraction(lo, den), Fraction(hi, den)
-
-
-def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
-    """Integers lo, hi, den > 0 with exp_bounds(x, digits) = (lo/den, hi/den)."""
     if x == 0:
         return 1, 1, 1
     a, b = x.numerator, x.denominator
@@ -72,6 +81,50 @@ def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
     mid = num * b * (k + 1)
     tail = 2 * abs(next_power)
     return mid - tail, mid + tail, next_den
+
+
+def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
+    """Integers lo, hi and den = 2**q with lo/den <= exp(x) <= hi/den and
+    width <= 10**-digits.
+
+    Argument reduction (Brent & Zimmermann, Modern Computer Arithmetic,
+    4.3-4.4): with 2**s > 2|x|, t = |x| / 2**s < 1/2.  Each term t**k/k!
+    at scale 2**w is floored from the previous one and the exact t, so it
+    lies below the true term by at most t/k times the previous error plus
+    1: under 2 units.  The sum stops at the first term that floors to 0;
+    the true terms halve from there, so the tail is under 4 units.  Squaring
+    s times (floor lo, ceiling hi) gives exp(|x|), and its reciprocal at
+    scale 2**p gives exp(-|x|), which is at most 2**-p once |x| >= p.
+    """
+    a, b = x.numerator, x.denominator
+    if a == 0:
+        return 1, 1, 1
+    neg, a = a < 0, abs(a)
+    p = math.ceil(digits * math.log2(10)) + 2  # 4 units at 2**-p are <= 10**-digits
+    if neg and a // b >= p:
+        return 0, 1, 1 << p  # exp(-|x|) <= 2**-|x| <= 2**-p
+    s = (2 * a // b).bit_length()
+    # room for 2**s (2k + 4) units of error, and for exp(x) < 2**(1.443 x) when x > 0
+    w = p + s + (0 if neg else a * 1443 // (1000 * b) + 1)
+    w += w.bit_length() + 4
+    scale, bs = 10**digits, b << s
+    while True:
+        term = total = 1 << w
+        k = 0
+        while term:
+            k += 1
+            term = term * a // (bs * k)
+            total += term
+        lo, hi = total, total + 2 * k + 4
+        for _ in range(s):
+            lo, hi = lo * lo >> w, -(-hi * hi >> w)
+        den = 1 << w
+        if neg:
+            one, den = den << p, 1 << p
+            lo, hi = one // hi, -(-one // lo)
+        if (hi - lo) * scale <= den:
+            return lo, hi, den
+        w += w // 2
 
 
 def _angle_fixed(a: PiLinear, p: int) -> tuple[int, int]:

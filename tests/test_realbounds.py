@@ -1,6 +1,8 @@
 """Differential tests of the certified enclosures against mpmath and the
 term-by-term Fraction Taylor loop."""
 
+import math
+
 from fractions import Fraction as F
 
 import mpmath
@@ -8,8 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dyadicspec.cli import format_g
 from dyadicspec.exactnum import PiLinear, reduce_mod_2pi
-from dyadicspec.realbounds import abs1m_sq_bounds, compare_abs1m_sq, cos_bounds, exp_bounds
+from dyadicspec.realbounds import (
+    _exp_ints,
+    abs1m_sq_bounds,
+    compare_abs1m_sq,
+    cos_bounds,
+    exp_bounds,
+)
 
 digits = st.integers(min_value=1, max_value=60)
 
@@ -38,12 +47,16 @@ def mp_fraction(v) -> F:
     return -f if v < 0 else f
 
 
-def assert_encloses(lo: F, hi: F, value, digits: int, dps: int):
-    """lo <= value <= hi up to mpmath's own relative error, and the width
-    is at most 10**-digits."""
+def assert_contains(lo: F, hi: F, value, dps: int):
+    """lo <= value <= hi up to mpmath's own relative error."""
     v = mp_fraction(value)
     slack = abs(v) * F(1, 10 ** (dps - 10)) + F(1, 10 ** (dps - 10))
     assert lo <= v + slack and v - slack <= hi, (float(lo), float(hi), value)
+
+
+def assert_encloses(lo: F, hi: F, value, digits: int, dps: int):
+    """assert_contains, and the width is at most 10**-digits."""
+    assert_contains(lo, hi, value, dps)
     assert hi - lo <= F(1, 10**digits)
 
 
@@ -68,6 +81,54 @@ def test_exp_bounds_contains_mpmath_value(x, d):
 @settings(max_examples=60, deadline=None)
 def test_exp_bounds_equals_fraction_loop(x, d):
     assert exp_bounds(x, d) == fraction_exp_bounds(x, d)
+
+
+def assert_exp_ints_encloses(x: F, d: int):
+    """_exp_ints(x, d) encloses exp(x) with width <= 10**-d.  mpmath works
+    at the bits of den plus those of hi plus a margin: a fixed precision
+    runs out where exp(x) has thousands of integer bits."""
+    lo, hi, den = _exp_ints(x, d)
+    with mpmath.workprec(den.bit_length() + hi.bit_length() + 64):
+        value = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+        assert lo <= value * den <= hi, (x, d)
+    assert (hi - lo) * 10**d <= den
+
+
+@given(
+    st.one_of(
+        st.fractions(min_value=-(10**5), max_value=10**3, max_denominator=10**6),
+        st.fractions(min_value=-70, max_value=70, max_denominator=2**40),
+    ),
+    st.sampled_from([1, 6, 15, 45, 135]),
+)
+@example(F(0), 6)
+@example(F(1, 10**9), 45)
+@example(F(-1, 10**9), 45)
+@example(F(2000), 135)
+@example(F(-20000), 6)
+@settings(max_examples=120, deadline=None)
+def test_exp_ints_contains_mpmath_value(x, d):
+    assert_exp_ints_encloses(x, d)
+
+
+@pytest.mark.parametrize("d", [1, 6, 15, 45, 135])
+def test_exp_ints_underflow_branch(d):
+    # below -p the kernel returns [0, 2**-p]; read p off that branch
+    p = _exp_ints(F(-(10**6)), d)[2].bit_length() - 1
+    assert p >= math.log2(10) * d
+    assert _exp_ints(F(-p), d) == (0, 1, 1 << p)
+    for x in (F(-p), F(-(p - 1)), F(1, 2) - p):
+        assert_exp_ints_encloses(x, d)
+
+
+@pytest.mark.parametrize("R", [F(60), F(639, 10), F(64), F(641, 10), F(70), F(201, 2), F(200)])
+def test_symbolic_constant_print_does_not_depend_on_the_exp_kernel(R):
+    # the report prints R * exp_bounds(R, 6)[1]; above |x| = 64 its endpoint
+    # comes from _exp_ints, whose slack is too small to move a printed digit
+    got = R * exp_bounds(R, 6)[1]
+    want = R * fraction_exp_bounds(R, 6)[1]
+    for d in (12, 17):
+        assert format_g(got, d) == format_g(want, d)
 
 
 @given(
@@ -113,12 +174,14 @@ NIVEN_COS = {F(0): F(1), F(1, 3): F(1, 2), F(1, 2): F(0), F(2, 3): F(-1, 2), F(1
 
 def fraction_abs1m_sq_bounds(log_mod: F, angle: PiLinear, digits: int) -> tuple[F, F]:
     """Reference: 1 - 2ec + e**2 over the exp and cos enclosures in Fractions;
-    abs1m_sq_bounds must return exactly this."""
+    abs1m_sq_bounds must return exactly this.  The exp enclosure is the
+    kernel's, `_exp_ints`, which abs1m_sq_bounds combines in integers."""
     a = reduce_mod_2pi(angle)
     if log_mod == 0 and a.q0 == 0 and abs(a.q1) in NIVEN_COS:
         exact = 2 - 2 * NIVEN_COS[abs(a.q1)]
         return exact, exact
-    elo, ehi = exp_bounds(log_mod, digits + 2)
+    el, eh, ed = _exp_ints(log_mod, digits + 2)
+    elo, ehi = F(el, ed), F(eh, ed)
     clo, chi = cos_bounds(angle, digits + 2)
     lo = min(1 - 2 * e * chi + e * e for e in (elo, ehi))
     hi = max(1 - 2 * e * clo + e * e for e in (elo, ehi))
@@ -175,6 +238,24 @@ angles = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_abs1m_sq_bounds_equals_fraction_formula(log_mod, angle, d):
     assert abs1m_sq_bounds(log_mod, angle, d) == fraction_abs1m_sq_bounds(log_mod, angle, d)
+
+
+@given(st.fractions(min_value=-(10**4), max_value=10**4, max_denominator=1000), angles, digits)
+@example(F(10**4), PiLinear(0, F(1, 3)), 15)
+@example(F(-(10**4)), PiLinear(F(1, 7), 0), 45)
+@example(F(-20000, 2**8), PiLinear(0, F(-5, 7)), 30)
+@example(F(1, 10**4), PiLinear(F(-1, 10**4), 0), 1)
+@settings(max_examples=60, deadline=None)
+def test_abs1m_sq_bounds_contains_mpmath_value(log_mod, angle, d):
+    lo, hi = abs1m_sq_bounds(log_mod, angle, d)
+    # the integer digits of |1 - z|**2 (up to e**(2 * 10**4)) on top of d
+    dps = max(hi.numerator.bit_length() - hi.denominator.bit_length(), 0) // 3 + d + 40
+    with mpmath.workdps(dps):
+        q0, q1 = angle.q0, angle.q1
+        theta = mpmath.mpf(q0.numerator) / q0.denominator + mpmath.pi * q1.numerator / q1.denominator
+        z = mpmath.exp(mpmath.mpc(mpmath.mpf(log_mod.numerator) / log_mod.denominator, theta))
+        value = abs(1 - z) ** 2
+    assert_contains(lo, hi, value, dps)
 
 
 @given(log_mods, angles, st.sampled_from([15, 45]), st.integers(0, 3))
