@@ -9,8 +9,9 @@ depth-first search over the tree of feasible threads.
 
 The divergence search looks for threads that keep |1 - point| above a
 threshold at every represented level; witnesses re-walk from scratch in
-exact arithmetic.  A prefix alone never outruns its depth, so verdict
-consumers pair it with a persistence certificate: a source primitive
+exact arithmetic.  Both stop where `tail_closes` certifies the rest of
+the thread: bit 1, kept and feasible at every level.  Verdict consumers
+pair a thread with a persistence certificate: a source primitive
 (vertical line, or vertical lattice) whose level sets provably contain
 the negated root of every member at all deeper levels.
 """
@@ -21,13 +22,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, _mk, _v2, reduce_mod_2pi
-from .levels import (
-    LevelCache,
-    LevelPoint,
-    component_sup_candidates,
-    membership,
-)
+from .exactnum import PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi
+from .levels import LevelCache, LevelPoint, component_sup_candidates, membership
+from .levels import _angles_contain, _map_angles, _part_angles  # a primitive's own tower
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
 from .spectrum import BOUNDED_PARTS, ILattice, SpectrumSet, VLine
@@ -133,13 +130,16 @@ def search(
     depth: int,
     keep: Callable[[int, LevelPoint], bool],
     node_budget: int,
+    tail: Optional[Callable[[int, LevelPoint], bool]] = None,
 ) -> Optional[Thread]:
     """A thread from one of the seeds whose every point, through level
     `depth`, satisfies keep(level, point); None once the seeds or the
     budget of stack pops run out.
 
     Depth-first over the feasible branches, greedy on |1 - z|: the child
-    farther from 1 is tried first, the principal root on a tie.
+    farther from 1 is tried first, the principal root on a tie.  Below a
+    point where tail(level, point) holds, the search would keep only the
+    bit-1 child at each level; that walk's result is returned unwalked.
     """
     budget = node_budget
     for n0, seed in seeds:
@@ -151,6 +151,9 @@ def search(
             budget -= 1
             if level == depth:
                 return Thread(n0, seed, bits)
+            if tail is not None and tail(level, p):
+                # the walk would pop one node at each level below this one
+                return Thread(n0, seed, bits + (1,) * (depth - level)) if budget >= depth - level else None
             children = [
                 (bit, q) for bit, q in feasible_branches(cache, level, p) if keep(level + 1, q)
             ]
@@ -196,17 +199,24 @@ def divergence_search(
     def keep(level: int, p: LevelPoint) -> bool:
         return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
 
-    return search(cache, search_seeds(cache, base_levels), depth, keep, node_budget)
+    tail = lambda level, p: tail_closes(cache.Z, level, p, delta_sq)
+    return search(cache, search_seeds(cache, base_levels), depth, keep, node_budget, tail)
 
 
 def verify_witness(cache: LevelCache, th: Thread, depth: int, delta: Fraction) -> bool:
-    """Independent re-check of a witness from scratch."""
+    """Independent re-check of a witness from scratch, through `depth` or its certified bit-1 tail."""
     delta_sq = Fraction(delta) ** 2
+    n = max(depth, th.base_level)
+    prefix = th.bits[: n - th.base_level]
+    # the level after the last 0 bit (n when the bits stop short of n)
+    ones_from = th.base_level + 1 + bytes(prefix).rfind(0) if len(prefix) == n - th.base_level else n
     try:
-        return all(
-            compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
-            for _, p in walk(cache, th, max(depth, th.base_level))
-        )
+        for level, p in walk(cache, th, n):
+            if compare_abs1m_sq(p.log_mod, p.angle, delta_sq) < 0:
+                return False
+            if ones_from <= level < n and tail_closes(cache.Z, level, p, delta_sq):
+                return True
+        return True
     except InfeasibleThread:
         return False
 
@@ -222,30 +232,80 @@ def persistence_certificate(
     lattice with a rational step keeps level sets antipode-closed from the
     level given (so the negated root of any member stays inside).  In each
     case a point with |angle| >= pi/2 always has a child with |angle| >=
-    pi/2, hence the divergence band extends to every level.  The witness
-    must live on the certifying primitive's own tower.
+    pi/2, hence the divergence band extends to every level.  The witness,
+    one verify_witness accepts, must live on the primitive's own tower.
     """
-    half_pi = PiLinear(0, Fraction(1, 2))
-    p = evaluate(cache, th, depth)
-    mag = -p.angle if p.angle.sign() < 0 else p.angle
-    if (mag - half_pi).sign() < 0:
-        return None
+    # a bit-1 step lands at |angle| = pi - |angle|/2 >= pi/2
+    if not (depth > th.base_level and th.bit_at(depth) == 1):
+        p = evaluate(cache, th, depth)
+        mag = -p.angle if p.angle.sign() < 0 else p.angle
+        if (mag - PiLinear(0, Fraction(1, 2))).sign() < 0:
+            return None
     for prim in Z.primitives:
         if not isinstance(prim, (VLine, ILattice)):
             continue
         # the caller's cache already holds the levels of a one-primitive Z
         sub = cache if cache.Z.primitives == (prim,) else LevelCache(SpectrumSet((prim,)))
+        closed_from = _closed_from(prim)
+        # a tower point has a square root on the next level, and from level
+        # closed_from on both are: past closed_from - 1 the tower holds the thread
         try:
-            evaluate(sub, th, depth)
+            evaluate(sub, th, min(depth, max(th.base_level, (closed_from or 0) - 1)))
         except (InfeasibleThread, ValueError):
             continue
-        if isinstance(prim, VLine) or prim.step.q0 != 0:
-            return prim, None
-        # antipode-closure of the angle orbit holds from some level on (the
-        # orbit step eventually divides 1), keeping both square roots of
-        # every member feasible forever
-        return prim, _v2(prim.step.q1.numerator)
+        return prim, closed_from
     return None
+
+
+# ---------------------------------------------------------------------------
+# the bit-1 tail
+#
+# Why tail_closes is sound.  Bit 1 maps a reduced angle t to |t'| = pi - |t|/2
+# and bit 0 to |t'| = |t|/2, so along q's bit-1 tail e = ||t| - 2pi/3|, the
+# distance to the 2-cycle {2pi/3, -2pi/3} of squaring, halves at every step,
+# and the log-moduli m/2^k lie between m = log_mod(q) and 0.  On |phi| in
+# [pi/2, pi], |1 - r e^{i phi}|^2 = r^2 - 2r cos(phi) + 1 grows with |phi|
+# and with r: its value at angle 2pi/3 - e/2 (>= pi/2 as e <= pi/6) and
+# radius min(e^m, 1) bounds every later bit-1 point from below.  A bit-0 child
+# along the tail has |angle| <= pi/3 + e/2, and the expression grows with
+# |phi| on [0, pi] and is convex in r: its values there at radii e^m and 1
+# bound every such child from above.  A line or lattice with q on its tower,
+# antipode-closed from level + 1 on, keeps both square roots of every later
+# tower point feasible.  So from q the full depth-first search keeps exactly
+# one child per level, bit 1, and the float order has no say.
+
+_SIXTH_PI, _THIRD_PI, _TWO_THIRDS_PI = (PiLinear(0, Fraction(k, 6)) for k in (1, 2, 4))
+
+
+def _closed_from(prim: Union[VLine, ILattice]) -> Optional[int]:
+    """The level from which the primitive's level sets are antipode-closed; None when all are."""
+    return None if isinstance(prim, VLine) or prim.step.q0 != 0 else _v2(prim.step.q1.numerator)
+
+
+def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -> bool:
+    """Whether the bit-1 thread from q at `level` stays feasible in Z with |1 - z|^2 >=
+    delta_sq at every later level while every bit-0 child along it falls below (proof above)."""
+    if not 1 < delta_sq <= 3:  # the two corners at m = 0 need this
+        return False
+    mag = -q.angle if q.angle.sign() < 0 else q.angle
+    e = mag - _TWO_THIRDS_PI if mag >= _TWO_THIRDS_PI else _TWO_THIRDS_PI - mag
+    half = Fraction(1, 2**level)
+    # q on the tower of a line or lattice antipode-closed from level + 1 on
+    if e > _SIXTH_PI or not any(
+        isinstance(p, (VLine, ILattice)) and (_closed_from(p) or 0) <= level + 1 and q.log_mod == p.re * half
+        and all(_angles_contain(_map_angles(a, half), q.angle) for a in _part_angles(p.section))
+        for p in Z.primitives
+    ):
+        return False
+    half_e = e.scaled(Fraction(1, 2))
+    try:
+        return all(
+            compare_abs1m_sq(m, _TWO_THIRDS_PI - half_e, delta_sq) >= 0
+            and compare_abs1m_sq(m, _THIRD_PI + half_e, delta_sq) < 0
+            for m in (q.log_mod, Fraction(0))
+        )
+    except PrecisionError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyadicspec import threads
-from dyadicspec.exactnum import PiLinear, compare, reduce_mod_2pi
+from dyadicspec import levels, threads
+from dyadicspec.classify import Verdict, classify
+from dyadicspec.cli import parse_config
+from dyadicspec.exactnum import PiLinear, _v2, compare, reduce_mod_2pi
 from dyadicspec.levels import LevelCache, LevelPoint, level_set, sup_abs_one_minus
 from dyadicspec.realbounds import compare_abs1m_sq
-from dyadicspec.spectrum import BOUNDED_PARTS, Point, SpectrumSet, VLine
+from dyadicspec.spectrum import BOUNDED_PARTS, ILattice, Point, SpectrumSet, VLine
 from dyadicspec.threads import (
     InfeasibleThread,
     Thread,
@@ -20,6 +24,7 @@ from dyadicspec.threads import (
     search,
     search_seeds,
     step_point,
+    tail_closes,
     verify_witness,
     walk,
 )
@@ -201,6 +206,52 @@ def test_search_budget_of_one_node_finds_nothing(solenoid):
     assert search(cs, search_seeds(cs, range(13)), 20, keep, 1) is None
 
 
+# ---------------------------------------------------------------------------
+# full-walk oracles: the divergence search, witness check and persistence
+# certificate as they read before the bit-1 tail certificate cut them short
+
+
+def _walked_search(cache, depth, delta, budget):
+    delta_sq = F(delta) ** 2
+
+    def keep(level, p):
+        return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+
+    seeds = search_seeds(cache, range(min(depth, max(9, depth * 2 // 3))))
+    return search(cache, seeds, depth, keep, budget)
+
+
+def _walked_verify(cache, th, depth, delta):
+    delta_sq = F(delta) ** 2
+    try:
+        return all(
+            compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+            for _, p in walk(cache, th, max(depth, th.base_level))
+        )
+    except InfeasibleThread:
+        return False
+
+
+def _walked_persistence(Z, cache, th, depth):
+    half_pi = PiLinear(0, F(1, 2))
+    p = evaluate(cache, th, depth)
+    mag = -p.angle if p.angle.sign() < 0 else p.angle
+    if (mag - half_pi).sign() < 0:
+        return None
+    for prim in Z.primitives:
+        if not isinstance(prim, (VLine, ILattice)):
+            continue
+        sub = cache if cache.Z.primitives == (prim,) else LevelCache(SpectrumSet((prim,)))
+        try:
+            evaluate(sub, th, depth)
+        except (InfeasibleThread, ValueError):
+            continue
+        if isinstance(prim, VLine) or prim.step.q0 != 0:
+            return prim, None
+        return prim, _v2(prim.step.q1.numerator)
+    return None
+
+
 def test_bounded_cut_returns_what_the_full_search_returns():
     # on bounded section parts divergence_search may skip the search after
     # one sup over level `depth`; it must still return exactly the thread,
@@ -210,22 +261,13 @@ def test_bounded_cut_returns_what_the_full_search_returns():
     bounded = [all(isinstance(p.section, BOUNDED_PARTS) for p in Z.primitives) for Z in spectra]
     assert any(bounded) and not all(bounded)
 
-    def direct(cache, depth, delta, budget):
-        delta_sq = delta**2
-
-        def keep(level, p):
-            return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
-
-        seeds = search_seeds(cache, range(min(depth, max(9, depth * 2 // 3))))
-        return search(cache, seeds, depth, keep, budget)
-
     grid = [(d, delta, 20000) for d in (1, 4, 8, 12) for delta in (F(1, 2), F(1), F(7, 5), F(2))]
     cut = found = 0
     for Z, is_bounded in zip(spectra, bounded):
         cache = LevelCache(Z)
         for depth, delta, budget in grid + [(12, F(1, 2), 5)]:
             th = divergence_search(cache, depth, delta, budget)
-            assert th == direct(cache, depth, delta, budget), (Z, depth, delta, budget)
+            assert th == _walked_search(cache, depth, delta, budget), (Z, depth, delta, budget)
             if is_bounded:
                 cut += sup_abs_one_minus(cache.level(depth), 15).sq_hi < delta**2
                 found += th is not None
@@ -253,3 +295,159 @@ def test_persistence_certificate_builds_a_cache_only_for_a_proper_part(Z, new_ca
     monkeypatch.setattr(threads, "LevelCache", counted)
     assert persistence_certificate(Z, cache, th, 10) == (VLine(F(0)), None)
     assert len(built) == new_caches
+
+
+# ---------------------------------------------------------------------------
+# the bit-1 tail certificate against the full walks
+
+_RES = (F(-3), F(-1), F(0), F(1, 2), F(2))
+_DELTAS = (F(1, 2), F(1), F(7, 5), F(17, 10), F(173, 100))
+_STEPS = (
+    PiLinear(0, 2),
+    PiLinear(0, 1),
+    PiLinear(0, 4),
+    PiLinear(0, F(2, 3)),  # odd numerator: closed from level 0
+    PiLinear(0, F(8, 3)),  # closed from level 3
+    PiLinear(1, 1),  # dense orbit
+)
+_BASES = (PiLinear(0, 0), PiLinear(0, 1), PiLinear(0, F(1, 2)), PiLinear(0, F(1, 3)), PiLinear(F(1, 2), 0))
+
+
+@st.composite
+def _spectra(draw):
+    """A conftest draw, a line or lattice, the two together, or the line or
+    lattice followed by a line at its real part."""
+    re = draw(st.sampled_from(_RES))
+    source = draw(
+        st.one_of(
+            st.just(VLine(re)),
+            st.builds(ILattice, st.just(re), st.sampled_from(_BASES), st.sampled_from(_STEPS)),
+        )
+    )
+    drawn = random_spectrum(random.Random(draw(st.integers(0, 10**6)))).primitives
+    kind = draw(st.sampled_from(("drawn", "source", "both", "lined")))
+    parts = {"drawn": drawn, "source": (source,), "both": drawn + (source,), "lined": (source, VLine(re))}
+    return SpectrumSet(parts[kind])
+
+
+def _tampered(th):
+    """The thread with its last bit flipped, with one bit flipped mid-prefix,
+    and cut one bit short of its depth."""
+    bits = th.bits
+    out = [Thread(th.base_level, th.base, bits[:-1] + (1 - bits[-1],))]
+    if len(bits) > 2:
+        k = len(bits) // 2
+        out.append(Thread(th.base_level, th.base, bits[:k] + (1 - bits[k],) + bits[k + 1 :]))
+    out.append(Thread(th.base_level, th.base, bits[:-1]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(Z=_spectra(), depth=st.sampled_from((12, 40, 200)), delta=st.sampled_from(_DELTAS))
+def test_tail_certificate_matches_the_full_walks(Z, depth, delta):
+    cache = LevelCache(Z)
+    budget = 3000
+    th = divergence_search(cache, depth, delta, budget)
+    assert th == _walked_search(cache, depth, delta, budget)
+    if th is None:
+        return
+    assert verify_witness(cache, th, depth, delta) and _walked_verify(cache, th, depth, delta)
+    assert persistence_certificate(Z, cache, th, depth) == _walked_persistence(Z, cache, th, depth)
+    for bad in _tampered(th) if th.bits else ():
+        ok = verify_witness(cache, bad, depth, delta)
+        assert ok == _walked_verify(cache, bad, depth, delta)
+        if ok:
+            assert persistence_certificate(Z, cache, bad, depth) == _walked_persistence(Z, cache, bad, depth)
+
+
+def test_tail_certificate_closes_where_the_witness_turns_onto_the_cycle(solenoid):
+    cs = LevelCache(solenoid)
+    delta_sq = F(49, 25)
+    # pi/2 lies pi/6 from the 2-cycle; its bit-1 child -3pi/4 closer still
+    assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), delta_sq)
+    assert tail_closes(solenoid, 2, LevelPoint(F(0), PiLinear(0, F(-3, 4))), delta_sq)
+    # farther than pi/6 from the cycle (pi, and 29pi/60 whose corners would
+    # pass), off the line's circle, delta <= 1, a bit-0 child kept at 6/5
+    assert not tail_closes(solenoid, 0, LevelPoint(F(0), PiLinear(0, 1)), delta_sq)
+    assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(29, 60))), delta_sq)
+    assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), F(6, 5))
+    assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(2, 3))), F(6, 5))
+    # right of the unit circle the radii fall towards 1, so the bit-1 bound
+    # needs the corner at m = 0: the child of 5pi/6 dips below 17/10
+    line = SpectrumSet((VLine(F(1, 2)),))
+    assert compare_abs1m_sq(F(1, 8), PiLinear(0, F(7, 12)), F(289, 100)) < 0
+    assert not tail_closes(line, 1, LevelPoint(F(1, 4), PiLinear(0, F(5, 6))), F(289, 100))
+    assert not tail_closes(solenoid, 1, LevelPoint(F(1, 4), PiLinear(0, F(1, 2))), delta_sq)
+    assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), F(1))
+    # a lattice with step 8*pi is antipode-closed only from level 3 on; its
+    # level-2 orbit is the one angle -2pi/3, the square of 2pi/3 at level 1
+    lat = SpectrumSet((ILattice(F(0), PiLinear(0, F(-8, 3)), PiLinear(0, 8)),))
+    q1, q2 = (LevelPoint(F(0), PiLinear(0, F(k, 3))) for k in (2, -2))
+    assert not tail_closes(lat, 1, q1, delta_sq) and tail_closes(lat, 2, q2, delta_sq)
+    assert not tail_closes(lat, 2, q1, delta_sq)
+    th = divergence_search(cs, 30, F(7, 5))
+    assert th.bits[1:] == (1,) * 29
+
+
+def test_search_budget_at_the_tail_start_matches_the_walk(solenoid):
+    # seeded at the tail node, the walk pops it and then one node at each
+    # level below it: it ends with a thread when the budget left after the
+    # first pop is depth - level, and with None when it is one less
+    cs = LevelCache(solenoid)
+    delta_sq = F(49, 25)
+    level, depth = 1, 40
+    q = LevelPoint(F(0), PiLinear(0, F(1, 2)))
+
+    def keep(n, p):
+        return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+
+    def tail(n, p):
+        return tail_closes(solenoid, n, p, delta_sq)
+
+    for left, found in ((depth - level, True), (depth - level - 1, False)):
+        budget = 1 + left
+        th = search(cs, [(level, q)], depth, keep, budget, tail)
+        assert th == search(cs, [(level, q)], depth, keep, budget)
+        assert (th is not None) == found
+    # the same edge through the divergence search, wherever its tail starts
+    fits = [b for b in range(1, 60) if _walked_search(cs, depth, F(7, 5), b) is not None]
+    for b in (fits[0] - 1, fits[0]):
+        assert divergence_search(cs, depth, F(7, 5), b) == _walked_search(cs, depth, F(7, 5), b)
+
+
+def test_persistence_walks_a_rational_lattice_to_its_closing_level():
+    # the lattice (step 8pi, closed from level 3) holds the witness's base
+    # pi and its level-1 point pi/2, but not the level-2 point -3pi/4; the
+    # line after it certifies
+    lat = ILattice(F(0), PiLinear(0, 1), PiLinear(0, 8))
+    Z = SpectrumSet((lat, VLine(F(0))))
+    cache = LevelCache(Z)
+    th = divergence_search(cache, 40, F(7, 5))
+    assert (th.base_level, th.base.angle, th.bits[:2]) == (0, PiLinear(0, 1), (0, 1))
+    assert persistence_certificate(Z, cache, th, 40) == _walked_persistence(Z, cache, th, 40)
+    assert persistence_certificate(Z, cache, th, 40) == (VLine(F(0)), None)
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("spectrum vline re=0\nsearch_depth 90\n", Verdict.NOT_STRONGLY_CONTINUOUS),
+        ("spectrum vline re=-1\nsearch_depth 100000\nnode_budget 200000\n", Verdict.NOT_STRONGLY_CONTINUOUS),
+        # the budget of 20000 pops cannot reach level 100000
+        ("spectrum vline re=0\nsearch_depth 100000\n", Verdict.INCONCLUSIVE),
+    ],
+)
+def test_witness_costs_the_gate_levels_at_any_depth(text, verdict, monkeypatch):
+    # the witness search, its re-check and the persistence certificate stop
+    # where the tail certificate closes, so only check_not_uniform's levels
+    # 0..n_max are built
+    calls = []
+
+    def counted(Z, n):
+        calls.append(n)
+        return level_set(Z, n)
+
+    monkeypatch.setattr(levels, "level_set", counted)
+    cfg = parse_config(text)
+    assert classify(cfg.spectrum, cfg.params).verdict is verdict
+    assert sorted(calls) == list(range(cfg.params.n_max + 1))
