@@ -648,6 +648,23 @@ def test_simulate_reports_match_golden_bytes(name):
     assert text.encode() == (GOLDEN / f"simulate_{name}.txt").read_bytes()
 
 
+# config texts whose simulate reports, concatenated, make one golden file:
+# a joint-spectrum residual whose square chain breaks, and one that holds
+SIMULATE_LAMBDA_CONFIGS = (
+    "spectrum rect re=[-1,0] im=[-1*pi,1*pi]\nlambda 1,0.5,1j\n",
+    "spectrum vline re=0\nspectrum point re=-2 im=1/3*pi\nlambda 1,1,1\n",
+)
+
+
+def test_simulate_residual_reports_match_golden_bytes():
+    text = ""
+    for config in SIMULATE_LAMBDA_CONFIGS:
+        code, out = run("simulate", parse_config(config))
+        assert code == 0
+        text += out
+    assert text.encode() == (GOLDEN / "simulate_lambda.txt").read_bytes()
+
+
 def test_mt_report_of_a_dense_lattice_matches_golden_bytes():
     # the closedness witness of a dense orbit: the missed angle and limit point
     code, text = run("mt", parse_config(GOLDEN_CONFIGS["dense"][0]))

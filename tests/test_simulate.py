@@ -366,13 +366,19 @@ def test_residual_matches_numpy_oracle(name, request):
 
 def test_blocking_threads_pinned(solenoid, roots2k):
     # the exact blocking threads found before the search moved into threads.search
-    expected = (
-        (solenoid, Thread(0, LevelPoint(F(0), PiLinear(0, 1)), (0,) + (1,) * 49)),
-        (roots2k, Thread(0, LevelPoint(F(0), PiLinear(0, 0)), (1, 0) + (1,) * 48)),
-    )
-    for Z, th in expected:
-        cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), 1, 50)
-        assert cov.absent_witness == th
+    sol = Thread(0, LevelPoint(F(0), PiLinear(0, 1)), (0,) + (1,) * 49)
+    r2k = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), (1, 0) + (1,) * 48)
+    for Z, th in ((solenoid, sol), (roots2k, r2k)):
+        for n0 in (1, 2, 3):
+            cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), n0, 50)
+            assert cov.absent_witness == th, n0
+    # at eps 3/2 the levels below n0 go unchecked: |1 - z|^2 = 2 < 9/4 at
+    # level 1 of the circle, and level 2 of roots2k holds only 1, -1, i, -i
+    expected = ((solenoid, (None, sol, sol)), (roots2k, (None, None, r2k)))
+    for Z, threads in expected:
+        for n0, th in zip((1, 2, 3), threads):
+            cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(3, 2), n0, 50)
+            assert (cov.status, cov.absent_witness) == ("unknown" if th is None else "absent", th), n0
 
 
 def test_stored_points_match_a_per_level_walk(roots2k, solenoid, rectangle):
