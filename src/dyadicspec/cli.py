@@ -172,7 +172,7 @@ def _complexes(text: str, field: str) -> tuple[complex, ...]:
 
 def _fmt_complex(c: complex) -> str:
     if c.imag == 0:
-        return repr(c.real) if c.real != int(c.real) else str(int(c.real))
+        return str(int(c.real)) if c.real.is_integer() else repr(c.real)
     return str(c).strip("()")
 
 
@@ -640,7 +640,7 @@ def _default_model(cfg: Config, cache: LevelCache) -> DiagonalModel:
             threads.append(Thread(0, seed, bits))
     if not threads:
         raise SpectrumError("no feasible threads found for the model")
-    return DiagonalModel(cfg.spectrum, tuple(threads), block_dim=2, level_cap=cap, cache=cache)
+    return DiagonalModel(cfg.spectrum, tuple(threads), level_cap=cap, cache=cache)
 
 
 def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool = False) -> tuple[int, str]:
@@ -731,7 +731,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         model = _default_model(cfg, cache)
         out = [f"diagonal model: {len(model.threads)} threads, level cap {model.level_cap}"]
         bad = []
-        for n in range(0, min(model.level_cap, 30) + 1):
+        for n in range(0, 31):  # the level cap is at least 30
             nb = norm_bound_check(model, n)
             if not nb.ok:
                 bad.append(n)
@@ -742,12 +742,10 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         for eps in cfg.params.epsilons:
             cov = quasi_uniform_cover(
                 cfg.spectrum,
-                lambda n: n,
-                lambda n: 1,
                 eps,
-                n0=1,
                 search_bound=cfg.params.search_depth,
                 cache=cache,
+                node_budget=cfg.params.node_budget,
             )
             if cov.status == "found":
                 out.append(f"quasi-uniform cover at eps={eps}: indices {list(cov.indices)}")

@@ -20,10 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exactnum import PiLinear, reduce_mod_2pi
-from .levels import LevelCache, LevelPoint, power_levelset, sup_abs_one_minus
+from .levels import LevelCache, LevelPoint
 from .realbounds import compare_abs1m_sq
 from .records import record
 from .spectrum import (
@@ -38,8 +38,6 @@ from .spectrum import (
     real_part_range,
 )
 from .threads import Thread, search, search_seeds, walk
-
-IntSeq = Union[Callable[[int], int], Sequence[int]]
 
 
 class DyadicRangeError(ValueError):
@@ -117,7 +115,6 @@ def decompose(t: DyadicTime, cap: Fraction = Fraction(8)) -> Decomposition:
 class DiagonalModel:
     spectrum: SpectrumSet
     threads: tuple[Thread, ...]
-    block_dim: int
     level_cap: int
 
     def __post_init__(self, *, cache: Optional[LevelCache] = None):
@@ -125,8 +122,8 @@ class DiagonalModel:
         fresh one is made by default."""
         if not self.threads:
             raise ValueError("model needs at least one thread")
-        if self.block_dim < 1 or self.level_cap < 1:
-            raise ValueError("block_dim and level_cap must be >= 1")
+        if self.level_cap < 1:
+            raise ValueError("level_cap must be >= 1")
         if cache is None:
             cache = LevelCache(self.spectrum)
         elif cache.Z != self.spectrum:
@@ -185,20 +182,18 @@ def multipliers(model: DiagonalModel, t: DyadicTime) -> tuple[tuple[Fraction, Pi
     )
 
 
-def scalar_to_complex(log_mod: Fraction, angle: PiLinear, digits: int = 15) -> complex:
-    lo, hi = angle.bounds(digits)
+def scalar_to_complex(log_mod: Fraction, angle: PiLinear) -> complex:
+    lo, hi = angle.bounds(15)
     a = float((lo + hi) / 2)
     r = math.exp(float(log_mod))
     return complex(r * math.cos(a), r * math.sin(a))
 
 
-def apply_semigroup(
-    model: DiagonalModel, t: DyadicTime, v: TestVector, digits: int = 15
-) -> TestVector:
+def apply_semigroup(model: DiagonalModel, t: DyadicTime, v: TestVector) -> TestVector:
     """Scale block k by the exact multiplier, floated once at the end."""
     if len(v.blocks) != len(model.threads):
         raise ValueError("block count does not match the model")
-    scalars = [scalar_to_complex(lm, ang, digits) for lm, ang in multipliers(model, t)]
+    scalars = [scalar_to_complex(lm, ang) for lm, ang in multipliers(model, t)]
     return TestVector(tuple(tuple(x * c for x in row) for row, c in zip(v.blocks, scalars)))
 
 
@@ -237,29 +232,24 @@ class CoverResult:
     absent_witness: Optional[Thread]
 
 
-def _seq_at(seq: IntSeq, n: int) -> int:
-    return seq(n) if callable(seq) else seq[n]
-
-
 def quasi_uniform_cover(
     Z: SpectrumSet,
-    L_seq: IntSeq,
-    S_seq: IntSeq,
     eps: Fraction,
     n0: int = 1,
     search_bound: int = 30,
     cache: Optional[LevelCache] = None,
     node_budget: int = 50000,
 ) -> CoverResult:
-    """Find indices making min_i |1 - point_{L_i}^{S_i}| < eps everywhere.
+    """Find an index n with |1 - point_n| < eps on every thread, reading
+    the semigroup at the dyadic times t = 2^-n only.
 
-    The candidate indices are n0..search_bound.  A single index certifies
-    the cover when the sup of |1 - z^S| over level L, the projection of the
-    inverse limit, is below eps.  With S = 1 that sup is the level's own,
-    read from `cache`, so covers for several eps on one cache compute each
-    level's sup once.  Absence is certified by exhibiting one thread that
-    violates every candidate index at once (then no finite subfamily can
-    help).  Anything else is reported unknown.
+    The candidate indices are n0..search_bound.  Index n certifies the
+    cover when the sup of |1 - z| over level n, the projection of the
+    inverse limit, is below eps; that sup is read from `cache`, so covers
+    for several eps on one cache compute each level's sup once.  Absence
+    is certified by exhibiting one thread that keeps |1 - z| >= eps at
+    every candidate index at once (then no finite subfamily can help).
+    Anything else is reported unknown.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -269,43 +259,17 @@ def quasi_uniform_cover(
         cache = LevelCache(Z)
     eps_sq = Fraction(eps) ** 2
     for n in range(n0, search_bound + 1):
-        L, S = _seq_at(L_seq, n), _seq_at(S_seq, n)
-        sup = cache.sup(L) if S == 1 else sup_abs_one_minus(power_levelset(cache.level(L), S))
+        sup = cache.sup(n)
         if sup.sq_hi < eps_sq:
             return CoverResult("found", (n,), (sup.sq_lo, sup.sq_hi), None)
-    witness = _blocking_thread(cache, L_seq, S_seq, eps_sq, n0, search_bound, node_budget)
+
+    def keep(level: int, p: LevelPoint) -> bool:
+        return level < n0 or compare_abs1m_sq(p.log_mod, p.angle, eps_sq) >= 0
+
+    witness = search(cache, search_seeds(cache, (0,)), search_bound, keep, node_budget)
     if witness is not None:
         return CoverResult("absent", None, None, witness)
     return CoverResult("unknown", None, None, None)
-
-
-def _power_point(p: LevelPoint, s: int) -> LevelPoint:
-    return LevelPoint(p.log_mod * s, reduce_mod_2pi(p.angle.scaled(s)))
-
-
-def _blocking_thread(
-    cache: LevelCache,
-    L_seq: IntSeq,
-    S_seq: IntSeq,
-    eps_sq: Fraction,
-    n0: int,
-    search_bound: int,
-    node_budget: int,
-) -> Optional[Thread]:
-    """A thread with |1 - point_{L_n}^{S_n}|^2 >= eps^2 for every candidate
-    index; its existence defeats every index subfamily simultaneously."""
-    checks: dict[int, list[int]] = {}
-    for n in range(n0, search_bound + 1):
-        checks.setdefault(_seq_at(L_seq, n), []).append(_seq_at(S_seq, n))
-
-    def passes(level: int, p: LevelPoint) -> bool:
-        for s in checks.get(level, ()):
-            q = p if s == 1 else _power_point(p, s)
-            if compare_abs1m_sq(q.log_mod, q.angle, eps_sq) < 0:
-                return False
-        return True
-
-    return search(cache, search_seeds(cache, (0,)), max(checks), passes, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +348,6 @@ def joint_spectrum_residual(
     Z: SpectrumSet,
     lambdas: Sequence[complex],
     sample_density: int = 10000,
-    consistency_tol: float = 1e-9,
 ) -> ResidualReport:
     """Sampled infimum of sum_n 2^-n |lambda_n - exp(z/2^n)|^2 / B_n over Z.
 
@@ -423,10 +386,7 @@ def joint_spectrum_residual(
     except OverflowError as e:
         raise ValueError(f"joint-spectrum residual: exp overflows a float ({e})") from None
     idx = _argmin(totals)
-    consistency = tuple(
-        bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= consistency_tol)
-        for i in range(N)
-    )
+    consistency = tuple(bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= 1e-9) for i in range(N))
     return ResidualReport(
         residual=totals[idx],
         raw=raws[_argmin(raws)],
@@ -437,13 +397,11 @@ def joint_spectrum_residual(
     )
 
 
-def continuity_trace(
-    model: DiagonalModel, times: Sequence[DyadicTime], digits: int = 15
-) -> list[tuple[str, int, float]]:
+def continuity_trace(model: DiagonalModel, times: Sequence[DyadicTime]) -> list[tuple[str, int, float]]:
     """Rows (time, block index, |1 - multiplier|) for plotting profiles."""
     rows = []
     for t in times:
         for k, (lm, ang) in enumerate(multipliers(model, t)):
-            val = abs(1 - scalar_to_complex(lm, ang, digits))
+            val = abs(1 - scalar_to_complex(lm, ang))
             rows.append((str(t.value), k, val))
     return rows

@@ -39,21 +39,19 @@ class InfeasibleThread(ValueError):
 
 @record
 class Thread:
+    """A base point at `base_level` and the branch bits of the levels below
+    it; past the stored bits the thread takes the principal root."""
+
     base_level: int
     base: LevelPoint
     bits: tuple[int, ...] = ()
-    tail_principal: bool = True
 
     def bit_at(self, level: int) -> int:
         """Branch bit consumed when stepping from level-1 to level."""
         idx = level - self.base_level - 1
         if idx < 0:
             raise ValueError("level at or below the base")
-        if idx < len(self.bits):
-            return self.bits[idx]
-        if self.tail_principal:
-            return 0
-        raise ValueError(f"thread prefix ends before level {level}")
+        return self.bits[idx] if idx < len(self.bits) else 0
 
 
 def step_point(p: LevelPoint, bit: int) -> LevelPoint:
@@ -327,19 +325,13 @@ class RateReport:
     rows: tuple[RateRow, ...]
 
 
-def convergence_rate(cache: LevelCache, th: Thread, n_max: int, digits: int = 30) -> RateReport:
-    """Per-level |1 - point| table and the scaled constant max 2^n * value.
-
-    Only meaningful for eventually-principal threads; a bare prefix with
-    an unspecified tail is rejected.
-    """
-    if not th.tail_principal:
-        raise ValueError("rate requires an eventually-principal thread")
+def convergence_rate(cache: LevelCache, th: Thread, n_max: int) -> RateReport:
+    """Per-level |1 - point| table and the scaled constant max 2^n * value."""
     rows: list[RateRow] = []
     constant = Fraction(0)
     for n, p in walk(cache, th, n_max):
-        sq = abs1m_sq_bounds(p.log_mod, p.angle, digits)
-        lo, hi = interval_sqrt(sq, digits)
+        sq = abs1m_sq_bounds(p.log_mod, p.angle, 30)
+        lo, hi = interval_sqrt(sq, 30)
         rows.append(RateRow(n, lo, hi, p.angle, p.log_mod))
         constant = max(constant, hi * 2**n)
     return RateReport(constant, tuple(rows))

@@ -102,7 +102,7 @@ def example_model(Z, cap=34):
     for c in cache.level(0).components:
         seeds.extend(component_sup_candidates(c))
     threads = tuple(grow_thread(cache, s, cap) for s in dict.fromkeys(seeds))
-    return DiagonalModel(Z, threads, block_dim=2, level_cap=cap)
+    return DiagonalModel(Z, threads, level_cap=cap)
 
 
 @criterion(1)
@@ -297,10 +297,10 @@ def test_criterion_6_dyadic_algebra(roots2k, solenoid, rectangle, primefamily):
 @criterion(7)
 def test_criterion_7_quasi_uniform_covers(rectangle, solenoid, roots2k):
     for eps in (F(1, 10), F(1, 100), F(1, 1000)):
-        cov = quasi_uniform_cover(rectangle, lambda n: n, lambda n: 1, eps, 1, 50)
+        cov = quasi_uniform_cover(rectangle, eps, 1, 50)
         assert cov.status == "found" and len(cov.indices) <= 3, eps
     for Z, name in ((solenoid, "solenoid"), (roots2k, "roots2k")):
-        cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), 1, 50)
+        cov = quasi_uniform_cover(Z, F(1, 2), 1, 50)
         assert cov.status == "absent", name
         assert cov.absent_witness is not None
         # re-verify the blocking thread exactly at every candidate level

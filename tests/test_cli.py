@@ -665,6 +665,27 @@ def test_simulate_residual_reports_match_golden_bytes():
     assert text.encode() == (GOLDEN / "simulate_lambda.txt").read_bytes()
 
 
+@pytest.mark.parametrize("value, shown", [("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"), ("1e400", "inf")])
+def test_simulate_prints_a_non_finite_lambda(value, shown, tmp_path, capsys):
+    # a real lambda prints as an integer only when it is one; int(inf) raised
+    path = tmp_path / "c.txt"
+    path.write_text(f"spectrum vline re=0\nlambda {value}\n")
+    assert main(["simulate", "--config", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"joint-spectrum residual for lambda=['{shown}']: " in out
+    if value != "nan":  # nan != nan, so no config holding it equals its round trip
+        _roundtrips(parse_config(path.read_text()))
+
+
+def test_simulate_covers_keep_to_the_node_budget():
+    # each blocking-thread search stops after node_budget stack pops
+    code, text = run("simulate", parse_config("spectrum vline re=0\nnode_budget 1\n"))
+    assert code == 0
+    covers = [ln for ln in text.splitlines() if ln.startswith("quasi-uniform cover")]
+    assert len(covers) == 3 and all(ln.endswith("not found (inconclusive)") for ln in covers)
+
+
 def test_mt_report_of_a_dense_lattice_matches_golden_bytes():
     # the closedness witness of a dense orbit: the missed angle and limit point
     code, text = run("mt", parse_config(GOLDEN_CONFIGS["dense"][0]))

@@ -98,7 +98,7 @@ def test_records_match_frozen_dataclasses(builtin_records):
 
 def test_keywords_defaults_and_bad_arguments():
     th = Thread(base=P, base_level=2)
-    assert (th.base_level, th.base, th.bits, th.tail_principal) == (2, P, (), True)
+    assert (th.base_level, th.base, th.bits) == (2, P, ())
     assert Thread(0, P, (1, 0)).bits == (1, 0)
     assert (PrimeFamily().n_seq, PrimeFamily().J) == ((2, 0), 8)
     assert PrimeFamily(J=3) == PrimeFamily("2j", 3)
@@ -143,7 +143,7 @@ def test_post_init_checks_still_fire():
     with pytest.raises(ValueError):
         DyadicTime(2, 1)
     with pytest.raises(ValueError):
-        DiagonalModel(SpectrumSet((VLine(F(0)),)), (), 1, 1)
+        DiagonalModel(SpectrumSet((VLine(F(0)),)), (), 1)
     with pytest.raises(TowerError):
         Tower(-1, ConstantMaps(()))
     with pytest.raises(TowerError):

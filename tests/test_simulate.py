@@ -44,7 +44,7 @@ from conftest import random_spectrum
 def model_for(Z, caches={}):
     thr1 = Thread(0, LevelPoint(F(0), PiLinear(0, 0)))
     thr2 = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(1,))
-    return DiagonalModel(Z, (thr1, thr2), block_dim=2, level_cap=34)
+    return DiagonalModel(Z, (thr1, thr2), level_cap=34)
 
 
 def test_dyadic_time_validation():
@@ -135,7 +135,7 @@ def test_norm_bound_examples(roots2k, solenoid, rectangle):
             nb = norm_bound_check(model, n)
             assert nb.ok and nb.max_log_mod == 0
     corner = Thread(0, LevelPoint(F(-1), PiLinear(0, 1)))
-    model = DiagonalModel(rectangle, (corner,), block_dim=1, level_cap=34)
+    model = DiagonalModel(rectangle, (corner,), level_cap=34)
     for n in (0, 5, 30):
         nb = norm_bound_check(model, n)
         assert nb.ok and nb.max_log_mod <= 0
@@ -143,7 +143,7 @@ def test_norm_bound_examples(roots2k, solenoid, rectangle):
 
 def test_quasi_uniform_cover_found_rectangle(rectangle):
     for eps in (F(1, 10), F(1, 100), F(1, 1000)):
-        cov = quasi_uniform_cover(rectangle, lambda n: n, lambda n: 1, eps, 1, 50)
+        cov = quasi_uniform_cover(rectangle, eps, 1, 50)
         assert cov.status == "found"
         assert len(cov.indices) <= 3
         assert cov.sup_sq[1] < eps**2
@@ -151,7 +151,7 @@ def test_quasi_uniform_cover_found_rectangle(rectangle):
 
 def test_quasi_uniform_cover_absent(solenoid, roots2k):
     for Z in (solenoid, roots2k):
-        cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), 1, 50)
+        cov = quasi_uniform_cover(Z, F(1, 2), 1, 50)
         assert cov.status == "absent"
         assert cov.absent_witness is not None
 
@@ -166,15 +166,15 @@ def test_covers_on_a_shared_cache_match_fresh_caches(roots2k, solenoid, rectangl
     for Z, bound, budget in cases:
         shared = LevelCache(Z)
         for eps in ClassifyParams().epsilons:
-            args = (Z, lambda n: n, lambda n: 1, eps, 1, bound)
+            args = (Z, eps, 1, bound)
             got = quasi_uniform_cover(*args, cache=shared, node_budget=budget)
             assert got == quasi_uniform_cover(*args, node_budget=budget), (Z, eps)
 
 
 def test_quasi_uniform_cover_needs_a_candidate_index(solenoid):
     with pytest.raises(ValueError, match=r"n0 \(3\) exceeds search_bound \(2\)"):
-        quasi_uniform_cover(solenoid, lambda n: n, lambda n: 1, F(1, 10), n0=3, search_bound=2)
-    cov = quasi_uniform_cover(solenoid, lambda n: n, lambda n: 1, F(1, 10), n0=2, search_bound=2)
+        quasi_uniform_cover(solenoid, F(1, 10), n0=3, search_bound=2)
+    cov = quasi_uniform_cover(solenoid, F(1, 10), n0=2, search_bound=2)
     assert cov.status == "absent"
 
 
@@ -370,14 +370,14 @@ def test_blocking_threads_pinned(solenoid, roots2k):
     r2k = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), (1, 0) + (1,) * 48)
     for Z, th in ((solenoid, sol), (roots2k, r2k)):
         for n0 in (1, 2, 3):
-            cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(1, 2), n0, 50)
+            cov = quasi_uniform_cover(Z, F(1, 2), n0, 50)
             assert cov.absent_witness == th, n0
     # at eps 3/2 the levels below n0 go unchecked: |1 - z|^2 = 2 < 9/4 at
     # level 1 of the circle, and level 2 of roots2k holds only 1, -1, i, -i
     expected = ((solenoid, (None, sol, sol)), (roots2k, (None, None, r2k)))
     for Z, threads in expected:
         for n0, th in zip((1, 2, 3), threads):
-            cov = quasi_uniform_cover(Z, lambda n: n, lambda n: 1, F(3, 2), n0, 50)
+            cov = quasi_uniform_cover(Z, F(3, 2), n0, 50)
             assert (cov.status, cov.absent_witness) == ("unknown" if th is None else "absent", th), n0
 
 
@@ -386,8 +386,8 @@ def test_stored_points_match_a_per_level_walk(roots2k, solenoid, rectangle):
     late = Thread(3, LevelPoint(F(0), PiLinear(0, 1)), bits=(1, 0, 1))
     models = (
         model_for(roots2k),
-        DiagonalModel(rectangle, (corner,), block_dim=1, level_cap=20),
-        DiagonalModel(solenoid, (late, late), block_dim=1, level_cap=20),
+        DiagonalModel(rectangle, (corner,), level_cap=20),
+        DiagonalModel(solenoid, (late, late), level_cap=20),
     )
     for model in models:
         base = max(th.base_level for th in model.threads)
@@ -437,35 +437,31 @@ def test_simulate_builds_each_level_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["roots2k", "solenoid", "rectangle", "primefamily"])
 def test_simulate_computes_each_sup_once(name, monkeypatch, capsys):
-    # the covers for the three eps read each level's sup from the run's
-    # cache, and z -> z^1 builds no powered level set
+    # the covers for the three eps read each level's sup from the run's cache
     from dyadicspec import levels
     from dyadicspec.cli import main
 
-    sups, powers = [], []
+    sups = []
     sup_abs_one_minus = levels.sup_abs_one_minus
 
     def counted(L, digits=30):
         sups.append((L.level, digits))
         return sup_abs_one_minus(L, digits)
 
-    for module in ("dyadicspec.levels", "dyadicspec.simulate"):
-        monkeypatch.setattr(sys.modules[module], "sup_abs_one_minus", counted)
-        monkeypatch.setattr(sys.modules[module], "power_levelset", lambda *args: powers.append(args))
+    monkeypatch.setattr(levels, "sup_abs_one_minus", counted)
     assert main(["examples", name, "--run", "simulate"]) == 0
     assert sups and len(sups) == len(set(sups))
-    assert powers == []
 
 
 def test_diagonal_model_reuses_the_callers_cache(roots2k, solenoid):
     cache = LevelCache(roots2k)
     own = model_for(roots2k)
-    shared = DiagonalModel(roots2k, own.threads, block_dim=2, level_cap=34, cache=cache)
+    shared = DiagonalModel(roots2k, own.threads, level_cap=34, cache=cache)
     assert shared.cache is cache and set(cache._levels) == set(range(35))
     assert own.cache is not cache
     # the cache is not a field: equality, hash and repr are unchanged
     assert shared == own and hash(shared) == hash(own) and repr(shared) == repr(own)
     with pytest.raises(ValueError):
-        DiagonalModel(solenoid, own.threads, 2, 34, cache=cache)
+        DiagonalModel(solenoid, own.threads, 34, cache=cache)
     with pytest.raises(TypeError):
-        DiagonalModel(roots2k, own.threads, 2, 34, cache)  # keyword only
+        DiagonalModel(roots2k, own.threads, 34, cache)  # keyword only

@@ -145,13 +145,6 @@ def test_rate_constant_examples(roots2k, rectangle):
         assert float(row.dist_lo) <= C / 2**row.level + 1e-12
 
 
-def test_rate_requires_principal_tail(roots2k):
-    ck = LevelCache(roots2k)
-    th = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(1, 1), tail_principal=False)
-    with pytest.raises(ValueError):
-        convergence_rate(ck, th, 10)
-
-
 def test_walk_yields_every_level_from_the_base(roots2k):
     ck = LevelCache(roots2k)
     th = Thread(2, LevelPoint(F(0), PiLinear(0, 0)), bits=(1,))
@@ -167,11 +160,6 @@ def test_walk_rejects_levels_it_cannot_reach(roots2k):
     th = Thread(2, LevelPoint(F(0), PiLinear(0, 0)))
     with pytest.raises(ValueError, match="below the thread base"):
         evaluate(ck, th, 1)
-    prefix = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(1, 1), tail_principal=False)
-    assert evaluate(ck, prefix, 2).angle == PiLinear(0, F(-1, 2))
-    with pytest.raises(ValueError, match="prefix ends before level 3") as err:
-        evaluate(ck, prefix, 3)
-    assert not isinstance(err.value, InfeasibleThread)
 
 
 def test_walk_stops_at_the_infeasible_level(rectangle):
