@@ -27,10 +27,12 @@ from typing import Optional, Union
 
 from .levels import (
     Component,
+    IsolatedPoint,
     LevelCache,
     LevelPoint,
     antipodal_set,
     enumerate_points,
+    least_antipodal_point,
 )
 from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
 from .records import record
@@ -200,9 +202,10 @@ def check_not_uniform(
     sample; None when there are none and the section union is finite.
     A pair lies in level n exactly when two points of one section differ in
     im by an odd multiple of 2^n * pi, so these are the section levels, and
-    `antipodal_set` runs only there.  A lattice with an irrational step is
-    the exception: its dense orbit closes up to the full circle, which the
-    sections cannot see, so then every level is reported.
+    antipodes are taken only there: on a level of isolated points from the
+    points themselves, elsewhere by `antipodal_set`.  A lattice with an
+    irrational step is the exception: its dense orbit closes up to the full
+    circle, which the sections cannot see, so then every level is reported.
     A pair keeps sup |1 - .| >= |z|, so pairs that persist (`sections.holds`
     is False, certified by a tail) block uniform convergence.
     """
@@ -215,11 +218,17 @@ def check_not_uniform(
         levels = sorted(n for n in sections.union_levels if n <= params.n_max)
     samples = []
     for n in levels:
-        A = antipodal_set(cache.level(n))
-        if A.is_empty():
+        view = cache.view(n)
+        if all(c.__class__ is IsolatedPoint for c in view):
+            # the first point of the normalized antipodal set, read off the points
+            sample = least_antipodal_point(c.point for c in view)
+        else:
+            A = antipodal_set(cache.level(n))
+            pts = enumerate_points(A, 1)
+            sample = pts[0] if pts else next(iter(A.components), None)
+        if sample is None:
             raise ConsistencyError(f"level {n} holds a section pair but no antipodal pair")
-        pts = enumerate_points(A, 1)
-        samples.append((n, pts[0] if pts else A.components[0]))
+        samples.append((n, sample))
     if not samples and sections.holds:
         return None
     return AntipodalLevels(tuple(levels), tuple(samples))

@@ -43,7 +43,6 @@ from .levels import (
     antipodal_set,
     component_sup_candidates,
     enumerate_points,
-    membership,
     sample_points,
 )
 from .records import record
@@ -614,7 +613,7 @@ def _greedy_bits(cache: LevelCache, seed: LevelPoint, cap: int) -> Optional[tupl
     for level in range(1, cap + 1):
         for bit in (0, 1):
             q = step_point(p, bit)
-            if membership(cache.level(level), q):
+            if cache.contains(level, q):
                 break
         else:
             return None

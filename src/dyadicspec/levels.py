@@ -22,6 +22,18 @@ sup |1 - z|, circle sections and normalization read the two factors.
 Squaring maps the compact X_{n+1} onto X_n, so level n is the projection
 of the inverse limit.  Closure points demanded by the closedness analysis
 (dense lattice orbits) appear as full circles.
+
+A run builds each level once, as `level_view`: the primitives' scaled
+factors, one component per section angle set, not normalized.
+`LevelCache` answers the verdict path from that view.  Its sup encloses
+only the candidates with the largest |angle| on each circle: on |z| = r,
+|1 - z|^2 = 1 + r^2 - 2r cos(angle) grows with |angle| in [0, pi], so no
+other candidate on the circle attains the sup.  Its membership looks a
+point up among the view's isolated points and scans only the rest.
+`normalize` runs only where the canonical order is read: the `levels` and
+`antipodes` printouts, `antipodal_set` on a level that is not all
+isolated points, and the seeds of the thread search and of the default
+model.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .exactnum import PI, TWO_PI, ZERO, PiLinear, Rat, _mk, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
+from .exactnum import scale_pow2
 from .realbounds import abs1m_sq_bounds, abs1m_sq_exact
 from .records import Frozen, record
 from .spectrum import (
@@ -426,19 +439,30 @@ def _part_angles(part: SectionPart) -> list[Angles]:
     return [None]
 
 
-def level_set(Z: SpectrumSet, n: int) -> LevelSet:
-    """Exact description of cl(exp(Z / 2^n)): each primitive's real range
-    scaled to a radial range, times the angles of its section part."""
+def level_view(Z: SpectrumSet, n: int) -> list[Component]:
+    """cl(exp(Z / 2^n)) before normalization: each primitive's real range
+    scaled by 2^-n, times each angle set of its section part scaled by
+    2^-n, one component per angle set.  A points part on one radius gives
+    isolated points directly."""
     if n < 0:
         raise ValueError("level must be >= 0")
     comps: list[Component] = []
     half = Fraction(1, 2**n)
     for p in Z.primitives:
         lo, hi = p.re_lo * half, p.re_hi * half
-        comps.extend(
-            make_component(lo, hi, _map_angles(a, half)) for a in _part_angles(p.section)
-        )
-    return normalize(n, comps)
+        S = p.section
+        if isinstance(S, SectionPoints) and lo == hi:
+            comps.extend(
+                IsolatedPoint(LevelPoint(lo, reduce_mod_2pi(scale_pow2(a, -n)))) for a in S.values
+            )
+        else:
+            comps.extend(make_component(lo, hi, _map_angles(a, half)) for a in _part_angles(S))
+    return comps
+
+
+def level_set(Z: SpectrumSet, n: int) -> LevelSet:
+    """Exact description of cl(exp(Z / 2^n)), normalized."""
+    return normalize(n, level_view(Z, n))
 
 
 def _angles_contain(angles: Angles, angle: PiLinear) -> bool:
@@ -646,12 +670,11 @@ def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
 
 @record
 class SupResult:
-    """Certified enclosure of sup |1 - z|^2 with the attaining candidate."""
+    """Certified enclosure of sup |1 - z|^2, exact when the attaining value is rational."""
 
     sq_lo: Fraction
     sq_hi: Fraction
     exact_sq: Optional[Fraction]
-    witness: Optional[LevelPoint]
 
 
 def _angle_sup_candidates(angles: Angles) -> list[PiLinear]:
@@ -685,32 +708,62 @@ def component_sup_candidates(c: Component) -> list[LevelPoint]:
 def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
     """sup over the level set of |1 - z|^2, as a certified enclosure."""
     if L.is_empty():
-        return SupResult(Fraction(0), Fraction(0), Fraction(0), None)
+        return SupResult(Fraction(0), Fraction(0), Fraction(0))
     best_lo = Fraction(-1)
     best_hi = Fraction(-1)
-    best_witness: Optional[LevelPoint] = None
-    exacts: list[tuple[Fraction, LevelPoint]] = []
-    his: list[Fraction] = []
+    best_exact: Optional[Fraction] = None
     for c in L.components:
         for p in component_sup_candidates(c):
             ex = abs1m_sq_exact(p.log_mod, p.angle)
             lo, hi = (ex, ex) if ex is not None else abs1m_sq_bounds(p.log_mod, p.angle, digits)
-            if ex is not None:
-                exacts.append((ex, p))
-            his.append(hi)
+            if ex is not None and (best_exact is None or ex > best_exact):
+                best_exact = ex
             if hi > best_hi:
                 best_hi = hi
-                best_witness = p
             if lo > best_lo:
                 best_lo = lo
-    exact_sq = None
-    if exacts:
-        top = max(exacts, key=lambda t: t[0])
-        if all(top[0] >= h for h in his):
-            exact_sq = top[0]
-            best_witness = top[1]
-            best_lo = best_hi = top[0]
-    return SupResult(best_lo, best_hi, exact_sq, best_witness)
+    if best_exact is not None and best_exact >= best_hi:
+        return SupResult(best_exact, best_exact, best_exact)
+    return SupResult(best_lo, best_hi, None)
+
+
+def _by_circle(points: Iterable[LevelPoint]) -> dict[Fraction, list[LevelPoint]]:
+    """The points grouped by log-modulus."""
+    groups: dict[Fraction, list[LevelPoint]] = {}
+    m = None
+    for p in points:
+        # the points of one primitive share one log-modulus object: hash it once
+        if p.log_mod is not m:
+            m = p.log_mod
+            group = groups.setdefault(m, [])
+        group.append(p)
+    return groups
+
+
+def _widest_per_circle(components: Iterable[Component]) -> list[LevelPoint]:
+    """The sup candidates of the components with the largest |angle| on
+    their circle, every tie kept, each point once: the only candidates
+    that can attain the sup (see the module docstring)."""
+    out: list[LevelPoint] = []
+    for pts in _by_circle([p for c in components for p in component_sup_candidates(c)]).values():
+        widest = pts[:1]
+        for p in pts[1:]:
+            order = _compare_abs(p.angle, widest[0].angle)
+            if order > 0:
+                widest = [p]
+            elif order == 0 and all(q.angle != p.angle for q in widest):
+                widest.append(p)
+        out.extend(widest)
+    return out
+
+
+def _compare_abs(x: PiLinear, y: PiLinear) -> int:
+    """compare(|x|, |y|)."""
+    if x.a == 0 == y.a:
+        # |x.b|/x.d against |y.b|/y.d
+        u, v = abs(x.b) * y.d, abs(y.b) * x.d
+        return (u > v) - (u < v)
+    return compare(-x if x.sign() < 0 else x, -y if y.sign() < 0 else y)
 
 
 def enumerate_points(
@@ -776,29 +829,77 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
     return out
 
 
-class LevelCache:
-    """Memoized level sets for one spectrum, and their certified sups.
+def least_antipodal_point(points: Iterable[LevelPoint]) -> Optional[LevelPoint]:
+    """The least point, in (log-modulus, angle) order, of a finite point set
+    whose antipode also lies in the set; None when there is none.
 
-    One cache lives for one run, so every reader of a level's
-    sup |1 - z|^2 at the same precision (the uniform gate, the divergence
-    search's skip, a quasi-uniform cover for each eps) shares one result.
+    For the level set L of those points this is the first point of
+    antipodal_set(L), whose normalization orders points that way.
+    """
+    groups = _by_circle(points)
+    for m in sorted(groups):
+        angles = {p.angle for p in groups[m]}
+        paired = [a for a in angles if reduce_mod_2pi(a + PI) in angles]
+        if paired:
+            return LevelPoint(m, min(paired, key=_pl_key))
+    return None
+
+
+class LevelCache:
+    """One run's level sets of one spectrum, each built once, as its view.
+
+    * `sup(n, digits)` encloses only the view's sup candidates with their
+      circle's largest |angle|, both of a +-angle tie (the module docstring
+      gives the argument).  These attain the sup of the normalized level,
+      so the result is `sup_abs_one_minus(self.level(n), digits)`, except
+      where two candidates on one circle have values within 10^-digits of
+      each other: a dropped candidate's enclosure could have moved sq_lo
+      or sq_hi by that much.
+    * `contains(n, p)` is membership, read off the view.
+    * `level(n)` normalizes the view, once, for the readers that need the
+      canonical order (see the module docstring).
     """
 
     def __init__(self, Z: SpectrumSet):
         self.Z = Z
+        self._views: dict[int, list[Component]] = {}
         self._levels: dict[int, LevelSet] = {}
+        self._indexes: dict[int, tuple[set[LevelPoint], LevelSet]] = {}
         self._sups: dict[tuple[int, int], SupResult] = {}
 
+    def view(self, n: int) -> list[Component]:
+        """level_view(self.Z, n), built once."""
+        if n not in self._views:
+            self._views[n] = level_view(self.Z, n)
+        return self._views[n]
+
     def level(self, n: int) -> LevelSet:
+        """level_set(self.Z, n), normalized from the view once."""
         if n not in self._levels:
-            self._levels[n] = level_set(self.Z, n)
+            self._levels[n] = normalize(n, self.view(n))
         return self._levels[n]
 
+    def contains(self, n: int, p: LevelPoint) -> bool:
+        """membership(self.level(n), p): a lookup among the view's isolated
+        points, else a scan of its other components, one per primitive and
+        angle set."""
+        if n not in self._indexes:
+            points = {c.point for c in self.view(n) if c.__class__ is IsolatedPoint}
+            spread = tuple(c for c in self.view(n) if c.__class__ is not IsolatedPoint)
+            self._indexes[n] = (points, LevelSet(n, spread))
+        points, spread = self._indexes[n]
+        if points and p in points:  # no hashing of p on a level without points
+            return True
+        return membership(spread, p)
+
     def sup(self, n: int, digits: int = 30) -> SupResult:
-        """sup_abs_one_minus(self.level(n), digits), computed once."""
+        """sup |1 - z|^2 over level n, computed once per precision."""
         key = (n, digits)
         if key not in self._sups:
-            self._sups[key] = sup_abs_one_minus(self.level(n), digits)
+            widest = _widest_per_circle(self.view(n))
+            self._sups[key] = sup_abs_one_minus(
+                LevelSet(n, tuple(IsolatedPoint(p) for p in widest)), digits
+            )
         return self._sups[key]
 
     def eventual(self, n: int, K: int) -> LevelSet:

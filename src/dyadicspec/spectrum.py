@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, _rat_gcd, _v2, ceil_ratio, floor_ratio
+from .exactnum import PiLinear, _raw, _rat_gcd, _v2, ceil_ratio, floor_ratio
 from .records import record
 
 
@@ -198,10 +198,12 @@ class PrimeFamily:
         return a * j + b
 
     def alpha(self, j: int) -> PiLinear:
-        return PiLinear(0, Fraction(1, j) + 2 ** (self.n_of(j) + 1))
+        # (1 + j*2^(n_j+1))*pi/j: the coefficient is 1 mod j, so the triple is reduced
+        return _raw(0, 1 + (j << self.n_of(j) + 1), j)
 
     def beta(self, j: int) -> PiLinear:
-        return PiLinear(0, Fraction(1, j) + 3 * 2 ** self.n_of(j))
+        # (1 + 3j*2^(n_j))*pi/j, reduced likewise
+        return _raw(0, 1 + (3 * j << self.n_of(j)), j)
 
 
 Primitive = Union[Point, VSegment, ILattice, VLine, Rect, PrimeFamily]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactnum import PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi
-from .levels import LevelCache, LevelPoint, component_sup_candidates, membership
+from .levels import LevelCache, LevelPoint, component_sup_candidates
 from .levels import _angles_contain, _map_angles, _part_angles  # a primitive's own tower
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
@@ -70,7 +70,7 @@ def walk(cache: LevelCache, th: Thread, n: int) -> Iterator[tuple[int, LevelPoin
     for level in range(th.base_level, n + 1):
         if level > th.base_level:
             p = step_point(p, th.bit_at(level))
-        if not membership(cache.level(level), p):
+        if not cache.contains(level, p):
             raise InfeasibleThread(level, p)
         yield level, p
 
@@ -86,12 +86,12 @@ def feasible_branches(
     cache: LevelCache, n: int, p: LevelPoint
 ) -> tuple[tuple[int, LevelPoint], ...]:
     """The branch bits whose square root of p stays inside level n+1."""
-    if not membership(cache.level(n), p):
+    if not cache.contains(n, p):
         raise ValueError(f"point not in the level-{n} set")
     out = []
     for bit in (0, 1):
         q = step_point(p, bit)
-        if membership(cache.level(n + 1), q):
+        if cache.contains(n + 1, q):
             out.append((bit, q))
     return tuple(out)
 

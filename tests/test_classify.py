@@ -180,18 +180,22 @@ def test_antipodal_levels_from_sections_match_every_level_set():
 
 
 def test_antipodal_set_built_once_per_reported_level(monkeypatch):
+    # antipodes are taken once per reported level: from the points of a
+    # level of isolated points, else by one antipodal set of the level
+    module = sys.modules["dyadicspec.classify"]  # the package attribute is the function
     calls = []
-
-    def counted(L):
-        calls.append(L.level)
-        return levels.antipodal_set(L)
-
-    # `dyadicspec.classify` as an attribute of the package is the function
-    monkeypatch.setattr(sys.modules["dyadicspec.classify"], "antipodal_set", counted)
-    cfg = parse_config("spectrum primefamily nseq=2j J=40\n")
-    rep = classify(cfg.spectrum, cfg.params)
-    assert rep.antipodal.levels == (6, 10)
-    assert calls == list(rep.antipodal.levels)
+    for name in ("antipodal_set", "least_antipodal_point"):
+        fn = getattr(levels, name)
+        monkeypatch.setattr(module, name, lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+    for text, reported, kind in (
+        ("spectrum primefamily nseq=2j J=40\n", (6, 10), "least_antipodal_point"),
+        ("spectrum primefamily nseq=2j J=8\nspectrum vsegment re=1 im=[0,1*pi]\n", (0, 6, 10), "antipodal_set"),
+    ):
+        calls.clear()
+        cfg = parse_config(text)
+        rep = classify(cfg.spectrum, cfg.params)
+        assert rep.antipodal.levels == reported
+        assert calls == [kind] * len(reported)
 
 
 def test_prime_family_accumulation_point_is_not_an_antipode():
@@ -222,15 +226,11 @@ def test_deep_search_on_a_bounded_spectrum_builds_few_levels(text, verdict, monk
     # witness search builds that one level set instead of failing through
     # every level below it
     calls = []
-
-    def counted(Z, n):
-        calls.append(n)
-        return level_set(Z, n)
-
-    monkeypatch.setattr(levels, "level_set", counted)
+    level_view = levels.level_view
+    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
-    assert len(calls) <= cfg.params.n_max + 2
+    assert calls and len(calls) <= cfg.params.n_max + 2
 
 
 def _leaf_types(t) -> set:

@@ -17,7 +17,7 @@ from dyadicspec.cli import (
     render_config,
     run,
 )
-from dyadicspec import cli, levels, threads
+from dyadicspec import cli, levels
 from dyadicspec.classify import ClassifyParams
 from dyadicspec.exactnum import PiLinear, PrecisionError
 from dyadicspec.levels import LevelCache
@@ -439,7 +439,7 @@ def test_classify_csv_rewalks_the_witness_in_the_classify_cache(name, monkeypatc
     # the rate table walks the witness to its depth, past the levels
     # classify builds; it reads those from the classify cache, so no level
     # is built twice and classify's levels are all among those built
-    calls = _counting(monkeypatch, "level_set", [levels])
+    calls = _counting(monkeypatch, "level_view", [levels])
     built = []
     for csv in (None, str(tmp_path / "w.csv")):
         calls.clear()
@@ -455,7 +455,9 @@ def test_classify_csv_rewalks_the_witness_in_the_classify_cache(name, monkeypatc
 def test_default_model_tries_the_other_root_only_when_needed(name, checks, monkeypatch):
     # 30 levels of greedy steps (the principal root holds throughout on
     # these) plus the model's own walk of 31 points, per thread
-    calls = _counting(monkeypatch, "membership", [cli, threads])
+    calls = []
+    contains = LevelCache.contains
+    monkeypatch.setattr(LevelCache, "contains", lambda self, n, p: calls.append(n) or contains(self, n, p))
     cfg = builtin_example(name)
     model = cli._default_model(cfg, LevelCache(cfg.spectrum))
     assert len(calls) == checks == 61 * len(model.threads)

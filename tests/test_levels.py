@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import EQUAL, PiLinear, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
+from dyadicspec.exactnum import EQUAL, PI, PiLinear, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from dyadicspec.levels import (
     ENUM_LIMIT,
     Annulus,
@@ -25,7 +25,9 @@ from dyadicspec.levels import (
     component_intersection,
     component_sup_candidates,
     enumerate_points,
+    least_antipodal_point,
     level_set,
+    level_view,
     make_component,
     make_lattice,
     membership,
@@ -44,6 +46,8 @@ from dyadicspec.spectrum import (
     section_antipode_condition,
     section_representatives,
 )
+
+from dyadicspec.threads import step_point
 
 from conftest import random_spectrum
 
@@ -209,6 +213,79 @@ def test_power_one_and_the_cached_sup_change_nothing(roots2k, solenoid, rectangl
             for digits in (15, 30):
                 assert cache.sup(n, digits) == sup_abs_one_minus(L, digits), (Z, n, digits)
             assert cache.sup(n) is cache.sup(n, 30)
+
+
+@pytest.fixture(scope="module")
+def oracle_spectra(roots2k, solenoid, rectangle, primefamily):
+    rng = random.Random(2601)
+    return (roots2k, solenoid, rectangle, primefamily, *(random_spectrum(rng) for _ in range(300)))
+
+
+def test_cached_sup_matches_the_all_candidate_sup(oracle_spectra):
+    # the oracle encloses every candidate of the normalized level; the cache
+    # only each circle's largest |angle|.  Two candidates on one circle whose
+    # values lie within 10^-digits may move sq_lo or sq_hi, by at most that
+    for Z in oracle_spectra:
+        cache = LevelCache(Z)
+        for n in (*range(9), 30):
+            L = level_set(Z, n)
+            for digits in (15, 30, 40):
+                got, want = cache.sup(n, digits), sup_abs_one_minus(L, digits)
+                if got != want:
+                    tol = F(1, 10**digits)
+                    assert got.exact_sq == want.exact_sq, (Z, n, digits)
+                    assert abs(got.sq_lo - want.sq_lo) <= tol and abs(got.sq_hi - want.sq_hi) <= tol, (Z, n, digits)
+                    assert max(got.sq_lo, want.sq_lo) <= min(got.sq_hi, want.sq_hi), (Z, n, digits)
+            assert cache.sup(n) is cache.sup(n, 30)
+
+
+def test_cached_membership_matches_membership(oracle_spectra):
+    # every sup candidate, its antipode and both square roots, against the
+    # normalized levels n and n + 1
+    for Z in oracle_spectra:
+        cache = LevelCache(Z)
+        for n in range(9):
+            L, below = level_set(Z, n), level_set(Z, n + 1)
+            for c in L.components:
+                for q in component_sup_candidates(c):
+                    anti = LevelPoint(q.log_mod, reduce_mod_2pi(q.angle + PI))
+                    for p in (q, anti, step_point(q, 0), step_point(q, 1)):
+                        assert cache.contains(n, p) == membership(L, p), (Z, n, p)
+                        assert cache.contains(n + 1, p) == membership(below, p), (Z, n + 1, p)
+
+
+def test_point_level_antipode_is_the_first_antipodal_point(oracle_spectra):
+    seen = 0
+    for Z in oracle_spectra:
+        for n in range(9):
+            view = level_view(Z, n)
+            if not all(isinstance(c, IsolatedPoint) for c in view):
+                continue
+            seen += 1
+            A = antipodal_set(level_set(Z, n))
+            want = enumerate_points(A, 1)[0] if not A.is_empty() else None
+            assert least_antipodal_point(c.point for c in view) == want, (Z, n)
+    assert seen >= 300
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "spectrum primefamily nseq=2j J=40\n",
+        "".join(f"spectrum point re=1/2 im={a}\n" for a in ("0", "1/3*pi", "1*pi", "-1/2*pi", "5/4*pi", "1+1/2*pi")),
+    ],
+)
+def test_classify_normalizes_no_level_of_points(text, monkeypatch):
+    from dyadicspec import levels
+    from dyadicspec.classify import classify
+    from dyadicspec.cli import parse_config
+
+    calls = []
+    normalize = levels.normalize
+    monkeypatch.setattr(levels, "normalize", lambda n, comps: calls.append(n) or normalize(n, comps))
+    cfg = parse_config(text)
+    classify(cfg.spectrum, cfg.params)
+    assert calls == []
 
 
 def test_claim_antipodal_iff_shift_condition_on_builtins(

@@ -423,16 +423,14 @@ def test_simulate_builds_each_level_once(name, monkeypatch):
     from dyadicspec import levels
     from dyadicspec.cli import builtin_example, run
 
-    calls = []
-    level_set = levels.level_set
-
-    def counted(Z, n):
-        calls.append(n)
-        return level_set(Z, n)
-
-    monkeypatch.setattr(levels, "level_set", counted)
+    # and normalizes only level 0, where the model and the blocking search seed
+    calls, normalized = [], []
+    level_view, normalize = levels.level_view, levels.normalize
+    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
+    monkeypatch.setattr(levels, "normalize", lambda n, comps: normalized.append(n) or normalize(n, comps))
     assert run("simulate", builtin_example(name))[0] == 0
     assert calls and len(calls) == len(set(calls))
+    assert normalized == [0]
 
 
 @pytest.mark.parametrize("name", ["roots2k", "solenoid", "rectangle", "primefamily"])
@@ -457,7 +455,7 @@ def test_diagonal_model_reuses_the_callers_cache(roots2k, solenoid):
     cache = LevelCache(roots2k)
     own = model_for(roots2k)
     shared = DiagonalModel(roots2k, own.threads, level_cap=34, cache=cache)
-    assert shared.cache is cache and set(cache._levels) == set(range(35))
+    assert shared.cache is cache and set(cache._views) == set(range(35))
     assert own.cache is not cache
     # the cache is not a field: equality, hash and repr are unchanged
     assert shared == own and hash(shared) == hash(own) and repr(shared) == repr(own)

@@ -482,3 +482,13 @@ def test_prime_family_formula_is_held_as_integers():
     for bad in ("0j", "jj", "2j-1", (0, 1), (2, -1)):
         with pytest.raises(SpectrumError):
             PrimeFamily(bad)
+
+
+@pytest.mark.parametrize("n_seq", ["2j", "3j+1", "j+4", "j"])
+def test_prime_family_points_equal_their_rational_construction(n_seq):
+    # a_j = pi/j + 2^(n_j+1)*pi and b_j = pi/j + 3*2^(n_j)*pi, built as reduced triples
+    fam = PrimeFamily(n_seq, 200)
+    for j in fam.primes():
+        n = fam.n_of(j)
+        assert fam.alpha(j) == PiLinear(0, F(1, j) + 2 ** (n + 1)), (n_seq, j)
+        assert fam.beta(j) == PiLinear(0, F(1, j) + 3 * 2**n), (n_seq, j)

@@ -10,7 +10,7 @@ from dyadicspec import levels, threads
 from dyadicspec.classify import Verdict, classify
 from dyadicspec.cli import parse_config
 from dyadicspec.exactnum import PiLinear, _v2, compare, reduce_mod_2pi
-from dyadicspec.levels import LevelCache, LevelPoint, level_set, sup_abs_one_minus
+from dyadicspec.levels import LevelCache, LevelPoint, sup_abs_one_minus
 from dyadicspec.realbounds import compare_abs1m_sq
 from dyadicspec.spectrum import BOUNDED_PARTS, ILattice, Point, SpectrumSet, VLine
 from dyadicspec.threads import (
@@ -430,12 +430,8 @@ def test_witness_costs_the_gate_levels_at_any_depth(text, verdict, monkeypatch):
     # where the tail certificate closes, so only check_not_uniform's levels
     # 0..n_max are built
     calls = []
-
-    def counted(Z, n):
-        calls.append(n)
-        return level_set(Z, n)
-
-    monkeypatch.setattr(levels, "level_set", counted)
+    level_view = levels.level_view
+    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
     assert sorted(calls) == list(range(cfg.params.n_max + 1))
