@@ -25,15 +25,7 @@ import enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .levels import (
-    Component,
-    IsolatedPoint,
-    LevelCache,
-    LevelPoint,
-    antipodal_set,
-    enumerate_points,
-    least_antipodal_point,
-)
+from .levels import Component, LevelCache, LevelPoint
 from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
 from .records import record
 from .spectrum import (
@@ -218,14 +210,7 @@ def check_not_uniform(
         levels = sorted(n for n in sections.union_levels if n <= params.n_max)
     samples = []
     for n in levels:
-        view = cache.view(n)
-        if all(c.__class__ is IsolatedPoint for c in view):
-            # the first point of the normalized antipodal set, read off the points
-            sample = least_antipodal_point(c.point for c in view)
-        else:
-            A = antipodal_set(cache.level(n))
-            pts = enumerate_points(A, 1)
-            sample = pts[0] if pts else next(iter(A.components), None)
+        sample = cache.antipodal_sample(n)
         if sample is None:
             raise ConsistencyError(f"level {n} holds a section pair but no antipodal pair")
         samples.append((n, sample))

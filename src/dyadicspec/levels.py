@@ -29,7 +29,8 @@ factors, one component per section angle set, not normalized.
 only the candidates with the largest |angle| on each circle: on |z| = r,
 |1 - z|^2 = 1 + r^2 - 2r cos(angle) grows with |angle| in [0, pi], so no
 other candidate on the circle attains the sup.  Its membership looks a
-point up among the view's isolated points and scans only the rest.
+point up among the view's isolated points and scans only the rest, and
+its antipodal sample of a level of isolated points is read off the points.
 `normalize` runs only where the canonical order is read: the `levels` and
 `antipodes` printouts, `antipodal_set` on a level that is not all
 isolated points, and the seeds of the thread search and of the default
@@ -535,6 +536,17 @@ def power_levelset(L: LevelSet, s: int) -> LevelSet:
 # antipodes and intersections
 
 
+def _split_points(
+    components: Iterable[Component],
+) -> tuple[list[IsolatedPoint], list[Component]]:
+    """The isolated points among the components, and the other components."""
+    points: list[IsolatedPoint] = []
+    spread: list[Component] = []
+    for c in components:
+        (points if isinstance(c, IsolatedPoint) else spread).append(c)
+    return points, spread
+
+
 def antipodal_set(L: LevelSet) -> LevelSet:
     """The set of points of L whose antipodes also lie in L.
 
@@ -542,8 +554,7 @@ def antipodal_set(L: LevelSet) -> LevelSet:
     exactly when their coefficients are); only pairs with an arc, circle,
     lattice, sector or annulus on one side are intersected.
     """
-    points = [c for c in L.components if isinstance(c, IsolatedPoint)]
-    spread = [c for c in L.components if not isinstance(c, IsolatedPoint)]
+    points, spread = _split_points(L.components)
     point_set = set(points)
     mirrored_points = [antipode_component(c) for c in points]
     mirrored_spread = [antipode_component(c) for c in spread]
@@ -707,21 +718,25 @@ def component_sup_candidates(c: Component) -> list[LevelPoint]:
 
 def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
     """sup over the level set of |1 - z|^2, as a certified enclosure."""
-    if L.is_empty():
+    return _sup_over([p for c in L.components for p in component_sup_candidates(c)], digits)
+
+
+def _sup_over(points: list[LevelPoint], digits: int) -> SupResult:
+    """The largest |1 - z|^2 over the points, as a certified enclosure."""
+    if not points:
         return SupResult(Fraction(0), Fraction(0), Fraction(0))
     best_lo = Fraction(-1)
     best_hi = Fraction(-1)
     best_exact: Optional[Fraction] = None
-    for c in L.components:
-        for p in component_sup_candidates(c):
-            ex = abs1m_sq_exact(p.log_mod, p.angle)
-            lo, hi = (ex, ex) if ex is not None else abs1m_sq_bounds(p.log_mod, p.angle, digits)
-            if ex is not None and (best_exact is None or ex > best_exact):
-                best_exact = ex
-            if hi > best_hi:
-                best_hi = hi
-            if lo > best_lo:
-                best_lo = lo
+    for p in points:
+        ex = abs1m_sq_exact(p.log_mod, p.angle)
+        lo, hi = (ex, ex) if ex is not None else abs1m_sq_bounds(p.log_mod, p.angle, digits)
+        if ex is not None and (best_exact is None or ex > best_exact):
+            best_exact = ex
+        if hi > best_hi:
+            best_hi = hi
+        if lo > best_lo:
+            best_lo = lo
     if best_exact is not None and best_exact >= best_hi:
         return SupResult(best_exact, best_exact, best_exact)
     return SupResult(best_lo, best_hi, None)
@@ -730,13 +745,8 @@ def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
 def _by_circle(points: Iterable[LevelPoint]) -> dict[Fraction, list[LevelPoint]]:
     """The points grouped by log-modulus."""
     groups: dict[Fraction, list[LevelPoint]] = {}
-    m = None
     for p in points:
-        # the points of one primitive share one log-modulus object: hash it once
-        if p.log_mod is not m:
-            m = p.log_mod
-            group = groups.setdefault(m, [])
-        group.append(p)
+        groups.setdefault(p.log_mod, []).append(p)
     return groups
 
 
@@ -759,10 +769,6 @@ def _widest_per_circle(components: Iterable[Component]) -> list[LevelPoint]:
 
 def _compare_abs(x: PiLinear, y: PiLinear) -> int:
     """compare(|x|, |y|)."""
-    if x.a == 0 == y.a:
-        # |x.b|/x.d against |y.b|/y.d
-        u, v = abs(x.b) * y.d, abs(y.b) * x.d
-        return (u > v) - (u < v)
     return compare(-x if x.sign() < 0 else x, -y if y.sign() < 0 else y)
 
 
@@ -856,6 +862,8 @@ class LevelCache:
       each other: a dropped candidate's enclosure could have moved sq_lo
       or sq_hi by that much.
     * `contains(n, p)` is membership, read off the view.
+    * `antipodal_sample(n)` is the first antipodal point of level n, read
+      off the view when the level is all isolated points.
     * `level(n)` normalizes the view, once, for the readers that need the
       canonical order (see the module docstring).
     """
@@ -884,23 +892,31 @@ class LevelCache:
         points, else a scan of its other components, one per primitive and
         angle set."""
         if n not in self._indexes:
-            points = {c.point for c in self.view(n) if c.__class__ is IsolatedPoint}
-            spread = tuple(c for c in self.view(n) if c.__class__ is not IsolatedPoint)
-            self._indexes[n] = (points, LevelSet(n, spread))
+            points, spread = _split_points(self.view(n))
+            self._indexes[n] = ({c.point for c in points}, LevelSet(n, tuple(spread)))
         points, spread = self._indexes[n]
-        if points and p in points:  # no hashing of p on a level without points
-            return True
-        return membership(spread, p)
+        return p in points or membership(spread, p)
 
     def sup(self, n: int, digits: int = 30) -> SupResult:
         """sup |1 - z|^2 over level n, computed once per precision."""
         key = (n, digits)
         if key not in self._sups:
-            widest = _widest_per_circle(self.view(n))
-            self._sups[key] = sup_abs_one_minus(
-                LevelSet(n, tuple(IsolatedPoint(p) for p in widest)), digits
-            )
+            self._sups[key] = _sup_over(_widest_per_circle(self.view(n)), digits)
         return self._sups[key]
+
+    def antipodal_sample(self, n: int) -> Union[LevelPoint, Component, None]:
+        """The first point of antipodal_set(self.level(n)), or its first
+        component when that set is not a few points; None when it is empty.
+
+        On a level of isolated points the sample is read off the points
+        (see `least_antipodal_point`), without normalizing the level.
+        """
+        points, spread = _split_points(self.view(n))
+        if not spread:
+            return least_antipodal_point(c.point for c in points)
+        A = antipodal_set(self.level(n))
+        pts = enumerate_points(A, 1)
+        return pts[0] if pts else next(iter(A.components), None)
 
     def eventual(self, n: int, K: int) -> LevelSet:
         """Level n; kept only for the benchmark tracer, which looks it up."""

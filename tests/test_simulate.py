@@ -439,14 +439,11 @@ def test_simulate_computes_each_sup_once(name, monkeypatch, capsys):
     from dyadicspec import levels
     from dyadicspec.cli import main
 
-    sups = []
-    sup_abs_one_minus = levels.sup_abs_one_minus
-
-    def counted(L, digits=30):
-        sups.append((L.level, digits))
-        return sup_abs_one_minus(L, digits)
-
-    monkeypatch.setattr(levels, "sup_abs_one_minus", counted)
+    asked, sups = [], []
+    sup, sup_over = LevelCache.sup, levels._sup_over
+    monkeypatch.setattr(LevelCache, "sup", lambda self, n, digits=30: asked.append((n, digits)) or sup(self, n, digits))
+    # each enclosure is charged to the (level, digits) that asked for it
+    monkeypatch.setattr(levels, "_sup_over", lambda points, digits: sups.append(asked[-1]) or sup_over(points, digits))
     assert main(["examples", name, "--run", "simulate"]) == 0
     assert sups and len(sups) == len(set(sups))
 
