@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .levels import Component, LevelCache, LevelPoint
-from .realbounds import exp_bounds, interval_sqrt, sqrt_bounds
+from .realbounds import exp_bounds, sqrt_bounds
 from .records import record
 from .spectrum import (
     BOUNDED_PARTS,
@@ -132,11 +132,9 @@ def _bounded_radius_sq(Z: SpectrumSet) -> Optional[Fraction]:
     return worst
 
 
-def _symbolic_uniform_constant(Z: SpectrumSet) -> Optional[Fraction]:
-    """For bounded Z: |1 - exp(z/2^n)| <= |z| e^{|z|} / 2^n, so R e^R works."""
-    r_sq = _bounded_radius_sq(Z)
-    if r_sq is None:
-        return None
+def _symbolic_uniform_constant(r_sq: Fraction) -> Fraction:
+    """For Z with sup |z|^2 <= r_sq: |1 - exp(z/2^n)| <= |z| e^{|z|} / 2^n,
+    so R e^R works."""
     R = sqrt_bounds(r_sq, 6)[1]
     return R * exp_bounds(R, 6)[1]
 
@@ -151,32 +149,37 @@ def check_uniform(
     the spectrum is bounded (making the 1/2^n decay a theorem, not an
     extrapolation) and the computed table confirms it by decaying below
     the coarsest configured tolerance.
+
+    The gates run cheapest first: boundedness needs no exp, row n_max
+    alone settles the tolerance gate, and the symbolic constant, whose
+    exp grows with R, is computed only once every gate has passed.
     """
-    sym = _symbolic_uniform_constant(Z)
-    if sym is None:
+    r_sq = _bounded_radius_sq(Z)
+    if r_sq is None:
         return None
     tol = max(params.epsilons)
-    table: list[tuple[int, Fraction, Fraction]] = []
-    constant = Fraction(0)
-    for n in range(params.n_max + 1):
-        sup = cache.sup(n, digits)
-        lo, hi = interval_sqrt((sup.sq_lo, sup.sq_hi), digits)
-        table.append((n, lo, hi))
-        constant = max(constant, hi * 2**n)
+    scale = 10**digits
+    # n -> sup |1 - z| over level n in [lo, hi] * 10**-digits
+    rows: dict[int, tuple[int, int]] = {}
+
+    def row(n: int) -> tuple[int, int]:
+        rows[n] = cache.sup_sqrt(n, digits)
+        return rows[n]
+
     # gates: final value under tolerance, nonincreasing tail
-    final_hi = table[-1][2]
-    if not final_hi < tol:
+    if not Fraction(row(params.n_max)[1], scale) < tol:
         return None
-    tail = table[max(0, len(table) - 5) :]
-    for (_, _, h1), (_, _, h2) in zip(tail, tail[1:]):
-        if h2 > h1:
-            return None
+    for n in range(params.n_max):
+        row(n)
+    tail = [rows[n][1] for n in range(max(0, params.n_max - 4), params.n_max + 1)]
+    if any(h2 > h1 for h1, h2 in zip(tail, tail[1:])):
+        return None
     return UniformRateBound(
-        constant=constant,
-        symbolic_constant=sym,
+        constant=Fraction(max(hi << n for n, (_, hi) in rows.items()), scale),
+        symbolic_constant=_symbolic_uniform_constant(r_sq),
         n_range=(0, params.n_max),
         tolerance=tol,
-        u_table=tuple(table),
+        u_table=tuple((n, Fraction(lo, scale), Fraction(hi, scale)) for n, (lo, hi) in sorted(rows.items())),
     )
 
 

@@ -381,22 +381,30 @@ def exact_ratio(x: PiLinear, s: PiLinear) -> Fraction | None:
 def floor_ratio(x: PiLinear, s: PiLinear) -> int:
     """floor(x / s) for s > 0, exact.
 
-    A rational ratio is detected componentwise; an irrational one is
-    separated from the integers by enclosure refinement.
+    A rational ratio is detected componentwise.  Otherwise, with lo <= pi
+    * 2**p <= hi, x * d * 2**p lies between the integers a * 2**p + b * P
+    at P = lo, hi (for x = (a + b*pi)/d), and likewise s * e * 2**p; the
+    ratio x / s is (x d 2**p) e / ((s e 2**p) d), so it lies between the
+    four quotients of those ends.  p doubles until their floors agree.
     """
     r = exact_ratio(x, s)
     if r is not None:
         return math.floor(r)
-    digits = 20
-    while digits <= _MAX_DIGITS:
-        xlo, xhi = x.bounds(digits)
-        slo, shi = s.bounds(digits)
-        if slo > 0:
-            quotients = (xlo / slo, xlo / shi, xhi / slo, xhi / shi)
-            flo, fhi = math.floor(min(quotients)), math.floor(max(quotients))
-            if flo == fhi:
+    xa, xb, d = x.a, x.b, x.d
+    sa, sb, e = s.a, s.b, s.d
+    p = 64
+    while p <= _MAX_BITS:
+        lo, hi = _pi_fixed(p)
+        xs, ss = xa << p, sa << p
+        x1, x2 = sorted((xs + xb * lo, xs + xb * hi))
+        s1, s2 = sorted((ss + sb * lo, ss + sb * hi))
+        if s1 > 0:
+            x1, x2, s1, s2 = x1 * e, x2 * e, s1 * d, s2 * d
+            # the ratio is monotone in each end, so its extremes are corners
+            flo = min(x1 // s1, x1 // s2)
+            if flo == max(x2 // s1, x2 // s2):
                 return flo
-        digits *= 2
+        p *= 2
     raise PrecisionError("ratio floor did not separate")
 
 

@@ -12,16 +12,22 @@ a gcd and every denominator is a power of two:
 
 * `_cos_ints`: the reduced angle and pi are integers at scale 2**-p, the
   series is summed with floor rounding, and the radius counts the
-  rounding error, the tail and the angle width.
+  rounding error, the tail and the angle width.  cos is even, and the
+  kernel reads |a| (the end of the angle's integer bracket nearer 0), so
+  a and -a get one and the same enclosure.
 * `_exp_ints`: argument reduction to |x| / 2**s < 1/2, a floor-rounded
   Taylor sum, s squarings and a reciprocal for x < 0, at a cost that
   grows with the bits of the result, not with |x|**2.  The printed
   `exp_bounds` keeps exact Taylor endpoints for |x| <= 64 (see there).
 
-`abs1m_sq_bounds` and `compare_abs1m_sq` combine the two kernels' integer
-endpoints over one common denominator and compare integers, so the
-enclosures of |1 - z|**2 are the same rationals as a Fraction evaluation
-over the kernels' endpoints, without its gcds.
+`_abs1m_sq_combine` is the one formula for |1 - z|**2: it takes the two
+kernels' integer endpoints and returns integer endpoints over one common
+denominator, so the enclosures of |1 - z|**2 are the same rationals as a
+Fraction evaluation over the kernels' endpoints, without its gcds.  Each
+kernel result is an argument, so a caller with many points shares one exp
+per radius and one cos per |angle| among them (`levels.LevelCache.sup`),
+and compares the results on integers.  `abs1m_sq_bounds` and
+`compare_abs1m_sq` run both kernels for one point.
 """
 
 from __future__ import annotations
@@ -184,56 +190,69 @@ def _cos_ints(a: PiLinear, digits: int) -> tuple[int, int, int]:
     p0 = math.ceil(digits * math.log2(10))
     p = p0 + p0.bit_length() + 5
     tlo, thi = _angle_fixed(a, p)
-    m, r = _cos_fixed(abs(tlo), p)
-    # cos is even and 1-Lipschitz, so the angle width adds to the radius
+    # the bracket of -a is (-thi, -tlo), so the end nearer 0 is the same
+    # integer for a and -a; cos is even and 1-Lipschitz, so |a| lies within
+    # the angle width of it, which adds to the radius
+    m, r = _cos_fixed(min(abs(tlo), abs(thi)), p)
     r += thi - tlo
     return m - r, m + r, p
 
 
+def even_key(a: PiLinear) -> tuple[int, int, int]:
+    """One key for a and -a, whose cos enclosures are one: the triple of
+    whichever has the first nonzero of (pi coefficient, rational part)
+    positive."""
+    if a.b > 0 or (a.b == 0 and a.a >= 0):
+        return a.a, a.b, a.d
+    return -a.a, -a.b, a.d
+
+
 def sqrt_bounds(x: Fraction, digits: int) -> Interval:
     """Enclosure of sqrt(x) for x >= 0 with width <= 10**-digits."""
-    if x < 0:
+    return interval_sqrt((x, x), digits)
+
+
+def sqrt_ints(lo: tuple[int, int], hi: tuple[int, int], digits: int) -> tuple[int, int]:
+    """Integers a, b with sqrt over [lo, hi] inside [a, b] * 10**-digits,
+    for lo and hi given as (numerator, denominator > 0) and lo clipped at
+    0: a = floor(sqrt(lo) * 10**digits) and b = floor(sqrt(hi) * 10**digits)
+    + 1, or 0 at a zero end, one isqrt each."""
+    if hi[0] < 0:
         raise ValueError("sqrt of negative value")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    scale = 10**digits
-    m = (x.numerator * scale * scale) // x.denominator
-    r = math.isqrt(m)
-    return Fraction(r, scale), Fraction(r + 1, scale)
+    s2 = 100**digits
+    a = math.isqrt(lo[0] * s2 // lo[1]) if lo[0] > 0 else 0
+    b = math.isqrt(hi[0] * s2 // hi[1]) + 1 if hi[0] else 0
+    return a, b
 
 
 def interval_sqrt(iv: Interval, digits: int) -> Interval:
-    lo = sqrt_bounds(max(iv[0], Fraction(0)), digits)[0]
-    hi = sqrt_bounds(iv[1], digits)[1]
-    return lo, hi
-
-
-def abs1m_sq_exact(log_mod: Fraction, angle: PiLinear) -> Fraction | None:
-    """Exact value of |1 - exp(log_mod + i*angle)|**2 when it is rational."""
-    if log_mod != 0:
-        return None
-    a = reduce_mod_2pi(angle)
-    if a.a != 0:
-        return None
-    c2 = _RATIONAL_COS2.get((abs(a.b), a.d))
-    return None if c2 is None else Fraction(2 - c2)
+    """Enclosure of sqrt over [iv[0], iv[1]], iv[0] clipped at 0."""
+    x, y = iv
+    a, b = sqrt_ints((x.numerator, x.denominator), (y.numerator, y.denominator), digits)
+    scale = 10**digits
+    return Fraction(a, scale), Fraction(b, scale)
 
 
 def _abs1m_sq_ints(log_mod: Fraction, a: PiLinear, digits: int) -> tuple[int, int, int]:
     """Integers lo, hi, den > 0 with lo/den <= |1 - exp(log_mod + i*a)|**2
-    <= hi/den, for a reduced angle a.
+    <= hi/den, for a reduced angle a: both kernels at digits + 2, combined."""
+    return _abs1m_sq_combine(_exp_ints(log_mod, digits + 2), _cos_ints(a, digits + 2))
 
-    Uses |1 - z|**2 = 1 - 2ec + e**2 with e = exp(log_mod) in [el, eh] / ed
-    and c = cos(a) in [cl, ch] / 2**p, over den = ed**2 * 4**p.
-    """
-    el, eh, ed = _exp_ints(log_mod, digits + 2)
-    cl, ch, p = _cos_ints(a, digits + 2)
+
+def _abs1m_sq_combine(e: tuple[int, int, int], c: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Integers lo, hi, den > 0 enclosing |1 - z|**2 = 1 - 2ec + e**2 from
+    the kernels' results: e = exp(log_mod) in [el, eh] / ed and c = cos(a)
+    in [cl, ch] / 2**p, over den = ed**2 * 4**p."""
+    el, eh, ed = e
+    cl, ch, p = c
     ed2 = ed * ed
     one = ed2 << 2 * p
     # f(e, c) = 1 - 2 e c + e^2, monotone decreasing in c; in e the extrema
     # of the quadratic are at the endpoints for e > 0
-    lo = min(one - (e * ch * ed << p + 1) + (e * e << 2 * p) for e in (el, eh))
-    hi = max(one - (e * cl * ed << p + 1) + (e * e << 2 * p) for e in (el, eh))
+    sq_l, sq_h = el * el << 2 * p, eh * eh << 2 * p
+    at_ch, at_cl = ch * ed << p + 1, cl * ed << p + 1
+    lo = one + min(sq_l - el * at_ch, sq_h - eh * at_ch)
+    hi = one + max(sq_l - el * at_cl, sq_h - eh * at_cl)
     # the quadratic in e attains its minimum at e = c if that lies inside
     if el << p <= ch * ed <= eh << p:
         lo = min(lo, ((1 << 2 * p) - ch * ch) * ed2)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec import levels
+from dyadicspec import levels, realbounds
 from dyadicspec.classify import (
     ClassificationReport,
     ClassifyParams,
@@ -224,14 +224,32 @@ def test_prime_family_accumulation_point_is_not_an_antipode():
 )
 def test_deep_search_on_a_bounded_spectrum_builds_few_levels(text, verdict, monkeypatch):
     # no thread can stay delta away from 1 at level search_depth, so the
-    # witness search builds that one level set instead of failing through
-    # every level below it
+    # witness search reads that one level instead of failing through every
+    # level below it.  A level's views and sups read its scaled factors
     calls = []
-    level_view = levels.level_view
-    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
+    scaled = levels._scaled_factors
+    monkeypatch.setattr(levels, "_scaled_factors", lambda f, n: calls.append(n) or scaled(f, n))
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
     assert calls and len(calls) <= cfg.params.n_max + 2
+
+
+def test_uniform_table_shares_one_exp_per_radius_and_one_cos_per_angle(monkeypatch):
+    # each row of the table has two radii (re_lo / 2^n and 0) and the angles
+    # +-pi / 2^n: one exp per radius and one cos for both angles, and the
+    # symbolic constant's one exp
+    exps, coss = [], []
+    exp_ints, cos_ints = realbounds._exp_ints, realbounds._cos_ints
+    for module in (levels, realbounds):
+        monkeypatch.setattr(module, "_exp_ints", lambda x, d: exps.append(x) or exp_ints(x, d))
+        monkeypatch.setattr(module, "_cos_ints", lambda a, d: coss.append(a) or cos_ints(a, d))
+    cfg = parse_config("spectrum rect re=[-201,0] im=[-1*pi,1*pi]\n")
+    rows = cfg.params.n_max + 1
+    assert check_uniform(cfg.spectrum, LevelCache(cfg.spectrum), cfg.params) is not None
+    assert exps and len(exps) <= 2 * rows + 1
+    assert all(exps.count(x) == 1 for x in exps if x) and exps.count(0) <= rows
+    assert coss and len(coss) <= rows
+    assert len({realbounds.even_key(a) for a in coss}) == len(coss)
 
 
 def _leaf_types(t) -> set:

@@ -297,6 +297,48 @@ def test_reduce_matches_oracle_at_odd_pi_boundaries(k, m, side, digit):
     assert float(b) == fraction_float(b) and float(a) == fraction_float(a)
 
 
+def fraction_floor_ratio(x: PiLinear, s: PiLinear) -> int:
+    """Reference: the Fraction body floor_ratio had, four quotients of
+    enclosures of 20, 40, 80, ... digits."""
+    r = exact_ratio(x, s)
+    if r is not None:
+        return math.floor(r)
+    digits = 20
+    while True:
+        xlo, xhi = x.bounds(digits)
+        slo, shi = s.bounds(digits)
+        if slo > 0:
+            quotients = (xlo / slo, xlo / shi, xhi / slo, xhi / shi)
+            flo, fhi = math.floor(min(quotients)), math.floor(max(quotients))
+            if flo == fhi:
+                return flo
+        digits *= 2
+
+
+@given(
+    st.integers(min_value=1, max_value=80),
+    st.integers(min_value=-2, max_value=2),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.one_of(rationals, big_rationals).filter(lambda c: c != 0),
+    mixed_rationals,
+    mixed_rationals,
+)
+@settings(max_examples=200, deadline=None)
+def test_floor_ratio_matches_fraction_oracle_near_integers(k, offset, m, c, s0, s1):
+    # x / s = m + c * (r - pi) / s with r within 3 * 10**-k of pi: a ratio
+    # near the integer m when c is small against s
+    s = PiLinear(s0, s1)
+    if s.sign() == 0:
+        s = PiLinear(1, s1)
+    if s.sign() < 0:
+        s = -s
+    r = pi_approximation(k, offset)
+    x = PiLinear(m * s.q0 + c * r, m * s.q1 - c)
+    for y in (x, -x, PiLinear(c * r, -c)):
+        assert floor_ratio(y, s) == fraction_floor_ratio(y, s), (y, s)
+        assert ceil_ratio(y, s) == -fraction_floor_ratio(-y, s), (y, s)
+
+
 # ---------------------------------------------------------------------------
 # the integer triple against the Fraction-backed PiLinear it replaced
 

@@ -40,6 +40,7 @@ from dyadicspec.spectrum import (
     ILattice,
     Point,
     PrimeFamily,
+    Rect,
     SpectrumSet,
     image_closedness,
     section_antipode_condition,
@@ -220,13 +221,28 @@ def oracle_spectra(roots2k, solenoid, rectangle, primefamily):
     return (roots2k, solenoid, rectangle, primefamily, *(random_spectrum(rng) for _ in range(300)))
 
 
+# the `enclosures` bench spectra: wide rects, and far points at the angles
+# whose cosines are irrational, on both sides of the real axis
+ENCLOSURES_SPECTRA = (
+    *(SpectrumSet((Rect(F(-R), F(0), PiLinear(0, -1), PiLinear(0, 1)),)) for R in (100, 102, 201, 303, 404)),
+    *(
+        SpectrumSet((Point(F(-re), PiLinear(0, sign * q)),))
+        for re in (150, 303)
+        for q in (F(1, 5), F(2, 7), F(3, 8), F(4, 9), F(5, 11))
+        for sign in (1, -1)
+    ),
+)
+
+
 def test_cached_sup_matches_the_all_candidate_sup(oracle_spectra):
     # the oracle encloses every candidate of the normalized level; the cache
-    # only each circle's largest |angle|.  Two candidates on one circle whose
-    # values lie within 10^-digits may move sq_lo or sq_hi, by at most that
-    for Z in oracle_spectra:
+    # only one with each circle's largest |angle|.  Two candidates on one
+    # circle whose values lie within 10^-digits may move sq_lo or sq_hi, by
+    # at most that
+    cases = [(Z, range(9)) for Z in oracle_spectra] + [(Z, range(17)) for Z in ENCLOSURES_SPECTRA]
+    for Z, depths in cases:
         cache = LevelCache(Z)
-        for n in (*range(9), 30):
+        for n in (*depths, 30):
             L = level_set(Z, n)
             for digits in (15, 30, 40):
                 got, want = cache.sup(n, digits), sup_abs_one_minus(L, digits)

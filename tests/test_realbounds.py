@@ -13,11 +13,16 @@ from hypothesis import strategies as st
 from dyadicspec.cli import format_g
 from dyadicspec.exactnum import PiLinear, reduce_mod_2pi
 from dyadicspec.realbounds import (
+    _cos_ints,
     _exp_ints,
     abs1m_sq_bounds,
     compare_abs1m_sq,
     cos_bounds,
+    even_key,
     exp_bounds,
+    interval_sqrt,
+    sqrt_bounds,
+    sqrt_ints,
 )
 
 digits = st.integers(min_value=1, max_value=60)
@@ -271,3 +276,60 @@ def test_compare_abs1m_sq_matches_oracle(log_mod, angle, d, which):
     assert compare_abs1m_sq(log_mod, angle, threshold) == fraction_compare_abs1m_sq(
         log_mod, angle, threshold
     )
+
+
+@given(angles, st.sampled_from([15, 30, 42]))
+@example(PiLinear(0, 1), 15)
+@example(PiLinear(0, F(-2, 3)), 42)
+@example(PiLinear(F(1, 3), 0), 30)
+@example(PiLinear(F(-3), 1), 30)  # q0 and q1 of opposite signs
+@example(PiLinear(F(1, 10**40), 0), 42)  # the bracket straddles 0
+@settings(max_examples=150, deadline=None)
+def test_cos_ints_is_even_and_contains_mpmath_value(angle, d):
+    # a and -a share one enclosure (and one key), so a sup encloses cos
+    # once per |angle|; the enclosure holds cos at the digits the sups use
+    a = reduce_mod_2pi(angle)
+    b = reduce_mod_2pi(-a)
+    assert _cos_ints(a, d) == _cos_ints(b, d)
+    assert even_key(a) == even_key(b)
+    lo, hi, p = _cos_ints(a, d)
+    dps = d + 60
+    with mpmath.workdps(dps):
+        theta = mpmath.mpf(a.q0.numerator) / a.q0.denominator + mpmath.pi * a.q1.numerator / a.q1.denominator
+        value = mpmath.cos(theta)
+    assert_encloses(F(lo, 1 << p), F(hi, 1 << p), value, d, dps)
+
+
+positive_fractions = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**9),
+    st.builds(lambda n, k: F(n, 1 << k), st.integers(0, 10**40), st.integers(0, 300)),
+)
+
+
+def fraction_sqrt_bounds(x: F, digits: int) -> tuple[F, F]:
+    """Reference: the Fraction body sqrt_bounds had, one isqrt of the value."""
+    if x < 0:
+        raise ValueError("sqrt of negative value")
+    if x == 0:
+        return F(0), F(0)
+    scale = 10**digits
+    r = math.isqrt((x.numerator * scale * scale) // x.denominator)
+    return F(r, scale), F(r + 1, scale)
+
+
+@given(positive_fractions, positive_fractions, st.sampled_from([1, 6, 15, 30, 40]), st.integers(0, 64))
+@example(F(0), F(0), 40, 0)
+@example(F(-1, 10**50), F(4), 40, 3)  # a lower end below 0 is clipped
+@settings(max_examples=150, deadline=None)
+def test_sqrt_ints_are_the_ends_of_sqrt_bounds(x, y, d, k):
+    # the winners' integers need not be reduced: scale both by 2**k
+    x, y = min(x, y), max(x, y)
+    scale = 10**d
+    want = fraction_sqrt_bounds(max(x, F(0)), d)[0], fraction_sqrt_bounds(y, d)[1]
+    a, b = sqrt_ints((x.numerator << k, x.denominator << k), (y.numerator << k, y.denominator << k), d)
+    assert (F(a, scale), F(b, scale)) == want
+    assert interval_sqrt((x, y), d) == want
+    assert sqrt_bounds(y, d) == fraction_sqrt_bounds(y, d)
+    with pytest.raises(ValueError):
+        sqrt_bounds(-y - 1, d)

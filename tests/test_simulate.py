@@ -425,8 +425,8 @@ def test_simulate_builds_each_level_once(name, monkeypatch):
 
     # and normalizes only level 0, where the model and the blocking search seed
     calls, normalized = [], []
-    level_view, normalize = levels.level_view, levels.normalize
-    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
+    scaled, normalize = levels._scaled_factors, levels.normalize
+    monkeypatch.setattr(levels, "_scaled_factors", lambda f, n: calls.append(n) or scaled(f, n))
     monkeypatch.setattr(levels, "normalize", lambda n, comps: normalized.append(n) or normalize(n, comps))
     assert run("simulate", builtin_example(name))[0] == 0
     assert calls and len(calls) == len(set(calls))
