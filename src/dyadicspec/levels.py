@@ -953,8 +953,9 @@ def least_antipodal_point(points: Iterable[LevelPoint]) -> Optional[LevelPoint]:
 
 
 class LevelCache:
-    """One run's level sets of one spectrum, each built once, as its view,
-    and one run's enclosures of |1 - z|^2, each point's made once.
+    """One run's level sets of one spectrum, each read once, as its scaled
+    factors, and built once from them, as its view; and one run's
+    enclosures of |1 - z|^2, each point's made once.
 
     * `sup(n, digits)` encloses, per circle, one sup candidate with the
       circle's largest |angle| (the module docstring gives the argument),
