@@ -23,19 +23,16 @@ Squaring maps the compact X_{n+1} onto X_n, so level n is the projection
 of the inverse limit.  Closure points demanded by the closedness analysis
 (dense lattice orbits) appear as full circles.
 
-A run reads each level once, as the primitives' scaled factors: each
-real range and section angle set scaled by 2^-n.  Its view (`level_view`)
-is one component per scaled angle set, not normalized.  `LevelCache`
-answers the verdict path from the factors and the view:
+A run builds each level once, as `level_view`: the primitives' scaled
+factors, one component per section angle set, not normalized.
+`LevelCache` answers the verdict path from that view:
 
-* its sup reads one candidate per circle off the factors, without
-  building the view.  On |z| = r, |1 - z|^2 = 1 + r^2 - 2r cos(angle)
-  grows with |angle| in [0, pi], so a candidate with the circle's largest
-  |angle| attains the circle's sup, and its mirror image has the same
-  value.  The candidates share one exp per circle and one cos per
-  |angle|, and their enclosures are compared on integers;
-* its comparisons of |1 - z|^2 with a threshold read one enclosure per
-  point and run;
+* its sup encloses one candidate per circle, one with the circle's
+  largest |angle|: on |z| = r, |1 - z|^2 = 1 + r^2 - 2r cos(angle) grows
+  with |angle| in [0, pi], so no other candidate on the circle attains
+  the sup, and the mirror image of that candidate has the same value.
+  The candidates share one exp per circle and one cos per |angle|, and
+  their enclosures are compared on integers;
 * its membership looks a point up among the view's isolated points and
   scans only the rest, and its antipodal sample of a level of isolated
   points is read off the points.
@@ -55,8 +52,7 @@ from typing import Iterable, Optional, Union
 
 from .exactnum import PI, TWO_PI, PiLinear, Rat, _mk, _raw, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from .exactnum import scale_pow2
-from .realbounds import _abs1m_sq_combine, _abs1m_sq_ints, _cos_ints, _exp_ints
-from .realbounds import compare_abs1m_sq, even_key, sqrt_ints
+from .realbounds import _abs1m_sq_combine, _cos_ints, _exp_ints, even_key, sqrt_ints
 from .records import Frozen, record
 from .spectrum import (
     ConsistencyError,
@@ -314,9 +310,15 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
     """
     one_radius = lo_log is hi_log or lo_log == hi_log
     if isinstance(angles, Interval):
-        ends = _anchor(angles.lo, angles.hi)
-        if ends is not None:
-            lo, hi = ends
+        lo, hi = angles.lo, angles.hi
+        span = hi - lo
+        if span.sign() < 0:
+            raise ValueError("angle interval with lo > hi")
+        if compare(span, TWO_PI) < 0:
+            # shift by a multiple of 2*pi so lo lands in (-pi, pi]
+            lo = reduce_mod_2pi(lo)
+            if lo is not angles.lo:
+                hi = hi + (lo - angles.lo)
             if not one_radius:
                 return Sector(lo_log, hi_log, lo, hi)
             if lo == hi:
@@ -330,18 +332,6 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
     if isinstance(angles, Orbit):
         return make_lattice(lo_log, angles.base, angles.step)
     return IsolatedPoint(LevelPoint(lo_log, reduce_mod_2pi(angles)))
-
-
-def _anchor(lo: PiLinear, hi: PiLinear) -> Optional[tuple[PiLinear, PiLinear]]:
-    """The interval [lo, hi] shifted by a multiple of 2*pi so lo lands in
-    (-pi, pi], or None when it spans the full circle."""
-    span = hi - lo
-    if span.sign() < 0:
-        raise ValueError("angle interval with lo > hi")
-    if compare(span, TWO_PI) < 0:
-        a = reduce_mod_2pi(lo)
-        return (lo, hi) if a is lo else (a, hi + (a - lo))
-    return None
 
 
 def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component:
@@ -457,35 +447,25 @@ def _part_angles(part: SectionPart) -> list[Angles]:
     return [None]
 
 
-# Per primitive: its real range, whether its section is a points part on
-# one radius, and that part's points or angle sets.  `_factors` gives them
-# as the spectrum states them, `_scaled_factors` for one level.
-Factors = list[tuple[Fraction, Fraction, bool, list]]
-
-
-def _factors(Z: SpectrumSet) -> Factors:
-    out: Factors = []
-    for prim in Z.primitives:
-        S = prim.section
-        points = isinstance(S, SectionPoints) and prim.re_lo == prim.re_hi
-        out.append((prim.re_lo, prim.re_hi, points, list(S.values) if points else _part_angles(S)))
-    return out
-
-
-def _scaled_factors(factors: Factors, n: int) -> Factors:
-    """The factors of level n: every real range and angle set scaled by
-    2^-n, and a points part's angles reduced to (-pi, pi] as well."""
+def level_view(Z: SpectrumSet, n: int) -> list[Component]:
+    """cl(exp(Z / 2^n)) before normalization: each primitive's real range
+    scaled by 2^-n, times each angle set of its section part scaled by
+    2^-n, one component per angle set.  A points part on one radius gives
+    isolated points directly."""
     if n < 0:
         raise ValueError("level must be >= 0")
+    comps: list[Component] = []
     half = Fraction(1, 2**n)
-    out: Factors = []
-    for lo, hi, points, part in factors:
-        slo = lo * half
+    for p in Z.primitives:
+        lo = p.re_lo * half
         # a primitive on one vertical line holds its one real value twice
-        shi = slo if hi is lo else hi * half
-        angles = [_scaled_point(a, n) for a in part] if points else [_map_angles(a, half) for a in part]
-        out.append((slo, shi, points, angles))
-    return out
+        hi = lo if p.re_hi is p.re_lo else p.re_hi * half
+        S = p.section
+        if isinstance(S, SectionPoints) and lo == hi:
+            comps.extend(IsolatedPoint(LevelPoint(lo, _scaled_point(a, n))) for a in S.values)
+        else:
+            comps.extend(make_component(lo, hi, _map_angles(a, half)) for a in _part_angles(S))
+    return comps
 
 
 def _scaled_point(a: PiLinear, n: int) -> PiLinear:
@@ -496,26 +476,6 @@ def _scaled_point(a: PiLinear, n: int) -> PiLinear:
     if a.a == 0:
         a = _raw(0, a.b % (a.d << n + 1), a.d)
     return reduce_mod_2pi(scale_pow2(a, -n))
-
-
-def _view_of(scaled: Factors) -> list[Component]:
-    """One component per scaled angle set; a points part gives isolated
-    points directly."""
-    comps: list[Component] = []
-    for lo, hi, points, part in scaled:
-        if points:
-            comps.extend(IsolatedPoint(LevelPoint(lo, a)) for a in part)
-        else:
-            comps.extend(make_component(lo, hi, x) for x in part)
-    return comps
-
-
-def level_view(Z: SpectrumSet, n: int) -> list[Component]:
-    """cl(exp(Z / 2^n)) before normalization: each primitive's real range
-    scaled by 2^-n, times each angle set of its section part scaled by
-    2^-n, one component per angle set.  A points part on one radius gives
-    isolated points directly."""
-    return _view_of(_scaled_factors(_factors(Z), n))
 
 
 def level_set(Z: SpectrumSet, n: int) -> LevelSet:
@@ -746,14 +706,14 @@ class SupResult:
 
 
 def _angle_sup_candidates(angles: Angles) -> list[PiLinear]:
-    """Reduced angles of the set where |1 - z| at a fixed radius is largest,
-    for any set but a point (which is its own candidate); an interval must
-    be anchored."""
+    """Reduced angles of the set where |1 - z| at a fixed radius is largest."""
     if angles is None:
         return [PI]
     if isinstance(angles, Interval):
-        cands = [angles.lo, reduce_mod_2pi(angles.hi)]
-        if _angles_contain(angles, PI):
+        cands = [reduce_mod_2pi(angles.lo), reduce_mod_2pi(angles.hi)]
+        # anchored, lo <= pi < lo + 2*pi, and the span is under 2*pi (else
+        # the set is the full circle), so pi is covered exactly when hi >= pi
+        if compare(angles.hi, PI) >= 0:
             cands.append(PI)
         return cands
     # the members around pi: j around (pi - base)/step*pi
@@ -782,14 +742,23 @@ def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
 
 def _sup_over(points: list[LevelPoint], digits: int) -> SupResult:
     """The largest |1 - z|^2 over the points, as a certified enclosure."""
-    lo, hi, exact = _sup_ints(points, digits)
+    return _sup_result(*_sup_ints(points, digits))
+
+
+def _sup_result(lo: tuple[int, int], hi: tuple[int, int], exact: bool) -> SupResult:
+    """The SupResult of `_sup_ints`' bounds: Fractions for the winners only."""
     if exact:
         v = Fraction(*hi)
         return SupResult(v, v, v)
     return SupResult(Fraction(*lo), Fraction(*hi), None)
 
 
-def _sup_ints(points: list[LevelPoint], digits: int) -> tuple[tuple[int, int], tuple[int, int], bool]:
+# The largest lower and upper bound of |1 - z|^2 as (numerator, denominator)
+# each, and whether the upper one is exact
+SupInts = tuple[tuple[int, int], tuple[int, int], bool]
+
+
+def _sup_ints(points: list[LevelPoint], digits: int) -> SupInts:
     """The largest lower and the largest upper bound of |1 - z|^2 over the
     points, each as (numerator, denominator), and whether the upper one is
     an exact value that attains the sup (0 over no points).
@@ -839,32 +808,18 @@ def _by_circle(points: Iterable[LevelPoint]) -> dict[Fraction, list[LevelPoint]]
     return groups
 
 
-def _widest_candidates(scaled: Factors) -> list[LevelPoint]:
-    """Per circle of a level, one sup candidate with that circle's largest
-    |angle|: the only candidates that can attain the sup (see the module
-    docstring), and a +-angle tie has one value.  They are read off the
-    level's scaled factors by the rule `component_sup_candidates` applies
-    to the view's components, without building them."""
+def _widest_per_circle(components: Iterable[Component]) -> list[LevelPoint]:
+    """Per circle, one sup candidate of the components with that circle's
+    largest |angle|: the only candidates that can attain the sup (see the
+    module docstring), and a +-angle tie has one value.  Circles are keyed
+    by the integers of their log-modulus."""
     widest: dict[tuple[int, int], LevelPoint] = {}
-    for lo, hi, points, part in scaled:
-        if points:
-            angles = part
-        else:
-            angles = []
-            for x in part:
-                if isinstance(x, Interval):
-                    ends = _anchor(x.lo, x.hi)
-                    x = None if ends is None else Interval(*ends)
-                angles.extend(_angle_sup_candidates(x))
-        a = angles[0]
-        for b in angles[1:]:
-            if _compare_abs(b, a) > 0:
-                a = b
-        for m in (lo,) if lo == hi else (lo, hi):
-            key = (m.numerator, m.denominator)
+    for c in components:
+        for p in component_sup_candidates(c):
+            key = (p.log_mod.numerator, p.log_mod.denominator)
             q = widest.get(key)
-            if q is None or _compare_abs(a, q.angle) > 0:
-                widest[key] = LevelPoint(m, a)
+            if q is None or _compare_abs(p.angle, q.angle) > 0:
+                widest[key] = p
     return list(widest.values())
 
 
@@ -953,24 +908,19 @@ def least_antipodal_point(points: Iterable[LevelPoint]) -> Optional[LevelPoint]:
 
 
 class LevelCache:
-    """One run's level sets of one spectrum, each read once, as its scaled
-    factors, and built once from them, as its view; and one run's
-    enclosures of |1 - z|^2, each point's made once.
+    """One run's level sets of one spectrum, each built once, as its view.
 
-    * `sup(n, digits)` encloses, per circle, one sup candidate with the
-      circle's largest |angle| (the module docstring gives the argument),
-      read off the primitives' scaled factors.  These attain the sup of the
-      normalized level, so the result is `sup_abs_one_minus(self.level(n),
-      digits)`, except where two candidates on one circle have values
-      within 10^-digits of each other: a dropped candidate's enclosure
-      could have moved sq_lo or sq_hi by that much.  The circles share one
-      cos per |angle|, as cos is even (see `_sup_ints`).
+    * `sup(n, digits)` encloses, per circle of the view's sup candidates,
+      one with the circle's largest |angle| (the module docstring gives
+      the argument).  These attain the sup of the normalized level, so the
+      result is `sup_abs_one_minus(self.level(n), digits)`, except where
+      two candidates on one circle have values within 10^-digits of each
+      other: a dropped candidate's enclosure could have moved sq_lo or
+      sq_hi by that much.  The circles share one cos per |angle|, as cos
+      is even (see `_sup_ints`).
     * `sup_sqrt(n, digits)` is the square root of that sup, as
-      `interval_sqrt` rounds it, taken from the winning integers.
-    * `compare(p, t)` is `compare_abs1m_sq(p.log_mod, p.angle, t)`, read
-      off the point's 15-digit enclosure, which is made once per run and
-      serves every threshold and every caller (the witness search, its
-      re-check, simulate's covers); only a threshold inside it escalates.
+      `interval_sqrt` rounds it, taken from the same winning integers:
+      each (level, precision) is enclosed once for both.
     * `contains(n, p)` is membership, read off the view.
     * `antipodal_sample(n)` is the first antipodal point of level n, read
       off the view when the level is all isolated points.
@@ -980,28 +930,16 @@ class LevelCache:
 
     def __init__(self, Z: SpectrumSet):
         self.Z = Z
-        self._scaled: dict[int, Factors] = {}
         self._views: dict[int, list[Component]] = {}
         self._levels: dict[int, LevelSet] = {}
         self._indexes: dict[int, tuple[set[LevelPoint], LevelSet]] = {}
-        self._sups: dict[tuple[int, int], SupResult] = {}
-        self._enclosures: dict[LevelPoint, tuple[int, int, int]] = {}
-
-    @functools.cached_property
-    def _factors(self) -> Factors:
-        return _factors(self.Z)
-
-    def scaled(self, n: int) -> Factors:
-        """The primitives' factors scaled to level n, read once; the view
-        and the sup both read them."""
-        if n not in self._scaled:
-            self._scaled[n] = _scaled_factors(self._factors, n)
-        return self._scaled[n]
+        self._sups: dict[tuple[int, int], SupInts] = {}
+        self._sup_results: dict[tuple[int, int], SupResult] = {}
 
     def view(self, n: int) -> list[Component]:
         """level_view(self.Z, n), built once."""
         if n not in self._views:
-            self._views[n] = _view_of(self.scaled(n))
+            self._views[n] = level_view(self.Z, n)
         return self._views[n]
 
     def level(self, n: int) -> LevelSet:
@@ -1020,30 +958,24 @@ class LevelCache:
         points, spread = self._indexes[n]
         return p in points or membership(spread, p)
 
-    def sup(self, n: int, digits: int = 30) -> SupResult:
-        """sup |1 - z|^2 over level n, computed once per precision."""
+    def _sup_bounds(self, n: int, digits: int) -> SupInts:
+        """`_sup_ints` over level n's widest candidates, once per precision."""
         key = (n, digits)
         if key not in self._sups:
-            self._sups[key] = _sup_over(_widest_candidates(self.scaled(n)), digits)
+            self._sups[key] = _sup_ints(_widest_per_circle(self.view(n)), digits)
         return self._sups[key]
+
+    def sup(self, n: int, digits: int = 30) -> SupResult:
+        """sup |1 - z|^2 over level n, built once per precision."""
+        key = (n, digits)
+        if key not in self._sup_results:
+            self._sup_results[key] = _sup_result(*self._sup_bounds(n, digits))
+        return self._sup_results[key]
 
     def sup_sqrt(self, n: int, digits: int) -> tuple[int, int]:
         """sup |1 - z| over level n within [lo, hi] * 10**-digits: the ends
-        interval_sqrt gives for sup(n, digits), from the winning integers."""
-        return sqrt_ints(*_sup_ints(_widest_candidates(self.scaled(n)), digits)[:2], digits)
-
-    def compare(self, p: LevelPoint, threshold: Fraction) -> int:
-        """Sign of |1 - p|^2 - threshold, as compare_abs1m_sq gives it."""
-        enc = self._enclosures.get(p)
-        if enc is None:
-            enc = self._enclosures[p] = _abs1m_sq_ints(p.log_mod, p.angle, 15)
-        lo, hi, den = enc
-        tn, td = threshold.numerator, threshold.denominator
-        if lo * td > tn * den:
-            return 1
-        if hi * td < tn * den:
-            return -1
-        return compare_abs1m_sq(p.log_mod, p.angle, threshold)
+        interval_sqrt gives for sup(n, digits)."""
+        return sqrt_ints(*self._sup_bounds(n, digits)[:2], digits)
 
     def antipodal_sample(self, n: int) -> Union[LevelPoint, Component, None]:
         """The first point of antipodal_set(self.level(n)), or its first

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 
 from .exactnum import PiLinear, reduce_mod_2pi
 from .levels import LevelCache, LevelPoint
+from .realbounds import compare_abs1m_sq
 from .records import record
 from .spectrum import (
     ConsistencyError,
@@ -263,7 +264,7 @@ def quasi_uniform_cover(
             return CoverResult("found", (n,), (sup.sq_lo, sup.sq_hi), None)
 
     def keep(level: int, p: LevelPoint) -> bool:
-        return level < n0 or cache.compare(p, eps_sq) >= 0
+        return level < n0 or compare_abs1m_sq(p.log_mod, p.angle, eps_sq) >= 0
 
     witness = search(cache, search_seeds(cache, (0,)), search_bound, keep, node_budget)
     if witness is not None:

@@ -195,7 +195,7 @@ def divergence_search(
     base_levels = range(0, min(depth, max(9, depth * 2 // 3)))
 
     def keep(level: int, p: LevelPoint) -> bool:
-        return cache.compare(p, delta_sq) >= 0
+        return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
 
     tail = lambda level, p: tail_closes(cache.Z, level, p, delta_sq)
     return search(cache, search_seeds(cache, base_levels), depth, keep, node_budget, tail)
@@ -210,7 +210,7 @@ def verify_witness(cache: LevelCache, th: Thread, depth: int, delta: Fraction) -
     ones_from = th.base_level + 1 + bytes(prefix).rfind(0) if len(prefix) == n - th.base_level else n
     try:
         for level, p in walk(cache, th, n):
-            if cache.compare(p, delta_sq) < 0:
+            if compare_abs1m_sq(p.log_mod, p.angle, delta_sq) < 0:
                 return False
             if ones_from <= level < n and tail_closes(cache.Z, level, p, delta_sq):
                 return True

@@ -224,11 +224,11 @@ def test_prime_family_accumulation_point_is_not_an_antipode():
 )
 def test_deep_search_on_a_bounded_spectrum_builds_few_levels(text, verdict, monkeypatch):
     # no thread can stay delta away from 1 at level search_depth, so the
-    # witness search reads that one level instead of failing through every
-    # level below it.  A level's views and sups read its scaled factors
+    # witness search builds that one level set instead of failing through
+    # every level below it
     calls = []
-    scaled = levels._scaled_factors
-    monkeypatch.setattr(levels, "_scaled_factors", lambda f, n: calls.append(n) or scaled(f, n))
+    level_view = levels.level_view
+    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
     assert calls and len(calls) <= cfg.params.n_max + 2

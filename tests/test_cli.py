@@ -438,13 +438,13 @@ def _counting(monkeypatch, name, modules):
 def test_classify_csv_rewalks_the_witness_in_the_classify_cache(name, monkeypatch, tmp_path):
     # the rate table walks the witness to its depth, past the levels
     # classify builds; it reads those from the classify cache, so no level
-    # is read twice and classify's levels are all among those read
-    calls = _counting(monkeypatch, "_scaled_factors", [levels])
+    # is built twice and classify's levels are all among those built
+    calls = _counting(monkeypatch, "level_view", [levels])
     built = []
     for csv in (None, str(tmp_path / "w.csv")):
         calls.clear()
         assert run("classify", builtin_example(name), csv)[0] == 0
-        built.append([n for _, n in calls])
+        built.append(list(calls))
     plain, with_csv = built
     assert plain and len(with_csv) == len(set(with_csv))
     assert set(plain) <= set(with_csv)

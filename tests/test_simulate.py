@@ -425,8 +425,8 @@ def test_simulate_builds_each_level_once(name, monkeypatch):
 
     # and normalizes only level 0, where the model and the blocking search seed
     calls, normalized = [], []
-    scaled, normalize = levels._scaled_factors, levels.normalize
-    monkeypatch.setattr(levels, "_scaled_factors", lambda f, n: calls.append(n) or scaled(f, n))
+    level_view, normalize = levels.level_view, levels.normalize
+    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
     monkeypatch.setattr(levels, "normalize", lambda n, comps: normalized.append(n) or normalize(n, comps))
     assert run("simulate", builtin_example(name))[0] == 0
     assert calls and len(calls) == len(set(calls))
@@ -440,10 +440,11 @@ def test_simulate_computes_each_sup_once(name, monkeypatch, capsys):
     from dyadicspec.cli import main
 
     asked, sups = [], []
-    sup, sup_over = LevelCache.sup, levels._sup_over
+    sup, sup_sqrt, sup_ints = LevelCache.sup, LevelCache.sup_sqrt, levels._sup_ints
     monkeypatch.setattr(LevelCache, "sup", lambda self, n, digits=30: asked.append((n, digits)) or sup(self, n, digits))
+    monkeypatch.setattr(LevelCache, "sup_sqrt", lambda self, n, d: asked.append((n, d)) or sup_sqrt(self, n, d))
     # each enclosure is charged to the (level, digits) that asked for it
-    monkeypatch.setattr(levels, "_sup_over", lambda points, digits: sups.append(asked[-1]) or sup_over(points, digits))
+    monkeypatch.setattr(levels, "_sup_ints", lambda points, digits: sups.append(asked[-1]) or sup_ints(points, digits))
     assert main(["examples", name, "--run", "simulate"]) == 0
     assert sups and len(sups) == len(set(sups))
 

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from dyadicspec.classify import Verdict, classify
 from dyadicspec.cli import parse_config
 from dyadicspec.exactnum import PiLinear, _v2, compare, reduce_mod_2pi
 from dyadicspec.levels import LevelCache, LevelPoint, sup_abs_one_minus
-from dyadicspec.realbounds import abs1m_sq_bounds, compare_abs1m_sq
+from dyadicspec.realbounds import compare_abs1m_sq
 from dyadicspec.spectrum import BOUNDED_PARTS, ILattice, Point, SpectrumSet, VLine
 from dyadicspec.threads import (
     InfeasibleThread,
@@ -429,40 +428,10 @@ def test_persistence_walks_a_rational_lattice_to_its_closing_level():
 def test_witness_costs_the_gate_levels_at_any_depth(text, verdict, monkeypatch):
     # the witness search, its re-check and the persistence certificate stop
     # where the tail certificate closes, so only check_not_uniform's levels
-    # 0..n_max are read
+    # 0..n_max are built
     calls = []
-    scaled = levels._scaled_factors
-    monkeypatch.setattr(levels, "_scaled_factors", lambda f, n: calls.append(n) or scaled(f, n))
+    level_view = levels.level_view
+    monkeypatch.setattr(levels, "level_view", lambda Z, n: calls.append(n) or level_view(Z, n))
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
     assert sorted(calls) == list(range(cfg.params.n_max + 1))
-
-
-def test_cached_compare_matches_compare_abs1m_sq_on_the_corpus_pool(monkeypatch):
-    # every node the witness search and its re-check test, over the bench's
-    # corpus pool; then thresholds at the ends of each point's first
-    # enclosure, where the cache falls back to the escalating comparison
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    from workloads import corpus_items
-
-    seen = []
-    compare = LevelCache.compare
-
-    def recorded(self, p, threshold):
-        seen.append((p, threshold))
-        return compare(self, p, threshold)
-
-    monkeypatch.setattr(LevelCache, "compare", recorded)
-    for item in corpus_items(1):
-        cfg = parse_config(item.config)
-        cache = LevelCache(cfg.spectrum)
-        before = len(seen)
-        classify(cfg.spectrum, cfg.params, cache)
-        for p, t in seen[before:]:
-            assert compare(cache, p, t) == compare_abs1m_sq(p.log_mod, p.angle, t), (item.config, p, t)
-    assert len(seen) > 500
-    cache = LevelCache(SpectrumSet(()))
-    for p in list(dict.fromkeys(p for p, _ in seen))[:300]:
-        lo, hi = abs1m_sq_bounds(p.log_mod, p.angle, 15)
-        for t in (lo, hi, (lo + hi) / 2):
-            assert compare(cache, p, t) == compare_abs1m_sq(p.log_mod, p.angle, t), (p, t)
