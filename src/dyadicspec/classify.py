@@ -197,10 +197,10 @@ def check_not_uniform(
     sample; None when there are none and the section union is finite.
     A pair lies in level n exactly when two points of one section differ in
     im by an odd multiple of 2^n * pi, so these are the section levels, and
-    antipodes are taken only there: on a level of isolated points from the
-    points themselves, elsewhere by `antipodal_set`.  A lattice with an
-    irrational step is the exception: its dense orbit closes up to the full
-    circle, which the sections cannot see, so then every level is reported.
+    antipodes are taken only there: each sample is read off the level's
+    `cache.antipodes(n)`.  A lattice with an irrational step is the
+    exception: its dense orbit closes up to the full circle, which the
+    sections cannot see, so then every level is reported.
     A pair keeps sup |1 - .| >= |z|, so pairs that persist (`sections.holds`
     is False, certified by a tail) block uniform convergence.
     """

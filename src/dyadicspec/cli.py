@@ -40,7 +40,6 @@ from .levels import (
     ComputationLimit,
     LevelCache,
     LevelPoint,
-    antipodal_set,
     component_sup_candidates,
     enumerate_points,
     sample_points,
@@ -680,7 +679,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         cache = LevelCache(cfg.spectrum)
         out = []
         for n in range(cfg.params.n_max + 1):
-            A = antipodal_set(cache.level(n))
+            A = cache.antipodes(n)
             if A.is_empty():
                 out.append(f"level {n}: empty")
             else:

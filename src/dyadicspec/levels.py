@@ -34,13 +34,13 @@ factors, one component per section angle set, not normalized.
   The candidates share one exp per circle and one cos per |angle|, and
   their enclosures are compared on integers;
 * its membership looks a point up among the view's isolated points and
-  scans only the rest, and its antipodal sample of a level of isolated
-  points is read off the points.
+  scans only the rest;
+* its antipodal set pairs the view's isolated points per circle and
+  meets them with the normalized rest of the view.
 
-`normalize` runs only where the canonical order is read: the `levels` and
-`antipodes` printouts, `antipodal_set` on a level that is not all
-isolated points, and the seeds of the thread search and of the default
-model.
+`normalize` runs only where the canonical order is read: the `levels`
+printout, the non-point part of a view fed to `antipodal_set` and that
+set itself, and the seeds of the thread search and of the default model.
 """
 
 from __future__ import annotations
@@ -567,21 +567,32 @@ def _split_points(
 def antipodal_set(L: LevelSet) -> LevelSet:
     """The set of points of L whose antipodes also lie in L.
 
-    Isolated points pair up by hashing (their reduced angles are equal
-    exactly when their coefficients are); only pairs with an arc, circle,
-    lattice, sector or annulus on one side are intersected.
+    Isolated points pair up per circle: a point is kept when its angle
+    plus pi, reduced, is among its circle's angles (reduced angles are
+    equal exactly when their coefficients are).  Only pairs with an arc,
+    circle, lattice, sector or annulus on one side are intersected.
     """
     points, spread = _split_points(L.components)
-    point_set = set(points)
-    mirrored_points = [antipode_component(c) for c in points]
-    mirrored_spread = [antipode_component(c) for c in spread]
-    out: list[Component] = [m for m in mirrored_points if m in point_set]
-    for a in L.components:
-        for b in mirrored_spread:
-            out.extend(component_intersection(a, b))
-    for a in spread:
-        for b in mirrored_points:
-            out.extend(component_intersection(a, b))
+    # circles keyed by the integers of their log-modulus, each with its angles
+    circles: dict[tuple[int, int], tuple[Fraction, set[PiLinear]]] = {}
+    for c in points:
+        m = c.point.log_mod
+        circles.setdefault((m.numerator, m.denominator), (m, set()))[1].add(c.point.angle)
+    out: list[Component] = [
+        IsolatedPoint(LevelPoint(m, a))
+        for m, angles in circles.values()
+        for a in angles
+        if reduce_mod_2pi(a + PI) in angles
+    ]
+    if spread:
+        mirrored_spread = [antipode_component(c) for c in spread]
+        for a in L.components:
+            for b in mirrored_spread:
+                out.extend(component_intersection(a, b))
+        mirrored_points = [antipode_component(c) for c in points]
+        for a in spread:
+            for b in mirrored_points:
+                out.extend(component_intersection(a, b))
     return normalize(L.level, out)
 
 
@@ -745,67 +756,52 @@ def _sup_over(points: list[LevelPoint], digits: int) -> SupResult:
     return _sup_result(*_sup_ints(points, digits))
 
 
-def _sup_result(lo: tuple[int, int], hi: tuple[int, int], exact: bool) -> SupResult:
-    """The SupResult of `_sup_ints`' bounds: Fractions for the winners only."""
-    if exact:
+def _sup_result(lo: tuple[int, int], hi: tuple[int, int]) -> SupResult:
+    """The SupResult of `_sup_ints`' bounds: Fractions for the winners only.
+
+    The sup is exact when its largest lower bound equals its largest upper
+    bound: the point with that lower bound then has an exact enclosure
+    (the unit circle at a rational-cosine angle) and attains the sup.
+    """
+    if lo[0] * hi[1] == hi[0] * lo[1]:
         v = Fraction(*hi)
         return SupResult(v, v, v)
     return SupResult(Fraction(*lo), Fraction(*hi), None)
 
 
-# The largest lower and upper bound of |1 - z|^2 as (numerator, denominator)
-# each, and whether the upper one is exact
-SupInts = tuple[tuple[int, int], tuple[int, int], bool]
+# The largest lower and upper bound of |1 - z|^2 as (numerator, denominator) each
+SupInts = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _sup_ints(points: list[LevelPoint], digits: int) -> SupInts:
     """The largest lower and the largest upper bound of |1 - z|^2 over the
-    points, each as (numerator, denominator), and whether the upper one is
-    an exact value that attains the sup (0 over no points).
+    points, each as (numerator, denominator) (0 over no points).
 
     One exp per radius and one cos per |angle| (cos is even, so a +-angle
     pair shares one) feed each point's combine, and the bounds are compared
     by cross-multiplication, so no Fraction is built.
     """
     if not points:
-        return (0, 1), (0, 1), True
+        return (0, 1), (0, 1)
     exps: dict[tuple[int, int], tuple[int, int, int]] = {}
     coss: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     lo_n, lo_d, hi_n, hi_d = -1, 1, -1, 1
-    best_exact = -1
     for p in points:
         m, a = p.log_mod, p.angle
         ak = even_key(a)
         c = coss.get(ak)
         if c is None:
             c = coss[ak] = _cos_ints(a, digits + 2)
-        if not m and c[2] == 1:
-            # on the unit circle at a rational-cosine angle (an exact cos,
-            # 2 cos(a) = c[0]) the value 2 - 2 cos(a) is exact
-            lo = hi = 2 - c[0]
-            den = 1
-            best_exact = max(best_exact, lo)
-        else:
-            mk = m.numerator, m.denominator
-            e = exps.get(mk)
-            if e is None:
-                e = exps[mk] = _exp_ints(m, digits + 2)
-            lo, hi, den = _abs1m_sq_combine(e, c)
+        mk = m.numerator, m.denominator
+        e = exps.get(mk)
+        if e is None:
+            e = exps[mk] = _exp_ints(m, digits + 2)
+        lo, hi, den = _abs1m_sq_combine(e, c)
         if hi * hi_d > hi_n * den:
             hi_n, hi_d = hi, den
         if lo * lo_d > lo_n * den:
             lo_n, lo_d = lo, den
-    if best_exact >= 0 and best_exact * hi_d >= hi_n:
-        return (best_exact, 1), (best_exact, 1), True
-    return (lo_n, lo_d), (hi_n, hi_d), False
-
-
-def _by_circle(points: Iterable[LevelPoint]) -> dict[Fraction, list[LevelPoint]]:
-    """The points grouped by log-modulus."""
-    groups: dict[Fraction, list[LevelPoint]] = {}
-    for p in points:
-        groups.setdefault(p.log_mod, []).append(p)
-    return groups
+    return (lo_n, lo_d), (hi_n, hi_d)
 
 
 def _widest_per_circle(components: Iterable[Component]) -> list[LevelPoint]:
@@ -891,22 +887,6 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
     return out
 
 
-def least_antipodal_point(points: Iterable[LevelPoint]) -> Optional[LevelPoint]:
-    """The least point, in (log-modulus, angle) order, of a finite point set
-    whose antipode also lies in the set; None when there is none.
-
-    For the level set L of those points this is the first point of
-    antipodal_set(L), whose normalization orders points that way.
-    """
-    groups = _by_circle(points)
-    for m in sorted(groups):
-        angles = {p.angle for p in groups[m]}
-        paired = [a for a in angles if reduce_mod_2pi(a + PI) in angles]
-        if paired:
-            return LevelPoint(m, min(paired, key=_pl_key))
-    return None
-
-
 class LevelCache:
     """One run's level sets of one spectrum, each built once, as its view.
 
@@ -922,16 +902,19 @@ class LevelCache:
       `interval_sqrt` rounds it, taken from the same winning integers:
       each (level, precision) is enclosed once for both.
     * `contains(n, p)` is membership, read off the view.
-    * `antipodal_sample(n)` is the first antipodal point of level n, read
-      off the view when the level is all isolated points.
-    * `level(n)` normalizes the view, once, for the readers that need the
-      canonical order (see the module docstring).
+    * `antipodes(n)` is the antipodal set of level n: `antipodal_set`
+      over the view's isolated points and the rest of the view
+      normalized, so a circle's arcs and lattices are merged before they
+      meet.  `antipodal_sample(n)` reads its first point or component.
+    * `level(n)` normalizes the whole view, once, for the thread search's
+      seeds and the printouts that need the canonical order.
     """
 
     def __init__(self, Z: SpectrumSet):
         self.Z = Z
         self._views: dict[int, list[Component]] = {}
         self._levels: dict[int, LevelSet] = {}
+        self._splits: dict[int, tuple[list[IsolatedPoint], list[Component]]] = {}
         self._indexes: dict[int, tuple[set[LevelPoint], LevelSet]] = {}
         self._sups: dict[tuple[int, int], SupInts] = {}
         self._sup_results: dict[tuple[int, int], SupResult] = {}
@@ -948,12 +931,18 @@ class LevelCache:
             self._levels[n] = normalize(n, self.view(n))
         return self._levels[n]
 
+    def _split(self, n: int) -> tuple[list[IsolatedPoint], list[Component]]:
+        """The view's isolated points and its other components, split once."""
+        if n not in self._splits:
+            self._splits[n] = _split_points(self.view(n))
+        return self._splits[n]
+
     def contains(self, n: int, p: LevelPoint) -> bool:
         """membership(self.level(n), p): a lookup among the view's isolated
         points, else a scan of its other components, one per primitive and
         angle set."""
         if n not in self._indexes:
-            points, spread = _split_points(self.view(n))
+            points, spread = self._split(n)
             self._indexes[n] = ({c.point for c in points}, LevelSet(n, tuple(spread)))
         points, spread = self._indexes[n]
         return p in points or membership(spread, p)
@@ -975,19 +964,23 @@ class LevelCache:
     def sup_sqrt(self, n: int, digits: int) -> tuple[int, int]:
         """sup |1 - z| over level n within [lo, hi] * 10**-digits: the ends
         interval_sqrt gives for sup(n, digits)."""
-        return sqrt_ints(*self._sup_bounds(n, digits)[:2], digits)
+        return sqrt_ints(*self._sup_bounds(n, digits), digits)
+
+    def antipodes(self, n: int) -> LevelSet:
+        """antipodal_set(self.level(n)), from the view's isolated points and
+        its other components normalized.  The points need no normalizing:
+        `normalize` only drops a point that an arc or lattice on its circle
+        covers, and the antipodal set meets that point through the covering
+        component as well.  The rest does: there a circle's arcs merge, so
+        a lattice on a covered circle meets the full circle, not each arc
+        member by member."""
+        points, spread = self._split(n)
+        return antipodal_set(LevelSet(n, (*points, *normalize(n, spread).components)))
 
     def antipodal_sample(self, n: int) -> Union[LevelPoint, Component, None]:
-        """The first point of antipodal_set(self.level(n)), or its first
-        component when that set is not a few points; None when it is empty.
-
-        On a level of isolated points the sample is read off the points
-        (see `least_antipodal_point`), without normalizing the level.
-        """
-        points, spread = _split_points(self.view(n))
-        if not spread:
-            return least_antipodal_point(c.point for c in points)
-        A = antipodal_set(self.level(n))
+        """The first point of `antipodes(n)`, or its first component when
+        that set is not a few points; None when it is empty."""
+        A = self.antipodes(n)
         pts = enumerate_points(A, 1)
         return pts[0] if pts else next(iter(A.components), None)
 

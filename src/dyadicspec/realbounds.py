@@ -46,8 +46,6 @@ _MAX_DIGITS = 1500
 # stored doubled, as integers
 _RATIONAL_COS2 = {(0, 1): 2, (1, 3): 1, (1, 2): 0, (2, 3): -1, (1, 1): -2}
 
-_HALF_PI = PiLinear(0, Fraction(1, 2))
-
 
 def exp_bounds(x: Fraction, digits: int) -> Interval:
     """Enclosure of exp(x) with width <= 10**-digits.
@@ -272,15 +270,10 @@ def abs1m_sq_bounds(log_mod: Fraction, angle: PiLinear, digits: int) -> Interval
 def compare_abs1m_sq(log_mod: Fraction, angle: PiLinear, threshold: Fraction) -> int:
     """Sign of |1 - exp(log_mod + i*angle)|**2 - threshold, resolved exactly.
 
-    Exact paths: the threshold-2 case on the unit circle, which reduces to
-    the sign of cos(angle), and the rational-cosine angles on the unit
-    circle, whose enclosure is the exact value.
+    The rational-cosine angles on the unit circle are exact: their
+    enclosure is the value itself.
     """
     a = reduce_mod_2pi(angle)
-    if log_mod == 0 and threshold == 2:
-        # 2 - 2cos(t) > 2 iff cos(t) < 0 iff |t| > pi/2 after reduction
-        mag = -a if a.sign() < 0 else a
-        return (mag - _HALF_PI).sign()
     tn, td = threshold.numerator, threshold.denominator
     digits = 15
     while digits <= _MAX_DIGITS:

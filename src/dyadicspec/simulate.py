@@ -28,13 +28,11 @@ from .realbounds import compare_abs1m_sq
 from .records import record
 from .spectrum import (
     ConsistencyError,
-    ILattice,
-    Point,
-    PrimeFamily,
-    Rect,
+    SectionInterval,
+    SectionLattice,
+    SectionPart,
+    SectionPoints,
     SpectrumSet,
-    VLine,
-    VSegment,
     real_part_range,
 )
 from .threads import Thread, search, search_seeds, walk
@@ -296,36 +294,37 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _sample_spectrum(Z: SpectrumSet, density: int, window: float) -> list[complex]:
+    """Float samples of each primitive: its real range times its section
+    part.  One real value takes `per` section samples; a real range takes
+    an odd side x side grid, which keeps midpoints (and 0 when centered)."""
     per = max(16, density // max(1, len(Z.primitives)))
+    side = max(3, math.isqrt(per))
+    side += 1 - side % 2
     out: list[complex] = []
     for p in Z.primitives:
-        if isinstance(p, Point):
-            out.append(complex(p.re, float(p.im)))
-        elif isinstance(p, VSegment):
-            re = float(p.re)
-            out.extend(complex(re, u) for u in _linspace(float(p.im_lo), float(p.im_hi), per))
-        elif isinstance(p, ILattice):
-            span = int(math.ceil(window / float(p.step))) + 1
-            kk = min(per // 2, max(span, 2))
-            re, base, step = float(p.re), float(p.base), float(p.step)
-            out.extend(complex(re, base + k * step) for k in range(-kk, kk + 1))
-        elif isinstance(p, VLine):
-            re = float(p.re)
-            out.extend(complex(re, u) for u in _linspace(-window, window, per))
-        elif isinstance(p, Rect):
-            side = max(3, math.isqrt(per))
-            if side % 2 == 0:
-                side += 1  # odd grid keeps midpoints (and 0 when centered)
-            us = _linspace(float(p.im_lo), float(p.im_hi), side)
-            for s in _linspace(float(p.re_lo), float(p.re_hi), side):
-                out.extend(complex(s, u) for u in us)
-        elif isinstance(p, PrimeFamily):
-            for j in p.primes():
-                out.append(complex(0, float(p.alpha(j))))
-                out.append(complex(0, float(p.beta(j))))
+        if p.re_hi is p.re_lo:
+            res, count = [float(p.re_lo)], per
         else:
-            raise TypeError(type(p).__name__)
+            res, count = _linspace(float(p.re_lo), float(p.re_hi), side), side
+        ims = _section_samples(p.section, count, window)
+        out.extend(complex(s, u) for s in res for u in ims)
     return out
+
+
+def _section_samples(S: SectionPart, count: int, window: float) -> list[float]:
+    """Float im samples of a section part: each point, `count` spread over
+    an interval or over [-window, window] for a line, and the lattice
+    members base + k*step for |k| <= kk, where kk covers the window and
+    is at most count // 2."""
+    if isinstance(S, SectionPoints):
+        return [float(v) for v in S.values]
+    if isinstance(S, SectionInterval):
+        return _linspace(float(S.lo), float(S.hi), count)
+    if isinstance(S, SectionLattice):
+        base, step = float(S.base), float(S.step)
+        kk = min(count // 2, max(int(math.ceil(window / step)) + 1, 2))
+        return [base + k * step for k in range(-kk, kk + 1)]
+    return _linspace(-window, window, count)
 
 
 def _sq_dist(lam: complex, w: complex) -> float:

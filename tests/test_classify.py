@@ -179,24 +179,23 @@ def test_antipodal_levels_from_sections_match_every_level_set():
 
 
 def test_antipodal_set_built_once_per_reported_level(monkeypatch):
-    # antipodes are taken once per reported level, at that level: from the
-    # points of a level of isolated points, else by one antipodal set of the level
+    # antipodes are taken once per reported level, at that level, by one
+    # antipodal set off the level's view, whether or not it is all points
     asked, calls = [], []
     sample = LevelCache.antipodal_sample
     monkeypatch.setattr(LevelCache, "antipodal_sample", lambda self, n: asked.append(n) or sample(self, n))
-    for name in ("antipodal_set", "least_antipodal_point"):
-        fn = getattr(levels, name)
-        monkeypatch.setattr(levels, name, lambda x, fn=fn, name=name: calls.append((name, asked[-1])) or fn(x))
-    for text, reported, kind in (
-        ("spectrum primefamily nseq=2j J=40\n", (6, 10), "least_antipodal_point"),
-        ("spectrum primefamily nseq=2j J=8\nspectrum vsegment re=1 im=[0,1*pi]\n", (0, 6, 10), "antipodal_set"),
+    antipodal_set = levels.antipodal_set
+    monkeypatch.setattr(levels, "antipodal_set", lambda L: calls.append(asked[-1]) or antipodal_set(L))
+    for text, reported in (
+        ("spectrum primefamily nseq=2j J=40\n", (6, 10)),
+        ("spectrum primefamily nseq=2j J=8\nspectrum vsegment re=1 im=[0,1*pi]\n", (0, 6, 10)),
     ):
         asked.clear()
         calls.clear()
         cfg = parse_config(text)
         rep = classify(cfg.spectrum, cfg.params)
         assert rep.antipodal.levels == reported
-        assert calls == [(kind, n) for n in reported]
+        assert calls == list(reported)
 
 
 def test_prime_family_accumulation_point_is_not_an_antipode():

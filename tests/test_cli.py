@@ -206,6 +206,48 @@ def _classify_in_subprocess(config: str, *flags: str, command: str = "classify")
     )
 
 
+_LATTICE_8193 = "spectrum ilattice re=0 base=0 step=1/8193*pi\n"
+
+
+@pytest.mark.parametrize(
+    "config, code, levels",
+    [
+        # the segments cover the circle, and the line is the circle: the
+        # antipodes meet the lattice with a full circle, not with an arc
+        (
+            "spectrum vsegment re=0 im=[0,3*pi]\nspectrum vsegment re=0 im=[-3*pi,0]\n"
+            + _LATTICE_8193
+            + "n_max 1\n",
+            0,
+            2,
+        ),
+        ("spectrum vline re=0\nspectrum vsegment re=0 im=[0,1*pi]\n" + _LATTICE_8193, 0, 13),
+        # one arc holds 8194 of the lattice's members: the lattice-interval
+        # enumeration limit ends the run Inconclusive
+        (_LATTICE_8193 + "spectrum vsegment re=0 im=[0,1*pi]\n", 2, 0),
+    ],
+)
+def test_lattice_and_arc_antipodes_in_subprocess(config, code, levels):
+    reported = list(range(levels))
+    for command, flags in (("classify", ()), ("classify", ("--json",)), ("antipodes", ())):
+        proc = _classify_in_subprocess(config, *flags, command=command)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 2:
+            assert proc.stdout == ""
+            assert "exceeds the enumeration limit 4096" in proc.stderr
+        elif command == "antipodes":
+            assert proc.stdout == "".join(f"level {n}: FullCircle\n" for n in reported)
+        elif flags:
+            antipodal = json.loads(proc.stdout)["antipodal"]
+            assert antipodal["levels"] == reported
+            assert antipodal["pair_samples"] == [f"n={n}: FullCircle" for n in reported]
+        else:
+            lines = proc.stdout.splitlines()
+            assert "verdict: NotStronglyContinuous" in lines
+            assert f"antipodal levels (eventual image): {','.join(map(str, reported))}" in lines
+
+
 @pytest.mark.parametrize("spectrum", ["point re=1000 im=1", "vline re=800"])
 def test_far_spectra_end_without_traceback(spectrum):
     proc = _classify_in_subprocess(f"spectrum {spectrum}\n")

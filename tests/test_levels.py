@@ -283,6 +283,19 @@ def test_point_level_antipode_is_the_first_antipodal_point(oracle_spectra):
     assert seen >= 300
 
 
+def test_cached_antipodes_match_the_normalized_level(oracle_spectra):
+    # the cache pairs the view's isolated points and meets them with the
+    # rest of the view normalized; the oracle normalizes the whole level
+    nonempty = 0
+    for Z in oracle_spectra:
+        cache = LevelCache(Z)
+        for n in range(9):
+            got = _outcome(cache.antipodes, n)
+            assert got == _outcome(lambda n: antipodal_set(level_set(Z, n)), n), (Z, n)
+            nonempty += got is not ComputationLimit and not got.is_empty()
+    assert nonempty > 1000
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -291,16 +304,34 @@ def test_point_level_antipode_is_the_first_antipodal_point(oracle_spectra):
     ],
 )
 def test_classify_normalizes_no_level_of_points(text, monkeypatch):
+    # no whole level is normalized: the antipodes of a level of isolated
+    # points normalize only its empty rest and the antipodal set itself
     from dyadicspec import levels
     from dyadicspec.classify import classify
     from dyadicspec.cli import parse_config
 
-    calls = []
-    normalize = levels.normalize
-    monkeypatch.setattr(levels, "normalize", lambda n, comps: calls.append(n) or normalize(n, comps))
+    calls, inside, levels_read = [], [], []
+    normalize, antipodal_set = levels.normalize, levels.antipodal_set
+
+    def traced_normalize(n, comps):
+        comps = list(comps)
+        calls.append("antipodal output" if inside else comps)
+        return normalize(n, comps)
+
+    def traced_antipodal_set(L):
+        inside.append(L)
+        try:
+            return antipodal_set(L)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(levels, "normalize", traced_normalize)
+    monkeypatch.setattr(levels, "antipodal_set", traced_antipodal_set)
+    monkeypatch.setattr(LevelCache, "level", lambda self, n: levels_read.append(n))
     cfg = parse_config(text)
     classify(cfg.spectrum, cfg.params)
-    assert calls == []
+    assert levels_read == []
+    assert calls == [[], "antipodal output"] * (len(calls) // 2)
 
 
 def test_claim_antipodal_iff_shift_condition_on_builtins(

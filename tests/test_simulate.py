@@ -23,6 +23,7 @@ from dyadicspec.simulate import (
     multipliers,
     norm_bound_check,
     quasi_uniform_cover,
+    _linspace,
     _sample_spectrum,
 )
 from dyadicspec.spectrum import (
@@ -362,6 +363,55 @@ def test_residual_matches_numpy_oracle(name, request):
             bool(abs(lambdas[i + 1] ** 2 - lambdas[i]) <= 1e-9) for i in range(len(lambdas) - 1)
         )
         assert rep.consistency == consistency
+
+
+def _class_chain_sample_spectrum(Z, density, window):
+    """The per-class body `_sample_spectrum` replaced, kept as an oracle."""
+    per = max(16, density // max(1, len(Z.primitives)))
+    out = []
+    for p in Z.primitives:
+        if isinstance(p, Point):
+            out.append(complex(p.re, float(p.im)))
+        elif isinstance(p, VSegment):
+            re = float(p.re)
+            out.extend(complex(re, u) for u in _linspace(float(p.im_lo), float(p.im_hi), per))
+        elif isinstance(p, ILattice):
+            span = int(math.ceil(window / float(p.step))) + 1
+            kk = min(per // 2, max(span, 2))
+            re, base, step = float(p.re), float(p.base), float(p.step)
+            out.extend(complex(re, base + k * step) for k in range(-kk, kk + 1))
+        elif isinstance(p, VLine):
+            re = float(p.re)
+            out.extend(complex(re, u) for u in _linspace(-window, window, per))
+        elif isinstance(p, Rect):
+            side = max(3, math.isqrt(per))
+            if side % 2 == 0:
+                side += 1
+            us = _linspace(float(p.im_lo), float(p.im_hi), side)
+            for s in _linspace(float(p.re_lo), float(p.re_hi), side):
+                out.extend(complex(s, u) for u in us)
+        elif isinstance(p, PrimeFamily):
+            for j in p.primes():
+                out.append(complex(0, float(p.alpha(j))))
+                out.append(complex(0, float(p.beta(j))))
+        else:
+            raise TypeError(type(p).__name__)
+    return out
+
+
+def test_sample_spectrum_matches_the_class_chain(roots2k, solenoid, rectangle, primefamily):
+    # a rect on one real value keeps its side x side grid
+    one_re = SpectrumSet((Rect(F(1), F(1), PiLinear(0, 0), PiLinear(0, 1)),))
+    rng = random.Random(3501)
+    spectra = [roots2k, solenoid, rectangle, primefamily, one_re]
+    spectra += [random_spectrum(rng) for _ in range(200)]
+    for Z in spectra:
+        for density, N in ((10000, 2), (2000, 4), (40, 1)):
+            window = (2.0 ** (N + 1)) * math.pi
+            got = _sample_spectrum(Z, density, window)
+            want = _class_chain_sample_spectrum(Z, density, window)
+            assert list(map(_bits, got)) == list(map(_bits, want)), (Z, density)
+    assert len(_sample_spectrum(one_re, 10000, 8 * math.pi)) == 101 * 101
 
 
 def test_blocking_threads_pinned(solenoid, roots2k):
