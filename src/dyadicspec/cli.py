@@ -131,34 +131,26 @@ def _boolean(text: str, field: str) -> bool:
 
 
 def _tower(text: str, field: str) -> Tower:
-    from .towers import ConstantMaps, PeriodicMaps, Tower, ZeroTower
+    from .towers import Tower
 
     kind, tail = (text.split(None, 1) + [""])[:2]
     try:
         if kind == "zero":
-            return Tower(0, ZeroTower())
-        if kind == "constant":
-            entries = tuple(int(x) for x in tail.split(","))
-            return Tower(len(entries), ConstantMaps(entries))
-        if kind == "periodic":
-            cycle = tuple(
-                tuple(int(x) for x in step.split(",")) for step in tail.split("|")
-            )
-            return Tower(len(cycle[0]), PeriodicMaps(cycle))
+            return Tower(((),))
+        if kind in ("constant", "periodic"):
+            steps = tail.split("|") if kind == "periodic" else [tail]
+            return Tower(tuple(tuple(int(x) for x in step.split(",")) for step in steps))
     except ValueError:
         raise ValueError(f"bad tower entries {tail!r}") from None
     raise ValueError(f"unknown tower kind {kind!r} (constant|periodic|zero)")
 
 
 def _render_tower(tower: Tower) -> str:
-    from .towers import ConstantMaps, ZeroTower
-
-    m = tower.maps
-    if isinstance(m, ZeroTower):
+    """A one-step cycle renders as a constant tower, which parses back to it."""
+    if not tower.rank:
         return "zero"
-    if isinstance(m, ConstantMaps):
-        return "constant " + ",".join(map(str, m.entries))
-    return "periodic " + "|".join(",".join(map(str, s)) for s in m.cycle)
+    kind = "periodic " if len(tower.cycle) > 1 else "constant "
+    return kind + "|".join(",".join(map(str, step)) for step in tower.cycle)
 
 
 def _complexes(text: str, field: str) -> tuple[complex, ...]:

@@ -52,26 +52,25 @@ from typing import Iterable, Optional, Union
 
 from .exactnum import PI, TWO_PI, PiLinear, Rat, _mk, _raw, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from .exactnum import scale_pow2
+from .realbounds import ComputationLimit  # re-exported: the size guards here raise it too
 from .realbounds import _abs1m_sq_combine, _cos_ints, _exp_ints, even_key, sqrt_ints
 from .records import Frozen, record
 from .spectrum import (
     ConsistencyError,
+    ILattice,
     SectionInterval,
     SectionLattice,
     SectionPart,
     SectionPoints,
     SectionSet,
     SpectrumSet,
+    VLine,
     image_closedness,
     vertical_section,
 )
 
 ENUM_LIMIT = 4096  # explicit enumeration guard
 SMALL_ORBIT = 16  # lattice orbits at most this size normalize into points
-
-
-class ComputationLimit(RuntimeError):
-    """An exact enumeration would exceed the configured size guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +492,31 @@ def _angles_contain(angles: Angles, angle: PiLinear) -> bool:
     if isinstance(angles, Interval):
         # the interval is anchored with lo in (-pi, pi]
         return angles.lo <= angle <= angles.hi or angles.lo <= angle + TWO_PI <= angles.hi
-    # the same q0, and q1 - base.q1 = (angle.b*e - base.b*d) / (d*e) a
-    # multiple of step
-    base, step = angles.base, angles.step
+    return _orbit_contains(angles.base, angles.step, angle)
+
+
+def _orbit_contains(base: PiLinear, step: Fraction, angle: PiLinear) -> bool:
+    """Whether the reduced angle lies in {base + j*step*pi mod 2*pi}, for a
+    step dividing 2: the same q0, and q1 - base.q1 = (angle.b*e -
+    base.b*d) / (d*e) a multiple of step."""
     d, e = angle.d, base.d
     return angle.a * e == base.a * d and (
         (angle.b * e - base.b * d) * step.denominator % (d * e * step.numerator) == 0
     )
+
+
+def on_line_level(prim: Union[VLine, ILattice], n: int, p: LevelPoint) -> bool:
+    """Whether p lies in level n of `prim` alone: on its circle, of
+    log-modulus re / 2^n, and for a lattice of rational step in the orbit
+    that `level_view` scales its angles to.  A line's level, and the
+    closure of a dense orbit, is the whole circle.  It builds no record,
+    as `threads.tail_closes` asks it along the search."""
+    if p.log_mod * (1 << n) != prim.re:
+        return False
+    if isinstance(prim, VLine) or prim.step.a:
+        return True
+    half = Fraction(1, 1 << n)
+    return _orbit_contains(prim.base.scaled(half), _rat_gcd((prim.step.q1 * half, Fraction(2))), p.angle)
 
 
 def membership(L: LevelSet, p: LevelPoint) -> bool:

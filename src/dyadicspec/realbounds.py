@@ -41,6 +41,16 @@ Interval = tuple[Fraction, Fraction]
 
 _MAX_DIGITS = 1500
 
+# `_exp_ints` refuses x above this.  One call took 0.49, 2.2 and 7.8 s at
+# x = 1, 2 and 4 * 10**5 (one Xeon core), about x**2, so a call below the
+# cap ends within a minute; at x ~ 10**20 its first integer cannot be built
+EXP_ARG_CAP = 10**6
+
+
+class ComputationLimit(RuntimeError):
+    """An exact computation would exceed one of its size guards."""
+
+
 # cos(q1*pi) is rational exactly for these |q1| in [0, 1] (Niven's theorem),
 # keyed by the reduced (|numerator|, denominator) of q1; the values are
 # stored doubled, as integers
@@ -99,6 +109,7 @@ def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
     the true terms halve from there, so the tail is under 4 units.  Squaring
     s times (floor lo, ceiling hi) gives exp(|x|), and its reciprocal at
     scale 2**p gives exp(-|x|), which is at most 2**-p once |x| >= p.
+    Above EXP_ARG_CAP it raises ComputationLimit before building anything.
     """
     a, b = x.numerator, x.denominator
     if a == 0:
@@ -107,6 +118,8 @@ def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
     p = math.ceil(digits * math.log2(10)) + 2  # 4 units at 2**-p are <= 10**-digits
     if neg and a // b >= p:
         return 0, 1, 1 << p  # exp(-|x|) <= 2**-|x| <= 2**-p
+    if not neg and a > EXP_ARG_CAP * b:
+        raise ComputationLimit(f"exp(x) for x above {EXP_ARG_CAP}")
     s = (2 * a // b).bit_length()
     # room for 2**s (2k + 4) units of error, and for exp(x) < 2**(1.443 x) when x > 0
     w = p + s + (0 if neg else a * 1443 // (1000 * b) + 1)

@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .exactnum import PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi
-from .levels import LevelCache, LevelPoint, component_sup_candidates
-from .levels import _angles_contain, _map_angles, _part_angles  # a primitive's own tower
+from .levels import LevelCache, LevelPoint, component_sup_candidates, on_line_level
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
 from .spectrum import BOUNDED_PARTS, ILattice, SpectrumSet, VLine
@@ -231,7 +230,9 @@ def persistence_certificate(
     level given (so the negated root of any member stays inside).  In each
     case a point with |angle| >= pi/2 always has a child with |angle| >=
     pi/2, hence the divergence band extends to every level.  The witness,
-    one verify_witness accepts, must live on the primitive's own tower.
+    one verify_witness accepts, must live on the primitive's own tower,
+    which one point of it decides: `on_line_level` at the level where the
+    tower closes, or at the depth if that comes first.
     """
     # a bit-1 step lands at |angle| = pi - |angle|/2 >= pi/2
     if not (depth > th.base_level and th.bit_at(depth) == 1):
@@ -242,16 +243,14 @@ def persistence_certificate(
     for prim in Z.primitives:
         if not isinstance(prim, (VLine, ILattice)):
             continue
-        # the caller's cache already holds the levels of a one-primitive Z
-        sub = cache if cache.Z.primitives == (prim,) else LevelCache(SpectrumSet((prim,)))
         closed_from = _closed_from(prim)
-        # a tower point has a square root on the next level, and from level
-        # closed_from on both are: past closed_from - 1 the tower holds the thread
-        try:
-            evaluate(sub, th, min(depth, max(th.base_level, (closed_from or 0) - 1)))
-        except (InfeasibleThread, ValueError):
-            continue
-        return prim, closed_from
+        # from level closed_from on, a tower point has both square roots on
+        # the next level: past closed_from - 1 the tower holds the thread.
+        # Squaring maps each level of the primitive into the one above, so
+        # the thread's point at L on level L puts every earlier one there
+        L = min(depth, max(th.base_level, (closed_from or 0) - 1))
+        if on_line_level(prim, L, evaluate(cache, th, L)):
+            return prim, closed_from
     return None
 
 
@@ -287,11 +286,9 @@ def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -
         return False
     mag = -q.angle if q.angle.sign() < 0 else q.angle
     e = mag - _TWO_THIRDS_PI if mag >= _TWO_THIRDS_PI else _TWO_THIRDS_PI - mag
-    half = Fraction(1, 2**level)
     # q on the tower of a line or lattice antipode-closed from level + 1 on
     if e > _SIXTH_PI or not any(
-        isinstance(p, (VLine, ILattice)) and (_closed_from(p) or 0) <= level + 1 and q.log_mod == p.re * half
-        and all(_angles_contain(_map_angles(a, half), q.angle) for a in _part_angles(p.section))
+        isinstance(p, (VLine, ILattice)) and (_closed_from(p) or 0) <= level + 1 and on_line_level(p, level, q)
         for p in Z.primitives
     ):
         return False

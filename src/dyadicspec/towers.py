@@ -1,7 +1,10 @@
 """Inverse limits and first derived limits of diagonal integer-map towers.
 
-A tower is ... -> Z^r -> Z^r -> Z^r with diagonal connecting maps
-(constant or periodically repeating integer entries).  Componentwise:
+A tower is ... -> Z^r -> Z^r -> Z^r whose connecting maps are diagonal
+and repeat one cycle forever.  `Tower(cycle)` holds that cycle: a
+nonempty tuple of integer diagonals of one length r, the rank.  A
+constant tower is a one-step cycle, and the zero tower is the rank-0
+cycle ``((),)``.  lim and lim^1 read only the cycle, componentwise:
 
 * a component contributes Z to the inverse limit iff all but finitely
   many of its entries are +-1 (otherwise only the zero thread survives);
@@ -17,8 +20,6 @@ sequence 0 -> lim^1 -> middle -> lim -> 0.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .records import record
 
 
@@ -27,64 +28,23 @@ class TowerError(ValueError):
 
 
 @record
-class ConstantMaps:
-    entries: tuple[int, ...]
-
-
-@record
-class PeriodicMaps:
+class Tower:
     cycle: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.cycle:
-            raise TowerError("periodic tower needs a nonempty cycle")
-        ranks = {len(v) for v in self.cycle}
-        if len(ranks) != 1:
+            raise TowerError("a tower needs a nonempty cycle")
+        if len({len(v) for v in self.cycle}) != 1:
             raise TowerError("cycle entries must share the rank")
+        if not all(isinstance(d, int) for v in self.cycle for d in v):
+            raise TowerError("diagonal entries must be integers")
 
-
-@record
-class ZeroTower:
-    pass
-
-
-Maps = Union[ConstantMaps, PeriodicMaps, ZeroTower]
-
-
-@record
-class Tower:
-    rank: int
-    maps: Maps
-
-    def __post_init__(self):
-        if self.rank < 0:
-            raise TowerError("rank must be >= 0")
-        if isinstance(self.maps, ZeroTower):
-            if self.rank != 0:
-                raise TowerError("zero tower has rank 0")
-            return
-        entries = (
-            self.maps.entries
-            if isinstance(self.maps, ConstantMaps)
-            else self.maps.cycle[0]
-        )
-        if len(entries) != self.rank:
-            raise TowerError("diagonal length must equal the rank")
-        for src in (
-            [self.maps.entries]
-            if isinstance(self.maps, ConstantMaps)
-            else list(self.maps.cycle)
-        ):
-            for d in src:
-                if not isinstance(d, int):
-                    raise TowerError("diagonal entries must be integers")
+    @property
+    def rank(self) -> int:
+        return len(self.cycle[0])
 
     def component_cycle(self, i: int) -> tuple[int, ...]:
-        if isinstance(self.maps, ZeroTower):
-            raise TowerError("zero tower has no components")
-        if isinstance(self.maps, ConstantMaps):
-            return (self.maps.entries[i],)
-        return tuple(step[i] for step in self.maps.cycle)
+        return tuple(step[i] for step in self.cycle)
 
 
 @record
@@ -96,16 +56,12 @@ class LimitResult:
 
 def inverse_limit(T: Tower) -> LimitResult:
     """Rank and basis components of lim of the tower."""
-    if isinstance(T.maps, ZeroTower):
+    if not T.rank:
         return LimitResult(0, (), "zero tower: lim = 0")
-    surviving = []
-    for i in range(T.rank):
-        cycle = T.component_cycle(i)
-        if all(abs(d) == 1 for d in cycle):
-            surviving.append(i)
+    surviving = tuple(i for i, c in enumerate(zip(*T.cycle)) if all(abs(d) == 1 for d in c))
     rank = len(surviving)
     desc = f"lim = Z^{rank}" if rank else "lim = 0"
-    return LimitResult(rank, tuple(surviving), desc)
+    return LimitResult(rank, surviving, desc)
 
 
 def lim1_vanishes(T: Tower) -> bool:
@@ -116,16 +72,7 @@ def lim1_vanishes(T: Tower) -> bool:
     and any |entry| >= 2 recurring forever gives a strictly decreasing
     chain d_1 d_2 ... d_k Z that never stabilizes.
     """
-    if isinstance(T.maps, ZeroTower):
-        return True
-    for i in range(T.rank):
-        cycle = T.component_cycle(i)
-        if any(d == 0 for d in cycle):
-            continue  # images stabilize at 0
-        if all(abs(d) == 1 for d in cycle):
-            continue  # isomorphisms
-        return False
-    return True
+    return all(0 in c or all(abs(d) == 1 for d in c) for c in zip(*T.cycle))
 
 
 @record

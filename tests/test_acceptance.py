@@ -50,10 +50,7 @@ from dyadicspec.threads import (
     verify_witness,
 )
 from dyadicspec.towers import (
-    ConstantMaps,
-    PeriodicMaps,
     Tower,
-    ZeroTower,
     inverse_limit,
     lim1_vanishes,
     middle_group_bounds,
@@ -336,27 +333,24 @@ def test_criterion_8_joint_spectrum_residual(rectangle):
 
 @criterion(9)
 def test_criterion_9_towers():
-    doubling = Tower(1, ConstantMaps((2,)))
+    doubling = Tower(((2,),))
     assert inverse_limit(doubling).rank == 0
     assert not lim1_vanishes(doubling)
-    assert lim1_vanishes(Tower(0, ZeroTower()))
+    assert lim1_vanishes(Tower(((),)))
     mid = middle_group_bounds(True, 0)
     assert mid.determined and mid.rank == 0
     rng = random.Random(505)
     for _ in range(50):
         rank = rng.randint(1, 4)
         if rng.random() < 0.5:
-            T = Tower(rank, ConstantMaps(tuple(rng.randint(-3, 3) for _ in range(rank))))
+            T = Tower((tuple(rng.randint(-3, 3) for _ in range(rank)),))
         else:
             period = rng.randint(1, 3)
             T = Tower(
-                rank,
-                PeriodicMaps(
-                    tuple(
-                        tuple(rng.randint(-3, 3) for _ in range(rank))
-                        for _ in range(period)
-                    )
-                ),
+                tuple(
+                    tuple(rng.randint(-3, 3) for _ in range(rank))
+                    for _ in range(period)
+                )
             )
         lim = inverse_limit(T)
         assert set(lim.surviving) == {

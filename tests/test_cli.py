@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -272,6 +273,26 @@ def test_extreme_re_ends_in_a_verdict_an_error_or_inconclusive(spectrum, command
         f"spectrum {spectrum}\nn_max 8\nlambda 1,1\n", command=command
     )
     assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # the level sup, the witness search's band test, and the symbolic
+        # constant each ask for an exp of about 10**20
+        "spectrum point re=99999999999999999999 im=-1/2*pi\n",
+        "spectrum vline re=99999999999999999999\nfloat_digits 1\n",
+        "spectrum point re=0 im=-1/2+99999999999999999999*pi\n",
+    ],
+)
+def test_exp_far_above_the_cap_ends_inconclusive(config):
+    start = time.perf_counter()
+    proc = _classify_in_subprocess(config)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("inconclusive: computation limit reached:")
     assert "Traceback" not in proc.stderr
 
 

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from dyadicspec.cli import format_g
 from dyadicspec.exactnum import PiLinear, reduce_mod_2pi
+from dyadicspec import levels
 from dyadicspec.realbounds import (
+    EXP_ARG_CAP,
+    ComputationLimit,
     _cos_ints,
     _exp_ints,
     abs1m_sq_bounds,
@@ -124,6 +127,17 @@ def test_exp_ints_underflow_branch(d):
     assert _exp_ints(F(-p), d) == (0, 1, 1 << p)
     for x in (F(-p), F(-(p - 1)), F(1, 2) - p):
         assert_exp_ints_encloses(x, d)
+
+
+def test_exp_ints_refuses_arguments_above_the_cap():
+    # one ComputationLimit, the one the CLI ends Inconclusive on
+    assert levels.ComputationLimit is ComputationLimit
+    for x in (F(EXP_ARG_CAP) + F(1, 10**30), F(10**20 - 1), F(3 * 10**40, 7)):
+        with pytest.raises(ComputationLimit):
+            _exp_ints(x, 15)
+        with pytest.raises(ComputationLimit):
+            exp_bounds(x, 6)
+        assert _exp_ints(-x, 15)[0] == 0  # the negative side returns early
 
 
 @pytest.mark.parametrize("R", [F(60), F(639, 10), F(64), F(641, 10), F(70), F(201, 2), F(200)])

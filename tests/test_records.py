@@ -37,7 +37,7 @@ from dyadicspec.spectrum import (
     VSegment,
 )
 from dyadicspec.threads import Thread
-from dyadicspec.towers import ConstantMaps, PeriodicMaps, Tower, TowerError
+from dyadicspec.towers import Tower, TowerError
 
 BUILTINS = ("roots2k", "solenoid", "rectangle", "primefamily")
 P = LevelPoint(F(-1, 2), PiLinear(0, F(1, 3)))
@@ -145,9 +145,7 @@ def test_post_init_checks_still_fire():
     with pytest.raises(ValueError):
         DiagonalModel(SpectrumSet((VLine(F(0)),)), (), 1)
     with pytest.raises(TowerError):
-        Tower(-1, ConstantMaps(()))
-    with pytest.raises(TowerError):
-        Tower(2, PeriodicMaps(((2, 1), (1,))))
+        Tower(((2, 1), (1,)))
 
 
 def test_cached_views_work_on_records():

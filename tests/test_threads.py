@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from dyadicspec import levels, threads
 from dyadicspec.classify import Verdict, classify
-from dyadicspec.cli import parse_config
+from dyadicspec.cli import builtin_example, parse_config
 from dyadicspec.exactnum import PiLinear, _v2, compare, reduce_mod_2pi
-from dyadicspec.levels import LevelCache, LevelPoint, sup_abs_one_minus
+from dyadicspec.levels import LevelCache, LevelPoint, component_sup_candidates, sup_abs_one_minus
 from dyadicspec.realbounds import compare_abs1m_sq
-from dyadicspec.spectrum import BOUNDED_PARTS, ILattice, Point, SpectrumSet, VLine
+from dyadicspec.spectrum import BOUNDED_PARTS, ILattice, Point, Rect, SpectrumSet, VLine, VSegment
 from dyadicspec.threads import (
     InfeasibleThread,
     Thread,
@@ -264,14 +264,11 @@ def test_bounded_cut_returns_what_the_full_search_returns():
 
 
 @pytest.mark.parametrize(
-    "Z, new_caches",
-    [
-        (SpectrumSet((VLine(F(0)),)), 0),
-        (SpectrumSet((VLine(F(0)), Point(F(-1), PiLinear(0, F(1, 2))))), 1),
-    ],
+    "Z",
+    [SpectrumSet((VLine(F(0)),)), SpectrumSet((VLine(F(0)), Point(F(-1), PiLinear(0, F(1, 2)))))],
 )
-def test_persistence_certificate_builds_a_cache_only_for_a_proper_part(Z, new_caches, monkeypatch):
-    # on a one-primitive spectrum the caller's cache holds the primitive's own levels
+def test_persistence_certificate_builds_no_cache(Z, monkeypatch):
+    # the certificate reads one point of the thread in the caller's cache
     cache = LevelCache(Z)
     th = divergence_search(cache, 10, F(7, 5))
     built = []
@@ -282,7 +279,92 @@ def test_persistence_certificate_builds_a_cache_only_for_a_proper_part(Z, new_ca
 
     monkeypatch.setattr(threads, "LevelCache", counted)
     assert persistence_certificate(Z, cache, th, 10) == (VLine(F(0)), None)
-    assert len(built) == new_caches
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
+# the one-point persistence certificate against the walk it replaced
+
+
+def _parent_persistence(Z, cache, th, depth):
+    """The certificate as a walk of the thread through a cache of each line
+    or lattice alone, to the level where its tower closes."""
+    if not (depth > th.base_level and th.bit_at(depth) == 1):
+        p = evaluate(cache, th, depth)
+        mag = -p.angle if p.angle.sign() < 0 else p.angle
+        if (mag - PiLinear(0, F(1, 2))).sign() < 0:
+            return None
+    for prim in Z.primitives:
+        if not isinstance(prim, (VLine, ILattice)):
+            continue
+        sub = cache if cache.Z.primitives == (prim,) else LevelCache(SpectrumSet((prim,)))
+        closed_from = None if isinstance(prim, VLine) or prim.step.q0 != 0 else _v2(prim.step.q1.numerator)
+        try:
+            evaluate(sub, th, min(depth, max(th.base_level, (closed_from or 0) - 1)))
+        except (InfeasibleThread, ValueError):
+            continue
+        return prim, closed_from
+    return None
+
+
+def test_persistence_certificate_matches_the_walk_on_every_witness():
+    rng = random.Random(4141)
+    spectra = [builtin_example(name).spectrum for name in ("roots2k", "solenoid", "rectangle", "primefamily")]
+    while len(spectra) < 304:
+        Z = random_spectrum(rng)
+        if any(isinstance(p, (VLine, ILattice)) for p in Z.primitives):
+            spectra.append(Z)
+    witnesses = 0
+    for Z in spectra:
+        cache = LevelCache(Z)
+        for depth in (5, 30, 100):
+            for delta in (F(1, 2), F(7, 5)):
+                th = divergence_search(cache, depth, delta, 3000)
+                if th is None:
+                    continue
+                want = _parent_persistence(Z, cache, th, depth)
+                assert persistence_certificate(Z, cache, th, depth) == want, (Z, depth, delta)
+                witnesses += 1
+    assert witnesses > 300
+
+
+def test_persistence_certificate_refuses_threads_off_the_tower():
+    full = PiLinear(0, 8)
+    cases = [
+        # inside the rectangle, off the line's circle
+        (SpectrumSet((VLine(F(0)), Rect(F(-1), F(-1, 2), PiLinear(0, -32), PiLinear(0, 32)))),
+         Thread(0, LevelPoint(F(-1), PiLinear(0, 1)), (1, 1, 1, 1, 1)), 5),
+        # on the lattice's circle inside the segment, off the lattice's level-2
+        # orbit {pi/4}, where the lattice (step 8pi) closes
+        (SpectrumSet((ILattice(F(0), PiLinear(0, 1), full), VSegment(F(0), -full, full))),
+         Thread(0, LevelPoint(F(0), PiLinear(0, F(1, 3))), (1, 1, 1)), 3),
+        # a dense lattice is the full circle: off it only by the radius
+        (SpectrumSet((ILattice(F(1), PiLinear(0), PiLinear(1, 1)), VSegment(F(0), -full, full))),
+         Thread(0, LevelPoint(F(0), PiLinear(0, 1)), (1, 1)), 2),
+    ]
+    for Z, th, depth in cases:
+        cache = LevelCache(Z)
+        evaluate(cache, th, depth)  # the thread stays in Z
+        assert persistence_certificate(Z, cache, th, depth) is None
+        assert _parent_persistence(Z, cache, th, depth) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    re=st.sampled_from((F(-3), F(0), F(1, 2), F(2))),
+    base=st.sampled_from((PiLinear(0, 0), PiLinear(0, 1), PiLinear(0, F(1, 3)), PiLinear(F(1, 2), F(-3, 4)))),
+    step=st.sampled_from((None, PiLinear(0, 2), PiLinear(0, F(2, 3)), PiLinear(0, F(8, 3)), PiLinear(0, 5), PiLinear(1, 1))),
+    n=st.integers(0, 9),
+)
+def test_on_line_level_is_membership_in_the_primitive_level(re, base, step, n):
+    prim = VLine(re) if step is None else ILattice(re, base, step)
+    cache = LevelCache(SpectrumSet((prim,)))
+    points = [q for c in cache.view(n) for q in component_sup_candidates(c)]
+    points += [LevelPoint(cache.view(n)[0].radial[0], reduce_mod_2pi(PiLinear(0, F(k, 7)))) for k in range(-7, 7)]
+    points += [LevelPoint(q.log_mod + F(1, 8), q.angle) for q in points[:3]]
+    points += [LevelPoint(q.log_mod, reduce_mod_2pi(q.angle + PiLinear(0, F(1, 2**n)))) for q in points[:3]]
+    for q in points:
+        assert levels.on_line_level(prim, n, q) == cache.contains(n, q), (prim, n, q)
 
 
 # ---------------------------------------------------------------------------
