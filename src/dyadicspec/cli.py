@@ -34,12 +34,15 @@ from typing import Optional
 
 from .classify import ClassificationReport, ClassifyParams, Verdict, WitnessThread
 from .classify import classify as run_classify
-from .exactnum import PrecisionError
+from .exactnum import PiLinear, PrecisionError
 from .exactnum import parse as parse_pilinear, render as render_pilinear
 from .levels import (
+    Component,
     ComputationLimit,
+    Interval,
     LevelCache,
     LevelPoint,
+    Orbit,
     component_sup_candidates,
     enumerate_points,
     sample_points,
@@ -136,6 +139,8 @@ def _tower(text: str, field: str) -> Tower:
     kind, tail = (text.split(None, 1) + [""])[:2]
     try:
         if kind == "zero":
+            if tail:  # the zero tower takes no entries
+                raise ValueError
             return Tower(((),))
         if kind in ("constant", "periodic"):
             steps = tail.split("|") if kind == "periodic" else [tail]
@@ -356,6 +361,31 @@ def format_g(x, digits: int) -> str:
     return f"{d:.{len(d.as_tuple().digits) - 1}e}"
 
 
+# the print label of a level component: (on one circle, angle kind) -> name
+_COMPONENT_LABELS = {
+    (True, PiLinear): "IsolatedPoint",
+    (True, Interval): "Arc",
+    (True, type(None)): "FullCircle",
+    (True, Orbit): "CircleLattice",
+    (False, Interval): "Sector",
+    (False, type(None)): "Annulus",
+}
+
+
+def component_text(c: Component) -> tuple[str, str]:
+    """A level component's print label and its text, ``Label(field=value,
+    ...)``: the log-modulus (or both ends of a radial range), then the
+    angle set's fields; an isolated point shows its `LevelPoint`."""
+    one_circle, a = c.lo_log == c.hi_log, c.angles
+    label = _COMPONENT_LABELS[one_circle, type(a)]
+    if label == "IsolatedPoint":
+        return label, f"{label}(point={LevelPoint(c.lo_log, a)!r})"
+    fields = [("log_mod", c.lo_log)] if one_circle else [("lo_log", c.lo_log), ("hi_log", c.hi_log)]
+    if a is not None:
+        fields += [(name, getattr(a, name)) for name in a._fields]
+    return label, f"{label}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
 def _schedule(family: PrimeFamily) -> str:
     return f"n_j = {_render_nseq(family.n_seq)} for every prime j >= 3 (family is infinite)"
 
@@ -488,7 +518,7 @@ def report_to_dict(rep: ClassificationReport) -> dict:
             "persistent": not rep.sections.holds,
             "reason": _antipodal_reason(rep.sections),
             "pair_samples": [
-                f"n={n}: angle {x.angle}" if isinstance(x, LevelPoint) else f"n={n}: {type(x).__name__}"
+                f"n={n}: angle {x.angle}" if isinstance(x, LevelPoint) else f"n={n}: {component_text(x)[0]}"
                 for n, x in a.samples
             ],
         }
@@ -659,7 +689,8 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         for n in range(cfg.params.n_max + 1):
             L = cache.level(n)
             out.append(f"level {n}:")
-            out.extend([f"  {type(c).__name__}: {c}" for c in L.components] or ["  (empty)"])
+            texts = map(component_text, L.components)
+            out.extend([f"  {label}: {text}" for label, text in texts] or ["  (empty)"])
             if csv_path:
                 for re_, im_ in sample_points(L):
                     rows.append((n, re_, im_))
@@ -679,7 +710,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
                 desc = (
                     ", ".join(render_pilinear(p.angle) for p in pts)
                     if pts
-                    else type(A.components[0]).__name__
+                    else component_text(A.components[0])[0]
                 )
                 out.append(f"level {n}: {desc}")
         return 0, "\n".join(out) + "\n"

@@ -1,19 +1,16 @@
 """Level sets cl(exp(Z / 2^n)) and their exact circle geometry.
 
-A level set is a finite union of components, and every component is a
-product of two factors:
+A level set is a finite union of components, and every component is one
+record, `Component(lo_log, hi_log, angles)`, the product of two factors:
 
-* radial: the log-modulus range [lo_log, hi_log] (one value m for a
+* radial: the log-modulus range [lo_log, hi_log] (lo_log is hi_log for a
   component on the circle |z| = e^m);
 * angles: one reduced angle (a PiLinear), an anchored interval
   ``Interval(lo, hi)``, a lattice orbit ``Orbit(base, step)`` =
   {base + j*step*pi} stored lazily, so lattice spectra stay tractable at
   deep levels without enumerating 2^n points, or None for the full circle.
 
-The six component classes name the canonical products: IsolatedPoint,
-Arc, FullCircle and CircleLattice on one circle, Sector and Annulus over a
-radial range.  Each exposes its factors as ``radial`` and ``angles``, and
-``make_component`` turns any product back into its canonical class.  Every
+``make_component`` turns any product into its canonical component.  Every
 operation acts factor by factor: an intersection meets the radial ranges
 by max/min and the angle sets in one five-case table; the antipode and
 powers are the affine angle maps a -> a + pi and a -> s*a; membership,
@@ -119,7 +116,7 @@ _ANGLE_RANK = {PiLinear: 0, type(None): 1, Interval: 2, Orbit: 3}
 # components
 
 
-# LevelPoint and IsolatedPoint are nearly all the records a run builds and
+# LevelPoint and Component are nearly all the records a run builds and
 # hashes, so they are written out: slotted, set through their slot
 # descriptors, and compared and hashed with direct attribute loads.  Repr,
 # equality and hash are those of the records in records.py.
@@ -149,137 +146,55 @@ class LevelPoint(Frozen):
         return LevelPoint, (self.log_mod, self.angle)
 
 
-class IsolatedPoint(Frozen):
-    __slots__ = _fields = ("point",)
+class Component(Frozen):
+    """Log-modulus in [lo_log, hi_log] times the angle set `angles`.
 
-    def __init__(self, point: LevelPoint):
-        _set_point(self, point)
+    Built by make_component, it is canonical: on one circle lo_log is
+    hi_log and the angles are a reduced point, an anchored interval, an
+    orbit of at least two members or None; a radial range takes an
+    anchored interval or None.
+    """
+
+    __slots__ = _fields = ("lo_log", "hi_log", "angles")
+
+    def __init__(self, lo_log: Fraction, hi_log: Fraction, angles: Angles):
+        _set_lo_log(self, lo_log)
+        _set_hi_log(self, hi_log)
+        _set_angles(self, angles)
 
     def __eq__(self, other):
-        if other.__class__ is not IsolatedPoint:
+        if other.__class__ is not Component:
             return NotImplemented
-        return self.point == other.point
+        return self.lo_log == other.lo_log and self.hi_log == other.hi_log and self.angles == other.angles
 
     def __hash__(self) -> int:
-        return hash((self.point,))
+        return hash((self.lo_log, self.hi_log, self.angles))
 
     def __repr__(self) -> str:
-        return f"IsolatedPoint(point={self.point!r})"
+        return f"Component(lo_log={self.lo_log!r}, hi_log={self.hi_log!r}, angles={self.angles!r})"
 
     def __reduce__(self):
-        return IsolatedPoint, (self.point,)
+        return Component, (self.lo_log, self.hi_log, self.angles)
 
-    @property
-    def radial(self) -> tuple[Fraction, Fraction]:
-        return self.point.log_mod, self.point.log_mod
-
-    @property
-    def angles(self) -> PiLinear:
-        return self.point.angle
+    def points(self, limit: Optional[int] = None) -> list[LevelPoint]:
+        """An orbit component's members for j = 0, 1, ..., or only its first
+        `limit`, each angle reduced to (-pi, pi]."""
+        orbit, m = self.angles, self.lo_log
+        if orbit.count > ENUM_LIMIT:
+            raise ComputationLimit(
+                f"lattice orbit of {orbit.count} points exceeds the enumeration "
+                f"limit {ENUM_LIMIT}"
+            )
+        take = orbit.count if limit is None else min(orbit.count, limit)
+        return [LevelPoint(m, reduce_mod_2pi(orbit.angle(j))) for j in range(take)]
 
 
 _set_log_mod, _set_angle = LevelPoint.log_mod.__set__, LevelPoint.angle.__set__
-_set_point = IsolatedPoint.point.__set__
+_set_lo_log, _set_hi_log = Component.lo_log.__set__, Component.hi_log.__set__
+_set_angles = Component.angles.__set__
 
-
-@record
-class Arc:
-    """Angles [lo, hi] at one radius; lo anchored in (-pi, pi], span < 2*pi."""
-
-    log_mod: Fraction
-    lo: PiLinear
-    hi: PiLinear
-
-    @functools.cached_property
-    def radial(self) -> tuple[Fraction, Fraction]:
-        return self.log_mod, self.log_mod
-
-    @functools.cached_property
-    def angles(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-
-@record
-class FullCircle:
-    log_mod: Fraction
-
-    angles = None
-
-    @functools.cached_property
-    def radial(self) -> tuple[Fraction, Fraction]:
-        return self.log_mod, self.log_mod
-
-
-@record
-class CircleLattice:
-    """Finite angle orbit {base + k*step*pi mod 2*pi}, stored without enumeration.
-
-    step is a positive rational with 2/step integral; base.q1 lies in
-    [0, step).  All members share the irrational angle offset base.q0.
-    """
-
-    log_mod: Fraction
-    base: PiLinear
-    step: Fraction
-
-    @functools.cached_property
-    def radial(self) -> tuple[Fraction, Fraction]:
-        return self.log_mod, self.log_mod
-
-    @functools.cached_property
-    def angles(self) -> Orbit:
-        return Orbit(self.base, self.step)
-
-    @property
-    def count(self) -> int:
-        return self.angles.count
-
-    def member(self, j: int) -> LevelPoint:
-        """The orbit point base + j*step*pi, its angle reduced to (-pi, pi]."""
-        return LevelPoint(self.log_mod, reduce_mod_2pi(self.angles.angle(j)))
-
-    def points(self, limit: Optional[int] = None) -> list[LevelPoint]:
-        """The orbit for j = 0, 1, ..., or only its first `limit` members."""
-        if self.count > ENUM_LIMIT:
-            raise ComputationLimit(
-                f"lattice orbit of {self.count} points exceeds the enumeration "
-                f"limit {ENUM_LIMIT}"
-            )
-        take = self.count if limit is None else min(self.count, limit)
-        return [self.member(j) for j in range(take)]
-
-
-@record
-class Sector:
-    """log_mod in [lo_log, hi_log], angle in [lo, hi] (span < 2*pi, anchored)."""
-
-    lo_log: Fraction
-    hi_log: Fraction
-    lo: PiLinear
-    hi: PiLinear
-
-    @functools.cached_property
-    def radial(self) -> tuple[Fraction, Fraction]:
-        return self.lo_log, self.hi_log
-
-    @functools.cached_property
-    def angles(self) -> Interval:
-        return Interval(self.lo, self.hi)
-
-
-@record
-class Annulus:
-    lo_log: Fraction
-    hi_log: Fraction
-
-    angles = None
-
-    @functools.cached_property
-    def radial(self) -> tuple[Fraction, Fraction]:
-        return self.lo_log, self.hi_log
-
-
-Component = Union[IsolatedPoint, Arc, FullCircle, CircleLattice, Sector, Annulus]
+# the benchmark tracer counts lattice points enumerated under this name
+CircleLattice = Component
 
 
 @record
@@ -303,11 +218,12 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
 
     The angles need not be reduced: a point angle is reduced to (-pi, pi],
     an interval anchored (the full circle once it spans 2*pi) and an
-    orbit's base brought into [0, step).  One radius gives an isolated
-    point, arc, full circle or lattice; a radial range takes an interval
-    (a sector) or the full circle (an annulus).
+    orbit's base brought into [0, step).  On one radius an interval of
+    one angle is that point and a one-member orbit its member; a radial
+    range takes an interval or the full circle.
     """
-    one_radius = lo_log is hi_log or lo_log == hi_log
+    if lo_log is hi_log or lo_log == hi_log:
+        hi_log = lo_log
     if isinstance(angles, Interval):
         lo, hi = angles.lo, angles.hi
         span = hi - lo
@@ -318,19 +234,17 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
             lo = reduce_mod_2pi(lo)
             if lo is not angles.lo:
                 hi = hi + (lo - angles.lo)
-            if not one_radius:
-                return Sector(lo_log, hi_log, lo, hi)
-            if lo == hi:
-                return IsolatedPoint(LevelPoint(lo_log, lo))
-            return Arc(lo_log, lo, hi)
+            if lo_log is hi_log and lo == hi:
+                return Component(lo_log, lo_log, lo)
+            return Component(lo_log, hi_log, angles if lo is angles.lo else Interval(lo, hi))
         angles = None
     if angles is None:
-        return FullCircle(lo_log) if one_radius else Annulus(lo_log, hi_log)
-    if not one_radius:
+        return Component(lo_log, hi_log, None)
+    if lo_log is not hi_log:
         raise ValueError("a radial range takes an angle interval or the full circle")
     if isinstance(angles, Orbit):
         return make_lattice(lo_log, angles.base, angles.step)
-    return IsolatedPoint(LevelPoint(lo_log, reduce_mod_2pi(angles)))
+    return Component(lo_log, lo_log, reduce_mod_2pi(angles))
 
 
 def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component:
@@ -339,11 +253,10 @@ def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component
     if sn <= 0 or 2 * sd % sn:
         raise ValueError("lattice step must be positive and divide 2")
     # the member of the orbit with q1 in [0, step): j = -floor(q1 / step)
-    base = Orbit(base, step).angle(-(base.b * sd // (base.d * sn)))
-    lat = CircleLattice(log_mod, base, step)
-    if lat.count == 1:
-        return IsolatedPoint(lat.member(0))
-    return lat
+    orbit = Orbit(Orbit(base, step).angle(-(base.b * sd // (base.d * sn))), step)
+    if orbit.count == 1:
+        return Component(log_mod, log_mod, reduce_mod_2pi(orbit.base))
+    return Component(log_mod, log_mod, orbit)
 
 
 # ---------------------------------------------------------------------------
@@ -354,39 +267,37 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
     """Canonical form: circles absorb, arcs merge (with wraparound), points
     dedupe and drop into covering arcs/lattices, small lattices enumerate,
     sectors and annuli dedupe into one exact order."""
-    expanded: list[Component] = []
-    for c in components:
-        if isinstance(c, CircleLattice) and c.count <= SMALL_ORBIT:
-            expanded.extend(IsolatedPoint(p) for p in c.points())
-        else:
-            expanded.append(c)
-
     # one bucket per circle, one list per angle kind (indexed by _ANGLE_RANK)
     by_log: dict[Fraction, tuple[list, list, list, list]] = {}
     others: list[Component] = []
-    for c in expanded:
-        lo_log, hi_log = c.radial
-        if lo_log is hi_log or lo_log == hi_log:
-            by_log.setdefault(lo_log, ([], [], [], []))[_ANGLE_RANK[type(c.angles)]].append(c)
-        else:
+    for c in components:
+        lo_log, hi_log, a = c.lo_log, c.hi_log, c.angles
+        if not (lo_log is hi_log or lo_log == hi_log):
             others.append(c)
+            continue
+        kinds = by_log.setdefault(lo_log, ([], [], [], []))
+        if a.__class__ is Orbit and a.count <= SMALL_ORBIT:  # enters as its points
+            kinds[0].extend(Component(lo_log, lo_log, p.angle) for p in c.points())
+        else:
+            kinds[_ANGLE_RANK[a.__class__]].append(c)
 
     out: list[Component] = []
     for log_mod in sorted(by_log):
         points, circles, arcs, lattices = by_log[log_mod]
         arcs = None if circles else _merge_arcs(log_mod, arcs)
         if arcs is None:
-            out.append(FullCircle(log_mod))
+            out.append(Component(log_mod, log_mod, None))
             continue
-        lattices = sorted(set(lattices), key=lambda l: (l.step, l.base.q0, l.base.q1))
+        lattices = sorted(set(lattices), key=lambda c: (c.angles.step, c.angles.base.q0, c.angles.base.q1))
         cover = arcs + lattices
+        # the circle's points, one per angle
         pts = [
-            p
-            for p in dict.fromkeys(c.point for c in points)
-            if not any(_angles_contain(x.angles, p.angle) for x in cover)
+            c
+            for a, c in {c.angles: c for c in points}.items()
+            if not any(_angles_contain(x.angles, a) for x in cover)
         ]
-        pts.sort(key=lambda p: (_pl_key(p.angle)))
-        out.extend(IsolatedPoint(p) for p in pts)
+        pts.sort(key=lambda c: _pl_key(c.angles))
+        out.extend(pts)
         out.extend(arcs)
         out.extend(lattices)
 
@@ -394,22 +305,22 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
     return LevelSet(level, tuple(out))
 
 
-def _region_key(c: Union[Sector, Annulus]) -> tuple:
+def _region_key(c: Component) -> tuple:
     """Exact order of sectors and annuli: radial range, then annuli before
     sectors, then the sector's angle ends."""
     if c.angles is None:
-        return (*c.radial, 0)
-    return (*c.radial, 1, _pl_key(c.lo), _pl_key(c.hi))
+        return (c.lo_log, c.hi_log, 0)
+    return (c.lo_log, c.hi_log, 1, _pl_key(c.angles.lo), _pl_key(c.angles.hi))
 
 
-def _merge_arcs(log_mod: Fraction, arcs: list[Arc]) -> Optional[list[Component]]:
+def _merge_arcs(log_mod: Fraction, arcs: list[Component]) -> Optional[list[Component]]:
     """Union of anchored arcs on one circle, or None when it is the circle.
 
     The union of arcs with lo < hi has no isolated points.
     """
     if not arcs:
         return []
-    ivs = sorted(((a.lo, a.hi) for a in arcs), key=lambda iv: _pl_key(iv[0]))
+    ivs = sorted(((a.angles.lo, a.angles.hi) for a in arcs), key=lambda iv: _pl_key(iv[0]))
     merged: list[tuple[PiLinear, PiLinear]] = []
     for lo, hi in ivs:
         if merged and compare(lo, merged[-1][1]) <= 0:
@@ -461,7 +372,7 @@ def level_view(Z: SpectrumSet, n: int) -> list[Component]:
         hi = lo if p.re_hi is p.re_lo else p.re_hi * half
         S = p.section
         if isinstance(S, SectionPoints) and lo == hi:
-            comps.extend(IsolatedPoint(LevelPoint(lo, _scaled_point(a, n))) for a in S.values)
+            comps.extend(Component(lo, lo, _scaled_point(a, n)) for a in S.values)
         else:
             comps.extend(make_component(lo, hi, _map_angles(a, half)) for a in _part_angles(S))
     return comps
@@ -523,7 +434,7 @@ def membership(L: LevelSet, p: LevelPoint) -> bool:
     """Exact containment of a point in a level set."""
     m = p.log_mod
     for c in L.components:
-        lo, hi = c.radial
+        lo, hi = c.lo_log, c.hi_log
         # one circle needs one comparison (its radial pair is one object twice)
         if (m == lo if lo is hi else lo <= m <= hi) and _angles_contain(c.angles, p.angle):
             return True
@@ -551,15 +462,14 @@ def _map_angles(angles: Angles, k: Rat, shift: Optional[PiLinear] = None) -> Ang
 
 
 def antipode_component(c: Component) -> Component:
-    return make_component(*c.radial, _map_angles(c.angles, 1, PI))
+    return make_component(c.lo_log, c.hi_log, _map_angles(c.angles, 1, PI))
 
 
 def power_component(c: Component, s: int) -> Component:
     """Image of a component under z -> z**s for s >= 1."""
     if s < 1:
         raise ValueError("power must be >= 1")
-    lo, hi = c.radial
-    return make_component(s * lo, s * hi, _map_angles(c.angles, s))
+    return make_component(s * c.lo_log, s * c.hi_log, _map_angles(c.angles, s))
 
 
 def power_levelset(L: LevelSet, s: int) -> LevelSet:
@@ -570,14 +480,12 @@ def power_levelset(L: LevelSet, s: int) -> LevelSet:
 # antipodes and intersections
 
 
-def _split_points(
-    components: Iterable[Component],
-) -> tuple[list[IsolatedPoint], list[Component]]:
+def _split_points(components: Iterable[Component]) -> tuple[list[Component], list[Component]]:
     """The isolated points among the components, and the other components."""
-    points: list[IsolatedPoint] = []
+    points: list[Component] = []
     spread: list[Component] = []
     for c in components:
-        (points if isinstance(c, IsolatedPoint) else spread).append(c)
+        (points if c.angles.__class__ is PiLinear else spread).append(c)
     return points, spread
 
 
@@ -593,10 +501,10 @@ def antipodal_set(L: LevelSet) -> LevelSet:
     # circles keyed by the integers of their log-modulus, each with its angles
     circles: dict[tuple[int, int], tuple[Fraction, set[PiLinear]]] = {}
     for c in points:
-        m = c.point.log_mod
-        circles.setdefault((m.numerator, m.denominator), (m, set()))[1].add(c.point.angle)
+        m = c.lo_log
+        circles.setdefault((m.numerator, m.denominator), (m, set()))[1].add(c.angles)
     out: list[Component] = [
-        IsolatedPoint(LevelPoint(m, a))
+        Component(m, m, a)
         for m, angles in circles.values()
         for a in angles
         if reduce_mod_2pi(a + PI) in angles
@@ -658,8 +566,7 @@ def component_intersection(a: Component, b: Component) -> list[Component]:
     The radial ranges meet by max/min; the angle sets, ordered point <
     full circle < interval < orbit, meet in one table of five cases.
     """
-    (alo, ahi), (blo, bhi) = a.radial, b.radial
-    lo, hi = max(alo, blo), min(ahi, bhi)
+    lo, hi = max(a.lo_log, b.lo_log), min(a.hi_log, b.hi_log)
     if lo > hi:
         return []
     x, y = a.angles, b.angles
@@ -695,7 +602,7 @@ def circle_section(
     L = level_set(Z, n)
     out: list[Component] = []
     for c in L.components:
-        lo, hi = c.radial
+        lo, hi = c.lo_log, c.hi_log
         if lo <= r <= hi:
             out.append(c if lo == hi else make_component(r, r, c.angles))
     section = normalize(n, out)
@@ -737,6 +644,8 @@ def _angle_sup_candidates(angles: Angles) -> list[PiLinear]:
     """Reduced angles of the set where |1 - z| at a fixed radius is largest."""
     if angles is None:
         return [PI]
+    if angles.__class__ is PiLinear:  # reduced on a component
+        return [angles]
     if isinstance(angles, Interval):
         cands = [reduce_mod_2pi(angles.lo), reduce_mod_2pi(angles.hi)]
         # anchored, lo <= pi < lo + 2*pi, and the span is under 2*pi (else
@@ -756,11 +665,14 @@ def component_sup_candidates(c: Component) -> list[LevelPoint]:
     angle, is monotone towards the radial extremes, so the sup sits at an
     angle endpoint, the antipodal angle when covered, or a radial corner.
     """
-    if isinstance(c, IsolatedPoint):
-        return [c.point]
-    lo, hi = c.radial
-    angles = _angle_sup_candidates(c.angles)
-    return [LevelPoint(m, a) for m in ((lo,) if lo == hi else (lo, hi)) for a in angles]
+    radii, angles = _sup_factors(c)
+    return [LevelPoint(m, a) for m in radii for a in angles]
+
+
+def _sup_factors(c: Component) -> tuple[tuple[Fraction, ...], list[PiLinear]]:
+    """The radii and the angles whose pairs are the component's sup candidates."""
+    lo, hi = c.lo_log, c.hi_log
+    return (lo,) if lo is hi or lo == hi else (lo, hi), _angle_sup_candidates(c.angles)
 
 
 def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
@@ -826,14 +738,16 @@ def _widest_per_circle(components: Iterable[Component]) -> list[LevelPoint]:
     largest |angle|: the only candidates that can attain the sup (see the
     module docstring), and a +-angle tie has one value.  Circles are keyed
     by the integers of their log-modulus."""
-    widest: dict[tuple[int, int], LevelPoint] = {}
+    widest: dict[tuple[int, int], tuple[Fraction, PiLinear]] = {}
     for c in components:
-        for p in component_sup_candidates(c):
-            key = (p.log_mod.numerator, p.log_mod.denominator)
-            q = widest.get(key)
-            if q is None or _compare_abs(p.angle, q.angle) > 0:
-                widest[key] = p
-    return list(widest.values())
+        radii, angles = _sup_factors(c)
+        for m in radii:
+            key = (m.numerator, m.denominator)
+            for a in angles:
+                q = widest.get(key)
+                if q is None or _compare_abs(a, q[1]) > 0:
+                    widest[key] = m, a
+    return [LevelPoint(m, a) for m, a in widest.values()]
 
 
 def _compare_abs(x: PiLinear, y: PiLinear) -> int:
@@ -850,8 +764,7 @@ def enumerate_points(
     answer is None is read off the lattice counts before any is built.
     """
     if not all(
-        isinstance(c, IsolatedPoint)
-        or (isinstance(c, CircleLattice) and c.count <= ENUM_LIMIT)
+        c.angles.__class__ is PiLinear or (c.angles.__class__ is Orbit and c.angles.count <= ENUM_LIMIT)
         for c in L.components
     ):
         return None
@@ -860,7 +773,8 @@ def enumerate_points(
         left = None if limit is None else limit - len(pts)
         if left == 0:
             break
-        pts.extend([c.point] if isinstance(c, IsolatedPoint) else c.points(left))
+        a = c.angles
+        pts.extend([LevelPoint(c.lo_log, a)] if a.__class__ is PiLinear else c.points(left))
     return pts
 
 
@@ -885,7 +799,7 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
     """
     out: list[tuple[float, float]] = []
     for c in L.components:
-        lo, hi = c.radial
+        lo, hi = c.lo_log, c.hi_log
         if lo == hi:
             radii, count = [lo], per_component
         else:
@@ -931,8 +845,8 @@ class LevelCache:
         self.Z = Z
         self._views: dict[int, list[Component]] = {}
         self._levels: dict[int, LevelSet] = {}
-        self._splits: dict[int, tuple[list[IsolatedPoint], list[Component]]] = {}
-        self._indexes: dict[int, tuple[set[LevelPoint], LevelSet]] = {}
+        self._splits: dict[int, tuple[list[Component], list[Component]]] = {}
+        self._indexes: dict[int, tuple[set[tuple[Fraction, PiLinear]], LevelSet]] = {}
         self._sups: dict[tuple[int, int], SupInts] = {}
         self._sup_results: dict[tuple[int, int], SupResult] = {}
 
@@ -948,7 +862,7 @@ class LevelCache:
             self._levels[n] = normalize(n, self.view(n))
         return self._levels[n]
 
-    def _split(self, n: int) -> tuple[list[IsolatedPoint], list[Component]]:
+    def _split(self, n: int) -> tuple[list[Component], list[Component]]:
         """The view's isolated points and its other components, split once."""
         if n not in self._splits:
             self._splits[n] = _split_points(self.view(n))
@@ -960,9 +874,9 @@ class LevelCache:
         angle set."""
         if n not in self._indexes:
             points, spread = self._split(n)
-            self._indexes[n] = ({c.point for c in points}, LevelSet(n, tuple(spread)))
+            self._indexes[n] = ({(c.lo_log, c.angles) for c in points}, LevelSet(n, tuple(spread)))
         points, spread = self._indexes[n]
-        return p in points or membership(spread, p)
+        return (p.log_mod, p.angle) in points or membership(spread, p)
 
     def _sup_bounds(self, n: int, digits: int) -> SupInts:
         """`_sup_ints` over level n's widest candidates, once per precision."""

@@ -4,7 +4,8 @@ A tower is ... -> Z^r -> Z^r -> Z^r whose connecting maps are diagonal
 and repeat one cycle forever.  `Tower(cycle)` holds that cycle: a
 nonempty tuple of integer diagonals of one length r, the rank.  A
 constant tower is a one-step cycle, and the zero tower is the rank-0
-cycle ``((),)``.  lim and lim^1 read only the cycle, componentwise:
+cycle ``((),)``, its only cycle.  lim and lim^1 read only the cycle,
+componentwise:
 
 * a component contributes Z to the inverse limit iff all but finitely
   many of its entries are +-1 (otherwise only the zero thread survives);
@@ -36,6 +37,8 @@ class Tower:
             raise TowerError("a tower needs a nonempty cycle")
         if len({len(v) for v in self.cycle}) != 1:
             raise TowerError("cycle entries must share the rank")
+        if not self.cycle[0] and len(self.cycle) > 1:
+            raise TowerError("the zero tower is the one-step cycle ((),)")
         if not all(isinstance(d, int) for v in self.cycle for d in v):
             raise TowerError("diagonal entries must be integers")
 

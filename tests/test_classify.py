@@ -282,7 +282,7 @@ def test_report_records_hold_exact_values_only():
     records = {cls.__name__ for cls, _, _ in fields}
     assert {
         "WitnessThread", "AntipodalLevels", "PointwiseCertificate", "SectionLevels",
-        "PrimeFamily", "ILattice", "VLine", "Thread", "LevelPoint", "FullCircle",
+        "PrimeFamily", "ILattice", "VLine", "Thread", "LevelPoint", "Component",
         "ClosednessWitness", "ClassifyParams",
     } <= records
     assert [(cls.__name__, name) for cls, name, leaves in fields if str in leaves] == []

@@ -592,6 +592,7 @@ ERROR_GRID = [
     ("tower constant 2,x", "line 1, col 7: bad tower entries '2,x'"),
     ("tower periodic 1,2|x", "line 1, col 7: bad tower entries '1,2|x'"),
     ("tower periodic 1,2|3", "line 1, col 7: bad tower entries '1,2|3'"),
+    ("tower zero 2,1", "line 1, col 7: bad tower entries '2,1'"),
     ("lambda 1,q", "line 1, col 8: bad complex list '1,q'"),
     ("spectrum", "line 1, col 9: spectrum needs a value"),
     ("spectrum blob re=0", "line 1, col 10: unknown primitive 'blob'"),
@@ -757,3 +758,31 @@ def test_mt_report_of_a_dense_lattice_matches_golden_bytes():
     assert code == 0
     assert text.encode() == (GOLDEN / "mt_dense.txt").read_bytes()
 
+
+
+# one primitive per component kind: level 0 holds a lattice, an arc, an
+# isolated point, a full circle, a sector and an annulus
+LEVELS_KINDS_CONFIG = (
+    "spectrum point re=1 im=1/3*pi\n"
+    "spectrum vsegment re=0 im=[0,1*pi]\n"
+    "spectrum vline re=2\n"
+    "spectrum ilattice re=-1 base=0 step=1/16*pi\n"
+    "spectrum rect re=[-3,-2] im=[-1*pi,1*pi]\n"
+    "spectrum rect re=[-5,-4] im=[0,1/2*pi]\n"
+    "n_max 1\n"
+)
+
+
+def test_component_printouts_match_golden_bytes():
+    # the levels and antipodes printouts, then classify's JSON pair_samples:
+    # the only outputs that name every component kind
+    cfg = parse_config(LEVELS_KINDS_CONFIG)
+    text = ""
+    for command in ("levels", "antipodes"):
+        code, out = run(command, cfg)
+        assert code == 0
+        text += out
+    code, out = run("classify", cfg, as_json=True)
+    assert code == 0
+    text += json.dumps(json.loads(out)["antipodal"]["pair_samples"], indent=2) + "\n"
+    assert text.encode() == (GOLDEN / "levels_kinds.txt").read_bytes()

@@ -5,19 +5,16 @@ from fractions import Fraction as F
 import pytest
 
 from dyadicspec.exactnum import EQUAL, PI, PiLinear, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
+from dyadicspec.cli import component_text
 from dyadicspec.levels import (
     ENUM_LIMIT,
-    Annulus,
-    Arc,
-    CircleLattice,
+    Component,
     ComputationLimit,
-    FullCircle,
-    IsolatedPoint,
     LevelCache,
     LevelPoint,
     LevelSet,
-    Sector,
     Interval,
+    Orbit,
     _orbit_angles_in_interval,
     antipodal_set,
     antipode_component,
@@ -52,6 +49,45 @@ from dyadicspec.threads import step_point
 from conftest import random_spectrum
 
 
+# the component kinds, built directly and named by their print labels
+def _isolated(p: LevelPoint) -> Component:
+    return Component(p.log_mod, p.log_mod, p.angle)
+
+
+def _arc(log_mod, lo, hi) -> Component:
+    return Component(log_mod, log_mod, Interval(lo, hi))
+
+
+def _circle(log_mod) -> Component:
+    return Component(log_mod, log_mod, None)
+
+
+def _lattice(log_mod, base, step) -> Component:
+    return Component(log_mod, log_mod, Orbit(base, step))
+
+
+def _sector(lo_log, hi_log, lo, hi) -> Component:
+    return Component(lo_log, hi_log, Interval(lo, hi))
+
+
+def _annulus(lo_log, hi_log) -> Component:
+    return Component(lo_log, hi_log, None)
+
+
+def _kind(c: Component) -> str:
+    return component_text(c)[0]
+
+
+def _point(c: Component) -> LevelPoint:
+    """An isolated point's point."""
+    return LevelPoint(c.lo_log, c.angles)
+
+
+def _member(lat: Component, j: int) -> LevelPoint:
+    """The orbit point base + j*step*pi, its angle reduced to (-pi, pi]."""
+    return LevelPoint(lat.lo_log, reduce_mod_2pi(lat.angles.angle(j)))
+
+
 # K-fold squaring, kept as an oracle: the image of level n+K under K
 # squarings is level n itself, which the package now reads directly.
 def _square_levelset(L: LevelSet) -> LevelSet:
@@ -78,15 +114,15 @@ def test_level_set_examples(roots2k, solenoid, rectangle):
     assert all(p.log_mod == 0 and p.angle.q0 == 0 for p in pts)
 
     L = level_set(solenoid, 7)
-    assert L.components == (FullCircle(F(0)),)
+    assert L.components == (_circle(F(0)),)
 
     L = level_set(rectangle, 0)
-    assert L.components == (Annulus(F(-1), F(0)),)
+    assert L.components == (_annulus(F(-1), F(0)),)
     L2 = level_set(rectangle, 2)
     (sec,) = L2.components
-    assert isinstance(sec, Sector)
+    assert _kind(sec) == "Sector"
     assert (sec.lo_log, sec.hi_log) == (F(-1, 4), F(0))
-    assert sec.lo == PiLinear(0, F(-1, 4)) and sec.hi == PiLinear(0, F(1, 4))
+    assert sec.angles.lo == PiLinear(0, F(-1, 4)) and sec.angles.hi == PiLinear(0, F(1, 4))
 
 
 def test_roots_of_unity_all_levels(roots2k):
@@ -147,15 +183,15 @@ def test_antipodal_matches_brute_force_on_finite_sets():
 def test_circle_section_examples(rectangle, roots2k):
     cs = circle_section(rectangle, 1, F(0))
     (arc,) = cs.components
-    assert isinstance(arc, Arc)
-    assert arc.lo == PiLinear(0, F(-1, 2)) and arc.hi == PiLinear(0, F(1, 2))
+    assert _kind(arc) == "Arc"
+    assert arc.angles.lo == PiLinear(0, F(-1, 2)) and arc.angles.hi == PiLinear(0, F(1, 2))
     cs = circle_section(roots2k, 0, F(0))
     assert [p.angle for p in enumerate_points(cs)] == [PiLinear(0, 0)]
     assert circle_section(rectangle, 3, F(1)).is_empty()
 
 
 def test_eventual_image_examples(solenoid, roots2k, rectangle):
-    assert _eventual_image(solenoid, 0, 5).components == (FullCircle(F(0)),)
+    assert _eventual_image(solenoid, 0, 5).components == (_circle(F(0)),)
     pts = enumerate_points(_eventual_image(roots2k, 1, 3))
     assert sorted(p.angle.q1 for p in pts) == [F(0), F(1)]
     # brute force: square the 16th roots three times
@@ -274,7 +310,7 @@ def test_point_level_antipode_is_the_first_antipodal_point(oracle_spectra):
     for Z in oracle_spectra:
         for n in range(9):
             view = level_view(Z, n)
-            if not all(isinstance(c, IsolatedPoint) for c in view):
+            if not all(_kind(c) == "IsolatedPoint" for c in view):
                 continue
             seen += 1
             A = antipodal_set(level_set(Z, n))
@@ -371,36 +407,36 @@ def test_claim_equivalence_random_spectra():
 
 def test_normalize_merges_wraparound_arcs():
     # [3/4 pi, 3/2 pi] crosses the branch cut and touches [-1/2 pi, 0]
-    a1 = Arc(F(0), PiLinear(0, F(3, 4)), PiLinear(0, F(3, 2)))
-    a2 = Arc(F(0), PiLinear(0, F(-1, 2)), PiLinear(0, F(0)))
+    a1 = _arc(F(0), PiLinear(0, F(3, 4)), PiLinear(0, F(3, 2)))
+    a2 = _arc(F(0), PiLinear(0, F(-1, 2)), PiLinear(0, F(0)))
     L = normalize(0, [a1, a2])
     (arc,) = L.components
-    assert isinstance(arc, Arc)
-    assert compare(arc.hi - arc.lo, PiLinear(0, F(5, 4))) == 0
+    assert _kind(arc) == "Arc"
+    assert compare(arc.angles.hi - arc.angles.lo, PiLinear(0, F(5, 4))) == 0
     # and a full cover collapses to the circle
-    b1 = Arc(F(0), PiLinear(0, F(1, 2)), PiLinear(0, F(3, 2)))
-    b2 = Arc(F(0), PiLinear(0, F(-1, 2)), PiLinear(0, F(1, 2)))
-    assert normalize(0, [b1, b2]).components == (FullCircle(F(0)),)
+    b1 = _arc(F(0), PiLinear(0, F(1, 2)), PiLinear(0, F(3, 2)))
+    b2 = _arc(F(0), PiLinear(0, F(-1, 2)), PiLinear(0, F(1, 2)))
+    assert normalize(0, [b1, b2]).components == (_circle(F(0)),)
 
 
 def test_wide_segment_becomes_full_circle():
     from dyadicspec.spectrum import SpectrumSet, VSegment
 
     Z = SpectrumSet((VSegment(F(1), PiLinear(0, -4), PiLinear(0, 4)),))
-    assert level_set(Z, 0).components == (FullCircle(F(1)),)
-    assert level_set(Z, 1).components == (FullCircle(F(1, 2)),)  # span 4 pi / 2
+    assert level_set(Z, 0).components == (_circle(F(1)),)
+    assert level_set(Z, 1).components == (_circle(F(1, 2)),)  # span 4 pi / 2
     (arc,) = level_set(Z, 2).components
-    assert isinstance(arc, FullCircle)  # span exactly 2 pi
+    assert _kind(arc) == "FullCircle"  # span exactly 2 pi
     (arc3,) = level_set(Z, 3).components
-    assert isinstance(arc3, Arc)
+    assert _kind(arc3) == "Arc"
 
 
 def test_lattice_intersection_and_antipodes():
-    lat = CircleLattice(F(0), PiLinear(0, 0), F(1, 16))  # 32nd roots of unity
-    rot = CircleLattice(F(0), PiLinear(0, F(1, 32)), F(1, 16))
+    lat = _lattice(F(0), PiLinear(0, 0), F(1, 16))  # 32nd roots of unity
+    rot = _lattice(F(0), PiLinear(0, F(1, 32)), F(1, 16))
     assert component_intersection(lat, rot) == []
     assert not antipodal_set(LevelSet(5, (lat,))).is_empty()
-    odd = CircleLattice(F(0), PiLinear(0, F(1, 3)), F(2, 3))  # 3 points
+    odd = _lattice(F(0), PiLinear(0, F(1, 3)), F(2, 3))  # 3 points
     assert antipodal_set(LevelSet(1, (odd,))).is_empty()
 
 
@@ -408,22 +444,22 @@ def test_lattice_intersection_and_antipodes():
 # differential tests: the direct level-set paths against enumeration oracles
 
 
-def _orbit(lat: CircleLattice) -> list[LevelPoint]:
+def _orbit(lat: Component) -> list[LevelPoint]:
     """Every orbit point, each reduced on its own."""
     return [
-        LevelPoint(lat.log_mod, reduce_mod_2pi(PiLinear(lat.base.q0, lat.base.q1 + j * lat.step)))
-        for j in range(lat.count)
+        LevelPoint(lat.lo_log, reduce_mod_2pi(PiLinear(lat.angles.base.q0, lat.angles.base.q1 + j * lat.angles.step)))
+        for j in range(lat.angles.count)
     ]
 
 
 def _make_lattice_by_orbit(log_mod, base, step):
     """make_lattice that walks the orbit to see whether it is one point."""
     base = PiLinear(base.q0, base.q1 % step)
-    lat = CircleLattice(log_mod, base, step)
-    if lat.count <= ENUM_LIMIT:
+    lat = _lattice(log_mod, base, step)
+    if lat.angles.count <= ENUM_LIMIT:
         pts = _orbit(lat)
         if len(pts) == 1:
-            return IsolatedPoint(pts[0])
+            return _isolated(pts[0])
     return lat
 
 
@@ -438,8 +474,8 @@ def _antipodal_all_pairs(L: LevelSet) -> LevelSet:
     out = []
     for a in L.components:
         for b in mirrored:
-            if isinstance(a, IsolatedPoint) and isinstance(b, IsolatedPoint):
-                out.extend([a] if _same_point(a.point, b.point) else [])
+            if _kind(a) == "IsolatedPoint" and _kind(b) == "IsolatedPoint":
+                out.extend([a] if _same_point(_point(a), _point(b)) else [])
             else:
                 out.extend(component_intersection(a, b))
     return normalize(L.level, out)
@@ -449,9 +485,9 @@ def _enumerate_all(L: LevelSet):
     """enumerate_points without a limit, walking every lattice orbit."""
     pts = []
     for c in L.components:
-        if isinstance(c, IsolatedPoint):
-            pts.append(c.point)
-        elif isinstance(c, CircleLattice) and c.count <= ENUM_LIMIT:
+        if _kind(c) == "IsolatedPoint":
+            pts.append(_point(c))
+        elif _kind(c) == "CircleLattice" and c.angles.count <= ENUM_LIMIT:
             pts.extend(_orbit(c))
         else:
             return None
@@ -469,9 +505,9 @@ def _random_mixed_level(rng: random.Random) -> LevelSet:
         )
         kind = rng.choice(("point", "point", "pair", "lattice", "arc"))
         if kind in ("point", "pair"):
-            comps.append(IsolatedPoint(LevelPoint(m, reduce_mod_2pi(angle))))
+            comps.append(_isolated(LevelPoint(m, reduce_mod_2pi(angle))))
         if kind == "pair":
-            comps.append(IsolatedPoint(LevelPoint(m, reduce_mod_2pi(angle + PiLinear(0, 1)))))
+            comps.append(_isolated(LevelPoint(m, reduce_mod_2pi(angle + PiLinear(0, 1)))))
         if kind == "lattice":
             # counts of at most 16 normalize into points, larger ones stay lattices
             comps.append(make_lattice(m, angle, F(2, rng.choice((1, 3, 4, 32, 64)))))
@@ -498,19 +534,19 @@ def test_make_lattice_matches_orbit_walk():
             step = F(2, count)
             got = make_lattice(log_mod, base, step)
             assert got == _make_lattice_by_orbit(log_mod, base, step), (base, count)
-            assert isinstance(got, IsolatedPoint) == (count == 1)
+            assert (_kind(got) == "IsolatedPoint") == (count == 1)
 
 
 def _lattice_points_in_interval_filtered(lat, lo, hi):
     """The orbit points with angles in [lo, hi], each j tested against both ends."""
-    step_pl = PiLinear(0, lat.step)
-    base_pl = PiLinear(lat.base.q0, lat.base.q1)
+    step_pl = PiLinear(0, lat.angles.step)
+    base_pl = PiLinear(lat.angles.base.q0, lat.angles.base.q1)
     jmin = -floor_ratio(base_pl - lo, step_pl)
     jmax = floor_ratio(hi - base_pl, step_pl)
     return [
-        lat.member(j)
+        _member(lat, j)
         for j in range(jmin - 2, jmax + 3)
-        if lo <= PiLinear(lat.base.q0, lat.base.q1 + j * lat.step) <= hi
+        if lo <= PiLinear(lat.angles.base.q0, lat.angles.base.q1 + j * lat.angles.step) <= hi
     ]
 
 
@@ -522,9 +558,9 @@ def test_lattice_points_in_interval_matches_filtered_range():
         step = F(2, count)
         for k in range(25):
             q0 = F(0) if k % 5 == 0 else F(rng.choice((-7, -1, 1, 3)), rng.randint(1, 9))
-            lat = CircleLattice(F(rng.randint(-3, 3), 4), PiLinear(q0, step * F(rng.randint(0, 5), 6)), step)
+            lat = _lattice(F(rng.randint(-3, 3), 4), PiLinear(q0, step * F(rng.randint(0, 5), 6)), step)
             def orbit_angle(j):
-                return PiLinear(q0, lat.base.q1 + j * step)
+                return PiLinear(q0, lat.angles.base.q1 + j * step)
             j0 = rng.randint(-2 * count, 2 * count)
             j1 = j0 + rng.randint(0, count + 1)
             # ends on orbit points, just beside them, and at generic angles
@@ -537,7 +573,7 @@ def test_lattice_points_in_interval_matches_filtered_range():
                     if compare(lo, hi) > 0:
                         continue
                     got = [
-                        LevelPoint(lat.log_mod, reduce_mod_2pi(a))
+                        LevelPoint(lat.lo_log, reduce_mod_2pi(a))
                         for a in _orbit_angles_in_interval(lat.angles, lo, hi)
                     ]
                     assert got == _lattice_points_in_interval_filtered(lat, lo, hi), (lat, lo, hi)
@@ -568,10 +604,10 @@ def test_point_membership_matches_value_comparison():
     rng = random.Random(8)
     for _ in range(60):
         L = _random_mixed_level(rng)
-        pts = [c.point for c in L.components if isinstance(c, IsolatedPoint)]
-        probes = pts + [antipode_component(IsolatedPoint(p)).point for p in pts]
+        pts = [_point(c) for c in L.components if _kind(c) == "IsolatedPoint"]
+        probes = pts + [_point(antipode_component(_isolated(p))) for p in pts]
         for p in pts:
-            single = LevelSet(L.level, (IsolatedPoint(p),))
+            single = LevelSet(L.level, (_isolated(p),))
             for q in probes:
                 assert membership(single, q) == _same_point(p, q)
 
@@ -609,11 +645,11 @@ def _old_anchor(lo, hi):
 def _old_make_arc(log_mod, lo, hi):
     anchored = _old_anchor(lo, hi)
     if anchored is None:
-        return FullCircle(log_mod)
+        return _circle(log_mod)
     lo, hi = anchored
     if lo == hi:
-        return IsolatedPoint(LevelPoint(log_mod, lo))
-    return Arc(log_mod, lo, hi)
+        return _isolated(LevelPoint(log_mod, lo))
+    return _arc(log_mod, lo, hi)
 
 
 def _old_make_sector(lo_log, hi_log, lo, hi):
@@ -621,8 +657,8 @@ def _old_make_sector(lo_log, hi_log, lo, hi):
         return _old_make_arc(lo_log, lo, hi)
     anchored = _old_anchor(lo, hi)
     if anchored is None:
-        return Annulus(lo_log, hi_log)
-    return Sector(lo_log, hi_log, anchored[0], anchored[1])
+        return _annulus(lo_log, hi_log)
+    return _sector(lo_log, hi_log, anchored[0], anchored[1])
 
 
 def _old_angle_in_interval(angle, lo, hi):
@@ -633,79 +669,79 @@ def _old_angle_in_interval(angle, lo, hi):
 
 
 def _old_contains_angle(lat, angle):
-    if angle.q0 != lat.base.q0:
+    if angle.q0 != lat.angles.base.q0:
         return False
-    return ((angle.q1 - lat.base.q1) / lat.step).denominator == 1
+    return ((angle.q1 - lat.angles.base.q1) / lat.angles.step).denominator == 1
 
 
 def _old_component_contains(c, p):
-    if isinstance(c, IsolatedPoint):
-        return c.point == p
-    if isinstance(c, Arc):
-        return c.log_mod == p.log_mod and _old_angle_in_interval(p.angle, c.lo, c.hi)
-    if isinstance(c, FullCircle):
-        return c.log_mod == p.log_mod
-    if isinstance(c, CircleLattice):
-        return c.log_mod == p.log_mod and _old_contains_angle(c, p.angle)
-    if isinstance(c, Sector):
+    if _kind(c) == "IsolatedPoint":
+        return _point(c) == p
+    if _kind(c) == "Arc":
+        return c.lo_log == p.log_mod and _old_angle_in_interval(p.angle, c.angles.lo, c.angles.hi)
+    if _kind(c) == "FullCircle":
+        return c.lo_log == p.log_mod
+    if _kind(c) == "CircleLattice":
+        return c.lo_log == p.log_mod and _old_contains_angle(c, p.angle)
+    if _kind(c) == "Sector":
         if not (c.lo_log <= p.log_mod <= c.hi_log):
             return False
-        return _old_angle_in_interval(p.angle, c.lo, c.hi)
+        return _old_angle_in_interval(p.angle, c.angles.lo, c.angles.hi)
     return c.lo_log <= p.log_mod <= c.hi_log
 
 
 def _old_antipode_component(c):
     half_turn = PiLinear(0, 1)
-    if isinstance(c, IsolatedPoint):
-        return IsolatedPoint(LevelPoint(c.point.log_mod, reduce_mod_2pi(c.point.angle + half_turn)))
-    if isinstance(c, Arc):
-        return _old_make_arc(c.log_mod, c.lo + half_turn, c.hi + half_turn)
-    if isinstance(c, CircleLattice):
-        return CircleLattice(c.log_mod, PiLinear(c.base.q0, (c.base.q1 + 1) % c.step), c.step)
-    if isinstance(c, Sector):
-        return _old_make_sector(c.lo_log, c.hi_log, c.lo + half_turn, c.hi + half_turn)
+    if _kind(c) == "IsolatedPoint":
+        return _isolated(LevelPoint(_point(c).log_mod, reduce_mod_2pi(_point(c).angle + half_turn)))
+    if _kind(c) == "Arc":
+        return _old_make_arc(c.lo_log, c.angles.lo + half_turn, c.angles.hi + half_turn)
+    if _kind(c) == "CircleLattice":
+        return _lattice(c.lo_log, PiLinear(c.angles.base.q0, (c.angles.base.q1 + 1) % c.angles.step), c.angles.step)
+    if _kind(c) == "Sector":
+        return _old_make_sector(c.lo_log, c.hi_log, c.angles.lo + half_turn, c.angles.hi + half_turn)
     return c  # full circles and annuli
 
 
 def _old_power_component(c, s):
-    if isinstance(c, IsolatedPoint):
-        p = c.point
-        return IsolatedPoint(LevelPoint(s * p.log_mod, reduce_mod_2pi(p.angle.scaled(s))))
-    if isinstance(c, Arc):
-        return _old_make_arc(s * c.log_mod, c.lo.scaled(s), c.hi.scaled(s))
-    if isinstance(c, FullCircle):
-        return FullCircle(s * c.log_mod)
-    if isinstance(c, CircleLattice):
-        return make_lattice(s * c.log_mod, c.base.scaled(s), _rat_gcd((s * c.step, F(2))))
-    if isinstance(c, Sector):
-        return _old_make_sector(s * c.lo_log, s * c.hi_log, c.lo.scaled(s), c.hi.scaled(s))
-    return Annulus(s * c.lo_log, s * c.hi_log)
+    if _kind(c) == "IsolatedPoint":
+        p = _point(c)
+        return _isolated(LevelPoint(s * p.log_mod, reduce_mod_2pi(p.angle.scaled(s))))
+    if _kind(c) == "Arc":
+        return _old_make_arc(s * c.lo_log, c.angles.lo.scaled(s), c.angles.hi.scaled(s))
+    if _kind(c) == "FullCircle":
+        return _circle(s * c.lo_log)
+    if _kind(c) == "CircleLattice":
+        return make_lattice(s * c.lo_log, c.angles.base.scaled(s), _rat_gcd((s * c.angles.step, F(2))))
+    if _kind(c) == "Sector":
+        return _old_make_sector(s * c.lo_log, s * c.hi_log, c.angles.lo.scaled(s), c.angles.hi.scaled(s))
+    return _annulus(s * c.lo_log, s * c.hi_log)
 
 
 def _old_sup_candidates(c):
     half_turn = PiLinear(0, 1)
-    if isinstance(c, IsolatedPoint):
-        return [c.point]
-    if isinstance(c, Arc):
+    if _kind(c) == "IsolatedPoint":
+        return [_point(c)]
+    if _kind(c) == "Arc":
         cands = [
-            LevelPoint(c.log_mod, reduce_mod_2pi(c.lo)),
-            LevelPoint(c.log_mod, reduce_mod_2pi(c.hi)),
+            LevelPoint(c.lo_log, reduce_mod_2pi(c.angles.lo)),
+            LevelPoint(c.lo_log, reduce_mod_2pi(c.angles.hi)),
         ]
-        if _old_angle_in_interval(half_turn, c.lo, c.hi):
-            cands.append(LevelPoint(c.log_mod, half_turn))
+        if _old_angle_in_interval(half_turn, c.angles.lo, c.angles.hi):
+            cands.append(LevelPoint(c.lo_log, half_turn))
         return cands
-    if isinstance(c, FullCircle):
-        return [LevelPoint(c.log_mod, half_turn)]
-    if isinstance(c, CircleLattice):
-        target = PiLinear(-c.base.q0, 1 - c.base.q1)
-        j0 = floor_ratio(target, PiLinear(0, c.step))
-        return [c.member(j) for j in (j0 - 1, j0, j0 + 1)]
-    if isinstance(c, Sector):
+    if _kind(c) == "FullCircle":
+        return [LevelPoint(c.lo_log, half_turn)]
+    if _kind(c) == "CircleLattice":
+        target = PiLinear(-c.angles.base.q0, 1 - c.angles.base.q1)
+        j0 = floor_ratio(target, PiLinear(0, c.angles.step))
+        return [_member(c, j) for j in (j0 - 1, j0, j0 + 1)]
+    if _kind(c) == "Sector":
         out = []
         for m in (c.lo_log, c.hi_log):
-            out.append(LevelPoint(m, reduce_mod_2pi(c.lo)))
-            out.append(LevelPoint(m, reduce_mod_2pi(c.hi)))
-            if _old_angle_in_interval(half_turn, c.lo, c.hi):
+            out.append(LevelPoint(m, reduce_mod_2pi(c.angles.lo)))
+            out.append(LevelPoint(m, reduce_mod_2pi(c.angles.hi)))
+            if _old_angle_in_interval(half_turn, c.angles.lo, c.angles.hi):
                 out.append(LevelPoint(m, half_turn))
         return out
     return [LevelPoint(c.lo_log, half_turn), LevelPoint(c.hi_log, half_turn)]
@@ -724,88 +760,88 @@ def _old_interval_intersections(lo1, hi1, lo2, hi2):
 
 
 def _old_lattice_points_in_interval(lat, lo, hi):
-    step_pl = PiLinear(0, lat.step)
-    jmin = -floor_ratio(lat.base - lo, step_pl)
-    jmax = floor_ratio(hi - lat.base, step_pl)
-    return [lat.member(j) for j in range(jmin, jmax + 1)]
+    step_pl = PiLinear(0, lat.angles.step)
+    jmin = -floor_ratio(lat.angles.base - lo, step_pl)
+    jmax = floor_ratio(hi - lat.angles.base, step_pl)
+    return [_member(lat, j) for j in range(jmin, jmax + 1)]
 
 
 def _old_lattice_intersection(a, b):
-    if a.log_mod != b.log_mod or a.base.q0 != b.base.q0:
+    if a.lo_log != b.lo_log or a.angles.base.q0 != b.angles.base.q0:
         return []
-    g = _rat_gcd((a.step, b.step))
-    if ((b.base.q1 - a.base.q1) / g).denominator != 1:
+    g = _rat_gcd((a.angles.step, b.angles.step))
+    if ((b.angles.base.q1 - a.angles.base.q1) / g).denominator != 1:
         return []
-    step = a.step * b.step / g
+    step = a.angles.step * b.angles.step / g
     den = math.lcm(
-        a.step.denominator, b.step.denominator, a.base.q1.denominator, b.base.q1.denominator
+        a.angles.step.denominator, b.angles.step.denominator, a.angles.base.q1.denominator, b.angles.base.q1.denominator
     )
-    G1, G2 = int(a.step * den), int(b.step * den)
-    B1, B2 = int(a.base.q1 * den), int(b.base.q1 * den)
+    G1, G2 = int(a.angles.step * den), int(b.angles.step * den)
+    B1, B2 = int(a.angles.base.q1 * den), int(b.angles.base.q1 * den)
     g12 = math.gcd(G1, G2)
     u0 = ((B2 - B1) // g12 * pow(G1 // g12, -1, G2 // g12)) % (G2 // g12)
-    return [make_lattice(a.log_mod, PiLinear(a.base.q0, F(B1 + G1 * u0, den) % step), step)]
+    return [make_lattice(a.lo_log, PiLinear(a.angles.base.q0, F(B1 + G1 * u0, den) % step), step)]
 
 
-_OLD_RANK = {IsolatedPoint: 0, Arc: 1, FullCircle: 2, CircleLattice: 3, Sector: 4, Annulus: 5}
+_OLD_RANK = {"IsolatedPoint": 0, "Arc": 1, "FullCircle": 2, "CircleLattice": 3, "Sector": 4, "Annulus": 5}
 
 
 def _old_component_intersection(a, b):
-    if _OLD_RANK[type(a)] > _OLD_RANK[type(b)]:
+    if _OLD_RANK[_kind(a)] > _OLD_RANK[_kind(b)]:
         a, b = b, a
-    if isinstance(a, IsolatedPoint):
-        return [a] if _old_component_contains(b, a.point) else []
-    if isinstance(a, Arc):
-        if isinstance(b, Arc):
-            if a.log_mod != b.log_mod:
+    if _kind(a) == "IsolatedPoint":
+        return [a] if _old_component_contains(b, _point(a)) else []
+    if _kind(a) == "Arc":
+        if _kind(b) == "Arc":
+            if a.lo_log != b.lo_log:
                 return []
             return [
-                _old_make_arc(a.log_mod, lo, hi)
-                for lo, hi in _old_interval_intersections(a.lo, a.hi, b.lo, b.hi)
+                _old_make_arc(a.lo_log, lo, hi)
+                for lo, hi in _old_interval_intersections(a.angles.lo, a.angles.hi, b.angles.lo, b.angles.hi)
             ]
-        if isinstance(b, FullCircle):
-            return [a] if a.log_mod == b.log_mod else []
-        if isinstance(b, CircleLattice):
-            if a.log_mod != b.log_mod:
+        if _kind(b) == "FullCircle":
+            return [a] if a.lo_log == b.lo_log else []
+        if _kind(b) == "CircleLattice":
+            if a.lo_log != b.lo_log:
                 return []
-            return [IsolatedPoint(p) for p in _old_lattice_points_in_interval(b, a.lo, a.hi)]
-        if isinstance(b, Sector):
-            if not (b.lo_log <= a.log_mod <= b.hi_log):
+            return [_isolated(p) for p in _old_lattice_points_in_interval(b, a.angles.lo, a.angles.hi)]
+        if _kind(b) == "Sector":
+            if not (b.lo_log <= a.lo_log <= b.hi_log):
                 return []
             return [
-                _old_make_arc(a.log_mod, lo, hi)
-                for lo, hi in _old_interval_intersections(a.lo, a.hi, b.lo, b.hi)
+                _old_make_arc(a.lo_log, lo, hi)
+                for lo, hi in _old_interval_intersections(a.angles.lo, a.angles.hi, b.angles.lo, b.angles.hi)
             ]
-        return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
-    if isinstance(a, FullCircle):
-        if isinstance(b, FullCircle):
-            return [a] if a.log_mod == b.log_mod else []
-        if isinstance(b, CircleLattice):
-            return [b] if a.log_mod == b.log_mod else []
-        if isinstance(b, Sector):
-            if not (b.lo_log <= a.log_mod <= b.hi_log):
+        return [a] if b.lo_log <= a.lo_log <= b.hi_log else []
+    if _kind(a) == "FullCircle":
+        if _kind(b) == "FullCircle":
+            return [a] if a.lo_log == b.lo_log else []
+        if _kind(b) == "CircleLattice":
+            return [b] if a.lo_log == b.lo_log else []
+        if _kind(b) == "Sector":
+            if not (b.lo_log <= a.lo_log <= b.hi_log):
                 return []
-            return [_old_make_arc(a.log_mod, b.lo, b.hi)]
-        return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
-    if isinstance(a, CircleLattice):
-        if isinstance(b, CircleLattice):
+            return [_old_make_arc(a.lo_log, b.angles.lo, b.angles.hi)]
+        return [a] if b.lo_log <= a.lo_log <= b.hi_log else []
+    if _kind(a) == "CircleLattice":
+        if _kind(b) == "CircleLattice":
             return _old_lattice_intersection(a, b)
-        if isinstance(b, Sector):
-            if not (b.lo_log <= a.log_mod <= b.hi_log):
+        if _kind(b) == "Sector":
+            if not (b.lo_log <= a.lo_log <= b.hi_log):
                 return []
-            return [IsolatedPoint(p) for p in _old_lattice_points_in_interval(a, b.lo, b.hi)]
-        return [a] if b.lo_log <= a.log_mod <= b.hi_log else []
+            return [_isolated(p) for p in _old_lattice_points_in_interval(a, b.angles.lo, b.angles.hi)]
+        return [a] if b.lo_log <= a.lo_log <= b.hi_log else []
     lo_log, hi_log = max(a.lo_log, b.lo_log), min(a.hi_log, b.hi_log)
     if lo_log > hi_log:
         return []
-    if isinstance(a, Sector):
-        if isinstance(b, Sector):
+    if _kind(a) == "Sector":
+        if _kind(b) == "Sector":
             return [
                 _old_make_sector(lo_log, hi_log, lo, hi)
-                for lo, hi in _old_interval_intersections(a.lo, a.hi, b.lo, b.hi)
+                for lo, hi in _old_interval_intersections(a.angles.lo, a.angles.hi, b.angles.lo, b.angles.hi)
             ]
-        return [_old_make_sector(lo_log, hi_log, a.lo, a.hi)]
-    return [Annulus(lo_log, hi_log)]
+        return [_old_make_sector(lo_log, hi_log, a.angles.lo, a.angles.hi)]
+    return [_annulus(lo_log, hi_log)]
 
 
 _RADII = [F(k, 2) for k in range(-2, 3)]
@@ -824,19 +860,19 @@ def _random_component(rng, kind):
     m = rng.choice(_RADII)
     lo = _random_angle(rng)
     hi = lo + PiLinear(0, F(rng.randint(1, 15), 8))  # span below 2*pi
-    if kind is IsolatedPoint:
+    if kind == "IsolatedPoint":
         # a coarse angle grid, so that points meet points and lattice members
         angle = PiLinear(rng.choice(_ANGLE_OFFSETS), F(rng.randint(-4, 4), 4))
-        return IsolatedPoint(LevelPoint(m, reduce_mod_2pi(angle)))
-    if kind is Arc:
+        return _isolated(LevelPoint(m, reduce_mod_2pi(angle)))
+    if kind == "Arc":
         return _old_make_arc(m, lo, hi)
-    if kind is FullCircle:
-        return FullCircle(m)
-    if kind is CircleLattice:
+    if kind == "FullCircle":
+        return _circle(m)
+    if kind == "CircleLattice":
         return make_lattice(m, lo, F(2, rng.choice(_LATTICE_COUNTS)))
-    if kind is Sector:
+    if kind == "Sector":
         return _old_make_sector(lo_log, hi_log, lo, hi)
-    return Annulus(lo_log, hi_log)
+    return _annulus(lo_log, hi_log)
 
 
 def test_product_grammar_matches_per_kind_dispatch():
@@ -847,7 +883,7 @@ def test_product_grammar_matches_per_kind_dispatch():
         for kb in kinds[i:]:
             for _ in range(480):
                 a, b = _random_component(rng, ka), _random_component(rng, kb)
-                assert (type(a), type(b)) == (ka, kb)
+                assert (_kind(a), _kind(b)) == (ka, kb)
                 pair = (ka, kb)
                 if rng.random() < 0.5:
                     a, b = b, a
@@ -870,29 +906,29 @@ def test_product_grammar_matches_per_kind_dispatch():
 
 def test_touching_annuli_meet_in_a_full_circle():
     m = F(0)
-    assert component_intersection(Annulus(F(-1), m), Annulus(m, F(1, 2))) == [FullCircle(m)]
+    assert component_intersection(_annulus(F(-1), m), _annulus(m, F(1, 2))) == [_circle(m)]
     # as two sectors touching at one radius meet in an arc there
     (arc,) = component_intersection(
-        Sector(F(-1), m, PiLinear(0, F(-1, 2)), PiLinear(0, F(1, 2))),
-        Sector(m, F(1), PiLinear(0, F(-1, 4)), PiLinear(0, F(1))),
+        _sector(F(-1), m, PiLinear(0, F(-1, 2)), PiLinear(0, F(1, 2))),
+        _sector(m, F(1), PiLinear(0, F(-1, 4)), PiLinear(0, F(1))),
     )
-    assert arc == Arc(m, PiLinear(0, F(-1, 4)), PiLinear(0, F(1, 2)))
+    assert arc == _arc(m, PiLinear(0, F(-1, 4)), PiLinear(0, F(1, 2)))
 
 
 def test_normalize_orders_sectors_and_annuli():
     pi = lambda q: PiLinear(0, q)  # noqa: E731
-    a = Sector(F(0), F(1), pi(F(-9, 10)), pi(F(9, 10)))
-    b = Sector(F(0), F(1), pi(F(1, 2)), pi(F(23, 10)))
+    a = _sector(F(0), F(1), pi(F(-9, 10)), pi(F(9, 10)))
+    b = _sector(F(0), F(1), pi(F(1, 2)), pi(F(23, 10)))
     # the angle intervals meet twice, so each order yields two sectors
     ab, ba = component_intersection(a, b), component_intersection(b, a)
     assert len(ab) == len(ba) == 2
     assert normalize(0, ab) == normalize(0, ba)
     comps = ab + [
-        Annulus(F(0), F(1)),
-        Annulus(F(-1), F(1)),
-        Sector(F(-1), F(1), pi(F(1, 3)), pi(F(1, 2))),
-        Sector(F(0), F(1), PiLinear(F(1, 3), 0), PiLinear(F(1, 3), F(1, 4))),
-        FullCircle(F(1, 2)),
+        _annulus(F(0), F(1)),
+        _annulus(F(-1), F(1)),
+        _sector(F(-1), F(1), pi(F(1, 3)), pi(F(1, 2))),
+        _sector(F(0), F(1), PiLinear(F(1, 3), 0), PiLinear(F(1, 3), F(1, 4))),
+        _circle(F(1, 2)),
     ]
     want = normalize(0, comps)
     rng = random.Random(5)

@@ -12,18 +12,7 @@ import dyadicspec
 from dyadicspec.classify import ClassifyParams, classify
 from dyadicspec.cli import builtin_example
 from dyadicspec.exactnum import PiLinear
-from dyadicspec.levels import (
-    Annulus,
-    Arc,
-    CircleLattice,
-    FullCircle,
-    Interval,
-    IsolatedPoint,
-    LevelCache,
-    LevelPoint,
-    Orbit,
-    Sector,
-)
+from dyadicspec.levels import Component, Interval, LevelCache, LevelPoint, Orbit, make_component
 from dyadicspec.records import record
 from dyadicspec.simulate import DiagonalModel, DyadicTime
 from dyadicspec.spectrum import (
@@ -41,6 +30,7 @@ from dyadicspec.towers import Tower, TowerError
 
 BUILTINS = ("roots2k", "solenoid", "rectangle", "primefamily")
 P = LevelPoint(F(-1, 2), PiLinear(0, F(1, 3)))
+POINT = make_component(P.log_mod, P.log_mod, P.angle)  # the isolated point P
 
 
 def _collect(obj, out: dict) -> None:
@@ -79,7 +69,7 @@ def builtin_records():
 
 def test_records_match_frozen_dataclasses(builtin_records):
     kinds = {type(x).__name__ for x in builtin_records}
-    assert {"ClassificationReport", "LevelPoint", "IsolatedPoint", "Thread"} <= kinds
+    assert {"ClassificationReport", "LevelPoint", "Component", "Thread"} <= kinds
     by_class: dict = {}
     for x in builtin_records:
         t = _twin(x)
@@ -104,28 +94,28 @@ def test_keywords_defaults_and_bad_arguments():
     assert PrimeFamily(J=3) == PrimeFamily("2j", 3)
     assert ClassifyParams(n_max=5) == ClassifyParams(5)
     assert LevelPoint(angle=P.angle, log_mod=P.log_mod) == P
-    assert IsolatedPoint(point=P).point is P
+    assert Component(lo_log=P.log_mod, hi_log=P.log_mod, angles=P.angle).angles is P.angle
     for bad in (
         lambda: Thread(0),  # missing
         lambda: Thread(0, P, colour=1),  # unknown
         lambda: VLine(F(0), F(1)),  # too many
         lambda: VLine(F(0), re=F(0)),  # twice
         lambda: LevelPoint(F(0)),
-        lambda: IsolatedPoint(),
+        lambda: Component(),
     ):
         with pytest.raises(TypeError):
             bad()
 
 
 def test_records_are_immutable():
-    for x, name in ((VLine(F(0)), "re"), (Thread(0, P), "bits"), (P, "angle"), (IsolatedPoint(P), "point")):
+    for x, name in ((VLine(F(0)), "re"), (Thread(0, P), "bits"), (P, "angle"), (POINT, "angles")):
         with pytest.raises(AttributeError):
             setattr(x, name, None)
         with pytest.raises(AttributeError):
             setattr(x, "other", None)
         with pytest.raises(AttributeError):
             delattr(x, name)
-    assert not hasattr(P, "__dict__") and not hasattr(IsolatedPoint(P), "__dict__")
+    assert not hasattr(P, "__dict__") and not hasattr(POINT, "__dict__")
 
 
 def test_post_init_checks_still_fire():
@@ -150,23 +140,28 @@ def test_post_init_checks_still_fire():
 
 def test_cached_views_work_on_records():
     lo, hi = PiLinear(0, F(-1, 4)), PiLinear(0, F(1, 4))
-    arc = Arc(F(0), lo, hi)
+    arc = make_component(F(0), F(0), Interval(lo, hi))
     assert arc.angles == Interval(lo, hi) and arc.angles is arc.angles
-    assert arc.radial == (F(0), F(0))
-    assert FullCircle(F(1)).radial == (F(1), F(1)) and FullCircle(F(1)).angles is None
-    lat = CircleLattice(F(0), PiLinear(0), F(1, 2))
-    assert lat.angles == Orbit(PiLinear(0), F(1, 2)) and lat.count == 4
-    assert Sector(F(-1), F(0), lo, hi).radial == (F(-1), F(0))
-    assert Annulus(F(-1), F(0)).radial == (F(-1), F(0))
+    assert (arc.lo_log, arc.hi_log) == (F(0), F(0))
+    circle = make_component(F(1), F(1), None)
+    assert (circle.lo_log, circle.hi_log) == (F(1), F(1)) and circle.angles is None
+    lat = make_component(F(0), F(0), Orbit(PiLinear(0), F(1, 2)))
+    assert lat.angles == Orbit(PiLinear(0), F(1, 2)) and lat.angles.count == 4
+    sector = make_component(F(-1), F(0), Interval(lo, hi))
+    assert (sector.lo_log, sector.hi_log) == (F(-1), F(0))
+    annulus = make_component(F(-1), F(0), None)
+    assert (annulus.lo_log, annulus.hi_log) == (F(-1), F(0))
     fam = PrimeFamily("2j", 2)
     assert isinstance(fam.section, SectionPoints) and fam.section is fam.section
     assert len(fam.section.values) == 4
     # a cached view is not a field: equality and hash ignore it
-    assert arc == Arc(F(0), lo, hi) and hash(arc) == hash(Arc(F(0), lo, hi))
+    twin = make_component(F(0), F(0), Interval(lo, hi))
+    assert arc == twin and hash(arc) == hash(twin)
 
 
 def test_copy_and_pickle_round_trip():
-    for x in (P, IsolatedPoint(P), Thread(0, P, (1,)), Arc(F(0), PiLinear(0), PiLinear(0, F(1, 2)))):
+    arc = make_component(F(0), F(0), Interval(PiLinear(0), PiLinear(0, F(1, 2))))
+    for x in (P, POINT, Thread(0, P, (1,)), arc):
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
 

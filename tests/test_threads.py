@@ -360,7 +360,7 @@ def test_on_line_level_is_membership_in_the_primitive_level(re, base, step, n):
     prim = VLine(re) if step is None else ILattice(re, base, step)
     cache = LevelCache(SpectrumSet((prim,)))
     points = [q for c in cache.view(n) for q in component_sup_candidates(c)]
-    points += [LevelPoint(cache.view(n)[0].radial[0], reduce_mod_2pi(PiLinear(0, F(k, 7)))) for k in range(-7, 7)]
+    points += [LevelPoint(cache.view(n)[0].lo_log, reduce_mod_2pi(PiLinear(0, F(k, 7)))) for k in range(-7, 7)]
     points += [LevelPoint(q.log_mod + F(1, 8), q.angle) for q in points[:3]]
     points += [LevelPoint(q.log_mod, reduce_mod_2pi(q.angle + PiLinear(0, F(1, 2**n)))) for q in points[:3]]
     for q in points:

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import sys
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from dyadicspec.cli import ConfigError, main, parse_config, render_config
+from dyadicspec.classify import ClassifyParams
+from dyadicspec.cli import Config, ConfigError, main, parse_config, render_config
+from dyadicspec.spectrum import SpectrumSet
 from dyadicspec.towers import (
     Tower,
     TowerError,
@@ -116,6 +119,25 @@ def test_a_tower_is_its_cycle():
         Tower(())
     with pytest.raises(TowerError):
         Tower(((1, 2.0),))
+
+
+def test_every_tower_that_builds_renders_back_to_itself():
+    # the zero tower is one step: a rank-0 cycle of two would print as
+    # `tower zero` and parse back to the unequal one-step cycle
+    with pytest.raises(TowerError):
+        Tower(((), ()))
+    built = 0
+    for rank in range(3):
+        steps = list(itertools.product(range(-1, 3), repeat=rank))
+        for length in range(1, 4):
+            for cycle in itertools.product(steps, repeat=length):
+                try:
+                    cfg = Config(SpectrumSet(()), ClassifyParams(), tower=Tower(cycle))
+                except TowerError:
+                    continue
+                assert parse_config(render_config(cfg)) == cfg, cycle
+                built += 1
+    assert built == 1 + (4 + 16 + 64) + (16 + 256 + 4096)
 
 
 # ---------------------------------------------------------------------------
