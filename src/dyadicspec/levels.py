@@ -435,7 +435,7 @@ def membership(L: LevelSet, p: LevelPoint) -> bool:
     m = p.log_mod
     for c in L.components:
         lo, hi = c.lo_log, c.hi_log
-        # one circle needs one comparison (its radial pair is one object twice)
+        # one circle needs one comparison (its lo_log is its hi_log)
         if (m == lo if lo is hi else lo <= m <= hi) and _angles_contain(c.angles, p.angle):
             return True
     return False
