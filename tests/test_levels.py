@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from dyadicspec.exactnum import EQUAL, PI, PiLinear, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
-from dyadicspec.cli import component_text
 from dyadicspec.levels import (
     ENUM_LIMIT,
     Component,
@@ -74,8 +73,19 @@ def _annulus(lo_log, hi_log) -> Component:
     return Component(lo_log, hi_log, None)
 
 
+# the old class names, read off the two factors: one circle or a range, angle kind
+_KINDS = {
+    (True, PiLinear): "IsolatedPoint",
+    (True, Interval): "Arc",
+    (True, type(None)): "FullCircle",
+    (True, Orbit): "CircleLattice",
+    (False, Interval): "Sector",
+    (False, type(None)): "Annulus",
+}
+
+
 def _kind(c: Component) -> str:
-    return component_text(c)[0]
+    return _KINDS[c.lo_log == c.hi_log, type(c.angles)]
 
 
 def _point(c: Component) -> LevelPoint:

@@ -155,6 +155,7 @@ def test_cached_views_work_on_records():
     assert isinstance(fam.section, SectionPoints) and fam.section is fam.section
     assert len(fam.section.values) == 4
     # a cached view is not a field: equality and hash ignore it
+    assert fam == PrimeFamily("2j", 2) and hash(fam) == hash(PrimeFamily("2j", 2))
     twin = make_component(F(0), F(0), Interval(lo, hi))
     assert arc == twin and hash(arc) == hash(twin)
 
