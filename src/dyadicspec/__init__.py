@@ -51,6 +51,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "simulate": (
         "DiagonalModel",
+        "model_from_threads",
         "DyadicTime",
         "TestVector",
         "apply_semigroup",

@@ -1,8 +1,9 @@
 """Command-line interface: config parsing, dispatch, reports, CSV.
 
 This is the one module that writes report sentences: `classify`,
-`threads` and `spectrum` return exact values, and the text and JSON
-reports put them into words here.
+`threads`, `spectrum` and `simulate` return exact values, and the text
+and JSON reports put them into words here.  The computing stays in those
+modules (`simulate` builds the diagonal model); `cli` dispatches.
 
 Config files are line-based, one `key value` per line, `#` comments.
 The keys are `spectrum` (repeatable) and those of `_SETTINGS`, each at
@@ -43,7 +44,6 @@ from .levels import (
     LevelCache,
     LevelPoint,
     Orbit,
-    component_sup_candidates,
     enumerate_points,
     sample_points,
 )
@@ -63,7 +63,7 @@ from .spectrum import (
     antipode_level_union,
     image_closedness,
 )
-from .threads import Thread, convergence_rate, step_point
+from .threads import convergence_rate
 
 # simulate and towers load on first use: most calls need neither
 
@@ -625,44 +625,6 @@ def render_report(rep: ClassificationReport) -> str:
 # commands
 
 
-def _greedy_bits(cache: LevelCache, seed: LevelPoint, cap: int) -> Optional[tuple[int, ...]]:
-    """Branch bits of the thread from `seed` at level 0 through level `cap`
-    that takes the principal root whenever it stays in the level set and
-    the other root otherwise; None if both roots leave it at some level."""
-    bits = []
-    p = seed
-    for level in range(1, cap + 1):
-        for bit in (0, 1):
-            q = step_point(p, bit)
-            if cache.contains(level, q):
-                break
-        else:
-            return None
-        bits.append(bit)
-        p = q
-    return tuple(bits)
-
-
-def _default_model(cfg: Config, cache: LevelCache) -> DiagonalModel:
-    """A small deterministic model: a few feasible threads grown greedily.
-    The model's own walk re-checks every point of every thread."""
-    from .simulate import DiagonalModel
-
-    seeds = []
-    for c in cache.level(0).components:
-        seeds.extend(component_sup_candidates(c))
-    seeds = list(dict.fromkeys(seeds))[:3]
-    cap = max(cfg.params.search_depth, 30)
-    threads = []
-    for seed in seeds:
-        bits = _greedy_bits(cache, seed, cap)
-        if bits is not None:
-            threads.append(Thread(0, seed, bits))
-    if not threads:
-        raise SpectrumError("no feasible threads found for the model")
-    return DiagonalModel(cfg.spectrum, tuple(threads), level_cap=cap, cache=cache)
-
-
 def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool = False) -> tuple[int, str]:
     """Dispatch a command; returns (exit_code, report_text)."""
     if command != "towers" and cfg.spectrum.is_empty():
@@ -743,13 +705,14 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
         from .simulate import (
             DyadicTime,
             continuity_trace,
+            default_model,
             joint_spectrum_residual,
             norm_bound_check,
             quasi_uniform_cover,
         )
 
         cache = LevelCache(cfg.spectrum)
-        model = _default_model(cfg, cache)
+        model = default_model(cache, cfg.params.search_depth)
         out = [f"diagonal model: {len(model.threads)} threads, level cap {model.level_cap}"]
         bad = []
         for n in range(0, 31):  # the level cap is at least 30

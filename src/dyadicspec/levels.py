@@ -807,15 +807,20 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
             radii = [lo + (hi - lo) * Fraction(i, count - 1) for i in range(count)]
         angles = _angle_samples(c.angles, count)
         for m in radii:
-            try:
-                r = math.exp(float(m))
-            except OverflowError:
-                r = math.inf if m > 0 else 0.0
-            for t in angles:
-                x, y = math.cos(t), math.sin(t)
-                # a zero factor is kept as is: inf * 0.0 is nan
-                out.append((r * x if x else x, r * y if y else y))
+            out.extend(float_polar(m, t) for t in angles)
     return out
+
+
+def float_polar(log_mod: Fraction, angle: float) -> tuple[float, float]:
+    """(re, im) of e^log_mod at the angle, in floats: a modulus past the
+    float range is inf and one below it 0."""
+    try:
+        r = math.exp(float(log_mod))
+    except OverflowError:
+        r = math.inf if log_mod > 0 else 0.0
+    x, y = math.cos(angle), math.sin(angle)
+    # a zero factor is kept as is: inf * 0.0 is nan
+    return r * x if x else x, r * y if y else y
 
 
 class LevelCache:

@@ -4,9 +4,7 @@ generating code.
 ``@record`` takes a class's fields, in order, from its own annotations
 (only the names are read) and their defaults from class attributes.  It
 gives the class an ``__init__`` taking the fields by position or keyword,
-which then calls ``__post_init__`` if the class has one, handing on the
-keyword arguments named by its keyword-only parameters (init-only values,
-which are not fields); equality with the
+which then calls ``__post_init__`` if the class has one; equality with the
 same class and a hash, both on the tuple of fields; the repr
 ``Name(field=value, ...)``; and no assignment or deletion.  These are the
 values a frozen dataclass gives, so reports and set orders do not depend on
@@ -40,10 +38,6 @@ def record(cls):
     names = tuple(cls.__annotations__)  # the class's own, from Python 3.10 on
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", None)
-    # keyword-only parameters of __post_init__ are init-only arguments, as
-    # with dataclasses' InitVar: passed by keyword, handed on, not fields
-    code = getattr(post_init, "__code__", None)
-    init_only = code.co_varnames[code.co_argcount : code.co_argcount + code.co_kwonlyargcount] if code else ()
 
     def __init__(self, *args, **kwargs):
         if len(args) > len(names):
@@ -57,11 +51,10 @@ def record(cls):
                 d[name] = defaults[name]
             else:
                 raise TypeError(f"{cls.__name__}() missing argument {name!r}")
-        extra = {n: kwargs.pop(n) for n in init_only if n in kwargs} if init_only else {}
         if kwargs:
             raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
         if post_init:
-            self.__post_init__(**extra)
+            self.__post_init__()
 
     # the field tuple of an instance dict; itemgetter gives a tuple for two or more
     fields = itemgetter(*names) if len(names) > 1 else lambda d: tuple([d[n] for n in names])

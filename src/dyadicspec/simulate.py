@@ -1,7 +1,10 @@
 """Finite diagonal model of the trivial-extension semigroup.
 
 The model keeps K feasible threads (the dense points of the diagonal
-construction) and d-dimensional coefficient blocks.  A positive dyadic
+construction), each with its checked points from its base level to the
+level cap, and d-dimensional coefficient blocks.  `default_model` grows
+its threads greedily with `threads.grow`; `model_from_threads` walks
+threads the caller gives once each with `threads.walk`.  A positive dyadic
 time t = S / 2^L with S odd acts on block k by the scalar
 point_L(thread_k)^S; the scalar's angle and log-modulus are tracked
 exactly (one float conversion at the very end), so the semigroup law is
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactnum import PiLinear, reduce_mod_2pi
-from .levels import LevelCache, LevelPoint
+from .levels import LevelCache, LevelPoint, float_polar
 from .realbounds import compare_abs1m_sq
 from .records import record
 from .spectrum import (
@@ -32,10 +35,11 @@ from .spectrum import (
     SectionLattice,
     SectionPart,
     SectionPoints,
+    SpectrumError,
     SpectrumSet,
     real_part_range,
 )
-from .threads import Thread, search, search_seeds, walk
+from .threads import Thread, grow, level_seeds, search, search_seeds, walk
 
 
 class DyadicRangeError(ValueError):
@@ -114,33 +118,40 @@ class DiagonalModel:
     spectrum: SpectrumSet
     threads: tuple[Thread, ...]
     level_cap: int
+    walks: tuple[tuple[LevelPoint, ...], ...]  # per thread: its checked points, base level to cap
 
-    def __post_init__(self, *, cache: Optional[LevelCache] = None):
-        """`cache` holds level sets of the spectrum to reuse and fill; a
-        fresh one is made by default."""
+    def __post_init__(self):
         if not self.threads:
             raise ValueError("model needs at least one thread")
         if self.level_cap < 1:
             raise ValueError("level_cap must be >= 1")
-        if cache is None:
-            cache = LevelCache(self.spectrum)
-        elif cache.Z != self.spectrum:
-            raise ValueError("the level cache belongs to another spectrum")
-        # one walk per thread checks feasibility and keeps every point
-        walks = tuple(dict(walk(cache, th, self.level_cap)) for th in self.threads)
-        object.__setattr__(self, "_cache", cache)
-        object.__setattr__(self, "_walks", walks)
-
-    @property
-    def cache(self) -> LevelCache:
-        return self._cache  # type: ignore[attr-defined]
+        if [len(w) for w in self.walks] != [self.level_cap + 1 - th.base_level for th in self.threads]:
+            raise ValueError("each thread needs its points from its base level to the cap")
 
     def points(self, n: int) -> tuple[LevelPoint, ...]:
-        """Every thread's point at level n, as walked at construction."""
-        try:
-            return tuple(w[n] for w in self._walks)  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"level {n} outside the walked levels") from None
+        """Every thread's point at level n."""
+        if not all(th.base_level <= n <= self.level_cap for th in self.threads):
+            raise ValueError(f"level {n} outside the walked levels")
+        return tuple(w[n - th.base_level] for th, w in zip(self.threads, self.walks))
+
+
+def model_from_threads(cache: LevelCache, threads: Sequence[Thread], level_cap: int) -> DiagonalModel:
+    """The model of the given threads over `cache`'s spectrum; one walk per
+    thread, in `cache`, checks feasibility and keeps every point."""
+    walks = tuple(tuple(p for _, p in walk(cache, th, level_cap)) for th in threads)
+    return DiagonalModel(cache.Z, tuple(threads), level_cap, walks)
+
+
+def default_model(cache: LevelCache, search_depth: int) -> DiagonalModel:
+    """A small deterministic model: the greedy threads of the first three
+    distinct sup candidates of level 0, to level max(search_depth, 30);
+    a seed whose two roots both leave some level set is dropped."""
+    cap = max(search_depth, 30)
+    grown = [g for g in (grow(cache, seed, cap) for seed in level_seeds(cache, 0)[:3]) if g is not None]
+    if not grown:
+        raise SpectrumError("no feasible threads found for the model")
+    threads, walks = zip(*grown)
+    return DiagonalModel(cache.Z, threads, cap, walks)
 
 
 @record
@@ -182,9 +193,7 @@ def multipliers(model: DiagonalModel, t: DyadicTime) -> tuple[tuple[Fraction, Pi
 
 def scalar_to_complex(log_mod: Fraction, angle: PiLinear) -> complex:
     lo, hi = angle.bounds(15)
-    a = float((lo + hi) / 2)
-    r = math.exp(float(log_mod))
-    return complex(r * math.cos(a), r * math.sin(a))
+    return complex(*float_polar(log_mod, float((lo + hi) / 2)))
 
 
 def apply_semigroup(model: DiagonalModel, t: DyadicTime, v: TestVector) -> TestVector:

@@ -560,7 +560,6 @@ class SectionFamilyReport:
     union_all_from: Optional[int]
     witness_t: Optional[Fraction]
     sections: tuple[SectionLevels, ...]
-    representatives: tuple[Fraction, ...]
 
 
 def section_representatives(Z: SpectrumSet) -> tuple[Fraction, ...]:
@@ -578,8 +577,7 @@ def section_representatives(Z: SpectrumSet) -> tuple[Fraction, ...]:
 
 def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
     """Union of section level sets; finite union is the finiteness hypothesis."""
-    reps = section_representatives(Z)
-    sections = tuple(section_antipode_levels(Z, t, n_max) for t in reps)
+    sections = tuple(section_antipode_levels(Z, t, n_max) for t in section_representatives(Z))
     infinite = [s for s in sections if s.infinite]
     all_from = [s.tail_all_from for s in infinite if s.tail_all_from is not None]
     return SectionFamilyReport(
@@ -588,7 +586,6 @@ def antipode_level_union(Z: SpectrumSet, n_max: int) -> SectionFamilyReport:
         union_all_from=min(all_from, default=None),
         witness_t=infinite[0].t if infinite else None,
         sections=sections,
-        representatives=reps,
     )
 
 

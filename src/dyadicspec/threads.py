@@ -4,7 +4,8 @@ A thread is a base point at some level plus a sequence of square-root
 branch bits (0 = principal root, 1 = negated root).  `walk` steps it
 level by level, halving the log-modulus and applying
 angle -> angle/2 + bit*pi, reduced to (-pi, pi]; feasibility means every
-point stays inside its level set.  `search` is the one budgeted
+point stays inside its level set.  `grow` builds the greedy thread of a
+level-0 seed in the same single pass.  `search` is the one budgeted
 depth-first search over the tree of feasible threads.
 
 The divergence search looks for threads that keep |1 - point| above a
@@ -74,6 +75,26 @@ def walk(cache: LevelCache, th: Thread, n: int) -> Iterator[tuple[int, LevelPoin
         yield level, p
 
 
+def grow(cache: LevelCache, seed: LevelPoint, n: int) -> Optional[tuple[Thread, tuple[LevelPoint, ...]]]:
+    """The greedy thread from `seed` at level 0 through level n, and its
+    points at levels 0..n: the principal root while it stays in the level
+    set, the negated root otherwise.  Each point is checked once; None when
+    the seed, or both roots of some point, leave the level set."""
+    if not cache.contains(0, seed):
+        return None
+    bits, points = [], [seed]
+    for level in range(1, n + 1):
+        for bit in (0, 1):
+            q = step_point(points[-1], bit)
+            if cache.contains(level, q):
+                break
+        else:
+            return None
+        bits.append(bit)
+        points.append(q)
+    return Thread(0, seed, tuple(bits)), tuple(points)
+
+
 def evaluate(cache: LevelCache, th: Thread, n: int) -> LevelPoint:
     """The thread's point at level n, with feasibility checked en route."""
     for _, p in walk(cache, th, n):
@@ -102,14 +123,23 @@ def feasible_branches(
 def search_seeds(cache: LevelCache, levels: Iterable[int]) -> Iterator[tuple[int, LevelPoint]]:
     """(level, point) starts for `search`, farthest from 1 first within each
     level; a level set is built only when its seeds are reached."""
+    key = lambda p: (-_approx_abs1m_sq(p), float(p.angle), _float_or_inf(p.log_mod))
     for n in levels:
-        seeds: list[LevelPoint] = []
-        for c in cache.level(n).components:
-            seeds.extend(component_sup_candidates(c))
-        uniq = list(dict.fromkeys(seeds))
-        uniq.sort(key=lambda p: (-_approx_abs1m_sq(p), float(p.angle), float(p.log_mod)))
-        for p in uniq:
+        for p in sorted(level_seeds(cache, n), key=key):
             yield n, p
+
+
+def level_seeds(cache: LevelCache, n: int) -> list[LevelPoint]:
+    """The distinct sup candidates of level n, in component order."""
+    return list(dict.fromkeys(p for c in cache.level(n).components for p in component_sup_candidates(c)))
+
+
+def _float_or_inf(x: Fraction) -> float:
+    # ordering heuristic only: past the float range a value reads as +-inf
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _approx_abs1m_sq(p: LevelPoint) -> float:

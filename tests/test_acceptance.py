@@ -25,10 +25,10 @@ from dyadicspec.levels import (
 )
 from dyadicspec.realbounds import compare_abs1m_sq, interval_sqrt
 from dyadicspec.simulate import (
-    DiagonalModel,
     DyadicTime,
     decompose,
     joint_spectrum_residual,
+    model_from_threads,
     multipliers,
     norm_bound_check,
     quasi_uniform_cover,
@@ -99,7 +99,7 @@ def example_model(Z, cap=34):
     for c in cache.level(0).components:
         seeds.extend(component_sup_candidates(c))
     threads = tuple(grow_thread(cache, s, cap) for s in dict.fromkeys(seeds))
-    return DiagonalModel(Z, threads, level_cap=cap)
+    return model_from_threads(cache, threads, level_cap=cap)
 
 
 @criterion(1)

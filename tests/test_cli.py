@@ -318,6 +318,44 @@ def test_overflowing_table_prints_exactly_in_csv(tmp_path):
     assert rows[1] == "0,1.97007111402e+434,1.97007111402e+434"
 
 
+_HUGE = "1" + "0" * 400  # 10^400, past the float range
+
+
+@pytest.mark.parametrize(
+    "command, spectrum",
+    [
+        ("classify", f"vline re={_HUGE}"),
+        ("classify", f"ilattice re={_HUGE} base=0 step=1*pi"),
+        ("simulate", f"point re=-{_HUGE} im=1"),
+        ("simulate", f"vline re=-{_HUGE}"),
+    ],
+)
+def test_seed_order_past_the_float_range_ends_without_traceback(command, spectrum):
+    # the search seeds' sort key reads a log-modulus past the float range as +-inf
+    proc = _classify_in_subprocess(f"spectrum {spectrum}\n", command=command)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "spectrum, first",
+    [
+        ("point re=2000 im=1", "1/2,0,inf"),
+        ("vline re=5000", "1/2,0,inf"),
+        (f"point re=-{_HUGE} im=1", "1/2,0,1"),
+    ],
+)
+def test_simulate_csv_writes_a_modulus_past_the_float_range(spectrum, first, tmp_path):
+    # |multiplier| = e^(re/2) is inf above the float range and 0 below it
+    path = tmp_path / "trace.csv"
+    proc = _classify_in_subprocess(f"spectrum {spectrum}\n", "--csv", str(path), command="simulate")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = path.read_text().splitlines()
+    assert rows[1] == first and len(rows) == 16
+    assert "nan" not in path.read_text()
+
+
 def test_levels_csv_writes_overflowing_coordinates_as_inf(tmp_path):
     # |z| = e^(1000/2^n) is above the largest float for n <= 3
     path = tmp_path / "levels.csv"
@@ -514,16 +552,18 @@ def test_classify_csv_rewalks_the_witness_in_the_classify_cache(name, monkeypatc
     assert (tmp_path / "w.csv").read_text().startswith("n,dist_lo,dist_hi,angle,log_mod")
 
 
-@pytest.mark.parametrize("name, checks", [("roots2k", 61), ("rectangle", 122), ("primefamily", 183)])
+@pytest.mark.parametrize("name, checks", [("roots2k", 31), ("rectangle", 62), ("primefamily", 93)])
 def test_default_model_tries_the_other_root_only_when_needed(name, checks, monkeypatch):
-    # 30 levels of greedy steps (the principal root holds throughout on
-    # these) plus the model's own walk of 31 points, per thread
+    # the seed and 30 levels of greedy steps, each point checked once (the
+    # principal root holds throughout on these), per thread
+    from dyadicspec.simulate import default_model
+
     calls = []
     contains = LevelCache.contains
     monkeypatch.setattr(LevelCache, "contains", lambda self, n, p: calls.append(n) or contains(self, n, p))
     cfg = builtin_example(name)
-    model = cli._default_model(cfg, LevelCache(cfg.spectrum))
-    assert len(calls) == checks == 61 * len(model.threads)
+    model = default_model(LevelCache(cfg.spectrum), cfg.params.search_depth)
+    assert len(calls) == checks == 31 * len(model.threads)
 
 
 @pytest.mark.parametrize(
@@ -712,6 +752,23 @@ def test_simulate_reports_match_golden_bytes(name):
     code, text = run("simulate", cfg)
     assert code == 0
     assert text.encode() == (GOLDEN / f"simulate_{name}.txt").read_bytes()
+
+
+# on these the default model's three threads each take the negated root:
+# their bits start (1, 1, 0), (0, 1, 0) and (1, 0, 0)
+SWITCH_CONFIG = "spectrum point re=0 im=2*pi\nspectrum vsegment re=-1 im=[3*pi,7/2*pi]\n"
+
+
+def test_simulate_switching_threads_match_golden_bytes(tmp_path):
+    from dyadicspec.simulate import default_model
+
+    cfg = parse_config(SWITCH_CONFIG)
+    model = default_model(LevelCache(cfg.spectrum), cfg.params.search_depth)
+    assert [th.bits[:3] for th in model.threads] == [(1, 1, 0), (0, 1, 0), (1, 0, 0)]
+    code, text = run("simulate", cfg, str(tmp_path / "s.csv"))
+    assert code == 0
+    assert text.encode() == (GOLDEN / "simulate_switch.txt").read_bytes()
+    assert (tmp_path / "s.csv").read_bytes() == (GOLDEN / "simulate_switch.csv").read_bytes()
 
 
 # config texts whose simulate reports, concatenated, make one golden file:

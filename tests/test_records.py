@@ -14,7 +14,7 @@ from dyadicspec.cli import builtin_example
 from dyadicspec.exactnum import PiLinear
 from dyadicspec.levels import Component, Interval, LevelCache, LevelPoint, Orbit, make_component
 from dyadicspec.records import record
-from dyadicspec.simulate import DiagonalModel, DyadicTime
+from dyadicspec.simulate import DyadicTime, model_from_threads
 from dyadicspec.spectrum import (
     ILattice,
     PrimeFamily,
@@ -95,6 +95,15 @@ def test_keywords_defaults_and_bad_arguments():
     assert ClassifyParams(n_max=5) == ClassifyParams(5)
     assert LevelPoint(angle=P.angle, log_mod=P.log_mod) == P
     assert Component(lo_log=P.log_mod, hi_log=P.log_mod, angles=P.angle).angles is P.angle
+
+    @record
+    class Scaled:
+        x: int
+
+        def __post_init__(self):
+            self.__dict__["scaled"] = self.x * 2
+
+    assert Scaled(2).scaled == 4
     for bad in (
         lambda: Thread(0),  # missing
         lambda: Thread(0, P, colour=1),  # unknown
@@ -102,6 +111,11 @@ def test_keywords_defaults_and_bad_arguments():
         lambda: VLine(F(0), re=F(0)),  # twice
         lambda: LevelPoint(F(0)),
         lambda: Component(),
+        # a __post_init__ takes no arguments of its own
+        lambda: Scaled(2, 3),
+        lambda: Scaled(2, colour=1),
+        lambda: Scaled(2, scale=3),
+        lambda: VLine(F(0), scale=2),
     ):
         with pytest.raises(TypeError):
             bad()
@@ -133,7 +147,7 @@ def test_post_init_checks_still_fire():
     with pytest.raises(ValueError):
         DyadicTime(2, 1)
     with pytest.raises(ValueError):
-        DiagonalModel(SpectrumSet((VLine(F(0)),)), (), 1)
+        model_from_threads(LevelCache(SpectrumSet((VLine(F(0)),))), (), 1)
     with pytest.raises(TowerError):
         Tower(((2, 1), (1,)))
 
@@ -174,22 +188,6 @@ def test_record_without_fields():
 
     assert Empty() == Empty() and hash(Empty()) == hash(())
     assert repr(Empty()).endswith("Empty()")
-
-
-def test_init_only_keywords_reach_post_init():
-    @record
-    class Scaled:
-        x: int
-
-        def __post_init__(self, *, scale=1):
-            self.__dict__["scaled"] = self.x * scale
-
-    assert Scaled(2).scaled == 2 and Scaled(2, scale=3).scaled == 6
-    # an init-only value is not a field
-    assert Scaled(2, scale=3) == Scaled(2) and repr(Scaled(2, scale=3)).endswith("Scaled(x=2)")
-    for bad in (lambda: Scaled(2, 3), lambda: Scaled(2, colour=1), lambda: VLine(F(0), scale=2)):
-        with pytest.raises(TypeError):
-            bad()
 
 
 def test_source_generates_no_code():

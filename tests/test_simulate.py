@@ -20,6 +20,7 @@ from dyadicspec.simulate import (
     continuity_trace,
     decompose,
     joint_spectrum_residual,
+    model_from_threads,
     multipliers,
     norm_bound_check,
     quasi_uniform_cover,
@@ -45,7 +46,7 @@ from conftest import random_spectrum
 def model_for(Z, caches={}):
     thr1 = Thread(0, LevelPoint(F(0), PiLinear(0, 0)))
     thr2 = Thread(0, LevelPoint(F(0), PiLinear(0, 0)), bits=(1,))
-    return DiagonalModel(Z, (thr1, thr2), level_cap=34)
+    return model_from_threads(LevelCache(Z), (thr1, thr2), level_cap=34)
 
 
 def test_dyadic_time_validation():
@@ -136,7 +137,7 @@ def test_norm_bound_examples(roots2k, solenoid, rectangle):
             nb = norm_bound_check(model, n)
             assert nb.ok and nb.max_log_mod == 0
     corner = Thread(0, LevelPoint(F(-1), PiLinear(0, 1)))
-    model = DiagonalModel(rectangle, (corner,), level_cap=34)
+    model = model_from_threads(LevelCache(rectangle), (corner,), level_cap=34)
     for n in (0, 5, 30):
         nb = norm_bound_check(model, n)
         assert nb.ok and nb.max_log_mod <= 0
@@ -436,13 +437,14 @@ def test_stored_points_match_a_per_level_walk(roots2k, solenoid, rectangle):
     late = Thread(3, LevelPoint(F(0), PiLinear(0, 1)), bits=(1, 0, 1))
     models = (
         model_for(roots2k),
-        DiagonalModel(rectangle, (corner,), level_cap=20),
-        DiagonalModel(solenoid, (late, late), level_cap=20),
+        model_from_threads(LevelCache(rectangle), (corner,), level_cap=20),
+        model_from_threads(LevelCache(solenoid), (late, late), level_cap=20),
     )
     for model in models:
         base = max(th.base_level for th in model.threads)
+        cache = LevelCache(model.spectrum)
         for n in range(base, model.level_cap + 1):
-            pts = [evaluate(model.cache, th, n) for th in model.threads]
+            pts = [evaluate(cache, th, n) for th in model.threads]
             t = DyadicTime.from_fraction(F(1, 2**n))
             assert multipliers(model, t) == tuple((p.log_mod, p.angle) for p in pts)
             assert norm_bound_check(model, n).max_log_mod == max(p.log_mod for p in pts)
@@ -502,12 +504,11 @@ def test_simulate_computes_each_sup_once(name, monkeypatch, capsys):
 def test_diagonal_model_reuses_the_callers_cache(roots2k, solenoid):
     cache = LevelCache(roots2k)
     own = model_for(roots2k)
-    shared = DiagonalModel(roots2k, own.threads, level_cap=34, cache=cache)
-    assert shared.cache is cache and set(cache._views) == set(range(35))
-    assert own.cache is not cache
-    # the cache is not a field: equality, hash and repr are unchanged
+    shared = model_from_threads(cache, own.threads, level_cap=34)
+    assert shared.spectrum == roots2k and set(cache._views) == set(range(35))
+    # the model holds no cache: models of one spectrum and threads are equal
     assert shared == own and hash(shared) == hash(own) and repr(shared) == repr(own)
     with pytest.raises(ValueError):
-        DiagonalModel(solenoid, own.threads, 34, cache=cache)
+        DiagonalModel(solenoid, own.threads, 34, own.walks[:1])  # a walk per thread
     with pytest.raises(TypeError):
-        DiagonalModel(roots2k, own.threads, 34, cache)  # keyword only
+        DiagonalModel(roots2k, own.threads, 34, own.walks, cache=cache)  # not an argument

@@ -20,6 +20,7 @@ from dyadicspec.threads import (
     divergence_search,
     evaluate,
     feasible_branches,
+    grow,
     persistence_certificate,
     search,
     search_seeds,
@@ -173,6 +174,22 @@ def test_walk_stops_at_the_infeasible_level(rectangle):
     with pytest.raises(InfeasibleThread) as err:
         evaluate(cr, Thread(0, LevelPoint(F(1), PiLinear(0, 0))), 3)
     assert err.value.level == 0
+
+
+def test_grow_takes_the_negated_root_only_when_the_principal_leaves():
+    # level 1 of {2*pi*i} is {-1}: the principal root 1 of the level-0 point leaves it
+    cache = LevelCache(SpectrumSet((Point(F(0), PiLinear(0, 2)),)))
+    th, points = grow(cache, LevelPoint(F(0), PiLinear(0, 0)), 5)
+    assert th == Thread(0, LevelPoint(F(0), PiLinear(0, 0)), (1, 0, 0, 0, 0))
+    assert points == tuple(p for _, p in walk(cache, th, 5))
+    # a seed outside level 0, or a point whose two roots both leave, grows nothing
+    assert grow(cache, LevelPoint(F(1), PiLinear(0, 0)), 5) is None
+
+    class LevelZeroOnly:
+        def contains(self, n, p):
+            return n == 0
+
+    assert grow(LevelZeroOnly(), LevelPoint(F(0), PiLinear(0, 0)), 5) is None
 
 
 def test_verify_witness_below_the_base_checks_the_base_only(solenoid):
