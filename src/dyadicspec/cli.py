@@ -376,7 +376,7 @@ def component_text(c: Component) -> tuple[str, str]:
     """A level component's print label and its text, ``Label(field=value,
     ...)``: the log-modulus (or both ends of a radial range), then the
     angle set's fields; an isolated point shows its `LevelPoint`."""
-    one_circle, a = c.lo_log == c.hi_log, c.angles
+    one_circle, a = c.lo_m is c.hi_m, c.angles
     label = _COMPONENT_LABELS[one_circle, type(a)]
     if label == "IsolatedPoint":
         return label, f"{label}(point={LevelPoint(c.lo_log, a)!r})"

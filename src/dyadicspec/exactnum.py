@@ -366,16 +366,22 @@ def to_float(a: PiLinear, digits: int) -> tuple[Fraction, Fraction]:
 # floor/ceil of ratios of PiLinear values (used for lattice point counting)
 
 
-def exact_ratio(x: PiLinear, s: PiLinear) -> Fraction | None:
-    """Return r with x = r*s if that rational r exists, else None."""
+def _ratio_ints(x: PiLinear, s: PiLinear) -> tuple[int, int] | None:
+    """Integers (n, m) with x = (n/m)*s when that ratio is rational, else None."""
     if s.is_zero():
         raise ZeroDivisionError("ratio by zero")
     if x.a * s.b != x.b * s.a:
         return None
     # (x.a, x.b) is parallel to (s.a, s.b): read the ratio off a nonzero one
     if s.a:
-        return Fraction(x.a * s.d, s.a * x.d)
-    return Fraction(x.b * s.d, s.b * x.d)
+        return x.a * s.d, s.a * x.d
+    return x.b * s.d, s.b * x.d
+
+
+def exact_ratio(x: PiLinear, s: PiLinear) -> Fraction | None:
+    """Return r with x = r*s if that rational r exists, else None."""
+    r = _ratio_ints(x, s)
+    return None if r is None else Fraction(*r)
 
 
 def floor_ratio(x: PiLinear, s: PiLinear) -> int:
@@ -387,9 +393,9 @@ def floor_ratio(x: PiLinear, s: PiLinear) -> int:
     ratio x / s is (x d 2**p) e / ((s e 2**p) d), so it lies between the
     four quotients of those ends.  p doubles until their floors agree.
     """
-    r = exact_ratio(x, s)
+    r = _ratio_ints(x, s)
     if r is not None:
-        return math.floor(r)
+        return r[0] // r[1]
     xa, xb, d = x.a, x.b, x.d
     sa, sb, e = s.a, s.b, s.d
     p = 64

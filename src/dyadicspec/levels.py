@@ -3,12 +3,20 @@
 A level set is a finite union of components, and every component is one
 record, `Component(lo_log, hi_log, angles)`, the product of two factors:
 
-* radial: the log-modulus range [lo_log, hi_log] (lo_log is hi_log for a
-  component on the circle |z| = e^m);
+* radial: the log-modulus range [lo_log, hi_log] (one circle |z| = e^m
+  when the two are equal).  Every log-modulus at level n is a real part
+  of the spectrum divided by 2^n, so it is held as one reduced integer
+  pair (numerator, denominator > 0): `Component.lo_m` and `hi_m` (the same
+  pair object on one circle) and `LevelPoint.m`.  Scaling by 2^-n moves
+  powers of two from the numerator to the denominator, comparisons
+  cross-multiply, and `lo_log`, `hi_log` and `log_mod` are read-only
+  Fraction views for the reprs, the report text and the tests;
 * angles: one reduced angle (a PiLinear), an anchored interval
-  ``Interval(lo, hi)``, a lattice orbit ``Orbit(base, step)`` =
-  {base + j*step*pi} stored lazily, so lattice spectra stay tractable at
-  deep levels without enumerating 2^n points, or None for the full circle.
+  ``Interval(lo, hi)``, a lattice orbit {base + 2*j*pi/count} held as its
+  base and its integer member count (``Orbit(base, step)`` takes and
+  shows step = 2/count), stored lazily so lattice spectra stay tractable
+  at deep levels without enumerating 2^n points, or None for the full
+  circle.
 
 ``make_component`` turns any product into its canonical component.  Every
 operation acts factor by factor: an intersection meets the radial ranges
@@ -44,10 +52,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .exactnum import PI, TWO_PI, PiLinear, Rat, _mk, _raw, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
+from .exactnum import PI, TWO_PI, PiLinear, Rat, _alloc, _mk, _raw, _v2, compare, floor_ratio, reduce_mod_2pi
 from .exactnum import scale_pow2
 from .realbounds import ComputationLimit  # re-exported: the size guards here raise it too
 from .realbounds import _abs1m_sq_combine, _cos_ints, _exp_ints, even_key, sqrt_ints
@@ -71,39 +80,132 @@ SMALL_ORBIT = 16  # lattice orbits at most this size normalize into points
 
 
 # ---------------------------------------------------------------------------
-# angle sets
+# log-moduli: reduced integer pairs
+
+LogMod = tuple[int, int]  # (numerator, denominator > 0), in lowest terms
 
 
-@record
-class Interval:
+def _log_scaled(num: int, den: int, n: int) -> LogMod:
+    """The reduced pair of num/den * 2^-n, for num/den in lowest terms."""
+    if not num:
+        return 0, 1
+    t = min(n, _v2(num))
+    return num >> t, den << n - t
+
+
+def _log_times(m: LogMod, s: int) -> LogMod:
+    """m * s for an integer s >= 1."""
+    g = math.gcd(s, m[1])
+    return m[0] * (s // g), m[1] // g
+
+
+def _log_cmp(x: LogMod, y: LogMod) -> int:
+    """Negative, zero or positive as x <, = or > y."""
+    return x[0] * y[1] - y[0] * x[1]
+
+
+_log_key = functools.cmp_to_key(_log_cmp)
+
+
+def _log_within(lo: LogMod, hi: LogMod, m: LogMod) -> bool:
+    """lo <= m <= hi; one comparison on a circle, whose lo is its hi."""
+    if lo is hi:
+        return lo == m
+    return lo[0] * m[1] <= m[0] * lo[1] and m[0] * hi[1] <= hi[0] * m[1]
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _rat_hash(m: LogMod) -> int:
+    """hash(Fraction(*m)), computed as `fractions.Fraction` does, so the
+    records hash as the frozen dataclasses of their Fraction fields."""
+    n, d = m
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:  # d is a multiple of the modulus
+        h = sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+# ---------------------------------------------------------------------------
+# angle sets and components
+#
+# These records are nearly all the records a run builds and hashes, so
+# they are written out: slotted, set through their slot descriptors, and
+# compared and hashed with direct attribute loads.  Their repr, equality
+# and hash are those of frozen dataclasses of the fields in `_fields`
+# (records.py), where a log-modulus or an orbit step is a Fraction.
+
+
+class Interval(Frozen):
     """The angles [lo, hi].  Read off a component it is anchored: lo in
     (-pi, pi] and hi - lo < 2*pi; make_component anchors any interval."""
 
-    lo: PiLinear
-    hi: PiLinear
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo: PiLinear, hi: PiLinear):
+        _set_iv_lo(self, lo)
+        _set_iv_hi(self, hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
 
-@record
-class Orbit:
-    """The angle orbit {base + j*step*pi mod 2*pi : j integer}.
+class Orbit(Frozen):
+    """The angle orbit {base + 2*j*pi/count mod 2*pi : j integer}, held as
+    its base and its integer member count; `step` = 2/count is a Fraction
+    view, and Orbit(base, step) takes a step with 2/step an integer.
 
-    Read off a component, step is a positive rational with 2/step integral
-    (a finite orbit) and base.q1 lies in [0, step).  All members share the
-    irrational angle offset base.q0.
+    Read off a component, count is at least 2 and base.q1 lies in
+    [0, step).  All members share the irrational angle offset base.q0.
     """
 
-    base: PiLinear
-    step: Fraction
+    __slots__ = ("base", "count")
+    _fields = ("base", "step")
+
+    def __init__(self, base: PiLinear, step: Rat):
+        sn, sd = step.numerator, step.denominator
+        if sn <= 0 or 2 * sd % sn:
+            raise ValueError("lattice step must be positive and divide 2")
+        _set_base(self, base)
+        _set_count(self, 2 * sd // sn)
 
     @property
-    def count(self) -> int:
-        return 2 * self.step.denominator // self.step.numerator
+    def step(self) -> Fraction:
+        return Fraction(2, self.count)
 
     def angle(self, j: int) -> PiLinear:
         """The member base + j*step*pi, not reduced."""
-        base, step = self.base, self.step
-        sd = step.denominator
-        return _mk(base.a * sd, base.b * sd + j * step.numerator * base.d, base.d * sd)
+        return _orbit_member(self.base, self.count, j)
+
+    def __eq__(self, other):
+        if other.__class__ is not Orbit:
+            return NotImplemented
+        return self.count == other.count and self.base == other.base
+
+    def __hash__(self) -> int:
+        count = self.count  # the reduced pair of the step 2/count
+        return hash((self.base, _rat_hash((1, count >> 1) if count & 1 == 0 else (2, count))))
+
+
+def _orbit_member(base: PiLinear, count: int, j: int) -> PiLinear:
+    """base + 2*j*pi/count, not reduced."""
+    return _mk(base.a * count, base.b * count + 2 * j * base.d, base.d * count)
+
+
+def _orbit(base: PiLinear, count: int) -> Orbit:
+    """The Orbit of a base and a member count >= 1."""
+    x = _alloc(Orbit)
+    _set_base(x, base)
+    _set_count(x, count)
+    return x
 
 
 Angles = Union[PiLinear, Interval, Orbit, None]  # None is the full circle
@@ -112,98 +214,126 @@ Angles = Union[PiLinear, Interval, Orbit, None]  # None is the full circle
 _ANGLE_RANK = {PiLinear: 0, type(None): 1, Interval: 2, Orbit: 3}
 
 
-# ---------------------------------------------------------------------------
-# components
-
-
-# LevelPoint and Component are nearly all the records a run builds and
-# hashes, so they are written out: slotted, set through their slot
-# descriptors, and compared and hashed with direct attribute loads.  Repr,
-# equality and hash are those of the records in records.py.
-
-
 class LevelPoint(Frozen):
-    """The point e**log_mod * exp(i*angle), angle reduced to (-pi, pi]."""
+    """The point e**log_mod * exp(i*angle), angle reduced to (-pi, pi]; the
+    log-modulus is held as the reduced pair `m`, log_mod is its view."""
 
-    __slots__ = _fields = ("log_mod", "angle")
+    __slots__ = ("m", "angle")
+    _fields = ("log_mod", "angle")
 
-    def __init__(self, log_mod: Fraction, angle: PiLinear):
-        _set_log_mod(self, log_mod)
+    def __init__(self, log_mod: Rat, angle: PiLinear):
+        _set_m(self, (log_mod.numerator, log_mod.denominator))
         _set_angle(self, angle)
+
+    @property
+    def log_mod(self) -> Fraction:
+        return Fraction(*self.m)
 
     def __eq__(self, other):
         if other.__class__ is not LevelPoint:
             return NotImplemented
-        return self.log_mod == other.log_mod and self.angle == other.angle
+        return self.m == other.m and self.angle == other.angle
 
     def __hash__(self) -> int:
-        return hash((self.log_mod, self.angle))
+        return hash((_rat_hash(self.m), self.angle))
 
-    def __repr__(self) -> str:
-        return f"LevelPoint(log_mod={self.log_mod!r}, angle={self.angle!r})"
 
-    def __reduce__(self):
-        return LevelPoint, (self.log_mod, self.angle)
+def _point(m: LogMod, angle: PiLinear) -> LevelPoint:
+    """The LevelPoint of a reduced pair and a reduced angle."""
+    p = _alloc(LevelPoint)
+    _set_m(p, m)
+    _set_angle(p, angle)
+    return p
 
 
 class Component(Frozen):
     """Log-modulus in [lo_log, hi_log] times the angle set `angles`.
 
-    Built by make_component, it is canonical: on one circle lo_log is
-    hi_log and the angles are a reduced point, an anchored interval, an
-    orbit of at least two members or None; a radial range takes an
-    anchored interval or None.
+    The ends are held as reduced pairs `lo_m` and `hi_m`, one and the same
+    object on one circle (the constructor and `_comp`'s callers see to
+    it); lo_log and hi_log are their views.  Built by make_component, it is
+    canonical: on one circle the angles are a reduced point, an anchored
+    interval, an orbit of at least two members or None; a radial range
+    takes an anchored interval or None.
     """
 
-    __slots__ = _fields = ("lo_log", "hi_log", "angles")
+    __slots__ = ("lo_m", "hi_m", "angles")
+    _fields = ("lo_log", "hi_log", "angles")
 
-    def __init__(self, lo_log: Fraction, hi_log: Fraction, angles: Angles):
-        _set_lo_log(self, lo_log)
-        _set_hi_log(self, hi_log)
+    def __init__(self, lo_log: Rat, hi_log: Rat, angles: Angles):
+        lo, hi = (lo_log.numerator, lo_log.denominator), (hi_log.numerator, hi_log.denominator)
+        _set_lo_m(self, lo)
+        _set_hi_m(self, lo if hi == lo else hi)
         _set_angles(self, angles)
+
+    @property
+    def lo_log(self) -> Fraction:
+        return Fraction(*self.lo_m)
+
+    @property
+    def hi_log(self) -> Fraction:
+        return Fraction(*self.hi_m)
 
     def __eq__(self, other):
         if other.__class__ is not Component:
             return NotImplemented
-        return self.lo_log == other.lo_log and self.hi_log == other.hi_log and self.angles == other.angles
+        return self.lo_m == other.lo_m and self.hi_m == other.hi_m and self.angles == other.angles
 
     def __hash__(self) -> int:
-        return hash((self.lo_log, self.hi_log, self.angles))
-
-    def __repr__(self) -> str:
-        return f"Component(lo_log={self.lo_log!r}, hi_log={self.hi_log!r}, angles={self.angles!r})"
-
-    def __reduce__(self):
-        return Component, (self.lo_log, self.hi_log, self.angles)
+        return hash((_rat_hash(self.lo_m), _rat_hash(self.hi_m), self.angles))
 
     def points(self, limit: Optional[int] = None) -> list[LevelPoint]:
         """An orbit component's members for j = 0, 1, ..., or only its first
         `limit`, each angle reduced to (-pi, pi]."""
-        orbit, m = self.angles, self.lo_log
+        orbit, m = self.angles, self.lo_m
         if orbit.count > ENUM_LIMIT:
             raise ComputationLimit(
                 f"lattice orbit of {orbit.count} points exceeds the enumeration "
                 f"limit {ENUM_LIMIT}"
             )
         take = orbit.count if limit is None else min(orbit.count, limit)
-        return [LevelPoint(m, reduce_mod_2pi(orbit.angle(j))) for j in range(take)]
+        return [_point(m, reduce_mod_2pi(orbit.angle(j))) for j in range(take)]
 
 
-_set_log_mod, _set_angle = LevelPoint.log_mod.__set__, LevelPoint.angle.__set__
-_set_lo_log, _set_hi_log = Component.lo_log.__set__, Component.hi_log.__set__
+def _comp(lo_m: LogMod, hi_m: LogMod, angles: Angles) -> Component:
+    """The Component of two pairs, passed as one object on one circle."""
+    c = _alloc(Component)
+    _set_lo_m(c, lo_m)
+    _set_hi_m(c, hi_m)
+    _set_angles(c, angles)
+    return c
+
+
+_set_iv_lo, _set_iv_hi = Interval.lo.__set__, Interval.hi.__set__
+_set_base, _set_count = Orbit.base.__set__, Orbit.count.__set__
+_set_m, _set_angle = LevelPoint.m.__set__, LevelPoint.angle.__set__
+_set_lo_m, _set_hi_m = Component.lo_m.__set__, Component.hi_m.__set__
 _set_angles = Component.angles.__set__
 
 # the benchmark tracer counts lattice points enumerated under this name
 CircleLattice = Component
 
 
-@record
-class LevelSet:
-    level: int
-    components: tuple[Component, ...]
+class LevelSet(Frozen):
+    __slots__ = _fields = ("level", "components")
+
+    def __init__(self, level: int, components: tuple[Component, ...]):
+        _set_level(self, level)
+        _set_components(self, components)
+
+    def __eq__(self, other):
+        if other.__class__ is not LevelSet:
+            return NotImplemented
+        return self.level == other.level and self.components == other.components
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.components))
 
     def is_empty(self) -> bool:
         return not self.components
+
+
+_set_level, _set_components = LevelSet.level.__set__, LevelSet.components.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +343,8 @@ class LevelSet:
 _pl_key = functools.cmp_to_key(compare)
 
 
-def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Component:
-    """The canonical component for log-modulus in [lo_log, hi_log] times angles.
+def make_component(lo_m: LogMod, hi_m: LogMod, angles: Angles) -> Component:
+    """The canonical component for log-modulus in [lo_m, hi_m] times angles.
 
     The angles need not be reduced: a point angle is reduced to (-pi, pi],
     an interval anchored (the full circle once it spans 2*pi) and an
@@ -222,8 +352,8 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
     one angle is that point and a one-member orbit its member; a radial
     range takes an interval or the full circle.
     """
-    if lo_log is hi_log or lo_log == hi_log:
-        hi_log = lo_log
+    if lo_m is not hi_m and lo_m == hi_m:
+        hi_m = lo_m
     if isinstance(angles, Interval):
         lo, hi = angles.lo, angles.hi
         span = hi - lo
@@ -234,29 +364,31 @@ def make_component(lo_log: Fraction, hi_log: Fraction, angles: Angles) -> Compon
             lo = reduce_mod_2pi(lo)
             if lo is not angles.lo:
                 hi = hi + (lo - angles.lo)
-            if lo_log is hi_log and lo == hi:
-                return Component(lo_log, lo_log, lo)
-            return Component(lo_log, hi_log, angles if lo is angles.lo else Interval(lo, hi))
+            if lo_m is hi_m and lo == hi:
+                return _comp(lo_m, lo_m, lo)
+            return _comp(lo_m, hi_m, angles if lo is angles.lo else Interval(lo, hi))
         angles = None
     if angles is None:
-        return Component(lo_log, hi_log, None)
-    if lo_log is not hi_log:
+        return _comp(lo_m, hi_m, None)
+    if lo_m is not hi_m:
         raise ValueError("a radial range takes an angle interval or the full circle")
     if isinstance(angles, Orbit):
-        return make_lattice(lo_log, angles.base, angles.step)
-    return Component(lo_log, lo_log, reduce_mod_2pi(angles))
+        return make_lattice(lo_m, angles.base, angles.count)
+    return _comp(lo_m, lo_m, reduce_mod_2pi(angles))
 
 
-def make_lattice(log_mod: Fraction, base: PiLinear, step: Fraction) -> Component:
-    step = Fraction(step)
-    sn, sd = step.numerator, step.denominator
-    if sn <= 0 or 2 * sd % sn:
-        raise ValueError("lattice step must be positive and divide 2")
-    # the member of the orbit with q1 in [0, step): j = -floor(q1 / step)
-    orbit = Orbit(Orbit(base, step).angle(-(base.b * sd // (base.d * sn))), step)
-    if orbit.count == 1:
-        return Component(log_mod, log_mod, reduce_mod_2pi(orbit.base))
-    return Component(log_mod, log_mod, orbit)
+def make_lattice(m: LogMod, base: PiLinear, count: int) -> Component:
+    """The orbit of `count` members through `base` on the circle m, its
+    base brought into [0, step): the member with j = -floor(q1 / step) =
+    -floor(b * count / 2d).  A one-member orbit is that member's point."""
+    if count < 1:
+        raise ValueError("an orbit has at least one member")
+    j = base.b * count // (2 * base.d)
+    if j:
+        base = _orbit_member(base, count, -j)
+    if count == 1:
+        return _comp(m, m, reduce_mod_2pi(base))
+    return _comp(m, m, _orbit(base, count))
 
 
 # ---------------------------------------------------------------------------
@@ -268,27 +400,28 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
     dedupe and drop into covering arcs/lattices, small lattices enumerate,
     sectors and annuli dedupe into one exact order."""
     # one bucket per circle, one list per angle kind (indexed by _ANGLE_RANK)
-    by_log: dict[Fraction, tuple[list, list, list, list]] = {}
+    by_log: dict[LogMod, tuple[list, list, list, list]] = {}
     others: list[Component] = []
     for c in components:
-        lo_log, hi_log, a = c.lo_log, c.hi_log, c.angles
-        if not (lo_log is hi_log or lo_log == hi_log):
+        m, a = c.lo_m, c.angles
+        if m is not c.hi_m:
             others.append(c)
             continue
-        kinds = by_log.setdefault(lo_log, ([], [], [], []))
+        kinds = by_log.setdefault(m, ([], [], [], []))
         if a.__class__ is Orbit and a.count <= SMALL_ORBIT:  # enters as its points
-            kinds[0].extend(Component(lo_log, lo_log, p.angle) for p in c.points())
+            kinds[0].extend(_comp(m, m, p.angle) for p in c.points())
         else:
             kinds[_ANGLE_RANK[a.__class__]].append(c)
 
     out: list[Component] = []
-    for log_mod in sorted(by_log):
-        points, circles, arcs, lattices = by_log[log_mod]
-        arcs = None if circles else _merge_arcs(log_mod, arcs)
+    for m in sorted(by_log, key=_log_key):
+        points, circles, arcs, lattices = by_log[m]
+        arcs = None if circles else _merge_arcs(m, arcs)
         if arcs is None:
-            out.append(Component(log_mod, log_mod, None))
+            out.append(_comp(m, m, None))
             continue
-        lattices = sorted(set(lattices), key=lambda c: (c.angles.step, c.angles.base.q0, c.angles.base.q1))
+        if len(lattices) > 1:  # by step, then base
+            lattices = sorted(set(lattices), key=lambda c: (-c.angles.count, c.angles.base.q0, c.angles.base.q1))
         cover = arcs + lattices
         # the circle's points, one per angle
         pts = [
@@ -308,12 +441,13 @@ def normalize(level: int, components: Iterable[Component]) -> LevelSet:
 def _region_key(c: Component) -> tuple:
     """Exact order of sectors and annuli: radial range, then annuli before
     sectors, then the sector's angle ends."""
+    radial = _log_key(c.lo_m), _log_key(c.hi_m)
     if c.angles is None:
-        return (c.lo_log, c.hi_log, 0)
-    return (c.lo_log, c.hi_log, 1, _pl_key(c.angles.lo), _pl_key(c.angles.hi))
+        return (*radial, 0)
+    return (*radial, 1, _pl_key(c.angles.lo), _pl_key(c.angles.hi))
 
 
-def _merge_arcs(log_mod: Fraction, arcs: list[Component]) -> Optional[list[Component]]:
+def _merge_arcs(m: LogMod, arcs: list[Component]) -> Optional[list[Component]]:
     """Union of anchored arcs on one circle, or None when it is the circle.
 
     The union of arcs with lo < hi has no isolated points.
@@ -336,7 +470,7 @@ def _merge_arcs(log_mod: Fraction, arcs: list[Component]) -> Optional[list[Compo
             if compare(hi, last[1]) > 0:
                 merged[-1] = (last[0], hi)
             merged.pop(0)
-    out = [make_component(log_mod, log_mod, Interval(lo, hi)) for lo, hi in merged]
+    out = [make_component(m, m, Interval(lo, hi)) for lo, hi in merged]
     return None if any(c.angles is None for c in out) else out
 
 
@@ -344,17 +478,27 @@ def _merge_arcs(log_mod: Fraction, arcs: list[Component]) -> Optional[list[Compo
 # the level sets themselves
 
 
-def _part_angles(part: SectionPart) -> list[Angles]:
-    """The angle sets of a section part's exponential image, before the
-    scaling by 1/2^n.  An irrational lattice step makes the orbit dense:
-    its closure is the full circle."""
+def _level_angles(part: SectionPart, n: int) -> list[Angles]:
+    """The angle sets of a section part's exponential image at level n:
+    the part scaled by 2^-n, not reduced.  An irrational lattice step
+    makes the orbit dense: its closure is the full circle."""
     if isinstance(part, SectionPoints):
-        return list(part.values)
+        return [scale_pow2(a, -n) for a in part.values]
     if isinstance(part, SectionInterval):
-        return [Interval(part.lo, part.hi)]
+        return [Interval(scale_pow2(part.lo, -n), scale_pow2(part.hi, -n))]
     if isinstance(part, SectionLattice):
-        return [Orbit(part.base, part.step.q1) if part.step.q0 == 0 else None]
+        step = part.step
+        return [None if step.a else _orbit(scale_pow2(part.base, -n), _lattice_count(step, n))]
     return [None]
+
+
+def _lattice_count(step: PiLinear, n: int) -> int:
+    """The member count at level n of a lattice orbit of rational step
+    s*pi, s = u/v > 0 in lowest terms: its angles scale to the orbit of
+    step gcd(s / 2^n, 2) = 2^min(v2(u), n+1) / (v * 2^n), which has
+    v * 2^(n+1) / 2^min(v2(u), n+1) members."""
+    u, v = step.b, step.d
+    return v << n + 1 - min(_v2(u), n + 1)
 
 
 def level_view(Z: SpectrumSet, n: int) -> list[Component]:
@@ -365,16 +509,16 @@ def level_view(Z: SpectrumSet, n: int) -> list[Component]:
     if n < 0:
         raise ValueError("level must be >= 0")
     comps: list[Component] = []
-    half = Fraction(1, 2**n)
     for p in Z.primitives:
-        lo = p.re_lo * half
+        re_lo, re_hi = p.re_lo, p.re_hi
+        lo = _log_scaled(re_lo.numerator, re_lo.denominator, n)
         # a primitive on one vertical line holds its one real value twice
-        hi = lo if p.re_hi is p.re_lo else p.re_hi * half
+        hi = lo if re_hi is re_lo else _log_scaled(re_hi.numerator, re_hi.denominator, n)
         S = p.section
         if isinstance(S, SectionPoints) and lo == hi:
-            comps.extend(Component(lo, lo, _scaled_point(a, n)) for a in S.values)
+            comps.extend(_comp(lo, lo, _scaled_point(a, n)) for a in S.values)
         else:
-            comps.extend(make_component(lo, hi, _map_angles(a, half)) for a in _part_angles(S))
+            comps.extend(make_component(lo, hi, a) for a in _level_angles(S, n))
     return comps
 
 
@@ -403,17 +547,15 @@ def _angles_contain(angles: Angles, angle: PiLinear) -> bool:
     if isinstance(angles, Interval):
         # the interval is anchored with lo in (-pi, pi]
         return angles.lo <= angle <= angles.hi or angles.lo <= angle + TWO_PI <= angles.hi
-    return _orbit_contains(angles.base, angles.step, angle)
+    return _orbit_contains(angles.base, angles.count, angle)
 
 
-def _orbit_contains(base: PiLinear, step: Fraction, angle: PiLinear) -> bool:
-    """Whether the reduced angle lies in {base + j*step*pi mod 2*pi}, for a
-    step dividing 2: the same q0, and q1 - base.q1 = (angle.b*e -
-    base.b*d) / (d*e) a multiple of step."""
+def _orbit_contains(base: PiLinear, count: int, angle: PiLinear) -> bool:
+    """Whether the reduced angle lies in {base + 2*j*pi/count mod 2*pi}:
+    the same q0, and q1 - base.q1 = (angle.b*e - base.b*d) / (d*e) a
+    multiple of 2/count."""
     d, e = angle.d, base.d
-    return angle.a * e == base.a * d and (
-        (angle.b * e - base.b * d) * step.denominator % (d * e * step.numerator) == 0
-    )
+    return angle.a * e == base.a * d and (angle.b * e - base.b * d) * count % (2 * d * e) == 0
 
 
 def on_line_level(prim: Union[VLine, ILattice], n: int, p: LevelPoint) -> bool:
@@ -422,21 +564,19 @@ def on_line_level(prim: Union[VLine, ILattice], n: int, p: LevelPoint) -> bool:
     that `level_view` scales its angles to.  A line's level, and the
     closure of a dense orbit, is the whole circle.  It builds no record,
     as `threads.tail_closes` asks it along the search."""
-    if p.log_mod * (1 << n) != prim.re:
+    re, (num, den) = prim.re, p.m
+    if num * re.denominator << n != re.numerator * den:  # log_mod * 2^n != re
         return False
     if isinstance(prim, VLine) or prim.step.a:
         return True
-    half = Fraction(1, 1 << n)
-    return _orbit_contains(prim.base.scaled(half), _rat_gcd((prim.step.q1 * half, Fraction(2))), p.angle)
+    return _orbit_contains(scale_pow2(prim.base, -n), _lattice_count(prim.step, n), p.angle)
 
 
 def membership(L: LevelSet, p: LevelPoint) -> bool:
     """Exact containment of a point in a level set."""
-    m = p.log_mod
+    m = p.m
     for c in L.components:
-        lo, hi = c.lo_log, c.hi_log
-        # one circle needs one comparison (its lo_log is its hi_log)
-        if (m == lo if lo is hi else lo <= m <= hi) and _angles_contain(c.angles, p.angle):
+        if _log_within(c.lo_m, c.hi_m, m) and _angles_contain(c.angles, p.angle):
             return True
     return False
 
@@ -448,8 +588,9 @@ def membership(L: LevelSet, p: LevelPoint) -> bool:
 def _map_angles(angles: Angles, k: Rat, shift: Optional[PiLinear] = None) -> Angles:
     """The angle set under a -> k*a + shift for rational k > 0, not reduced.
 
-    An orbit's step may be any positive rational on the way in; on the way
-    out it is gcd(k*step, 2), which divides 2.
+    An orbit of count N, step 2/N, maps to the orbit of step gcd(k*2/N, 2)
+    = 2/N', with N' the reduced denominator of k/N: for k = p/q that is
+    q*N / gcd(p, q*N).
     """
     if angles is None:
         return None
@@ -458,18 +599,20 @@ def _map_angles(angles: Angles, k: Rat, shift: Optional[PiLinear] = None) -> Ang
         return a if shift is None else a + shift
     if isinstance(angles, Interval):
         return Interval(_map_angles(angles.lo, k, shift), _map_angles(angles.hi, k, shift))
-    return Orbit(_map_angles(angles.base, k, shift), _rat_gcd((k * angles.step, Fraction(2))))
+    count = k.denominator * angles.count
+    return _orbit(_map_angles(angles.base, k, shift), count // math.gcd(k.numerator, count))
 
 
 def antipode_component(c: Component) -> Component:
-    return make_component(c.lo_log, c.hi_log, _map_angles(c.angles, 1, PI))
+    return make_component(c.lo_m, c.hi_m, _map_angles(c.angles, 1, PI))
 
 
 def power_component(c: Component, s: int) -> Component:
     """Image of a component under z -> z**s for s >= 1."""
     if s < 1:
         raise ValueError("power must be >= 1")
-    return make_component(s * c.lo_log, s * c.hi_log, _map_angles(c.angles, s))
+    lo = _log_times(c.lo_m, s)
+    return make_component(lo, lo if c.lo_m is c.hi_m else _log_times(c.hi_m, s), _map_angles(c.angles, s))
 
 
 def power_levelset(L: LevelSet, s: int) -> LevelSet:
@@ -492,31 +635,32 @@ def _split_points(components: Iterable[Component]) -> tuple[list[Component], lis
 def antipodal_set(L: LevelSet) -> LevelSet:
     """The set of points of L whose antipodes also lie in L.
 
-    Isolated points pair up per circle: a point is kept when its angle
-    plus pi, reduced, is among its circle's angles (reduced angles are
-    equal exactly when their coefficients are).  Only pairs with an arc,
-    circle, lattice, sector or annulus on one side are intersected.
+    Isolated points pair up per circle.  A point's antipode is its angle
+    plus pi, reduced, on its circle: when that angle lies in the angle set
+    of an arc, circle, lattice, sector or annulus whose radial range holds
+    the circle, the point and its antipode are kept; else the point is
+    kept when the angle is among its circle's points (reduced angles are
+    equal exactly when their coefficients are).  So each of those spread
+    components has its radial range tested once per circle, and only
+    pairs of them are intersected.
     """
     points, spread = _split_points(L.components)
-    # circles keyed by the integers of their log-modulus, each with its angles
-    circles: dict[tuple[int, int], tuple[Fraction, set[PiLinear]]] = {}
+    circles: dict[LogMod, set[PiLinear]] = {}
     for c in points:
-        m = c.lo_log
-        circles.setdefault((m.numerator, m.denominator), (m, set()))[1].add(c.angles)
-    out: list[Component] = [
-        Component(m, m, a)
-        for m, angles in circles.values()
-        for a in angles
-        if reduce_mod_2pi(a + PI) in angles
-    ]
+        circles.setdefault(c.lo_m, set()).add(c.angles)
+    out: list[Component] = []
+    for m, angles in circles.items():
+        around = [c.angles for c in spread if _log_within(c.lo_m, c.hi_m, m)]
+        for a in angles:
+            b = reduce_mod_2pi(a + PI)
+            if around and any(_angles_contain(x, b) for x in around):
+                out += (_comp(m, m, a), _comp(m, m, b))
+            elif b in angles:
+                out.append(_comp(m, m, a))
     if spread:
-        mirrored_spread = [antipode_component(c) for c in spread]
-        for a in L.components:
-            for b in mirrored_spread:
-                out.extend(component_intersection(a, b))
-        mirrored_points = [antipode_component(c) for c in points]
+        mirrored = [antipode_component(c) for c in spread]
         for a in spread:
-            for b in mirrored_points:
+            for b in mirrored:
                 out.extend(component_intersection(a, b))
     return normalize(L.level, out)
 
@@ -537,7 +681,7 @@ def _interval_intersections(x: Interval, y: Interval) -> list[Interval]:
 def _orbit_angles_in_interval(orbit: Orbit, lo: PiLinear, hi: PiLinear) -> list[PiLinear]:
     """The orbit members with angles in [lo, hi], not reduced."""
     # members have real angles base.q0 + (base.q1 + j*step)*pi (all integers j)
-    step_pl = PiLinear(0, orbit.step)
+    step_pl = _mk(0, 2, orbit.count)
     jmin = -floor_ratio(orbit.base - lo, step_pl)
     jmax = floor_ratio(hi - orbit.base, step_pl)
     if jmax - jmin + 1 > ENUM_LIMIT:
@@ -549,15 +693,21 @@ def _orbit_angles_in_interval(orbit: Orbit, lo: PiLinear, hi: PiLinear) -> list[
 
 
 def _orbit_intersection(a: Orbit, b: Orbit) -> list[Orbit]:
-    # a.base + k*a.step meets b's orbit where k*u = t mod v, with u, v the
-    # coprime integers a.step/g, b.step/g and t = (b.base - a.base)/g
-    g = _rat_gcd((a.step, b.step))
-    t = (b.base.q1 - a.base.q1) / g
-    if a.base.q0 != b.base.q0 or t.denominator != 1:
+    # the steps 2/M and 2/N have the gcd g = 2/L, L = lcm(M, N); a.base +
+    # k*a.step meets b's orbit where k*u = t mod v, with u = L/M and v = L/N
+    # coprime and t = (b.base.q1 - a.base.q1)/g an integer; the meet has
+    # step a.step * v = 2/gcd(M, N)
+    x, y, M, N = a.base, b.base, a.count, b.count
+    d, e = x.d, y.d
+    if x.a * e != y.a * d:
         return []
-    u, v = int(a.step / g), int(b.step / g)
-    k = int(t) * pow(u, -1, v) % v
-    return [Orbit(PiLinear(a.base.q0, a.base.q1 + k * a.step), a.step * v)]
+    L = math.lcm(M, N)
+    t, r = divmod((y.b * d - x.b * e) * L, 2 * d * e)
+    if r:
+        return []
+    v = L // N
+    k = t * pow(L // M, -1, v) % v
+    return [_orbit(a.angle(k), math.gcd(M, N))]
 
 
 def component_intersection(a: Component, b: Component) -> list[Component]:
@@ -566,9 +716,15 @@ def component_intersection(a: Component, b: Component) -> list[Component]:
     The radial ranges meet by max/min; the angle sets, ordered point <
     full circle < interval < orbit, meet in one table of five cases.
     """
-    lo, hi = max(a.lo_log, b.lo_log), min(a.hi_log, b.hi_log)
-    if lo > hi:
-        return []
+    if a.lo_m is a.hi_m and b.lo_m is b.hi_m:  # two circles meet only as one
+        if a.lo_m != b.lo_m:
+            return []
+        lo = hi = a.lo_m
+    else:
+        lo = a.lo_m if _log_cmp(a.lo_m, b.lo_m) >= 0 else b.lo_m
+        hi = a.hi_m if _log_cmp(a.hi_m, b.hi_m) <= 0 else b.hi_m
+        if _log_cmp(lo, hi) > 0:
+            return []
     x, y = a.angles, b.angles
     if _ANGLE_RANK[type(x)] > _ANGLE_RANK[type(y)]:
         a, b, x, y = b, a, y, x
@@ -598,13 +754,12 @@ def circle_section(
     image of the vertical section; a mismatch raises ConsistencyError.
     """
     t = Fraction(t)
-    r = t / 2**n
+    r = _log_scaled(t.numerator, t.denominator, n)
     L = level_set(Z, n)
     out: list[Component] = []
     for c in L.components:
-        lo, hi = c.lo_log, c.hi_log
-        if lo <= r <= hi:
-            out.append(c if lo == hi else make_component(r, r, c.angles))
+        if _log_within(c.lo_m, c.hi_m, r):
+            out.append(c if c.lo_m is c.hi_m else make_component(r, r, c.angles))
     section = normalize(n, out)
     if check_consistency and image_closedness(Z, n).closed:
         expected = _section_image(vertical_section(Z, t), n, r)
@@ -615,10 +770,8 @@ def circle_section(
     return section
 
 
-def _section_image(S: SectionSet, n: int, log_mod: Fraction) -> LevelSet:
-    half = Fraction(1, 2**n)
-    angles = [a for part in S.parts for a in _part_angles(part)]
-    return normalize(n, [make_component(log_mod, log_mod, _map_angles(a, half)) for a in angles])
+def _section_image(S: SectionSet, n: int, m: LogMod) -> LevelSet:
+    return normalize(n, [make_component(m, m, a) for part in S.parts for a in _level_angles(part, n)])
 
 
 def eventual_image(Z: SpectrumSet, n: int, K: int) -> LevelSet:
@@ -654,7 +807,7 @@ def _angle_sup_candidates(angles: Angles) -> list[PiLinear]:
             cands.append(PI)
         return cands
     # the members around pi: j around (pi - base)/step*pi
-    j0 = floor_ratio(PI - angles.base, PiLinear(0, angles.step))
+    j0 = floor_ratio(PI - angles.base, _mk(0, 2, angles.count))
     return [reduce_mod_2pi(angles.angle(j)) for j in (j0 - 1, j0, j0 + 1)]
 
 
@@ -666,13 +819,13 @@ def component_sup_candidates(c: Component) -> list[LevelPoint]:
     angle endpoint, the antipodal angle when covered, or a radial corner.
     """
     radii, angles = _sup_factors(c)
-    return [LevelPoint(m, a) for m in radii for a in angles]
+    return [_point(m, a) for m in radii for a in angles]
 
 
-def _sup_factors(c: Component) -> tuple[tuple[Fraction, ...], list[PiLinear]]:
+def _sup_factors(c: Component) -> tuple[tuple[LogMod, ...], list[PiLinear]]:
     """The radii and the angles whose pairs are the component's sup candidates."""
-    lo, hi = c.lo_log, c.hi_log
-    return (lo,) if lo is hi or lo == hi else (lo, hi), _angle_sup_candidates(c.angles)
+    lo, hi = c.lo_m, c.hi_m
+    return (lo,) if lo is hi else (lo, hi), _angle_sup_candidates(c.angles)
 
 
 def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
@@ -712,19 +865,18 @@ def _sup_ints(points: list[LevelPoint], digits: int) -> SupInts:
     """
     if not points:
         return (0, 1), (0, 1)
-    exps: dict[tuple[int, int], tuple[int, int, int]] = {}
+    exps: dict[LogMod, tuple[int, int, int]] = {}
     coss: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     lo_n, lo_d, hi_n, hi_d = -1, 1, -1, 1
     for p in points:
-        m, a = p.log_mod, p.angle
+        m, a = p.m, p.angle
         ak = even_key(a)
         c = coss.get(ak)
         if c is None:
             c = coss[ak] = _cos_ints(a, digits + 2)
-        mk = m.numerator, m.denominator
-        e = exps.get(mk)
+        e = exps.get(m)
         if e is None:
-            e = exps[mk] = _exp_ints(m, digits + 2)
+            e = exps[m] = _exp_ints(m, digits + 2)
         lo, hi, den = _abs1m_sq_combine(e, c)
         if hi * hi_d > hi_n * den:
             hi_n, hi_d = hi, den
@@ -736,18 +888,16 @@ def _sup_ints(points: list[LevelPoint], digits: int) -> SupInts:
 def _widest_per_circle(components: Iterable[Component]) -> list[LevelPoint]:
     """Per circle, one sup candidate of the components with that circle's
     largest |angle|: the only candidates that can attain the sup (see the
-    module docstring), and a +-angle tie has one value.  Circles are keyed
-    by the integers of their log-modulus."""
-    widest: dict[tuple[int, int], tuple[Fraction, PiLinear]] = {}
+    module docstring), and a +-angle tie has one value."""
+    widest: dict[LogMod, PiLinear] = {}
     for c in components:
         radii, angles = _sup_factors(c)
         for m in radii:
-            key = (m.numerator, m.denominator)
             for a in angles:
-                q = widest.get(key)
-                if q is None or _compare_abs(a, q[1]) > 0:
-                    widest[key] = m, a
-    return [LevelPoint(m, a) for m, a in widest.values()]
+                q = widest.get(m)
+                if q is None or _compare_abs(a, q) > 0:
+                    widest[m] = a
+    return [_point(m, a) for m, a in widest.items()]
 
 
 def _compare_abs(x: PiLinear, y: PiLinear) -> int:
@@ -774,7 +924,7 @@ def enumerate_points(
         if left == 0:
             break
         a = c.angles
-        pts.extend([LevelPoint(c.lo_log, a)] if a.__class__ is PiLinear else c.points(left))
+        pts.extend([_point(c.lo_m, a)] if a.__class__ is PiLinear else c.points(left))
     return pts
 
 
@@ -787,7 +937,8 @@ def _angle_samples(angles: Angles, count: int) -> list[float]:
     if isinstance(angles, Interval):
         lo, hi = float(angles.lo), float(angles.hi)
         return [lo + (hi - lo) * i / max(1, count - 1) for i in range(count)]
-    q0, q1, step = float(angles.base.q0), float(angles.base.q1), float(angles.step)
+    base = angles.base
+    q0, q1, step = base.a / base.d, base.b / base.d, 2 / angles.count
     return [q0 + (q1 + j * step) * math.pi for j in range(min(angles.count, count))]
 
 
@@ -800,7 +951,7 @@ def sample_points(L: LevelSet, per_component: int = 64) -> list[tuple[float, flo
     out: list[tuple[float, float]] = []
     for c in L.components:
         lo, hi = c.lo_log, c.hi_log
-        if lo == hi:
+        if c.lo_m is c.hi_m:
             radii, count = [lo], per_component
         else:
             count = max(2, int(math.isqrt(per_component)))
@@ -851,7 +1002,7 @@ class LevelCache:
         self._views: dict[int, list[Component]] = {}
         self._levels: dict[int, LevelSet] = {}
         self._splits: dict[int, tuple[list[Component], list[Component]]] = {}
-        self._indexes: dict[int, tuple[set[tuple[Fraction, PiLinear]], LevelSet]] = {}
+        self._indexes: dict[int, tuple[set[tuple[LogMod, PiLinear]], LevelSet]] = {}
         self._sups: dict[tuple[int, int], SupInts] = {}
         self._sup_results: dict[tuple[int, int], SupResult] = {}
 
@@ -879,9 +1030,9 @@ class LevelCache:
         angle set."""
         if n not in self._indexes:
             points, spread = self._split(n)
-            self._indexes[n] = ({(c.lo_log, c.angles) for c in points}, LevelSet(n, tuple(spread)))
+            self._indexes[n] = ({(c.lo_m, c.angles) for c in points}, LevelSet(n, tuple(spread)))
         points, spread = self._indexes[n]
-        return (p.log_mod, p.angle) in points or membership(spread, p)
+        return (p.m, p.angle) in points or membership(spread, p)
 
     def _sup_bounds(self, n: int, digits: int) -> SupInts:
         """`_sup_ints` over level n's widest candidates, once per precision."""

@@ -67,7 +67,10 @@ def exp_bounds(x: Fraction, digits: int) -> Interval:
     relative, 18 orders of magnitude below a double's ulp, so `_exp_ints`
     moves no printed digit.
     """
-    lo, hi, den = (_exp_taylor if abs(x) <= 64 else _exp_ints)(x, digits)
+    if abs(x) <= 64:
+        lo, hi, den = _exp_taylor(x, digits)
+    else:
+        lo, hi, den = _exp_ints((x.numerator, x.denominator), digits)
     return Fraction(lo, den), Fraction(hi, den)
 
 
@@ -97,9 +100,9 @@ def _exp_taylor(x: Fraction, digits: int) -> tuple[int, int, int]:
     return mid - tail, mid + tail, next_den
 
 
-def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
+def _exp_ints(x: tuple[int, int], digits: int) -> tuple[int, int, int]:
     """Integers lo, hi and den = 2**q with lo/den <= exp(x) <= hi/den and
-    width <= 10**-digits.
+    width <= 10**-digits, for x given as (numerator, denominator > 0).
 
     Argument reduction (Brent & Zimmermann, Modern Computer Arithmetic,
     4.3-4.4): with 2**s > 2|x|, t = |x| / 2**s < 1/2.  Each term t**k/k!
@@ -111,7 +114,7 @@ def _exp_ints(x: Fraction, digits: int) -> tuple[int, int, int]:
     scale 2**p gives exp(-|x|), which is at most 2**-p once |x| >= p.
     Above EXP_ARG_CAP it raises ComputationLimit before building anything.
     """
-    a, b = x.numerator, x.denominator
+    a, b = x
     if a == 0:
         return 1, 1, 1
     neg, a = a < 0, abs(a)
@@ -244,9 +247,16 @@ def interval_sqrt(iv: Interval, digits: int) -> Interval:
     return Fraction(a, scale), Fraction(b, scale)
 
 
-def _abs1m_sq_ints(log_mod: Fraction, a: PiLinear, digits: int) -> tuple[int, int, int]:
+def _log_pair(log_mod) -> tuple[int, int]:
+    """A log-modulus given as a rational, or as the (numerator, denominator
+    > 0) pair in lowest terms that the level layer holds, as that pair."""
+    return log_mod if log_mod.__class__ is tuple else (log_mod.numerator, log_mod.denominator)
+
+
+def _abs1m_sq_ints(log_mod: tuple[int, int], a: PiLinear, digits: int) -> tuple[int, int, int]:
     """Integers lo, hi, den > 0 with lo/den <= |1 - exp(log_mod + i*a)|**2
-    <= hi/den, for a reduced angle a: both kernels at digits + 2, combined."""
+    <= hi/den, for a reduced angle a and the pair of log_mod: both kernels
+    at digits + 2, combined."""
     return _abs1m_sq_combine(_exp_ints(log_mod, digits + 2), _cos_ints(a, digits + 2))
 
 
@@ -270,23 +280,25 @@ def _abs1m_sq_combine(e: tuple[int, int, int], c: tuple[int, int, int]) -> tuple
     return max(lo, 0), hi, one
 
 
-def abs1m_sq_bounds(log_mod: Fraction, angle: PiLinear, digits: int) -> Interval:
-    """Enclosure of |1 - z|**2 for z = exp(log_mod + i*angle).
+def abs1m_sq_bounds(log_mod, angle: PiLinear, digits: int) -> Interval:
+    """Enclosure of |1 - z|**2 for z = exp(log_mod + i*angle), log_mod a
+    rational or its pair (see `_log_pair`).
 
     Uses |1 - z|**2 = (1 - e^m)**2 + 2 e^m (1 - cos(angle)); exact for
     the rational-cosine angles on the unit circle.
     """
-    lo, hi, den = _abs1m_sq_ints(log_mod, reduce_mod_2pi(angle), digits)
+    lo, hi, den = _abs1m_sq_ints(_log_pair(log_mod), reduce_mod_2pi(angle), digits)
     return Fraction(lo, den), Fraction(hi, den)
 
 
-def compare_abs1m_sq(log_mod: Fraction, angle: PiLinear, threshold: Fraction) -> int:
-    """Sign of |1 - exp(log_mod + i*angle)|**2 - threshold, resolved exactly.
+def compare_abs1m_sq(log_mod, angle: PiLinear, threshold: Fraction) -> int:
+    """Sign of |1 - exp(log_mod + i*angle)|**2 - threshold, resolved
+    exactly, log_mod a rational or its pair (see `_log_pair`).
 
     The rational-cosine angles on the unit circle are exact: their
     enclosure is the value itself.
     """
-    a = reduce_mod_2pi(angle)
+    log_mod, a = _log_pair(log_mod), reduce_mod_2pi(angle)
     tn, td = threshold.numerator, threshold.denominator
     digits = 15
     while digits <= _MAX_DIGITS:

@@ -22,15 +22,28 @@ class FrozenRecordError(AttributeError):
 
 class Frozen:
     """Refuses assignment and deletion; the base of records written out by
-    hand, which set their slots through the slot descriptors."""
+    hand, which set their slots through the slot descriptors.
+
+    Such a record names its fields in ``_fields``; a field may be a view of
+    the slots, read through ``getattr``.  The repr ``Name(field=value,
+    ...)`` and pickling (the class called with the field values) are read
+    off those names."""
 
     __slots__ = ()
+    _fields = ()
 
     def __setattr__(self, name, value):
         raise FrozenRecordError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, n) for n in self._fields)
 
 
 def record(cls):

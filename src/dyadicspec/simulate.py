@@ -271,7 +271,7 @@ def quasi_uniform_cover(
             return CoverResult("found", (n,), (sup.sq_lo, sup.sq_hi), None)
 
     def keep(level: int, p: LevelPoint) -> bool:
-        return level < n0 or compare_abs1m_sq(p.log_mod, p.angle, eps_sq) >= 0
+        return level < n0 or compare_abs1m_sq(p.m, p.angle, eps_sq) >= 0
 
     witness = search(cache, search_seeds(cache, (0,)), search_bound, keep, node_budget)
     if witness is not None:

@@ -23,8 +23,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi
-from .levels import LevelCache, LevelPoint, component_sup_candidates, on_line_level
+from .exactnum import PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi, scale_pow2
+from .levels import LevelCache, LevelPoint, _log_scaled, _point, component_sup_candidates, on_line_level
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
 from .spectrum import BOUNDED_PARTS, ILattice, SpectrumSet, VLine
@@ -55,10 +55,10 @@ class Thread:
 
 
 def step_point(p: LevelPoint, bit: int) -> LevelPoint:
-    # angle/2 + bit*pi = (a + (b + 2*bit*d)*pi) / 2d
+    # angle/2 + bit*pi = (a + (b + 2*bit*d)*pi) / 2d, and the log-modulus halves
     x = p.angle
     angle = _mk(x.a, x.b + 2 * bit * x.d, 2 * x.d)
-    return LevelPoint(p.log_mod / 2, reduce_mod_2pi(angle))
+    return _point(_log_scaled(*p.m, 1), reduce_mod_2pi(angle))
 
 
 def walk(cache: LevelCache, th: Thread, n: int) -> Iterator[tuple[int, LevelPoint]]:
@@ -123,7 +123,7 @@ def feasible_branches(
 def search_seeds(cache: LevelCache, levels: Iterable[int]) -> Iterator[tuple[int, LevelPoint]]:
     """(level, point) starts for `search`, farthest from 1 first within each
     level; a level set is built only when its seeds are reached."""
-    key = lambda p: (-_approx_abs1m_sq(p), float(p.angle), _float_or_inf(p.log_mod))
+    key = lambda p: (-_approx_abs1m_sq(p), float(p.angle), _float_or_inf(*p.m))
     for n in levels:
         for p in sorted(level_seeds(cache, n), key=key):
             yield n, p
@@ -134,21 +134,23 @@ def level_seeds(cache: LevelCache, n: int) -> list[LevelPoint]:
     return list(dict.fromkeys(p for c in cache.level(n).components for p in component_sup_candidates(c)))
 
 
-def _float_or_inf(x: Fraction) -> float:
+def _float_or_inf(num: int, den: int) -> float:
     # ordering heuristic only: past the float range a value reads as +-inf
     try:
-        return float(x)
+        return num / den
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _approx_abs1m_sq(p: LevelPoint) -> float:
-    # ordering heuristic only: a point too far out for floats counts as infinitely far
+    # ordering heuristic only: a modulus past the float range counts as
+    # infinitely far from 1, one below it as 0, where |1 - z|^2 = 1
+    num, den = p.m
     try:
-        m = math.exp(float(p.log_mod))
+        m = math.exp(num / den)
         return (1 - m) ** 2 + 2 * m * (1 - math.cos(float(p.angle)))
     except OverflowError:
-        return math.inf
+        return 1.0 if num < 0 else math.inf
 
 
 def search(
@@ -224,7 +226,7 @@ def divergence_search(
     base_levels = range(0, min(depth, max(9, depth * 2 // 3)))
 
     def keep(level: int, p: LevelPoint) -> bool:
-        return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
+        return compare_abs1m_sq(p.m, p.angle, delta_sq) >= 0
 
     tail = lambda level, p: tail_closes(cache.Z, level, p, delta_sq)
     return search(cache, search_seeds(cache, base_levels), depth, keep, node_budget, tail)
@@ -239,7 +241,7 @@ def verify_witness(cache: LevelCache, th: Thread, depth: int, delta: Fraction) -
     ones_from = th.base_level + 1 + bytes(prefix).rfind(0) if len(prefix) == n - th.base_level else n
     try:
         for level, p in walk(cache, th, n):
-            if compare_abs1m_sq(p.log_mod, p.angle, delta_sq) < 0:
+            if compare_abs1m_sq(p.m, p.angle, delta_sq) < 0:
                 return False
             if ones_from <= level < n and tail_closes(cache.Z, level, p, delta_sq):
                 return True
@@ -306,7 +308,8 @@ _SIXTH_PI, _THIRD_PI, _TWO_THIRDS_PI = (PiLinear(0, Fraction(k, 6)) for k in (1,
 
 def _closed_from(prim: Union[VLine, ILattice]) -> Optional[int]:
     """The level from which the primitive's level sets are antipode-closed; None when all are."""
-    return None if isinstance(prim, VLine) or prim.step.q0 != 0 else _v2(prim.step.q1.numerator)
+    # a rational step b*pi/d has gcd(b, d) = 1, so b is the numerator of q1
+    return None if isinstance(prim, VLine) or prim.step.a else _v2(prim.step.b)
 
 
 def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -> bool:
@@ -322,12 +325,12 @@ def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -
         for p in Z.primitives
     ):
         return False
-    half_e = e.scaled(Fraction(1, 2))
+    half_e = scale_pow2(e, -1)
     try:
         return all(
             compare_abs1m_sq(m, _TWO_THIRDS_PI - half_e, delta_sq) >= 0
             and compare_abs1m_sq(m, _THIRD_PI + half_e, delta_sq) < 0
-            for m in (q.log_mod, Fraction(0))
+            for m in (q.m, (0, 1))
         )
     except PrecisionError:
         return False

@@ -3,8 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyadicspec.exactnum import EQUAL, PI, PiLinear, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
+from dyadicspec import levels
+from dyadicspec.classify import ClassifyParams, classify
+from dyadicspec.cli import report_to_dict
+from dyadicspec.exactnum import EQUAL, PI, PiLinear, _mk, _rat_gcd, compare, floor_ratio, reduce_mod_2pi
 from dyadicspec.levels import (
     ENUM_LIMIT,
     Component,
@@ -14,7 +19,17 @@ from dyadicspec.levels import (
     LevelSet,
     Interval,
     Orbit,
+    _lattice_count,
+    _log_cmp,
+    _log_key,
+    _log_scaled,
+    _log_times,
+    _log_within,
+    _map_angles,
     _orbit_angles_in_interval,
+    _orbit_contains,
+    _orbit_intersection,
+    _rat_hash,
     antipodal_set,
     antipode_component,
     circle_section,
@@ -43,9 +58,16 @@ from dyadicspec.spectrum import (
     section_representatives,
 )
 
+from dyadicspec.levels import _orbit as _raw_orbit
 from dyadicspec.threads import step_point
 
 from conftest import random_spectrum
+
+
+def _m(x: F) -> tuple[int, int]:
+    """A rational log-modulus as the reduced (numerator, denominator) pair
+    the level layer holds."""
+    return x.numerator, x.denominator
 
 
 # the component kinds, built directly and named by their print labels
@@ -520,10 +542,10 @@ def _random_mixed_level(rng: random.Random) -> LevelSet:
             comps.append(_isolated(LevelPoint(m, reduce_mod_2pi(angle + PiLinear(0, 1)))))
         if kind == "lattice":
             # counts of at most 16 normalize into points, larger ones stay lattices
-            comps.append(make_lattice(m, angle, F(2, rng.choice((1, 3, 4, 32, 64)))))
+            comps.append(make_lattice(_m(m), angle, rng.choice((1, 3, 4, 32, 64))))
         if kind == "arc":
             span = PiLinear(0, F(rng.randint(1, 6), 4))
-            comps.append(make_component(m, m, Interval(angle, angle + span)))
+            comps.append(make_component(_m(m), _m(m), Interval(angle, angle + span)))
     return normalize(rng.randint(0, 5), comps)
 
 
@@ -542,8 +564,9 @@ def test_make_lattice_matches_orbit_walk():
             base = PiLinear(q0, F(rng.randint(-30, 30), rng.randint(1, 9)))
             log_mod = F(rng.randint(-4, 4), rng.randint(1, 4))
             step = F(2, count)
-            got = make_lattice(log_mod, base, step)
+            got = make_lattice(_m(log_mod), base, count)
             assert got == _make_lattice_by_orbit(log_mod, base, step), (base, count)
+            assert got == fraction_make_lattice(log_mod, base, step), (base, count)
             assert (_kind(got) == "IsolatedPoint") == (count == 1)
 
 
@@ -722,7 +745,7 @@ def _old_power_component(c, s):
     if _kind(c) == "FullCircle":
         return _circle(s * c.lo_log)
     if _kind(c) == "CircleLattice":
-        return make_lattice(s * c.lo_log, c.angles.base.scaled(s), _rat_gcd((s * c.angles.step, F(2))))
+        return fraction_make_lattice(s * c.lo_log, c.angles.base.scaled(s), _rat_gcd((s * c.angles.step, F(2))))
     if _kind(c) == "Sector":
         return _old_make_sector(s * c.lo_log, s * c.hi_log, c.angles.lo.scaled(s), c.angles.hi.scaled(s))
     return _annulus(s * c.lo_log, s * c.hi_log)
@@ -790,7 +813,7 @@ def _old_lattice_intersection(a, b):
     B1, B2 = int(a.angles.base.q1 * den), int(b.angles.base.q1 * den)
     g12 = math.gcd(G1, G2)
     u0 = ((B2 - B1) // g12 * pow(G1 // g12, -1, G2 // g12)) % (G2 // g12)
-    return [make_lattice(a.lo_log, PiLinear(a.angles.base.q0, F(B1 + G1 * u0, den) % step), step)]
+    return [fraction_make_lattice(a.lo_log, PiLinear(a.angles.base.q0, F(B1 + G1 * u0, den) % step), step)]
 
 
 _OLD_RANK = {"IsolatedPoint": 0, "Arc": 1, "FullCircle": 2, "CircleLattice": 3, "Sector": 4, "Annulus": 5}
@@ -879,7 +902,7 @@ def _random_component(rng, kind):
     if kind == "FullCircle":
         return _circle(m)
     if kind == "CircleLattice":
-        return make_lattice(m, lo, F(2, rng.choice(_LATTICE_COUNTS)))
+        return make_lattice(_m(m), lo, rng.choice(_LATTICE_COUNTS))
     if kind == "Sector":
         return _old_make_sector(lo_log, hi_log, lo, hi)
     return _annulus(lo_log, hi_log)
@@ -945,3 +968,174 @@ def test_normalize_orders_sectors_and_annuli():
     for _ in range(20):
         rng.shuffle(comps)
         assert normalize(0, comps + comps[:2]) == want
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: log-moduli as Fractions and orbits by their Fraction
+# step, as the level layer held them before its reduced integer pairs and
+# integer member counts, and Hypothesis differentials against them
+
+
+def fraction_orbit_angle(base: PiLinear, step: F, j: int) -> PiLinear:
+    """The member base + j*step*pi, not reduced."""
+    sd = step.denominator
+    return _mk(base.a * sd, base.b * sd + j * step.numerator * base.d, base.d * sd)
+
+
+def fraction_make_lattice(log_mod: F, base: PiLinear, step: F) -> Component:
+    """The orbit component of a step dividing 2, its base brought into [0, step)."""
+    step = F(step)
+    sn, sd = step.numerator, step.denominator
+    if sn <= 0 or 2 * sd % sn:
+        raise ValueError("lattice step must be positive and divide 2")
+    base = fraction_orbit_angle(base, step, -(base.b * sd // (base.d * sn)))
+    if step == 2:
+        return Component(log_mod, log_mod, reduce_mod_2pi(base))
+    return Component(log_mod, log_mod, Orbit(base, step))
+
+
+def fraction_map_step(step: F, k: F) -> F:
+    """The step of an orbit of step `step` under a -> k*a: gcd(k*step, 2)."""
+    return _rat_gcd((k * step, F(2)))
+
+
+def fraction_orbit_contains(base: PiLinear, step: F, angle: PiLinear) -> bool:
+    d, e = angle.d, base.d
+    return angle.a * e == base.a * d and (
+        (angle.b * e - base.b * d) * step.denominator % (d * e * step.numerator) == 0
+    )
+
+
+def fraction_orbit_intersection(a_base, a_step: F, b_base, b_step: F) -> list[tuple[PiLinear, F]]:
+    """(base, step) of the meet of two orbits, as the gcd of their steps gives it."""
+    g = _rat_gcd((a_step, b_step))
+    t = (b_base.q1 - a_base.q1) / g
+    if a_base.q0 != b_base.q0 or t.denominator != 1:
+        return []
+    u, v = int(a_step / g), int(b_step / g)
+    k = int(t) * pow(u, -1, v) % v
+    return [(PiLinear(a_base.q0, a_base.q1 + k * a_step), a_step * v)]
+
+
+_log_mods = st.fractions(max_denominator=10**6) | st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=7)
+_counts = st.integers(1, 64) | st.sampled_from((96, 128, 4096, 16386))
+_bases = st.builds(
+    PiLinear,
+    st.sampled_from((F(0), F(0), F(1, 3), F(-2, 7))),
+    st.fractions(min_value=-8, max_value=8, max_denominator=64),
+)
+
+
+@given(_log_mods, _bases, st.lists(st.integers(0, 1), min_size=200, max_size=260))
+@settings(max_examples=60, deadline=None)
+def test_halving_chains_match_fraction_log_moduli(log_mod, angle, bits):
+    p = LevelPoint(log_mod, reduce_mod_2pi(angle))
+    for k, bit in enumerate(bits, 1):
+        p = step_point(p, bit)
+        want = log_mod / 2**k
+        assert p.m == _m(want) and p.log_mod == want
+        assert p == LevelPoint(want, p.angle) and hash(p) == hash((want, p.angle))
+    assert _log_scaled(log_mod.numerator, log_mod.denominator, len(bits)) == _m(log_mod / 2 ** len(bits))
+
+
+@given(_log_mods, _log_mods, _bases, st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_log_pairs_match_fractions(x, y, angle, s):
+    a = reduce_mod_2pi(angle)
+    cmp = _log_cmp(_m(x), _m(y))
+    assert (cmp > 0) - (cmp < 0) == (x > y) - (x < y)
+    assert sorted([_m(x), _m(y)], key=_log_key) == [_m(v) for v in sorted([x, y])]
+    assert _log_times(_m(x), s) == _m(x * s)
+    assert _rat_hash(_m(x)) == hash(x)
+    lo, hi = sorted([x, y])
+    for m in (x, y, (x + y) / 2, x - 1, y + 1):
+        assert _log_within(_m(lo), _m(hi), _m(m)) == (lo <= m <= hi)
+    # equality, hash and canonical form: the pair of the reduced Fraction
+    p, q = LevelPoint(x, a), LevelPoint(y, a)
+    assert p.m == _m(x) and p.log_mod == x and type(p.log_mod) is F
+    assert (p == q) == (x == y) and hash(p) == hash((x, a))
+    c = Component(lo, hi, None)
+    assert (c.lo_log, c.hi_log) == (lo, hi) and (c.lo_m is c.hi_m) == (lo == hi)
+    assert c == Component(F(lo), F(hi), None) and hash(c) == hash((lo, hi, None))
+    assert make_component(_m(lo), _m(hi), None) == c
+
+
+@given(_bases, _counts, st.integers(0, 40), st.integers(1, 12), _bases)
+@settings(max_examples=300, deadline=None)
+def test_orbit_counts_match_fraction_steps(base, count, n, s, shift):
+    step = F(2, count)
+    orbit = _raw_orbit(base, count)
+    assert orbit == Orbit(base, step) and orbit.step == step and hash(orbit) == hash((base, step))
+    for j in (-3, 0, 1, count + 2):
+        assert orbit.angle(j) == fraction_orbit_angle(base, step, j)
+    for k in (F(1, 2**n), F(s)):
+        got = _map_angles(orbit, k, shift if s % 2 else None)
+        assert got.step == fraction_map_step(step, k), (count, k)
+        assert got.base == (base.scaled(k) if s % 2 == 0 else base.scaled(k) + shift)
+    # a lattice of step q*pi at level n: the raw step scaled, then gcd'd with 2
+    q = F(count, s)
+    assert F(2, _lattice_count(PiLinear(0, q), n)) == _rat_gcd((q / 2**n, F(2)))
+
+
+@given(_bases, _counts, _bases, _counts, _log_mods)
+@settings(max_examples=300, deadline=None)
+def test_orbit_helpers_match_fraction_steps(a_base, M, b_base, N, log_mod):
+    sa, sb = F(2, M), F(2, N)
+    # members of either orbit, and angles beside them
+    for angle in (a_base, b_base, fraction_orbit_angle(a_base, sa, 3), b_base + PiLinear(0, F(1, 3))):
+        a = reduce_mod_2pi(angle)
+        assert _orbit_contains(b_base, N, a) == fraction_orbit_contains(b_base, sb, a)
+    a, b = _raw_orbit(a_base, M), _raw_orbit(b_base, N)
+    got = [(o.base, o.step) for o in _orbit_intersection(a, b)]
+    assert got == fraction_orbit_intersection(a_base, sa, b_base, sb)
+    # the same q0 on both sides, so that the orbits can meet
+    b_same = PiLinear(a_base.q0, b_base.q1)
+    got = [(o.base, o.step) for o in _orbit_intersection(a, _raw_orbit(b_same, N))]
+    assert got == fraction_orbit_intersection(a_base, sa, b_same, sb)
+    assert make_lattice(_m(log_mod), a_base, M) == fraction_make_lattice(log_mod, a_base, sa)
+
+
+# ---------------------------------------------------------------------------
+# counts over one fixed set of spectra, classified as the benchmark's corpus
+# is (shallow levels and search) and turned into report dicts
+
+_COUNTED_SPECTRA = [random_spectrum(random.Random(f"counted-{k}")) for k in range(40)]
+_COUNTED_PARAMS = ClassifyParams(n_max=6, K=2, search_depth=12)
+
+
+def _classify_counted():
+    for Z in _COUNTED_SPECTRA:
+        report_to_dict(classify(Z, _COUNTED_PARAMS))
+
+
+def test_a_warm_pass_builds_at_most_half_the_fractions():
+    _classify_counted()  # warm: the pi enclosures are cached
+    new, count = F.__dict__["__new__"], 0
+
+    def counting(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    F.__new__ = counting
+    try:
+        _classify_counted()
+    finally:
+        F.__new__ = new
+    # with Fraction log-moduli and orbit steps in the level layer, the same
+    # warm pass built 5,148 Fractions (Python 3.11)
+    assert 0 < count <= 5148 // 2
+
+
+def test_antipodal_set_meets_no_isolated_point(monkeypatch):
+    # isolated points pair per circle, by angle: only spread components meet
+    calls = []
+    meet = levels.component_intersection
+
+    def checked(a, b):
+        calls.append(a.angles.__class__ is PiLinear or b.angles.__class__ is PiLinear)
+        return meet(a, b)
+
+    monkeypatch.setattr(levels, "component_intersection", checked)
+    _classify_counted()
+    assert calls and not any(calls)

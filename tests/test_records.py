@@ -30,7 +30,7 @@ from dyadicspec.towers import Tower, TowerError
 
 BUILTINS = ("roots2k", "solenoid", "rectangle", "primefamily")
 P = LevelPoint(F(-1, 2), PiLinear(0, F(1, 3)))
-POINT = make_component(P.log_mod, P.log_mod, P.angle)  # the isolated point P
+POINT = make_component(P.m, P.m, P.angle)  # the isolated point P
 
 
 def _collect(obj, out: dict) -> None:
@@ -154,28 +154,28 @@ def test_post_init_checks_still_fire():
 
 def test_cached_views_work_on_records():
     lo, hi = PiLinear(0, F(-1, 4)), PiLinear(0, F(1, 4))
-    arc = make_component(F(0), F(0), Interval(lo, hi))
+    arc = make_component((0, 1), (0, 1), Interval(lo, hi))
     assert arc.angles == Interval(lo, hi) and arc.angles is arc.angles
     assert (arc.lo_log, arc.hi_log) == (F(0), F(0))
-    circle = make_component(F(1), F(1), None)
+    circle = make_component((1, 1), (1, 1), None)
     assert (circle.lo_log, circle.hi_log) == (F(1), F(1)) and circle.angles is None
-    lat = make_component(F(0), F(0), Orbit(PiLinear(0), F(1, 2)))
+    lat = make_component((0, 1), (0, 1), Orbit(PiLinear(0), F(1, 2)))
     assert lat.angles == Orbit(PiLinear(0), F(1, 2)) and lat.angles.count == 4
-    sector = make_component(F(-1), F(0), Interval(lo, hi))
+    sector = make_component((-1, 1), (0, 1), Interval(lo, hi))
     assert (sector.lo_log, sector.hi_log) == (F(-1), F(0))
-    annulus = make_component(F(-1), F(0), None)
+    annulus = make_component((-1, 1), (0, 1), None)
     assert (annulus.lo_log, annulus.hi_log) == (F(-1), F(0))
     fam = PrimeFamily("2j", 2)
     assert isinstance(fam.section, SectionPoints) and fam.section is fam.section
     assert len(fam.section.values) == 4
     # a cached view is not a field: equality and hash ignore it
     assert fam == PrimeFamily("2j", 2) and hash(fam) == hash(PrimeFamily("2j", 2))
-    twin = make_component(F(0), F(0), Interval(lo, hi))
+    twin = make_component((0, 1), (0, 1), Interval(lo, hi))
     assert arc == twin and hash(arc) == hash(twin)
 
 
 def test_copy_and_pickle_round_trip():
-    arc = make_component(F(0), F(0), Interval(PiLinear(0), PiLinear(0, F(1, 2))))
+    arc = make_component((0, 1), (0, 1), Interval(PiLinear(0), PiLinear(0, F(1, 2))))
     for x in (P, POINT, Thread(0, P, (1,)), arc):
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)

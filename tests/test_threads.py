@@ -534,3 +534,11 @@ def test_witness_costs_the_gate_levels_at_any_depth(text, verdict, monkeypatch):
     cfg = parse_config(text)
     assert classify(cfg.spectrum, cfg.params).verdict is verdict
     assert sorted(calls) == list(range(cfg.params.n_max + 1))
+
+
+def test_seed_below_the_float_range_reads_as_modulus_zero():
+    # e^(-10^400) is 0 in floats, where |1 - z|^2 = 1: the point at angle 3
+    # on the unit circle (|1 - z|^2 = 2 - 2 cos 3, about 3.98) comes first
+    cfg = parse_config(f"spectrum point re=-{10**400} im=1\nspectrum point re=0 im=3\n")
+    seeds = [p for _, p in search_seeds(LevelCache(cfg.spectrum), (0,))]
+    assert [(p.log_mod, p.angle) for p in seeds] == [(0, PiLinear(3)), (-(10**400), PiLinear(1))]
