@@ -378,12 +378,6 @@ def _ratio_ints(x: PiLinear, s: PiLinear) -> tuple[int, int] | None:
     return x.b * s.d, s.b * x.d
 
 
-def exact_ratio(x: PiLinear, s: PiLinear) -> Fraction | None:
-    """Return r with x = r*s if that rational r exists, else None."""
-    r = _ratio_ints(x, s)
-    return None if r is None else Fraction(*r)
-
-
 def floor_ratio(x: PiLinear, s: PiLinear) -> int:
     """floor(x / s) for s > 0, exact.
 

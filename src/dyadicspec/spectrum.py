@@ -24,9 +24,9 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, _raw, _rat_gcd, _v2, ceil_ratio, floor_ratio
+from .exactnum import PI, PiLinear, _raw, _rat_gcd, _v2, ceil_ratio, floor_ratio
 from .records import record
 
 
@@ -285,11 +285,24 @@ def vertical_section(Z: SpectrumSet, t: Fraction) -> SectionSet:
 # the antipode condition and its level descriptions
 #
 # The question at level n is whether S_t - S_t contains an odd multiple of
-# 2^n * pi.  Each pair of section parts splits into instances of
-# three kinds: membership of 2^n - c in the rational module
-# 2^{n+1} Z + m_1 Z + ... (an exact gcd computation), an odd multiple of
-# 2^n * pi inside an interval, or an interval meeting a lattice coset.
-# Every instance has one exact description (PairLevels) that is constant
+# 2^n * pi, that is x * pi for a nonzero integer x with v2(x) = n.  Every
+# pair of section parts asks which n are the valuations of the nonzero
+# integers of one range [lo, hi] (_valuations):
+#
+# * point x interval, interval x interval: the differences fill [a, b],
+#   whose multiples of pi are x * pi for x in [ceil(a/pi), floor(b/pi)].
+#   Once 2^n * pi exceeds |a| and |b|, only x = 0 is left: never odd.
+# * pairs with a lattice: for a modulus p/q > 0 in lowest terms and
+#   s = v2(p), the sums 2^n*k + l*p/q (k odd, l in Z), times q, are
+#   X_n = {2^n*k*q + l*p}.  Below s, q is odd and 2^{n+1} divides p, so X_n
+#   is the integers of valuation n; from s on, it is the multiples of 2^s.
+#   An offset c asks for c*q in X_n, so the range is [c*q, c*q] (empty
+#   unless c*q is an integer); an interval minus a lattice base asks for
+#   x * pi/q in it, so the range is its ends over pi/q.  With no modulus
+#   only n = v2(c) holds; a step with an irrational part makes the coset
+#   dense, so every n holds.
+#
+# Each instance has one exact description (PairLevels) that is constant
 # from a known level on; the levels up to any bound and the tail beyond it
 # are both read off these descriptions.
 
@@ -315,27 +328,48 @@ _NEVER = PairLevels(frozenset(), 0, False)
 _ALWAYS = PairLevels(frozenset(), 0, True)
 
 
-def _stable_from(m: Fraction) -> int:
-    """First level n >= 0 from which gcd(2^{n+1}, m) no longer changes."""
-    return max(0, _v2(m.numerator) - _v2(m.denominator))
+def _valuations(lo: int, hi: int, below: int) -> frozenset[int]:
+    """The levels n < below at which some nonzero integer x in [lo, hi]
+    has v2(x) = n.
+
+    Any 2^{n+1} consecutive integers hold an odd multiple of 2^n, so every
+    n with 2^{n+1} <= hi - lo + 1 is a level.  At the next n the range holds
+    at most two multiples of 2^n, and two consecutive ones include an odd
+    one; once at most one multiple x is left, it is the only candidate at
+    every higher level, so the last level is v2(x) unless x is 0."""
+    if lo > hi:
+        return frozenset()
+    n = (hi - lo + 1).bit_length() - 1
+    levels = set(range(n))
+    j, k = -(-lo >> n), hi >> n  # the multiples of 2^n in [lo, hi] are j..k times it
+    if j < k:
+        levels.add(n)
+        n += 1
+        j, k = -(-lo >> n), hi >> n
+    if j == k and j:
+        levels.add(n + _v2(j))
+    return frozenset(m for m in levels if m < below)
 
 
-def _constant_from(start: int, cond: Callable[[int], bool]) -> PairLevels:
-    """Describe `cond`, which is constant for n >= start by construction."""
-    value = cond(start)
-    if cond(start + 1) != value or cond(start + 6) != value:
-        raise ConsistencyError(f"pair condition is not constant from level {start}")
-    return PairLevels(frozenset(n for n in range(start) if cond(n)), start, value)
+def _interval_levels(a: PiLinear, b: PiLinear) -> PairLevels:
+    lo, hi = ceil_ratio(a, PI), floor_ratio(b, PI)
+    # 2^n * pi exceeds |a| and |b| from the bit length of floor(max(|a|, |b|)/pi),
+    # which is max(hi, -lo) as a <= b
+    start = max(hi, -lo).bit_length()
+    return PairLevels(_valuations(lo, hi, start), start, False)
 
 
-def _odd_cond(n: int, c: Fraction, mods: list[Fraction]) -> bool:
-    """Exists odd k and integers t_i with 2^n * k = c + sum t_i * m_i."""
-    g = _rat_gcd([Fraction(2 ** (n + 1))] + mods)
-    return ((c - 2**n) / g).denominator == 1
+def _coset_levels(lo: int, hi: int, p: int) -> PairLevels:
+    """Levels at which [lo, hi] meets X_n for a modulus p/q (see above)."""
+    s = _v2(p)
+    # from s on, [lo, hi] meets X_n when it holds a multiple of 2^s
+    return PairLevels(_valuations(lo, hi, s), s, hi >> s >= -(-lo >> s))
 
 
 def _module_levels(params: Optional[tuple[Fraction, list[Fraction]]]) -> PairLevels:
-    """Levels of the _odd_cond instance `params`; None stands for no solution."""
+    """Levels of the instance `params`: an offset c and moduli m_i with
+    2^n * k = c + sum t_i * m_i for odd k and integers t_i.  None stands
+    for no solution."""
     if params is None:
         return _NEVER
     c, mods = params
@@ -346,30 +380,8 @@ def _module_levels(params: Optional[tuple[Fraction, list[Fraction]]]) -> PairLev
             n = _v2(c.numerator)
             return PairLevels(frozenset({n}), n + 1, False)
         return _NEVER
-    return _constant_from(_stable_from(m), lambda n: _odd_cond(n, c, mods))
-
-
-def _abs_pl(x: PiLinear) -> PiLinear:
-    return -x if x.sign() < 0 else x
-
-
-def _odd_multiple_in_interval(n: int, a: PiLinear, b: PiLinear) -> bool:
-    """Is some odd multiple of 2^n * pi inside the real interval [a, b]?"""
-    s = PiLinear(0, 2**n)
-    kmin = ceil_ratio(a, s)
-    kmax = floor_ratio(b, s)
-    if kmax < kmin:
-        return False
-    return kmax > kmin or kmin % 2 != 0
-
-
-def _interval_levels(a: PiLinear, b: PiLinear) -> PairLevels:
-    # once 2^n * pi exceeds |a| and |b|, the only multiple in [a, b] is 0
-    bound = max(_abs_pl(a), _abs_pl(b))
-    start = 0
-    while not PiLinear(0, 2**start) > bound:
-        start += 1
-    return _constant_from(start, lambda n: _odd_multiple_in_interval(n, a, b))
+    x = c * m.denominator
+    return _coset_levels(math.ceil(x), math.floor(x), m.numerator)
 
 
 def _point_lattice_params(
@@ -405,48 +417,30 @@ def _lattice_lattice_params(
     g = math.gcd(A, B)
     if C % g != 0:
         return None
-    x0, y0 = _extended_gcd_solution(A, B, C)
+    # one solution (k1, k2) of A*k1 + B*k2 = C; the others move the offset
+    # by multiples of the modulus h, which leaves its levels unchanged
+    if B:
+        v = abs(B) // g
+        k1 = C // g * pow(A // g, -1, v) % v
+        k2 = (C - A * k1) // B
+    else:
+        k1, k2 = C // A, 0
     h = a1 * (B // g) + c1 * (A // g)
-    return w.q1 + a1 * x0 - c1 * y0, [h]
-
-
-def _extended_gcd_solution(A: int, B: int, C: int) -> tuple[int, int]:
-    """One integer solution (x, y) of A*x + B*y = C (gcd(A,B) divides C)."""
-    old_r, r = A, B
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    mult = C // old_r
-    return old_s * mult, old_t * mult
-
-
-def _interval_lattice_cond(
-    n: int, lo: PiLinear, hi: PiLinear, base: PiLinear, step: PiLinear
-) -> bool:
-    # exists odd k, integer l: 2^n k pi + base + l step in [lo, hi]
-    if step.q0 != 0:
-        # 2^{n+1} pi Z + step Z is dense (irrational generator ratio), and a
-        # dense coset meets every nondegenerate closed interval
-        return True
-    s1 = step.q1
-    g = _rat_gcd([Fraction(2 ** (n + 1)), s1])
-    # coefficients w = 2^n + g*j; need (w)*pi + base in [lo, hi]
-    gp = PiLinear(0, g)
-    off = PiLinear(0, 2**n) + base
-    jmin = ceil_ratio(lo - off, gp)
-    jmax = floor_ratio(hi - off, gp)
-    return jmax >= jmin
+    return w.q1 + a1 * k1 - c1 * k2, [h]
 
 
 def _interval_lattice_levels(
     lo: PiLinear, hi: PiLinear, base: PiLinear, step: PiLinear
 ) -> PairLevels:
-    start = 0 if step.q0 != 0 else _stable_from(step.q1)
-    return _constant_from(start, lambda n: _interval_lattice_cond(n, lo, hi, base, step))
+    # exists odd k, integer l: 2^n k pi + base + l step in [lo, hi]
+    if step.q0 != 0:
+        # 2^{n+1} pi Z + step Z is dense (irrational generator ratio), and a
+        # dense coset meets every nondegenerate closed interval
+        return _ALWAYS
+    unit = _raw(0, 1, step.q1.denominator)  # pi / q
+    return _coset_levels(
+        ceil_ratio(lo - base, unit), floor_ratio(hi - base, unit), step.q1.numerator
+    )
 
 
 def _pair_levels(A: SectionPart, B: SectionPart) -> Iterable[PairLevels]:

@@ -19,10 +19,10 @@ from dyadicspec.exactnum import (
     _MAX_BITS,
     _pi_fixed,
     _pi_mid,
+    _ratio_ints,
     _sign_int,
     ceil_ratio,
     compare,
-    exact_ratio,
     floor_ratio,
     parse,
     pi_bounds,
@@ -152,8 +152,8 @@ def test_floor_ratio_rational_and_irrational():
     assert floor_ratio(PiLinear(0, -7), PiLinear(0, 2)) == -4
     assert floor_ratio(PiLinear(1, 1), PiLinear(0, 1)) == 1  # (1+pi)/pi
     assert ceil_ratio(PiLinear(1, 0), PiLinear(0, 1)) == 1  # 1/pi
-    assert exact_ratio(PiLinear(0, 3), PiLinear(0, 2)) == F(3, 2)
-    assert exact_ratio(PiLinear(1, 3), PiLinear(0, 2)) is None
+    assert F(*_ratio_ints(PiLinear(0, 3), PiLinear(0, 2))) == F(3, 2)
+    assert _ratio_ints(PiLinear(1, 3), PiLinear(0, 2)) is None
 
 
 @given(rationals, rationals, st.fractions(min_value=F(1, 8), max_value=8, max_denominator=16))
@@ -300,9 +300,9 @@ def test_reduce_matches_oracle_at_odd_pi_boundaries(k, m, side, digit):
 def fraction_floor_ratio(x: PiLinear, s: PiLinear) -> int:
     """Reference: the Fraction body floor_ratio had, four quotients of
     enclosures of 20, 40, 80, ... digits."""
-    r = exact_ratio(x, s)
+    r = _ratio_ints(x, s)
     if r is not None:
-        return math.floor(r)
+        return math.floor(F(*r))
     digits = 20
     while True:
         xlo, xhi = x.bounds(digits)

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import PiLinear, _v2, compare
+from dyadicspec.exactnum import PiLinear, _rat_gcd, _v2, ceil_ratio, compare, floor_ratio
 from dyadicspec.spectrum import (
+    ConsistencyError,
     ILattice,
+    PairLevels,
     Point,
     PrimeFamily,
     Rect,
@@ -29,17 +32,15 @@ from dyadicspec.spectrum import (
     _ALWAYS,
     _KIND_ORDER,
     _NEVER,
-    _interval_lattice_cond,
     _interval_lattice_levels,
     _interval_levels,
     _lattice_lattice_params,
     _module_levels,
-    _odd_cond,
-    _odd_multiple_in_interval,
     _pair_levels,
     _point_lattice_params,
     _points_points_levels,
     _section_pair_levels,
+    _valuations,
 )
 
 from conftest import random_spectrum
@@ -189,6 +190,114 @@ def test_star_matches_brute_force_on_random_spectra():
                 assert got == want, (Z, t, n)
                 checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# per-level oracle: the pair level builders that the valuation rule
+# replaced.  Each evaluates its condition at every level below `start` and
+# spot-checks that it is constant from there on.
+
+
+def _constant_from(start, cond):
+    """Describe `cond`, which is constant for n >= start by construction."""
+    value = cond(start)
+    if cond(start + 1) != value or cond(start + 6) != value:
+        raise ConsistencyError(f"pair condition is not constant from level {start}")
+    return PairLevels(frozenset(n for n in range(start) if cond(n)), start, value)
+
+
+def _stable_from(m):
+    """First level n >= 0 from which gcd(2^{n+1}, m) no longer changes."""
+    return max(0, _v2(m.numerator) - _v2(m.denominator))
+
+
+def _odd_cond(n, c, mods):
+    """Exists odd k and integers t_i with 2^n * k = c + sum t_i * m_i."""
+    g = _rat_gcd([F(2 ** (n + 1))] + mods)
+    return ((c - 2**n) / g).denominator == 1
+
+
+def _odd_multiple_in_interval(n, a, b):
+    """Is some odd multiple of 2^n * pi inside the real interval [a, b]?"""
+    s = PiLinear(0, 2**n)
+    kmin = ceil_ratio(a, s)
+    kmax = floor_ratio(b, s)
+    if kmax < kmin:
+        return False
+    return kmax > kmin or kmin % 2 != 0
+
+
+def _interval_lattice_cond(n, lo, hi, base, step):
+    # exists odd k, integer l: 2^n k pi + base + l step in [lo, hi]
+    if step.q0 != 0:
+        # a dense coset meets every nondegenerate closed interval
+        return True
+    g = _rat_gcd([F(2 ** (n + 1)), step.q1])
+    # coefficients w = 2^n + g*j; need w*pi + base in [lo, hi]
+    gp = PiLinear(0, g)
+    off = PiLinear(0, 2**n) + base
+    return floor_ratio(hi - off, gp) >= ceil_ratio(lo - off, gp)
+
+
+def _oracle_module_levels(params):
+    if params is None:
+        return _NEVER
+    c, mods = params
+    m = _rat_gcd(mods)
+    if m == 0:
+        if c != 0 and c.denominator == 1:
+            n = _v2(c.numerator)
+            return PairLevels(frozenset({n}), n + 1, False)
+        return _NEVER
+    return _constant_from(_stable_from(m), lambda n: _odd_cond(n, c, mods))
+
+
+def _oracle_interval_levels(a, b):
+    # once 2^n * pi exceeds |a| and |b|, the only multiple in [a, b] is 0
+    bound = max(a, -a, b, -b)
+    start = 0
+    while not PiLinear(0, 2**start) > bound:
+        start += 1
+    return _constant_from(start, lambda n: _odd_multiple_in_interval(n, a, b))
+
+
+def _oracle_interval_lattice_levels(lo, hi, base, step):
+    start = 0 if step.q0 != 0 else _stable_from(step.q1)
+    return _constant_from(start, lambda n: _interval_lattice_cond(n, lo, hi, base, step))
+
+
+def _extended_gcd_solution(A, B, C):
+    """One integer solution (x, y) of A*x + B*y = C (gcd(A,B) divides C)."""
+    old_r, r = A, B
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    mult = C // old_r
+    return old_s * mult, old_t * mult
+
+
+def _oracle_lattice_lattice_params(w, s1, s2):
+    """The two-lattice reduction with an extended-gcd particular solution."""
+    a0, a1 = s1.q0, s1.q1
+    c0, c1 = s2.q0, s2.q1
+    if a0 == 0 and c0 == 0:
+        if w.q0 != 0:
+            return None
+        return w.q1, [a1, c1]
+    den = math.lcm(a0.denominator, c0.denominator, w.q0.denominator)
+    A = int(a0 * den)
+    B = int(-c0 * den)
+    C = int(-w.q0 * den)
+    g = math.gcd(A, B)
+    if C % g != 0:
+        return None
+    x0, y0 = _extended_gcd_solution(A, B, C)
+    h = a1 * (B // g) + c1 * (A // g)
+    return w.q1 + a1 * x0 - c1 * y0, [h]
 
 
 def _oracle_point_lattice(n, w, step):
@@ -389,31 +498,33 @@ def _oracle_section_representatives(Z):
 
 
 def _oracle_pair_levels(A, B):
-    """The ordered ten-branch table: every order of every pair has a branch."""
+    """The ordered ten-branch table: every order of every pair has a
+    branch, and every branch builds its levels level by level."""
     if isinstance(A, SectionLine) or isinstance(B, SectionLine):
         return (_ALWAYS,)
     if isinstance(A, SectionPoints) and isinstance(B, SectionPoints):
         return _points_points_levels(A.values, B.values)
     if isinstance(A, SectionPoints) and isinstance(B, SectionInterval):
-        return tuple(_interval_levels(u - B.hi, u - B.lo) for u in A.values)
+        return tuple(_oracle_interval_levels(u - B.hi, u - B.lo) for u in A.values)
     if isinstance(A, SectionInterval) and isinstance(B, SectionPoints):
-        return tuple(_interval_levels(A.lo - v, A.hi - v) for v in B.values)
+        return tuple(_oracle_interval_levels(A.lo - v, A.hi - v) for v in B.values)
     if isinstance(A, SectionInterval) and isinstance(B, SectionInterval):
-        return (_interval_levels(A.lo - B.hi, A.hi - B.lo),)
+        return (_oracle_interval_levels(A.lo - B.hi, A.hi - B.lo),)
     if isinstance(A, SectionPoints) and isinstance(B, SectionLattice):
         return tuple(
-            _module_levels(_point_lattice_params(u - B.base, B.step)) for u in A.values
+            _oracle_module_levels(_point_lattice_params(u - B.base, B.step)) for u in A.values
         )
     if isinstance(A, SectionLattice) and isinstance(B, SectionPoints):
         return tuple(
-            _module_levels(_point_lattice_params(A.base - v, A.step)) for v in B.values
+            _oracle_module_levels(_point_lattice_params(A.base - v, A.step)) for v in B.values
         )
     if isinstance(A, SectionLattice) and isinstance(B, SectionLattice):
-        return (_module_levels(_lattice_lattice_params(A.base - B.base, A.step, B.step)),)
+        params = _oracle_lattice_lattice_params(A.base - B.base, A.step, B.step)
+        return (_oracle_module_levels(params),)
     if isinstance(A, SectionInterval) and isinstance(B, SectionLattice):
-        return (_interval_lattice_levels(A.lo, A.hi, B.base, B.step),)
+        return (_oracle_interval_lattice_levels(A.lo, A.hi, B.base, B.step),)
     if isinstance(A, SectionLattice) and isinstance(B, SectionInterval):
-        return (_interval_lattice_levels(B.lo, B.hi, A.base, A.step),)
+        return (_oracle_interval_lattice_levels(B.lo, B.hi, A.base, A.step),)
     raise TypeError(f"pair {type(A).__name__}/{type(B).__name__}")
 
 
@@ -492,3 +603,106 @@ def test_prime_family_points_equal_their_rational_construction(n_seq):
         n = fam.n_of(j)
         assert fam.alpha(j) == PiLinear(0, F(1, j) + 2 ** (n + 1)), (n_seq, j)
         assert fam.beta(j) == PiLinear(0, F(1, j) + 3 * 2**n), (n_seq, j)
+
+
+# ---------------------------------------------------------------------------
+# the valuation rule against the per-level oracle
+
+
+def test_valuations_match_enumeration():
+    # small windows, some around large multiples of powers of two
+    for center in (0, 3 << 40, -(5 << 70)):
+        for lo in range(center - 20, center + 21):
+            for hi in range(lo - 1, lo + 40):
+                for below in (0, 2, 5, 200):
+                    want = {_v2(x) for x in range(lo, hi + 1) if x} & set(range(below))
+                    assert _valuations(lo, hi, below) == want, (lo, hi, below)
+
+
+def _random_offset(rng, bits, irrational=True):
+    """A value of size up to 2^bits * pi, with an irrational part or not."""
+    q0 = F(0)
+    if irrational and rng.random() < 1 / 3:
+        q0 = F(rng.randint(-9, 9), rng.randint(1, 5))
+    q1 = F(rng.randint(-(2**bits), 2**bits), rng.randint(1, 6))
+    return PiLinear(q0, q1)
+
+
+def test_interval_levels_match_per_level_oracle():
+    rng = random.Random(4701)
+    bits = [rng.randint(0, 12) for _ in range(500)] + [rng.randint(13, 300) for _ in range(40)]
+    bits += [rng.randint(3000, 4000) for _ in range(20)]
+    outcomes = set()
+    for b in bits:
+        # the oracle's irrational floor ratios take seconds at 4000 bits
+        irrational = b <= 300
+        a = _random_offset(rng, b, irrational)
+        # lengths from 0 (a degenerate interval) to about 80*pi
+        lengths = [PiLinear(0, 0), PiLinear(0, F(rng.randint(0, 80 * 4), 4))]
+        if irrational:
+            lengths.append(PiLinear(F(rng.randint(0, 200), 3), F(rng.randint(0, 60))))
+        length = rng.choice(lengths)
+        got = _interval_levels(a, a + length)
+        assert got == _oracle_interval_levels(a, a + length), (a, length)
+        outcomes.add(len(got.hits) > 1)
+    assert outcomes == {False, True}
+
+
+def test_module_levels_match_per_level_oracle():
+    rng = random.Random(4702)
+    starts = set()
+    for _ in range(3000):
+        c = F(rng.randint(-40, 40) << rng.randint(0, 14), rng.choice((1, 1, 1, 2, 3, 4, 5)))
+        # zero to two moduli, some zero, with odd and even denominators
+        mods = [
+            F(rng.randint(0, 12) << rng.randint(0, 10), rng.choice((1, 2, 3, 5, 6, 8)))
+            for _ in range(rng.randint(0, 2))
+        ]
+        got = _module_levels((c, mods))
+        assert got == _oracle_module_levels((c, mods)), (c, mods)
+        starts.add((got.start > 0, bool(got.hits), got.value))
+    assert len(starts) >= 5
+
+
+def test_interval_lattice_levels_match_per_level_oracle():
+    rng = random.Random(4703)
+    outcomes = set()
+    for _ in range(1500):
+        lo = _random_offset(rng, 12)
+        hi = lo + PiLinear(rng.choice((F(0), F(1, 3))), F(rng.randint(1, 80 * 4), 4))
+        base = _random_offset(rng, 6)
+        if rng.random() < 0.1:
+            step = PiLinear(F(rng.randint(1, 3)), F(rng.randint(0, 2), 2))  # irrational
+        else:
+            # v2 of the numerator from 0 to 10, odd or even denominators
+            num = (2 * rng.randint(0, 20) + 1) << rng.randint(0, 10)
+            step = PiLinear(0, F(num, rng.choice((1, 2, 3, 4, 5, 8, 9))))
+        got = _interval_lattice_levels(lo, hi, base, step)
+        assert got == _oracle_interval_lattice_levels(lo, hi, base, step), (lo, hi, base, step)
+        outcomes.add((bool(got.hits), got.value))
+    assert len(outcomes) == 4
+
+
+def test_lattice_pairs_match_extended_gcd_oracle():
+    # a different particular solution moves the offset by a multiple of the
+    # modulus; the descriptions agree, also with a0 = 0 or c0 = 0
+    rng = random.Random(4704)
+    solved = set()
+    irrational = (F(0), F(0), F(1), F(2), F(-3), F(1, 2), F(3, 4), F(5, 6))
+    for _ in range(2000):
+        w = PiLinear(
+            F(rng.randint(-12, 12), rng.randint(1, 4)), F(rng.randint(-60, 60), rng.randint(1, 6))
+        )
+        s1, s2 = (
+            PiLinear(
+                rng.choice(irrational), F(rng.randint(0, 24) << rng.randint(0, 4), rng.randint(1, 6))
+            )
+            for _ in range(2)
+        )
+        params = _lattice_lattice_params(w, s1, s2)
+        want = _oracle_lattice_lattice_params(w, s1, s2)
+        assert (params is None) == (want is None), (w, s1, s2)
+        assert _module_levels(params) == _oracle_module_levels(want), (w, s1, s2)
+        if params is not None:
+            solved.add((s1.q0 == 0, s2.q0 == 0))
+    assert solved == {(False, False), (True, False), (False, True), (True, True)}
