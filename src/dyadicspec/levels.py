@@ -829,13 +829,9 @@ def _sup_factors(c: Component) -> tuple[tuple[LogMod, ...], list[PiLinear]]:
 
 
 def sup_abs_one_minus(L: LevelSet, digits: int = 30) -> SupResult:
-    """sup over the level set of |1 - z|^2, as a certified enclosure."""
-    return _sup_over([p for c in L.components for p in component_sup_candidates(c)], digits)
-
-
-def _sup_over(points: list[LevelPoint], digits: int) -> SupResult:
-    """The largest |1 - z|^2 over the points, as a certified enclosure."""
-    return _sup_result(*_sup_ints(points, digits))
+    """sup over the level set of |1 - z|^2, as a certified enclosure of
+    the widest sup candidate on each circle."""
+    return _sup_result(*_sup_ints(_widest_per_circle(L.components), digits))
 
 
 def _sup_result(lo: tuple[int, int], hi: tuple[int, int]) -> SupResult:
@@ -979,12 +975,11 @@ class LevelCache:
 
     * `sup(n, digits)` encloses, per circle of the view's sup candidates,
       one with the circle's largest |angle| (the module docstring gives
-      the argument).  These attain the sup of the normalized level, so the
-      result is `sup_abs_one_minus(self.level(n), digits)`, except where
-      two candidates on one circle have values within 10^-digits of each
-      other: a dropped candidate's enclosure could have moved sq_lo or
-      sq_hi by that much.  The circles share one cos per |angle|, as cos
-      is even (see `_sup_ints`).
+      the argument).  `normalize` only merges arcs, lets circles absorb,
+      drops covered points and enumerates small orbits, none of which
+      changes a circle's largest |angle|, so the result is
+      `sup_abs_one_minus(self.level(n), digits)`.  The circles share one
+      cos per |angle|, as cos is even (see `_sup_ints`).
     * `sup_sqrt(n, digits)` is the square root of that sup, as
       `interval_sqrt` rounds it, taken from the same winning integers:
       each (level, precision) is enclosed once for both.

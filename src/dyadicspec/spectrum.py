@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .exactnum import PI, PiLinear, _raw, _rat_gcd, _v2, ceil_ratio, floor_ratio
+from .exactnum import PI, ZERO, PiLinear, _raw, _rat_gcd, _v2, ceil_ratio, floor_ratio
 from .records import record
 
 
@@ -384,21 +384,6 @@ def _module_levels(params: Optional[tuple[Fraction, list[Fraction]]]) -> PairLev
     return _coset_levels(math.ceil(x), math.floor(x), m.numerator)
 
 
-def _point_lattice_params(
-    w: PiLinear, step: PiLinear
-) -> Optional[tuple[Fraction, list[Fraction]]]:
-    """Reduce w + l*step = 2^n * k * pi (integer l, odd k) to an
-    (offset, moduli) instance, or None."""
-    if step.q0 != 0:
-        l = -w.q0 / step.q0
-        if l.denominator != 1:
-            return None
-        return w.q1 + l * step.q1, []
-    if w.q0 != 0:
-        return None
-    return w.q1, [step.q1]
-
-
 def _lattice_lattice_params(
     w: PiLinear, s1: PiLinear, s2: PiLinear
 ) -> Optional[tuple[Fraction, list[Fraction]]]:
@@ -457,7 +442,8 @@ def _pair_levels(A: SectionPart, B: SectionPart) -> Iterable[PairLevels]:
             return _points_points_levels(A.values, B.values)
         if isinstance(B, SectionInterval):
             return (_interval_levels(u - B.hi, u - B.lo) for u in A.values)
-        return (_module_levels(_point_lattice_params(u - B.base, B.step)) for u in A.values)
+        # a point is the lattice of step 0 through it
+        return (_module_levels(_lattice_lattice_params(u - B.base, ZERO, B.step)) for u in A.values)
     if isinstance(A, SectionInterval):
         if isinstance(B, SectionInterval):
             return (_interval_levels(A.lo - B.hi, A.hi - B.lo),)

@@ -6,7 +6,9 @@ level by level, halving the log-modulus and applying
 angle -> angle/2 + bit*pi, reduced to (-pi, pi]; feasibility means every
 point stays inside its level set.  `grow` builds the greedy thread of a
 level-0 seed in the same single pass.  `search` is the one budgeted
-depth-first search over the tree of feasible threads.
+depth-first search over the tree of feasible threads; of a node's two
+roots it tries the negated one first, which is never nearer to 1 (the
+principal one when the node's angle is pi, where they tie).
 
 The divergence search looks for threads that keep |1 - point| above a
 threshold at every represented level; witnesses re-walk from scratch in
@@ -23,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi, scale_pow2
+from .exactnum import PI, PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi, scale_pow2
 from .levels import LevelCache, LevelPoint, _log_scaled, _point, component_sup_candidates, on_line_level
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
@@ -165,10 +167,13 @@ def search(
     `depth`, satisfies keep(level, point); None once the seeds or the
     budget of stack pops run out.
 
-    Depth-first over the feasible branches, greedy on |1 - z|: the child
-    farther from 1 is tried first, the principal root on a tie.  Below a
-    point where tail(level, point) holds, the search would keep only the
-    bit-1 child at each level; that walk's result is returned unwalked.
+    Depth-first over the feasible branches, greedy on |1 - z|: the negated
+    root (bit 1) is tried first, the principal root when the node's angle
+    is pi.  Siblings share a radius, and bit 1 lands at |angle| = pi -
+    |angle|/2, never below bit 0's |angle|/2 and equal only at pi, so the
+    bit alone puts the child farther from 1 first.  Below a point where
+    tail(level, point) holds, the search would pop the bit-1 child at each
+    level; that thread is returned for the one pop of the point.
     """
     budget = node_budget
     for n0, seed in seeds:
@@ -181,13 +186,13 @@ def search(
             if level == depth:
                 return Thread(n0, seed, bits)
             if tail is not None and tail(level, p):
-                # the walk would pop one node at each level below this one
-                return Thread(n0, seed, bits + (1,) * (depth - level)) if budget >= depth - level else None
+                return Thread(n0, seed, bits + (1,) * (depth - level))
             children = [
                 (bit, q) for bit, q in feasible_branches(cache, level, p) if keep(level + 1, q)
             ]
-            # push the larger-|1-z| child last so it pops first
-            children.sort(key=lambda bq: (_approx_abs1m_sq(bq[1]), -bq[0]))
+            # bit 1 is pushed last so it pops first; at pi the roots tie
+            if p.angle == PI:
+                children.reverse()
             for bit, q in children:
                 stack.append((level + 1, q, bits + (bit,)))
         if budget <= 0:
@@ -289,21 +294,20 @@ def persistence_certificate(
 # ---------------------------------------------------------------------------
 # the bit-1 tail
 #
-# Why tail_closes is sound.  Bit 1 maps a reduced angle t to |t'| = pi - |t|/2
-# and bit 0 to |t'| = |t|/2, so along q's bit-1 tail e = ||t| - 2pi/3|, the
-# distance to the 2-cycle {2pi/3, -2pi/3} of squaring, halves at every step,
-# and the log-moduli m/2^k lie between m = log_mod(q) and 0.  On |phi| in
-# [pi/2, pi], |1 - r e^{i phi}|^2 = r^2 - 2r cos(phi) + 1 grows with |phi|
-# and with r: its value at angle 2pi/3 - e/2 (>= pi/2 as e <= pi/6) and
-# radius min(e^m, 1) bounds every later bit-1 point from below.  A bit-0 child
-# along the tail has |angle| <= pi/3 + e/2, and the expression grows with
-# |phi| on [0, pi] and is convex in r: its values there at radii e^m and 1
-# bound every such child from above.  A line or lattice with q on its tower,
-# antipode-closed from level + 1 on, keeps both square roots of every later
-# tower point feasible.  So from q the full depth-first search keeps exactly
-# one child per level, bit 1, and the float order has no say.
+# Why tail_closes is sound.  Bit 1 maps a reduced angle t to |t'| = pi - |t|/2,
+# so along q's bit-1 tail e = ||t| - 2pi/3|, the distance to the 2-cycle
+# {2pi/3, -2pi/3} of squaring, halves at every step, and the log-moduli m/2^k
+# lie between m = log_mod(q) and 0.  On |phi| in [pi/2, pi],
+# |1 - r e^{i phi}|^2 = r^2 - 2r cos(phi) + 1 grows with |phi| and with r: its
+# value at angle 2pi/3 - e/2 (>= pi/2 as e <= pi/6) and radius min(e^m, 1)
+# bounds every later bit-1 point from below.  A line or lattice with q on its
+# tower, antipode-closed from level + 1 on, keeps both square roots of every
+# later tower point feasible.  So every bit-1 child along the tail is kept and
+# feasible, and as `search` pops bit 1 first (no point of the tail sits at pi),
+# the full depth-first search from q walks straight down that tail whatever
+# the bit-0 children do: they need no bound.
 
-_SIXTH_PI, _THIRD_PI, _TWO_THIRDS_PI = (PiLinear(0, Fraction(k, 6)) for k in (1, 2, 4))
+_SIXTH_PI, _TWO_THIRDS_PI = (PiLinear(0, Fraction(k, 6)) for k in (1, 4))
 
 
 def _closed_from(prim: Union[VLine, ILattice]) -> Optional[int]:
@@ -314,9 +318,7 @@ def _closed_from(prim: Union[VLine, ILattice]) -> Optional[int]:
 
 def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -> bool:
     """Whether the bit-1 thread from q at `level` stays feasible in Z with |1 - z|^2 >=
-    delta_sq at every later level while every bit-0 child along it falls below (proof above)."""
-    if not 1 < delta_sq <= 3:  # the two corners at m = 0 need this
-        return False
+    delta_sq at every later level (proof above)."""
     mag = -q.angle if q.angle.sign() < 0 else q.angle
     e = mag - _TWO_THIRDS_PI if mag >= _TWO_THIRDS_PI else _TWO_THIRDS_PI - mag
     # q on the tower of a line or lattice antipode-closed from level + 1 on
@@ -327,11 +329,7 @@ def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -
         return False
     half_e = scale_pow2(e, -1)
     try:
-        return all(
-            compare_abs1m_sq(m, _TWO_THIRDS_PI - half_e, delta_sq) >= 0
-            and compare_abs1m_sq(m, _THIRD_PI + half_e, delta_sq) < 0
-            for m in (q.m, (0, 1))
-        )
+        return all(compare_abs1m_sq(m, _TWO_THIRDS_PI - half_e, delta_sq) >= 0 for m in (q.m, (0, 1)))
     except PrecisionError:
         return False
 

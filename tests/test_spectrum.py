@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dyadicspec.exactnum import PiLinear, _rat_gcd, _v2, ceil_ratio, compare, floor_ratio
+from dyadicspec.exactnum import ZERO, PiLinear, _rat_gcd, _v2, ceil_ratio, compare, floor_ratio
 from dyadicspec.spectrum import (
     ConsistencyError,
     ILattice,
@@ -37,7 +37,6 @@ from dyadicspec.spectrum import (
     _lattice_lattice_params,
     _module_levels,
     _pair_levels,
-    _point_lattice_params,
     _points_points_levels,
     _section_pair_levels,
     _valuations,
@@ -278,6 +277,20 @@ def _extended_gcd_solution(A, B, C):
         old_t, t = t, old_t - q * t
     mult = C // old_r
     return old_s * mult, old_t * mult
+
+
+def _point_lattice_params(w, step):
+    """Reduce w + l*step = 2^n * k * pi (integer l, odd k) to an
+    (offset, moduli) instance, or None, solved directly: the oracle of
+    `_pair_levels`, which reads a point as the lattice of step 0."""
+    if step.q0 != 0:
+        l = -w.q0 / step.q0
+        if l.denominator != 1:
+            return None
+        return w.q1 + l * step.q1, []
+    if w.q0 != 0:
+        return None
+    return w.q1, [step.q1]
 
 
 def _oracle_lattice_lattice_params(w, s1, s2):
@@ -681,6 +694,35 @@ def test_interval_lattice_levels_match_per_level_oracle():
         assert got == _oracle_interval_lattice_levels(lo, hi, base, step), (lo, hi, base, step)
         outcomes.add((bool(got.hits), got.value))
     assert len(outcomes) == 4
+
+
+def test_a_point_reduces_as_the_lattice_of_step_zero():
+    # with s1 = 0 the two-lattice instance has A = 0 and g = |B|: it is
+    # solvable when w.q0 / step.q0 is an integer, with k1 = 0, k2 that
+    # integer and the one modulus 0, the levels of the point's own instance
+    rng = random.Random(4705)
+    irrational = (F(0), F(0), F(1), F(-2), F(1, 2), F(3, 4), F(-5, 6))
+    seen = set()
+    for _ in range(3000):
+        q1 = F(rng.choice((1, -1)) * rng.randint(1, 24) << rng.randint(0, 4), rng.randint(1, 6))
+        step = PiLinear(rng.choice(irrational), q1)
+        if rng.random() < 0.5 and step.q0 != 0:
+            # an offset a whole number of steps off the real part 0
+            w0 = rng.randint(-6, 6) * step.q0
+        else:
+            w0 = rng.choice((F(0), F(rng.randint(-12, 12), rng.randint(1, 4))))
+        w = PiLinear(w0, F(rng.randint(-60, 60), rng.randint(1, 6)))
+        want = _point_lattice_params(w, step)
+        got = _lattice_lattice_params(w, ZERO, step)
+        assert (got is None) == (want is None), (w, step)
+        assert _module_levels(got) == _module_levels(want), (w, step)
+        seen.add((step.q0 == 0, w.q0 == 0, want is None))
+    # (rational step, zero offset, no solution): a rational step meets a
+    # nonzero offset never and a zero one always, an irrational step meets
+    # a zero offset always and a nonzero one on whole multiples only
+    assert seen == {
+        (False, False, False), (False, False, True), (False, True, False), (True, False, True), (True, True, False)
+    }
 
 
 def test_lattice_pairs_match_extended_gcd_oracle():

@@ -211,6 +211,41 @@ def test_search_budget_of_one_node_finds_nothing(solenoid):
     assert search(cs, search_seeds(cs, range(13)), 20, keep, 1) is None
 
 
+def _abs_angle(p):
+    return -p.angle if p.angle.sign() < 0 else p.angle
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q0=st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    q1=st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    m=st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    at_pi=st.booleans(),
+)
+def test_the_negated_root_is_never_nearer_to_one(q0, q1, m, at_pi):
+    # siblings share a radius; bit 1 lands at |angle| = pi - |angle|/2 and
+    # bit 0 at |angle|/2, so the bit alone orders them, with a tie at pi only
+    angle = PiLinear(0, 1) if at_pi else reduce_mod_2pi(PiLinear(q0, q1))
+    p = LevelPoint(m, angle)
+    principal, negated = step_point(p, 0), step_point(p, 1)
+    assert principal.log_mod == negated.log_mod
+    order = compare(_abs_angle(negated), _abs_angle(principal))
+    assert order >= 0 and (order == 0) == (angle == PiLinear(0, 1)), angle
+
+
+@pytest.mark.parametrize("re", [-(10**400), 10**400], ids=["re=-10^400", "re=10^400"])
+def test_siblings_order_by_the_bit_past_the_float_range(re):
+    # the float estimate reads both roots of a point at |re| = 10^400 as
+    # 1.0 or inf; the bit puts the negated root, farther from 1, first
+    cache = LevelCache(SpectrumSet((VLine(F(re)),)))
+    p = LevelPoint(F(re), PiLinear(1))
+    th = search(cache, [(0, p)], 1, lambda n, q: True, 10)
+    assert th == Thread(0, p, (1,))
+    # at pi the roots tie and the principal one goes first
+    p = LevelPoint(F(re), PiLinear(0, 1))
+    assert search(cache, [(0, p)], 1, lambda n, q: True, 10) == Thread(0, p, (0,))
+
+
 # ---------------------------------------------------------------------------
 # full-walk oracles: the divergence search, witness check and persistence
 # certificate as they read before the bit-1 tail certificate cut them short
@@ -272,7 +307,13 @@ def test_bounded_cut_returns_what_the_full_search_returns():
         cache = LevelCache(Z)
         for depth, delta, budget in grid + [(12, F(1, 2), 5)]:
             th = divergence_search(cache, depth, delta, budget)
-            assert th == _walked_search(cache, depth, delta, budget), (Z, depth, delta, budget)
+            if budget == 5:
+                # a certified tail costs one pop where the walk pops one node
+                # per level: a short budget ends in nothing or in the thread
+                # the walk finds with room
+                assert th is None or th == _walked_search(cache, depth, delta, 20000), (Z, depth, delta)
+            else:
+                assert th == _walked_search(cache, depth, delta, budget), (Z, depth, delta, budget)
             if is_bounded:
                 cut += sup_abs_one_minus(cache.level(depth), 15).sq_hi < delta**2
                 found += th is not None
@@ -429,6 +470,24 @@ def _tampered(th):
     return out
 
 
+def test_tail_search_equals_the_walked_search_on_random_spectra():
+    # with a budget that covers every walk, the certified tail changes no
+    # result at any delta, and every witness re-checks
+    rng = random.Random(4949)
+    spectra = [random_spectrum(rng) for _ in range(100)]
+    witnesses = 0
+    for Z in spectra:
+        cache = LevelCache(Z)
+        for depth in (4, 12, 30):
+            for delta in (F(1, 4), F(1, 2), F(1), F(7, 5), F(17, 10), F(2)):
+                th = divergence_search(cache, depth, delta, 200000)
+                assert th == _walked_search(cache, depth, delta, 200000), (Z, depth, delta)
+                if th is not None:
+                    assert verify_witness(cache, th, depth, delta), (Z, depth, delta)
+                    witnesses += 1
+    assert witnesses > 100
+
+
 @settings(max_examples=60, deadline=None)
 @given(Z=_spectra(), depth=st.sampled_from((12, 40, 200)), delta=st.sampled_from(_DELTAS))
 def test_tail_certificate_matches_the_full_walks(Z, depth, delta):
@@ -454,10 +513,11 @@ def test_tail_certificate_closes_where_the_witness_turns_onto_the_cycle(solenoid
     assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), delta_sq)
     assert tail_closes(solenoid, 2, LevelPoint(F(0), PiLinear(0, F(-3, 4))), delta_sq)
     # farther than pi/6 from the cycle (pi, and 29pi/60 whose corners would
-    # pass), off the line's circle, delta <= 1, a bit-0 child kept at 6/5
+    # pass) or off the line's circle it fails; a kept bit-0 child (at 6/5)
+    # and delta <= 1 do not matter, as the search pops bit 1 first
     assert not tail_closes(solenoid, 0, LevelPoint(F(0), PiLinear(0, 1)), delta_sq)
     assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(29, 60))), delta_sq)
-    assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), F(6, 5))
+    assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), F(6, 5))
     assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(2, 3))), F(6, 5))
     # right of the unit circle the radii fall towards 1, so the bit-1 bound
     # needs the corner at m = 0: the child of 5pi/6 dips below 17/10
@@ -465,7 +525,10 @@ def test_tail_certificate_closes_where_the_witness_turns_onto_the_cycle(solenoid
     assert compare_abs1m_sq(F(1, 8), PiLinear(0, F(7, 12)), F(289, 100)) < 0
     assert not tail_closes(line, 1, LevelPoint(F(1, 4), PiLinear(0, F(5, 6))), F(289, 100))
     assert not tail_closes(solenoid, 1, LevelPoint(F(1, 4), PiLinear(0, F(1, 2))), delta_sq)
-    assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), F(1))
+    assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(1, 2))), F(1))
+    # past delta^2 = 3, the value on the cycle itself, the bit-1 bound fails by itself
+    assert tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(2, 3))), F(3))
+    assert not tail_closes(solenoid, 1, LevelPoint(F(0), PiLinear(0, F(2, 3))), F(301, 100))
     # a lattice with step 8*pi is antipode-closed only from level 3 on; its
     # level-2 orbit is the one angle -2pi/3, the square of 2pi/3 at level 1
     lat = SpectrumSet((ILattice(F(0), PiLinear(0, F(-8, 3)), PiLinear(0, 8)),))
@@ -477,13 +540,15 @@ def test_tail_certificate_closes_where_the_witness_turns_onto_the_cycle(solenoid
 
 
 def test_search_budget_at_the_tail_start_matches_the_walk(solenoid):
-    # seeded at the tail node, the walk pops it and then one node at each
-    # level below it: it ends with a thread when the budget left after the
-    # first pop is depth - level, and with None when it is one less
+    # seeded at the tail node, the search returns the all-ones thread for
+    # the one pop of that node; the walk pops it and then one node at each
+    # level below it, and ends with the same thread when the budget left
+    # after the first pop is depth - level, with None when it is one less
     cs = LevelCache(solenoid)
     delta_sq = F(49, 25)
     level, depth = 1, 40
     q = LevelPoint(F(0), PiLinear(0, F(1, 2)))
+    ones = Thread(level, q, (1,) * (depth - level))
 
     def keep(n, p):
         return compare_abs1m_sq(p.log_mod, p.angle, delta_sq) >= 0
@@ -491,15 +556,19 @@ def test_search_budget_at_the_tail_start_matches_the_walk(solenoid):
     def tail(n, p):
         return tail_closes(solenoid, n, p, delta_sq)
 
+    assert search(cs, [(level, q)], depth, keep, 1, tail) == ones
     for left, found in ((depth - level, True), (depth - level - 1, False)):
         budget = 1 + left
-        th = search(cs, [(level, q)], depth, keep, budget, tail)
-        assert th == search(cs, [(level, q)], depth, keep, budget)
-        assert (th is not None) == found
-    # the same edge through the divergence search, wherever its tail starts
+        assert search(cs, [(level, q)], depth, keep, budget, tail) == ones
+        assert search(cs, [(level, q)], depth, keep, budget) == (ones if found else None)
+    # through the divergence search: equal to the walk wherever the walk's
+    # budget covers the depth, and below that the same thread or None
     fits = [b for b in range(1, 60) if _walked_search(cs, depth, F(7, 5), b) is not None]
-    for b in (fits[0] - 1, fits[0]):
-        assert divergence_search(cs, depth, F(7, 5), b) == _walked_search(cs, depth, F(7, 5), b)
+    want = _walked_search(cs, depth, F(7, 5), fits[0])
+    for b in (fits[0], fits[0] + 1, 20000):
+        assert divergence_search(cs, depth, F(7, 5), b) == _walked_search(cs, depth, F(7, 5), b) == want
+    short = [divergence_search(cs, depth, F(7, 5), b) for b in range(1, fits[0])]
+    assert set(short) <= {None, want} and short[-1] == want
 
 
 def test_persistence_walks_a_rational_lattice_to_its_closing_level():
@@ -520,8 +589,10 @@ def test_persistence_walks_a_rational_lattice_to_its_closing_level():
     [
         ("spectrum vline re=0\nsearch_depth 90\n", Verdict.NOT_STRONGLY_CONTINUOUS),
         ("spectrum vline re=-1\nsearch_depth 100000\nnode_budget 200000\n", Verdict.NOT_STRONGLY_CONTINUOUS),
-        # the budget of 20000 pops cannot reach level 100000
-        ("spectrum vline re=0\nsearch_depth 100000\n", Verdict.INCONCLUSIVE),
+        # the certified tail costs one pop of the default 20000, at any delta
+        ("spectrum vline re=0\nsearch_depth 100000\n", Verdict.NOT_STRONGLY_CONTINUOUS),
+        ("spectrum vline re=-1\ndelta 1/2\nsearch_depth 100000\n", Verdict.NOT_STRONGLY_CONTINUOUS),
+        ("spectrum vline re=0\ndelta 1\nsearch_depth 100000\n", Verdict.NOT_STRONGLY_CONTINUOUS),
     ],
 )
 def test_witness_costs_the_gate_levels_at_any_depth(text, verdict, monkeypatch):
