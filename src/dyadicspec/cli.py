@@ -35,7 +35,7 @@ from typing import Optional
 
 from .classify import ClassificationReport, ClassifyParams, Verdict, WitnessThread
 from .classify import classify as run_classify
-from .exactnum import PiLinear, PrecisionError
+from .exactnum import PiLinear
 from .exactnum import parse as parse_pilinear, render as render_pilinear
 from .levels import (
     Component,
@@ -849,7 +849,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, SpectrumError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    except (PrecisionError, ConsistencyError) as e:
+    except ConsistencyError as e:
         sys.stderr.write(f"error: internal: {e}\n")
         return 1
     sys.stdout.write(text)

@@ -12,13 +12,13 @@ A value is held as one reduced integer triple, (a + b*pi)/d, so
 equality, hashing and the algebra run on integers; q0 = a/d and
 q1 = b/d are Fraction views for rendering and the cold paths.
 
-The enclosure of pi is computed from the Machin formula
-pi = 16*atan(1/5) - 4*atan(1/239) with pure Fraction arithmetic; the
-alternating-series tail bound makes both endpoints certified.  It is
-cached per precision, and the scalar kernels (sign, comparison, angle
-reduction, the float midpoint) read it as one fixed-point pair of
-integers lo <= pi * 2**p <= hi: they cross-multiply the triples and
-compare integers, so no decision builds a Fraction.
+The one enclosure of pi is a pair of integers lo <= pi * 2**p <= hi
+(`_pi_fixed`), Machin's formula pi = 16*atan(1/5) - 4*atan(1/239) summed
+on integers with a counted rounding error, cached per precision.  The
+scalar kernels (sign, comparison, angle reduction, ratio floor, nearest
+double) cross-multiply the triples by it and compare integers, so no
+decision builds a Fraction.  Each refines p over `_precisions`, which
+raises `ComputationLimit` past one cap.
 """
 
 from __future__ import annotations
@@ -26,86 +26,85 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 Rat = Union[int, Fraction]
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-_MAX_DIGITS = 5000  # refinement cap; exceeding it means a comparison of equals
-_MAX_BITS = math.ceil(_MAX_DIGITS * math.log2(10))
+# The cap of every refinement loop.  The pi bracket at 2**16 bits took
+# 0.34 s and the last `compare_abs1m_sq` step (51,200 bits) 1.3 s on one
+# Xeon core, so a loop that runs to the cap ends within a few seconds
+_MAX_BITS = 1 << 16
 
 
-class PrecisionError(ArithmeticError):
-    """An interval refinement hit the precision cap without separating."""
+class ComputationLimit(RuntimeError):
+    """An exact computation would exceed one of its size guards."""
+
+
+def _precisions(start: int, what: str) -> Iterator[int]:
+    """start, 2*start, ... up to _MAX_BITS bits, then ComputationLimit."""
+    p = start
+    while p <= _MAX_BITS:
+        yield p
+        p *= 2
+    raise ComputationLimit(f"{what} did not separate within {_MAX_BITS} bits")
 
 
 # ---------------------------------------------------------------------------
 # certified pi enclosure
 
 
-def _atan_inv_bounds(x: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    # atan(1/x) for integer x >= 2, alternating series with decreasing terms:
-    # the true value always lies between consecutive partial sums.
-    s = Fraction(0)
-    k = 0
-    term = Fraction(1, x)
-    sign = 1
-    while term > eps:
-        s += sign * term
+def _atan_inv_fixed(x: int, w: int) -> tuple[int, int]:
+    """Integers s, k with |atan(1/x) * 2**w - s| < k + 1, for integer x >= 2.
+
+    Nested floors of integer quotients compose, so each of the k terms of
+    the alternating series is floor(2**w / (x**(2j+1) (2j+1))), less than
+    1 unit low.  The sum stops at the first x**-(2j+1) below 1 unit, which
+    bounds the tail.
+    """
+    power, x2 = (1 << w) // x, x * x
+    s = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        s += -term if k & 1 else term
+        power //= x2
         k += 1
-        sign = -sign
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-    if sign > 0:
-        return s, s + term
-    return s - term, s
-
-
-_pi_cache: dict[int, tuple[Fraction, Fraction]] = {}
-
-
-def pi_bounds(digits: int) -> tuple[Fraction, Fraction]:
-    """Certified enclosure of pi with width <= 10**-digits."""
-    if digits < 1:
-        digits = 1
-    key = 1 << max(0, (digits - 1).bit_length())  # round up to a power of two
-    cached = _pi_cache.get(key)
-    if cached is None:
-        eps = Fraction(1, 10**key)
-        alo, ahi = _atan_inv_bounds(5, eps / 64)
-        blo, bhi = _atan_inv_bounds(239, eps / 16)
-        lo = 16 * alo - 4 * bhi
-        hi = 16 * ahi - 4 * blo
-        cached = _pi_cache[key] = (lo, hi)
-    return cached
+    return s, k
 
 
 _pi_fixed_cache: dict[int, tuple[int, int]] = {}
 
 
 def _pi_fixed(p: int) -> tuple[int, int]:
-    """Integers lo <= pi * 2**p <= hi, from the certified pi enclosure."""
+    """Integers lo <= pi * 2**p <= hi with hi - lo <= 2.
+
+    Machin's formula is summed at the power of two q at or above p, with
+    q.bit_length() + 32 guard bits over its counted error, and shifted
+    down to p (floor lo, ceiling hi).  Unless pi * 2**q lies within 2**-25
+    of an integer, the bracket at q is (floor, floor + 1), and so is each
+    one shifted down from it.  Each p is cached.
+    """
     cached = _pi_fixed_cache.get(p)
     if cached is None:
-        lo, hi = pi_bounds(math.ceil(p * math.log10(2)) + 1)
-        cached = _pi_fixed_cache[p] = (
-            (lo.numerator << p) // lo.denominator,
-            -(-(hi.numerator << p) // hi.denominator),
-        )
+        q = 1 << (p - 1).bit_length()
+        if q == p:
+            w = p + p.bit_length() + 32
+            s5, k5 = _atan_inv_fixed(5, w)
+            s239, k239 = _atan_inv_fixed(239, w)
+            mid, err = 16 * s5 - 4 * s239, 16 * (k5 + 1) + 4 * (k239 + 1)
+            (lo, hi), shift = (mid - err, mid + err), w - p
+        else:
+            (lo, hi), shift = _pi_fixed(q), q - p
+        cached = _pi_fixed_cache[p] = (lo >> shift, -(-hi >> shift))
     return cached
 
 
-_pi_mid_cache: dict[int, tuple[int, int]] = {}
-
-
-def _pi_mid(digits: int) -> tuple[int, int]:
-    """Numerator and denominator of the midpoint of pi_bounds(digits)."""
-    cached = _pi_mid_cache.get(digits)
-    if cached is None:
-        lo, hi = pi_bounds(digits)
-        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        cached = _pi_mid_cache[digits] = (a * d + c * b, 2 * b * d)
-    return cached
+def pi_bounds(digits: int) -> tuple[Fraction, Fraction]:
+    """Certified enclosure of pi with width <= 10**-digits."""
+    p = math.ceil(max(digits, 1) * math.log2(10)) + 1  # 2 units of 2**-p
+    lo, hi = _pi_fixed(p)
+    return Fraction(lo, 1 << p), Fraction(hi, 1 << p)
 
 
 def _sign_int(x: int, y: int) -> int:
@@ -114,9 +113,8 @@ def _sign_int(x: int, y: int) -> int:
         return (x > 0) - (x < 0) if x else (y > 0) - (y < 0)
     # opposite signs: with lo <= pi * 2**p <= hi the value times 2**p lies
     # between x * 2**p + y*lo and x * 2**p + y*hi, which are at most 2|y|
-    # apart; double p until both have one sign
-    p = 64
-    while p <= _MAX_BITS:
+    # apart; refine p until both have one sign
+    for p in _precisions(64, "pi comparison"):
         lo, hi = _pi_fixed(p)
         xs = x << p
         a, b = xs + y * lo, xs + y * hi
@@ -124,8 +122,6 @@ def _sign_int(x: int, y: int) -> int:
             return 1
         if a < 0 and b < 0:
             return -1
-        p *= 2
-    raise PrecisionError("pi comparison did not separate (impossible for rational r)")
 
 
 def _diff_ints(x: "PiLinear", y: "PiLinear") -> tuple[int, int]:
@@ -235,25 +231,30 @@ class PiLinear:
 
     def bounds(self, digits: int) -> tuple[Fraction, Fraction]:
         """Enclosure of the value with width <= 10**-digits."""
-        q0, q1 = self.q0, self.q1
-        if q1 == 0:
-            return q0, q0
-        extra = len(str(abs(q1.numerator))) + len(str(q1.denominator)) + 1
-        plo, phi = pi_bounds(digits + extra)
-        if q1 > 0:
-            return q0 + q1 * plo, q0 + q1 * phi
-        return q0 + q1 * phi, q0 + q1 * plo
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return self.q0, self.q0
+        # the width |b| (hi - lo) / (d 2**p) is below 2**(|b| bits - d bits
+        # + 2 - p); p is rounded up to a power of two, at least 64, as the
+        # refinement loops ask and cache
+        p = math.ceil(digits * math.log2(10)) + abs(b).bit_length() - d.bit_length() + 2
+        p = 1 << max(6, (p - 1).bit_length())
+        lo, hi = sorted((a << p) + b * end for end in _pi_fixed(p))
+        return Fraction(lo, d << p), Fraction(hi, d << p)
 
     def __float__(self) -> float:
-        # the midpoint of bounds(20), q0 + q1 * (pi_lo + pi_hi)/2, as one
-        # int / int, which CPython rounds correctly like float(Fraction);
-        # the pi digits follow the reduced q1, as in bounds
+        """The double nearest to the value."""
+        # int / int rounds correctly like float(Fraction), so once both ends
+        # of the pi bracket give one double, sign of zero included, the
+        # value between them rounds to it
         a, b, d = self.a, self.b, self.d
         if b == 0:
             return a / d
-        g = math.gcd(b, d)
-        pn, pd = _pi_mid(20 + len(str(abs(b) // g)) + len(str(d // g)) + 1)
-        return (a * pd + b * pn) / (d * pd)
+        for p in _precisions(64, "float conversion"):
+            lo, hi = _pi_fixed(p)
+            x, y = ((a << p) + b * lo) / (d << p), ((a << p) + b * hi) / (d << p)
+            if x == y and math.copysign(1, x) == math.copysign(1, y):
+                return x
 
     def __str__(self) -> str:
         return render(self)
@@ -344,15 +345,12 @@ def reduce_mod_2pi(x: PiLinear) -> PiLinear:
     # ceil(y).  With lo <= pi * 2**p <= hi, y lies between the rationals
     # (a * 2**p + (b - d) * P) / (2d * P) at P = lo, hi
     v, w = b - d, 2 * d
-    p = 64 + max(0, a.bit_length() - d.bit_length())
-    while p <= _MAX_BITS:
+    for p in _precisions(64 + max(0, a.bit_length() - d.bit_length()), "angle reduction"):
         lo, hi = _pi_fixed(p)
         us = a << p
         clo = -(-(us + v * lo) // (w * lo))
         if clo == -(-(us + v * hi) // (w * hi)):
             return _raw(a, b - 2 * clo * d, d) if clo else x
-        p *= 2
-    raise PrecisionError("angle reduction did not converge")
 
 
 def to_float(a: PiLinear, digits: int) -> tuple[Fraction, Fraction]:
@@ -385,15 +383,14 @@ def floor_ratio(x: PiLinear, s: PiLinear) -> int:
     * 2**p <= hi, x * d * 2**p lies between the integers a * 2**p + b * P
     at P = lo, hi (for x = (a + b*pi)/d), and likewise s * e * 2**p; the
     ratio x / s is (x d 2**p) e / ((s e 2**p) d), so it lies between the
-    four quotients of those ends.  p doubles until their floors agree.
+    four quotients of those ends.  p is refined until their floors agree.
     """
     r = _ratio_ints(x, s)
     if r is not None:
         return r[0] // r[1]
     xa, xb, d = x.a, x.b, x.d
     sa, sb, e = s.a, s.b, s.d
-    p = 64
-    while p <= _MAX_BITS:
+    for p in _precisions(64, "ratio floor"):
         lo, hi = _pi_fixed(p)
         xs, ss = xa << p, sa << p
         x1, x2 = sorted((xs + xb * lo, xs + xb * hi))
@@ -404,8 +401,6 @@ def floor_ratio(x: PiLinear, s: PiLinear) -> int:
             flo = min(x1 // s1, x1 // s2)
             if flo == max(x2 // s1, x2 // s2):
                 return flo
-        p *= 2
-    raise PrecisionError("ratio floor did not separate")
 
 
 def ceil_ratio(x: PiLinear, s: PiLinear) -> int:

@@ -3,8 +3,8 @@
 Verdict-bearing comparisons stay in exact arithmetic whenever possible
 (angle comparisons, log-modulus comparisons, the rational-cosine special
 angles).  Everything else goes through enclosures with explicit error
-bounds, refined until the comparison separates.  A comparison that cannot
-separate raises instead of guessing.
+bounds, refined until the comparison separates.  A comparison that has not
+separated at the precision cap raises `ComputationLimit` instead of guessing.
 
 Both kernels are fixed-point series on Python integers, in the
 midpoint-radius style of Arb (Johansson, IEEE TC 2017), so no step pays
@@ -35,20 +35,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import PiLinear, PrecisionError, _pi_fixed, reduce_mod_2pi
+from .exactnum import ComputationLimit, PiLinear, _pi_fixed, _precisions, reduce_mod_2pi
 
 Interval = tuple[Fraction, Fraction]
-
-_MAX_DIGITS = 1500
 
 # `_exp_ints` refuses x above this.  One call took 0.49, 2.2 and 7.8 s at
 # x = 1, 2 and 4 * 10**5 (one Xeon core), about x**2, so a call below the
 # cap ends within a minute; at x ~ 10**20 its first integer cannot be built
 EXP_ARG_CAP = 10**6
-
-
-class ComputationLimit(RuntimeError):
-    """An exact computation would exceed one of its size guards."""
 
 
 # cos(q1*pi) is rational exactly for these |q1| in [0, 1] (Niven's theorem),
@@ -300,14 +294,11 @@ def compare_abs1m_sq(log_mod, angle: PiLinear, threshold: Fraction) -> int:
     """
     log_mod, a = _log_pair(log_mod), reduce_mod_2pi(angle)
     tn, td = threshold.numerator, threshold.denominator
-    digits = 15
-    while digits <= _MAX_DIGITS:
-        lo, hi, den = _abs1m_sq_ints(log_mod, a, digits)
+    for bits in _precisions(50, "|1-z|^2 comparison"):
+        lo, hi, den = _abs1m_sq_ints(log_mod, a, bits * 3 // 10)
         if lo * td > tn * den:
             return 1
         if hi * td < tn * den:
             return -1
         if lo == hi:
             return 0
-        digits *= 3
-    raise PrecisionError("|1-z|^2 comparison did not separate")

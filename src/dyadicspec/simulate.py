@@ -39,7 +39,7 @@ from .spectrum import (
     SpectrumSet,
     real_part_range,
 )
-from .threads import Thread, grow, level_seeds, search, search_seeds, walk
+from .threads import Thread, grow, level_seeds, search, search_seeds, tail_closes, walk
 
 
 class DyadicRangeError(ValueError):
@@ -192,8 +192,7 @@ def multipliers(model: DiagonalModel, t: DyadicTime) -> tuple[tuple[Fraction, Pi
 
 
 def scalar_to_complex(log_mod: Fraction, angle: PiLinear) -> complex:
-    lo, hi = angle.bounds(15)
-    return complex(*float_polar(log_mod, float((lo + hi) / 2)))
+    return complex(*float_polar(log_mod, float(angle)))
 
 
 def apply_semigroup(model: DiagonalModel, t: DyadicTime, v: TestVector) -> TestVector:
@@ -273,7 +272,8 @@ def quasi_uniform_cover(
     def keep(level: int, p: LevelPoint) -> bool:
         return level < n0 or compare_abs1m_sq(p.m, p.angle, eps_sq) >= 0
 
-    witness = search(cache, search_seeds(cache, (0,)), search_bound, keep, node_budget)
+    tail = lambda level, p: tail_closes(cache.Z, level, p, eps_sq)
+    witness = search(cache, search_seeds(cache, (0,)), search_bound, keep, node_budget, tail)
     if witness is not None:
         return CoverResult("absent", None, None, witness)
     return CoverResult("unknown", None, None, None)

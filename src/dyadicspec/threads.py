@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .exactnum import PI, PiLinear, PrecisionError, _mk, _v2, reduce_mod_2pi, scale_pow2
+from .exactnum import ComputationLimit, PI, PiLinear, _mk, _v2, reduce_mod_2pi, scale_pow2
 from .levels import LevelCache, LevelPoint, _log_scaled, _point, component_sup_candidates, on_line_level
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
@@ -330,7 +330,7 @@ def tail_closes(Z: SpectrumSet, level: int, q: LevelPoint, delta_sq: Fraction) -
     half_e = scale_pow2(e, -1)
     try:
         return all(compare_abs1m_sq(m, _TWO_THIRDS_PI - half_e, delta_sq) >= 0 for m in (q.m, (0, 1)))
-    except PrecisionError:
+    except ComputationLimit:
         return False
 
 

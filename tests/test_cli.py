@@ -20,7 +20,7 @@ from dyadicspec.cli import (
 )
 from dyadicspec import cli, levels
 from dyadicspec.classify import ClassifyParams
-from dyadicspec.exactnum import PiLinear, PrecisionError
+from dyadicspec.exactnum import PiLinear
 from dyadicspec.levels import LevelCache
 from dyadicspec.spectrum import ConsistencyError, Rect, VLine
 
@@ -426,7 +426,19 @@ def test_computation_limit_ends_inconclusive():
     assert line.startswith("inconclusive: ") and "enumeration limit 4096" in line
 
 
-@pytest.mark.parametrize("error", [PrecisionError, ConsistencyError])
+def test_precision_cap_ends_inconclusive():
+    # at every searched level r = e^(-10^29 / 2^n) and |1 - z|^2 - 1 =
+    # r (r - 2 cos t) lies below any precision, so the comparison against
+    # delta^2 = 1 runs to the precision cap and ends Inconclusive
+    proc = _classify_in_subprocess("spectrum point re=-100000000000000000000000000000 im=1\ndelta 1\n")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "internal" not in proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("inconclusive: computation limit reached: ")
+
+
+@pytest.mark.parametrize("error", [ConsistencyError])
 def test_internal_errors_exit_1_with_one_line(error, monkeypatch, capsys):
     import dyadicspec.cli
 

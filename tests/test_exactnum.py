@@ -18,7 +18,6 @@ from dyadicspec.exactnum import (
     PiLinear,
     _MAX_BITS,
     _pi_fixed,
-    _pi_mid,
     _ratio_ints,
     _sign_int,
     ceil_ratio,
@@ -43,6 +42,36 @@ def mp_value(x: PiLinear):
     )
 
 
+def mp_pi_bounds(digits: int) -> tuple[F, F]:
+    """Fractions lo < pi < hi, 10**-digits apart, from mpmath's pi."""
+    with mpmath.workdps(digits + 20):
+        n = int(mpmath.floor(MP_PI * 10**digits))
+    return F(n, 10**digits), F(n + 1, 10**digits)
+
+
+def mp_fraction(x: PiLinear) -> F:
+    """The value as a Fraction: exact when rational, else from mpmath's pi
+    at a working precision well past the triple's size."""
+    if x.b == 0:
+        return F(x.a, x.d)
+    prec = 4 * max(x.a.bit_length(), x.b.bit_length(), x.d.bit_length()) + 1000
+    with mpmath.workprec(prec):
+        sign, man, exp, _ = ((mpmath.mpf(x.a) + x.b * MP_PI) / x.d)._mpf_
+    return F(-man if sign else man) * F(2) ** exp
+
+
+def nearest_double(x: PiLinear) -> float:
+    """The double nearest to the value: mp_fraction rounded once, by Fraction."""
+    return float(mp_fraction(x))
+
+
+def assert_encloses(x: PiLinear, digits: int):
+    """bounds(digits) holds the value and is at most 10**-digits wide."""
+    lo, hi = x.bounds(digits)
+    assert lo <= mp_fraction(x) <= hi
+    assert hi - lo <= F(1, 10**digits)
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=64)
 
 
@@ -52,6 +81,78 @@ def test_pi_bounds_width_and_value():
     # pi = 3.14159265358979323846 26433...
     assert lo < F(31415926535897932385, 10**19)
     assert hi > F(31415926535897932384, 10**19)
+
+
+def test_pi_fixed_brackets_pi_against_mpmath():
+    # every power of two and its neighbours up to past the cap, and a sample between
+    top = 70_000
+    ps = {q + e for q in (1 << j for j in range(top.bit_length())) for e in (-1, 0, 1)}
+    ps |= set(random.Random(7).sample(range(1, top + 1), 60)) | {top}
+    with mpmath.workprec(top + 64):
+        floor_top = int(mpmath.floor(mpmath.ldexp(MP_PI, top)))
+    for p in sorted(ps - {0}):
+        f = floor_top >> top - p  # floor(pi * 2**p): nested floors compose
+        lo, hi = _pi_fixed(p)
+        assert lo <= f < f + 1 <= hi and hi - lo <= 2, p
+        if p & (p - 1) == 0 and p <= _MAX_BITS:
+            # the refinement loops read the powers of two: the tightest brackets
+            assert (lo, hi) == (f, f + 1), p
+
+
+def test_float_and_bounds_of_coefficients_past_the_str_limit():
+    # 4,400-digit coefficients, past CPython's int-to-str limit of 4,300 digits
+    big = 10**4400 + 12345
+    for x in (
+        PiLinear(F(big, 3), F(-big, 7)),
+        PiLinear(F(1, big), F(big + 1, big)),
+        PiLinear(F(-big * 355, 113), big),  # pi - 355/113 times a huge scale
+        PiLinear(0, F(big, 10**4400)),
+    ):
+        try:
+            want = nearest_double(x)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                float(x)
+        else:
+            assert float(x).hex() == want.hex()
+        for digits in (1, 30, 5000):
+            assert_encloses(x, digits)
+
+
+def test_float_underflows_to_signed_zero_and_rounds_subnormals():
+    tiny = F(1, 2**1200)
+    # r below pi by less than 2**-64: the first pi bracket puts (pi - r) * tiny
+    # on both sides of 0
+    r = mp_pi_bounds(30)[0]
+    for x, want in (
+        (PiLinear(-3 * tiny, tiny), "0x0.0p+0"),  # (pi - 3) / 2**1200
+        (PiLinear(3 * tiny, -tiny), "-0x0.0p+0"),
+        (PiLinear(-r * tiny, tiny), "0x0.0p+0"),
+        (PiLinear(r * tiny, -tiny), "-0x0.0p+0"),
+        (PiLinear(0, F(1, 2**1074)), "0x0.0000000000003p-1022"),  # 3 * 2**-1074
+        (PiLinear(F(-3, 2**1074), F(1, 2**1074)), "0x0.0p+0"),  # 0.14 * 2**-1074
+        # (pi - 22/7) * 2**14 = -20.7..., so -21 * 2**-1074
+        (PiLinear(F(-22, 7 * 2**1060), F(1, 2**1060)), "-0x0.0000000000015p-1022"),
+    ):
+        assert float(x).hex() == nearest_double(x).hex() == want
+
+
+def test_convergent_of_pi_with_a_3002_digit_denominator():
+    # |pi - p/q| < 1/q**2 needs about 20,000 bits of pi to separate
+    n, d = mp_pi_bounds(7000)[0].as_integer_ratio()
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while len(str(k1)) < 3002:
+        a, n, d = n // d, d, n % d
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+    r = F(h1, k1)
+    lo, hi = mp_pi_bounds(6100)
+    assert r < lo or r > hi
+    side = 1 if r > hi else -1
+    x = PiLinear(r, -1)  # r - pi, about 10**-6000: below the double range
+    assert x.sign() == side and compare(PiLinear(r, 0), PiLinear(0, 1)) == side
+    assert float(x).hex() == ("0x0.0p+0" if side > 0 else "-0x0.0p+0")
+    assert reduce_mod_2pi(PiLinear(r, 0)) == (PiLinear(r, -2) if side > 0 else PiLinear(r, 0))
+    assert floor_ratio(PiLinear(r, 0), PiLinear(0, 1)) == (1 if side > 0 else 0)
 
 
 def test_compare_examples():
@@ -184,7 +285,7 @@ def fraction_sign(x: PiLinear) -> int:
     s1 = (x.q1 > 0) - (x.q1 < 0)
     digits = 20
     while True:
-        lo, hi = pi_bounds(digits)
+        lo, hi = mp_pi_bounds(digits)
         if r < lo:
             return s1
         if r > hi:
@@ -206,7 +307,7 @@ def fraction_reduce(a: PiLinear) -> PiLinear:
     shift = F(a.q1 - 1, 2)
     digits = 20
     while True:
-        plo, phi = pi_bounds(digits)
+        plo, phi = mp_pi_bounds(digits)
         if a.q0 > 0:
             xlo, xhi = a.q0 / (2 * phi) + shift, a.q0 / (2 * plo) + shift
         else:
@@ -216,11 +317,6 @@ def fraction_reduce(a: PiLinear) -> PiLinear:
         digits *= 2
 
 
-def fraction_float(a: PiLinear) -> float:
-    lo, hi = a.bounds(20)
-    return float((lo + hi) / 2)
-
-
 def assert_kernels_match(a: PiLinear, b: PiLinear):
     want = fraction_compare(a, b)
     assert compare(a, b) == want
@@ -228,7 +324,7 @@ def assert_kernels_match(a: PiLinear, b: PiLinear):
     assert a.sign() == fraction_sign(a)
     assert (a - b).sign() == want
     assert reduce_mod_2pi(a) == fraction_reduce(a)
-    assert float(a) == fraction_float(a)
+    assert float(a).hex() == nearest_double(a).hex()
 
 
 big_ints = st.integers(min_value=-(10**200), max_value=10**200)
@@ -253,8 +349,8 @@ def test_scalar_kernels_match_fraction_oracles(a0, a1, b0, b1):
 def pi_approximation(k: int, offset: int) -> F:
     """floor(pi * 10**k)/10**k moved by `offset` units: within (|offset| + 1)
     * 10**-k of pi, on either side."""
-    lo, _ = pi_bounds(k + 5)
-    return F(math.floor(lo * 10**k) + offset, 10**k)
+    lo, _ = mp_pi_bounds(k)
+    return lo + F(offset, 10**k)
 
 
 @given(
@@ -294,7 +390,8 @@ def test_reduce_matches_oracle_at_odd_pi_boundaries(k, m, side, digit):
     r = pi_approximation(k, side * digit)
     b = PiLinear(r * (2 * m + 1), 0)
     assert reduce_mod_2pi(b) == fraction_reduce(b)
-    assert float(b) == fraction_float(b) and float(a) == fraction_float(a)
+    for x in (a, b):
+        assert float(x).hex() == nearest_double(x).hex()
 
 
 def fraction_floor_ratio(x: PiLinear, s: PiLinear) -> int:
@@ -398,23 +495,6 @@ class FractionPiLinear:
             p *= 2
         raise AssertionError("angle reduction did not converge")
 
-    def bounds(self, digits):
-        if self.q1 == 0:
-            return self.q0, self.q0
-        extra = len(str(abs(self.q1.numerator))) + len(str(self.q1.denominator)) + 1
-        plo, phi = pi_bounds(digits + extra)
-        if self.q1 > 0:
-            return self.q0 + self.q1 * plo, self.q0 + self.q1 * phi
-        return self.q0 + self.q1 * phi, self.q0 + self.q1 * plo
-
-    def __float__(self):
-        q0, q1 = self.q0, self.q1
-        if q1 == 0:
-            return float(q0)
-        n0, d0, n1, d1 = q0.numerator, q0.denominator, q1.numerator, q1.denominator
-        pn, pd = _pi_mid(20 + len(str(abs(n1))) + len(str(d1)) + 1)
-        return (n0 * d1 * pd + n1 * d0 * pn) / (d0 * d1 * pd)
-
     def __str__(self):
         return render(self)
 
@@ -444,8 +524,8 @@ def assert_matches_fraction_pilinear(q0, q1, r0, r1, r, k):
     assert compare(x, y) == want and (x - y).sign() == want
     assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
     assert x.sign() == X.sign() and (x == y) == (want == EQUAL)
-    assert float(x).hex() == float(X).hex()
-    assert x.bounds(30) == X.bounds(30)
+    assert float(x).hex() == nearest_double(x).hex()
+    assert_encloses(x, 30)
     assert (str(x), repr(x)) == (str(X), repr(X))
 
 

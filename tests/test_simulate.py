@@ -38,7 +38,7 @@ from dyadicspec.spectrum import (
     VSegment,
     real_part_range,
 )
-from dyadicspec.threads import Thread, evaluate
+from dyadicspec.threads import Thread, evaluate, verify_witness
 
 from conftest import random_spectrum
 
@@ -156,6 +156,17 @@ def test_quasi_uniform_cover_absent(solenoid, roots2k):
         cov = quasi_uniform_cover(Z, F(1, 2), 1, 50)
         assert cov.status == "absent"
         assert cov.absent_witness is not None
+
+
+def test_blocking_search_stops_at_the_certified_tail():
+    # on the circle at eps 1 the bit-1 tail keeps |1 - z|^2 >= 1 at every
+    # level (threads.tail_closes), so a search to index 5000 takes a few pops
+    line = SpectrumSet((VLine(F(0)),))
+    cov = quasi_uniform_cover(line, F(1), 1, 5000, node_budget=50)
+    assert cov.status == "absent"
+    th = cov.absent_witness
+    assert len(th.bits) == 5000 - th.base_level and th.bits[-1] == 1
+    assert verify_witness(LevelCache(line), th, 5000, F(1))
 
 
 def test_covers_on_a_shared_cache_match_fresh_caches(roots2k, solenoid, rectangle, primefamily):
