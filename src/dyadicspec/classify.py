@@ -38,6 +38,7 @@ from .spectrum import (
     SpectrumSet,
     VLine,
     antipode_level_union,
+    has_bounded_section,
 )
 from .threads import (
     Thread,
@@ -121,8 +122,8 @@ def _bounded_radius_sq(Z: SpectrumSet) -> Optional[Fraction]:
     """Rational upper bound for sup |z|^2 over Z, None if Z is unbounded."""
     worst = Fraction(0)
     for p in Z.primitives:
-        S = p.section
-        if isinstance(p, PrimeFamily) or not isinstance(S, BOUNDED_PARTS):
+        # a family's points are not built: its a_j grow without bound
+        if isinstance(p, PrimeFamily) or not isinstance(S := p.section, BOUNDED_PARTS):
             return None
         im_b = Fraction(0)
         for v in S.values if isinstance(S, SectionPoints) else (S.lo, S.hi):
@@ -249,7 +250,7 @@ def pointwise_certificate(
     antipodes persist, and a bounded section's pair levels end, so the
     persistence comes from a prime family.
     """
-    if not Z.primitives or not all(isinstance(p.section, BOUNDED_PARTS) for p in Z.primitives):
+    if not Z.primitives or not all(map(has_bounded_section, Z.primitives)):
         return None
     if any(s.tail_all_from is not None for s in sections.sections):
         return None

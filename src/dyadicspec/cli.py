@@ -556,6 +556,31 @@ def report_to_dict(rep: ClassificationReport) -> dict:
     return d
 
 
+_quote = json.encoder.encode_basestring_ascii
+# the JSON text of each scalar class a report holds
+_SCALARS = {str: _quote, int: int.__repr__, bool: ("false", "true").__getitem__, type(None): lambda _: "null"}
+
+
+def json_text(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2) of a dict or list of nested dicts, lists,
+    strings, integers, booleans and None, such as a report dict.  Given
+    an indent json.dumps runs its pure-Python encoder; this writes the
+    same text directly, scalars through `_SCALARS`."""
+    inner = indent + "  "
+    parts = []
+    if x.__class__ is dict:
+        for k, v in x.items():
+            scalar = _SCALARS.get(v.__class__)
+            parts.append(_quote(k) + ": " + (json_text(v, inner) if scalar is None else scalar(v)))
+        return "{" + inner + ("," + inner).join(parts) + indent + "}" if parts else "{}"
+    if x.__class__ is list:
+        for v in x:
+            scalar = _SCALARS.get(v.__class__)
+            parts.append(json_text(v, inner) if scalar is None else scalar(v))
+        return "[" + inner + ("," + inner).join(parts) + indent + "]" if parts else "[]"
+    raise TypeError(f"a report holds no {type(x).__name__}")
+
+
 def render_report(rep: ClassificationReport) -> str:
     d = report_to_dict(rep)
     out = []
@@ -634,11 +659,7 @@ def run(command: str, cfg: Config, csv_path: Optional[str] = None, as_json: bool
     if command == "classify":
         cache = LevelCache(cfg.spectrum)
         rep = run_classify(cfg.spectrum, cfg.params, cache)
-        text = (
-            json.dumps(report_to_dict(rep), indent=2) + "\n"
-            if as_json
-            else render_report(rep)
-        )
+        text = json_text(report_to_dict(rep)) + "\n" if as_json else render_report(rep)
         if csv_path:
             _write_classify_csv(csv_path, rep, cfg, cache)
         code = 2 if rep.verdict is Verdict.INCONCLUSIVE else 0

@@ -111,9 +111,14 @@ def _sign_int(x: int, y: int) -> int:
     """Sign of x + y*pi for integers x, y."""
     if y == 0 or x == 0 or (x > 0) == (y > 0):
         return (x > 0) - (x < 0) if x else (y > 0) - (y < 0)
-    # opposite signs: with lo <= pi * 2**p <= hi the value times 2**p lies
-    # between x * 2**p + y*lo and x * 2**p + y*hi, which are at most 2|y|
-    # apart; refine p until both have one sign
+    # opposite signs: 333/106 < pi < 355/113, so x + y*pi lies between
+    # (106x + 333y)/106 and (113x + 355y)/113, and has their sign when they
+    # share one.  Else (a near-tie), with lo <= pi * 2**p <= hi, the value
+    # times 2**p lies between x * 2**p + y*lo and x * 2**p + y*hi, which
+    # are at most 2|y| apart; refine p until both have one sign
+    u, v = 106 * x + 333 * y, 113 * x + 355 * y
+    if u > 0 < v or u < 0 > v:
+        return 1 if u > 0 else -1
     for p in _precisions(64, "pi comparison"):
         lo, hi = _pi_fixed(p)
         xs = x << p
@@ -341,6 +346,9 @@ def reduce_mod_2pi(x: PiLinear) -> PiLinear:
     if a == 0:
         m = -((d - b) // (2 * d))  # ceil((q1 - 1)/2)
         return _raw(0, b - 2 * m * d, d) if m else x
+    # |x| <= (|a| + |b| * 355/113) / d < 333/113 < pi: already reduced
+    if 113 * abs(a) + 355 * abs(b) < 333 * d:
+        return x
     # y = q0/(2pi) + (q1 - 1)/2 = (a/pi + b - d)/(2d) is irrational; m =
     # ceil(y).  With lo <= pi * 2**p <= hi, y lies between the rationals
     # (a * 2**p + (b - d) * P) / (2d * P) at P = lo, hi

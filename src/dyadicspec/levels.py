@@ -64,6 +64,7 @@ from .records import Frozen, record
 from .spectrum import (
     ConsistencyError,
     ILattice,
+    PrimeFamily,
     SectionInterval,
     SectionLattice,
     SectionPart,
@@ -505,13 +506,20 @@ def level_view(Z: SpectrumSet, n: int) -> list[Component]:
     """cl(exp(Z / 2^n)) before normalization: each primitive's real range
     scaled by 2^-n, times each angle set of its section part scaled by
     2^-n, one component per angle set.  A points part on one radius gives
-    isolated points directly."""
+    isolated points directly.
+
+    A prime family gives the unit-circle points of its distinct reduced
+    angles, `PrimeFamily.level_angles`: for each prime j, c*pi/(j*2^n)
+    with c a small odd integer, 1 mod j, read off n, n_j and j alone."""
     if n < 0:
         raise ValueError("level must be >= 0")
     comps: list[Component] = []
     for p in Z.primitives:
         re_lo, re_hi = p.re_lo, p.re_hi
         lo = _log_scaled(re_lo.numerator, re_lo.denominator, n)
+        if p.__class__ is PrimeFamily:
+            comps.extend(_comp(lo, lo, a) for a in p.level_angles(n))
+            continue
         # a primitive on one vertical line holds its one real value twice
         hi = lo if re_hi is re_lo else _log_scaled(re_hi.numerator, re_hi.denominator, n)
         S = p.section
@@ -525,8 +533,8 @@ def level_view(Z: SpectrumSet, n: int) -> list[Component]:
 def _scaled_point(a: PiLinear, n: int) -> PiLinear:
     """reduce_mod_2pi(scale_pow2(a, -n)).  A multiple of pi is first taken
     modulo 2**(n+1) * pi, which the scaling maps to 2*pi, so the scaling
-    and the reduction act on small integers (a prime family's angles have
-    thousands of bits); b mod 2**(n+1) * d keeps gcd(b, d) = 1."""
+    and the reduction act on small integers however large the coefficient;
+    b mod 2**(n+1) * d keeps gcd(b, d) = 1."""
     if a.a == 0:
         a = _raw(0, a.b % (a.d << n + 1), a.d)
     return reduce_mod_2pi(scale_pow2(a, -n))
@@ -652,7 +660,9 @@ def antipodal_set(L: LevelSet) -> LevelSet:
     for m, angles in circles.items():
         around = [c.angles for c in spread if _log_within(c.lo_m, c.hi_m, m)]
         for a in angles:
-            b = reduce_mod_2pi(a + PI)
+            # a is reduced, so a + pi reduces to a - pi when a > 0: the
+            # triple (a, b -+ d, d) stays reduced
+            b = _raw(a.a, a.b - a.d if a.sign() > 0 else a.b + a.d, a.d)
             if around and any(_angles_contain(x, b) for x in around):
                 out += (_comp(m, m, a), _comp(m, m, b))
             elif b in angles:

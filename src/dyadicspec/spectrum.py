@@ -21,6 +21,7 @@ All decisions are made in exact arithmetic on PiLinear scalars.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -90,7 +91,7 @@ class Point(_OnOneLine):
     re: Fraction
     im: PiLinear
 
-    @property
+    @functools.cached_property
     def section(self) -> SectionPart:
         return SectionPoints((self.im,))
 
@@ -105,7 +106,7 @@ class VSegment(_OnOneLine):
         if self.im_lo > self.im_hi:
             raise SpectrumError("segment with im_lo > im_hi")
 
-    @property
+    @functools.cached_property
     def section(self) -> SectionPart:
         return SectionInterval(self.im_lo, self.im_hi)
 
@@ -122,7 +123,7 @@ class ILattice(_OnOneLine):
         if self.step.sign() <= 0:
             raise SpectrumError("lattice step must be positive")
 
-    @property
+    @functools.cached_property
     def section(self) -> SectionPart:
         return SectionLattice(self.base, self.step)
 
@@ -131,7 +132,7 @@ class ILattice(_OnOneLine):
 class VLine(_OnOneLine):
     re: Fraction
 
-    @property
+    @functools.cached_property
     def section(self) -> SectionPart:
         return SectionLine()
 
@@ -149,7 +150,7 @@ class Rect:
         if self.im_lo > self.im_hi:
             raise SpectrumError("rectangle with im_lo > im_hi")
 
-    @property
+    @functools.cached_property
     def section(self) -> SectionPart:
         return SectionInterval(self.im_lo, self.im_hi)
 
@@ -167,6 +168,20 @@ class PrimeFamily:
     infinite; J primes are materialized for level computations and the
     tail is handled symbolically (a_j - b_j = -2^(n_j)*pi identically,
     which pins the antipodal schedule for every j).
+
+    Its level angles and its section's pair levels are read in closed
+    form, so neither builds the points of `section`, whose coefficients
+    have about n_j bits:
+
+    * at level n, with h = j*2^n, a_j/2^n is c*pi/h modulo 2*pi with
+      c = 1 for n <= n_j and c = 1 + j*2^(n_j+1) beyond, and b_j/2^n with
+      c = 1 for n < n_j, c = 1 + h at n = n_j and c = 1 + 3j*2^(n_j)
+      beyond (`level_angles`).  Every c lies in [1, 2h), is odd and is 1
+      mod j, so c*pi/h, less 2*pi when c > h, is a reduced angle;
+    * a_j and b_j are the only pair of points that differ by a multiple of
+      pi: the points of prime j have the coset (0, 1, j) of
+      `_points_points_levels`.  So alone on its section the family has the
+      pair levels {n_j} (`schedule`).
     """
 
     n_seq: tuple[int, int] = (2, 0)  # n_j = a*j + b, or as text: 2j, 3j+1, j+4, j
@@ -205,18 +220,56 @@ class PrimeFamily:
         # (1 + 3j*2^(n_j))*pi/j, reduced likewise
         return _raw(0, 1 + (3 * j << self.n_of(j)), j)
 
+    @functools.cached_property
+    def schedule(self) -> tuple[int, ...]:
+        """The levels n_j of the J materialized primes."""
+        return tuple(map(self.n_of, self.primes()))
+
+    def level_angles(self, n: int) -> Iterator[PiLinear]:
+        """The distinct angles of a_j/2^n and b_j/2^n reduced to (-pi, pi],
+        prime by prime (closed form in the class docstring)."""
+        for j, m in zip(self.primes(), self.schedule):
+            yield from _prime_level_angles(j, m, n)
+
+
+def _prime_level_angles(j: int, m: int, n: int) -> tuple[PiLinear, ...]:
+    """The reduced angles of a_j/2^n and of b_j/2^n, for n_j = m, or the
+    one angle they share below n_j (see `PrimeFamily`)."""
+    h = j << n
+    ca = 1 if n <= m else 1 + (j << m + 1)
+    a = _raw(0, ca - 2 * h if ca > h else ca, h)
+    if n < m:
+        return (a,)
+    cb = 1 + h if n == m else 1 + (3 * j << m)
+    return a, _raw(0, cb - 2 * h if cb > h else cb, h)
+
 
 Primitive = Union[Point, VSegment, ILattice, VLine, Rect, PrimeFamily]
 
 
+def has_bounded_section(p: Primitive) -> bool:
+    """Whether p's section part is points or an interval.  A prime
+    family's is its J points, known without building them."""
+    return isinstance(p, PrimeFamily) or isinstance(p.section, BOUNDED_PARTS)
+
+
+@functools.lru_cache(maxsize=32)
 def primes_from_3(count: int) -> tuple[int, ...]:
-    out = []
-    candidate = 3
-    while len(out) < count:
-        if all(candidate % p for p in range(2, math.isqrt(candidate) + 1)):
-            out.append(candidate)
-        candidate += 2
-    return tuple(out)
+    """The first `count` odd primes: a sieve of Eratosthenes over the odd
+    numbers below a bound that doubles until it holds them.  Cached per
+    count, as every level and section of a family reads them."""
+    limit = 64
+    while True:
+        odd = bytearray([1]) * (limit // 2)  # odd[i] stands for 2i + 1
+        odd[0] = 0
+        for i in range(1, (math.isqrt(limit) + 1) // 2):
+            if odd[i]:
+                p = 2 * i + 1
+                odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+        primes = [2 * i + 1 for i in itertools.compress(range(len(odd)), odd)]
+        if len(primes) >= count:
+            return tuple(primes[:count])
+        limit *= 2
 
 
 @record
@@ -262,12 +315,20 @@ def _normalize_parts(parts: Iterable[SectionPart]) -> tuple[SectionPart, ...]:
     out: list[SectionPart] = []
     if points:
         # values q0 + q1*pi are equal exactly when (q0, q1) are (pi is
-        # irrational); sorted by the integers (q0, q1) * L, L the lcm of d
-        L = math.lcm(*(v.d for v in points))
-        uniq = sorted(set(points), key=lambda v: (v.a * (L // v.d), v.b * (L // v.d)))
-        out.append(SectionPoints(tuple(uniq)))
+        # irrational); sorted by (q0, q1)
+        out.append(SectionPoints(tuple(sorted(set(points), key=_coefficient_key))))
     out.extend(dict.fromkeys(rest))
     return tuple(out)
+
+
+def _compare_coefficients(u: PiLinear, v: PiLinear) -> int:
+    """Negative, zero or positive as (u.q0, u.q1) is below, at or above
+    (v.q0, v.q1) in lexicographic order, cross-multiplied."""
+    d, e = u.d, v.d
+    return (u.a * e - v.a * d) or (u.b * e - v.b * d)
+
+
+_coefficient_key = functools.cmp_to_key(_compare_coefficients)
 
 
 def section_set(parts: Iterable[SectionPart]) -> SectionSet:
@@ -478,9 +539,20 @@ def _section_pair_levels(S: SectionSet) -> Iterator[PairLevels]:
             yield from _pair_levels(A, B)
 
 
+def _section_levels(Z: SpectrumSet, t: Fraction) -> Iterable[PairLevels]:
+    """The descriptions of every pair of parts of S_t.  A prime family
+    alone on the section pairs a_j with b_j only, at n_j (see
+    `PrimeFamily`), so its points are not built."""
+    on = [p for p in Z.primitives if p.re_lo <= t <= p.re_hi]
+    if len(on) == 1 and isinstance(on[0], PrimeFamily):
+        schedule = on[0].schedule
+        return (PairLevels(frozenset(schedule), max(schedule) + 1, False),)
+    return _section_pair_levels(vertical_section(Z, t))
+
+
 def section_antipode_condition(Z: SpectrumSet, t: Fraction, n: int) -> bool:
     """True iff S_t - S_t contains an odd multiple of 2^n * pi."""
-    return any(d.holds(n) for d in _section_pair_levels(vertical_section(Z, Fraction(t))))
+    return any(d.holds(n) for d in _section_levels(Z, Fraction(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +582,7 @@ def section_antipode_levels(Z: SpectrumSet, t: Fraction, n_max: int) -> SectionL
     t = Fraction(t)
     hits: set[int] = set()
     true_from: Optional[int] = None
-    for d in _section_pair_levels(vertical_section(Z, t)):
+    for d in _section_levels(Z, t):
         hits |= d.hits
         if d.value and (true_from is None or d.start < true_from):
             true_from = d.start

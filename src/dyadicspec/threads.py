@@ -29,7 +29,7 @@ from .exactnum import ComputationLimit, PI, PiLinear, _mk, _v2, reduce_mod_2pi, 
 from .levels import LevelCache, LevelPoint, _log_scaled, _point, component_sup_candidates, on_line_level
 from .realbounds import abs1m_sq_bounds, compare_abs1m_sq, interval_sqrt
 from .records import record
-from .spectrum import BOUNDED_PARTS, ILattice, SpectrumSet, VLine
+from .spectrum import ILattice, SpectrumSet, VLine, has_bounded_section
 
 
 class InfeasibleThread(ValueError):
@@ -224,7 +224,7 @@ def divergence_search(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     delta_sq = Fraction(delta) ** 2
-    if all(isinstance(p.section, BOUNDED_PARTS) for p in cache.Z.primitives) and (
+    if all(map(has_bounded_section, cache.Z.primitives)) and (
         cache.sup(depth, 15).sq_hi < delta_sq
     ):
         return None

@@ -855,3 +855,37 @@ def test_component_printouts_match_golden_bytes():
     assert code == 0
     text += json.dumps(json.loads(out)["antipodal"]["pair_samples"], indent=2) + "\n"
     assert text.encode() == (GOLDEN / "levels_kinds.txt").read_bytes()
+
+
+def test_commands_on_a_family_never_build_its_points(monkeypatch):
+    # level views, section levels and boundedness read the closed form
+    from dyadicspec.spectrum import PrimeFamily
+
+    monkeypatch.setattr(PrimeFamily, "section", property(lambda self: pytest.fail("section built")))
+    cfg = parse_config("spectrum primefamily nseq=2j J=40\n")
+    for command in ("classify", "levels", "antipodes", "mt", "simulate"):
+        assert run(command, cfg)[0] in (0, 2), command
+    assert run("classify", cfg, as_json=True)[0] == 0
+
+
+def test_json_text_is_json_dumps_with_indent(monkeypatch):
+    reports = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("report_*.json"))]
+    assert len(reports) >= 8
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    for path in sorted((bench / "references").glob("*.json")):
+        for ref in json.loads(path.read_text())["items"].values():
+            if ref["exit"] in (0, 2) and ref["stdout"].startswith("{"):
+                reports.append(json.loads(ref["stdout"]))
+    assert len(reports) > 100
+    rng = random.Random(57)
+    params = ClassifyParams(n_max=6, K=2, search_depth=12)
+    from dyadicspec.classify import classify
+
+    for _ in range(300):
+        reports.append(cli.report_to_dict(classify(random_spectrum(rng), params)))
+    for d in reports:
+        assert cli.json_text(d) == json.dumps(d, indent=2)
+    for x in ({}, [], {"a": [[], {}, [1, "é", None, True, False, -3]]}):
+        assert cli.json_text(x) == json.dumps(x, indent=2)
+    with pytest.raises(TypeError):
+        cli.json_text({"x": 1.5})

@@ -18,6 +18,7 @@ from dyadicspec.exactnum import (
     PiLinear,
     _MAX_BITS,
     _pi_fixed,
+    _precisions,
     _ratio_ints,
     _sign_int,
     ceil_ratio,
@@ -591,3 +592,76 @@ def test_triple_is_canonical_and_immutable():
     with pytest.raises(TypeError):
         x.scaled(0.5)
     assert x != (1, 2, 2) and x != F(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the rational bracket 333/106 < pi < 355/113 ahead of the refinement loops
+
+
+def loop_sign_int(x: int, y: int) -> int:
+    """Oracle: _sign_int with its refinement loop alone."""
+    if y == 0 or x == 0 or (x > 0) == (y > 0):
+        return (x > 0) - (x < 0) if x else (y > 0) - (y < 0)
+    for p in _precisions(64, "pi comparison"):
+        lo, hi = _pi_fixed(p)
+        a, b = (x << p) + y * lo, (x << p) + y * hi
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+
+
+def loop_reduce_mod_2pi(x: PiLinear) -> PiLinear:
+    """Oracle: reduce_mod_2pi with its refinement loop alone."""
+    a, b, d = x.a, x.b, x.d
+    if a == 0:
+        m = -((d - b) // (2 * d))
+        return PiLinear(0, F(b - 2 * m * d, d))
+    v, w = b - d, 2 * d
+    for p in _precisions(64 + max(0, a.bit_length() - d.bit_length()), "angle reduction"):
+        lo, hi = _pi_fixed(p)
+        clo = -(-((a << p) + v * lo) // (w * lo))
+        if clo == -(-((a << p) + v * hi) // (w * hi)):
+            return PiLinear(F(a, d), F(b - 2 * clo * d, d))
+
+
+def _pi_convergent_above(q_min: int) -> tuple[int, int]:
+    """The first continued-fraction convergent p/q of pi with q > q_min."""
+    n, d = mp_pi_bounds(2 * len(str(q_min)) + 40)[0].as_integer_ratio()
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while k1 <= q_min:
+        a, n, d = n // d, d, n % d
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+    return h1, k1
+
+
+def test_sign_and_reduce_match_their_loops_on_random_integers():
+    rng = random.Random(57)
+    for _ in range(4000):
+        bits = rng.choice((3, 8, 20, 64, 300))
+        x, y = rng.randint(-(1 << bits), 1 << bits), rng.randint(-(1 << bits), 1 << bits)
+        assert _sign_int(x, y) == loop_sign_int(x, y), (x, y)
+        d = rng.randint(1, 1 << rng.choice((2, 8, 40)))
+        a = PiLinear(F(x, d), F(y, rng.randint(1, 9) * d))
+        assert reduce_mod_2pi(a) == loop_reduce_mod_2pi(a), a
+
+
+def test_sign_and_reduce_match_their_loops_near_pi_convergents():
+    q300 = _pi_convergent_above(10**300)
+    assert q300[1] > 10**300
+    cases = 0
+    for p, q in ((22, 7), (333, 106), (355, 113), (103993, 33102), q300):
+        for k in (1, 2, 7):
+            for e in (-2, -1, 0, 1, 2):
+                # k * (p - q*pi) + e: the bracket cannot settle e = 0
+                for x, y in ((k * p + e, -k * q), (-k * p - e, k * q)):
+                    assert _sign_int(x, y) == loop_sign_int(x, y), (x, y)
+                    cases += 1
+                # angles about the bracket's border 113|a| + 355|b| = 333d,
+                # and angles k*p/q - pi just beside -pi or 0
+                for a in (PiLinear(F(k * p + e, 113 * k), F(-1, 1)), PiLinear(F(k * p + e, k * q), -1),
+                          PiLinear(F(333 * k + e, 113 * k), 0), PiLinear(F(-(333 * k + e), 113 * k), 0),
+                          PiLinear(F(k * p + e, 2 * k * q), F(-1, 2))):
+                    assert reduce_mod_2pi(a) == loop_reduce_mod_2pi(a), a
+                    cases += 1
+    assert cases == 5 * 3 * 5 * 7

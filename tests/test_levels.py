@@ -30,6 +30,7 @@ from dyadicspec.levels import (
     _orbit_contains,
     _orbit_intersection,
     _rat_hash,
+    _scaled_point,
     antipodal_set,
     antipode_component,
     circle_section,
@@ -53,6 +54,7 @@ from dyadicspec.spectrum import (
     PrimeFamily,
     Rect,
     SpectrumSet,
+    _prime_level_angles,
     image_closedness,
     section_antipode_condition,
     section_representatives,
@@ -1147,3 +1149,51 @@ def test_antipodal_set_meets_no_isolated_point(monkeypatch):
     monkeypatch.setattr(levels, "component_intersection", checked)
     _classify_counted()
     assert calls and not any(calls)
+
+
+# ---------------------------------------------------------------------------
+# prime families in closed form
+
+
+def _family_section_angles(fam: PrimeFamily, js, n: int) -> dict[int, set[PiLinear]]:
+    """Per prime j in js: the reduced angles of its section points at level n."""
+    return {j: {_scaled_point(v, n) for v in (fam.alpha(j), fam.beta(j))} for j in js}
+
+
+def _family_level_angles(fam: PrimeFamily, n: int) -> dict[int, set[PiLinear]]:
+    """Per prime j: the closed-form angles at level n, keyed by the denominator j*2^n."""
+    out: dict[int, set[PiLinear]] = {}
+    for a in fam.level_angles(n):
+        assert a.a == 0 and a.d % (1 << n) == 0
+        out.setdefault(a.d >> n, set()).add(a)
+    return out
+
+
+@pytest.mark.parametrize("nseq", ["2j", "3j+1", "j+4", "j"])
+def test_family_level_angles_equal_the_scaled_section_points(nseq):
+    # every prime of J = 60 at every level from 0 to n_j + 8
+    fam = PrimeFamily(nseq, 60)
+    primes, top = fam.primes(), max(fam.schedule) + 8
+    for n in range(top + 1):
+        live = [j for j in primes if n <= fam.n_of(j) + 8]
+        got = _family_level_angles(fam, n)
+        assert list(got) == list(primes)
+        assert {j: got[j] for j in live} == _family_section_angles(fam, live, n), (nseq, n)
+    # every prime of J = 200 at the levels where the form changes: the
+    # lowest ones, where j*2^n passes the small primes, and n_j - 8 .. n_j + 8
+    fam = PrimeFamily(nseq, 200)
+    for j, m in zip(fam.primes(), fam.schedule):
+        for n in {*range(9), *range(max(0, m - 8), m + 9)}:
+            assert set(_prime_level_angles(j, m, n)) == _family_section_angles(fam, [j], n)[j], (nseq, j, n)
+
+
+@pytest.mark.parametrize("nseq", ["2j", "3j+1", "j+4", "j"])
+def test_family_level_view_is_the_section_view_without_repeats(nseq):
+    # the view the section points gave, one component per point in section
+    # order, with each repeated angle dropped
+    for J in (1, 2, 25):
+        fam = PrimeFamily(nseq, J)
+        Z = SpectrumSet((fam,))
+        for n in range(max(fam.schedule) + 9):
+            want = dict.fromkeys(Component(F(0), F(0), _scaled_point(v, n)) for v in fam.section.values)
+            assert level_view(Z, n) == list(want), (nseq, J, n)

@@ -23,6 +23,7 @@ from dyadicspec.spectrum import (
     VSegment,
     antipode_level_union,
     image_closedness,
+    primes_from_3,
     real_part_range,
     section_antipode_condition,
     section_antipode_levels,
@@ -748,3 +749,69 @@ def test_lattice_pairs_match_extended_gcd_oracle():
         if params is not None:
             solved.add((s1.q0 == 0, s2.q0 == 0))
     assert solved == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def _trial_division_primes(count: int) -> list[int]:
+    out, candidate = [], 3
+    while len(out) < count:
+        if all(candidate % p for p in range(2, math.isqrt(candidate) + 1)):
+            out.append(candidate)
+        candidate += 2
+    return out
+
+
+def test_sieve_matches_trial_division():
+    want = _trial_division_primes(3000)
+    # the sieve's bound doubles from 64: take every count at which a bound
+    # just holds the primes or just misses, every count below 100, and a
+    # stride to 3000
+    bounds = [64 << k for k in range(12)]
+    edges = {sum(p < b for p in want) + e for b in bounds for e in (-1, 0, 1)}
+    counts = {c for c in (*edges, *range(100), *range(100, 3001, 97), 3000) if 0 <= c <= 3000}
+    sieve = primes_from_3.__wrapped__  # uncached: no count is kept
+    for c in sorted(counts):
+        assert sieve(c) == tuple(want[:c]), c
+    assert primes_from_3(3000) is primes_from_3(3000)
+
+
+def _general_section_levels(Z: SpectrumSet, t: F, n_max: int) -> tuple:
+    """section_antipode_levels' fields from the pairs of the built section
+    points, the route every section shared with other parts takes."""
+    descriptions = list(_section_pair_levels(vertical_section(Z, t)))
+    assert not any(d.value for d in descriptions)
+    hits = frozenset().union(*(d.hits for d in descriptions))
+    return frozenset(n for n in hits if n <= n_max), frozenset(n for n in hits if n > n_max)
+
+
+@pytest.mark.parametrize("nseq", ["2j", "3j+1", "j+4", "j"])
+def test_family_alone_on_its_section_has_the_schedule_levels(nseq, monkeypatch):
+    for J in (1, 2, 25, 200):
+        fam = PrimeFamily(nseq, J)
+        Z = SpectrumSet((fam, Point(F(1), PiLinear(0, 1))))
+        for n_max in (1, 6, 12, 40):
+            want = _general_section_levels(Z, F(0), n_max)
+            with monkeypatch.context() as m:
+                m.setattr(PrimeFamily, "section", property(lambda self: pytest.fail("section built")))
+                got = section_antipode_levels(Z, F(0), n_max)
+                if n_max == 40:
+                    top = max(fam.schedule) + 2
+                    held = {n for n in range(top) if section_antipode_condition(Z, F(0), n)}
+                    assert held == set(fam.schedule), (nseq, J)
+            assert (got.levels, got.tail_extra) == want, (nseq, J, n_max)
+            assert got.tail_all_from is None and got.unbounded_schedule is fam
+            assert got.levels | got.tail_extra == set(fam.schedule)
+        # beside a point of its section the family's points are paired: pi/3
+        # against a_3 = pi/3 + 2^(n_3 + 1)*pi adds the level n_3 + 1
+        shared = SpectrumSet((fam, Point(F(0), PiLinear(0, F(1, 3)))))
+        got = section_antipode_levels(shared, F(0), 40)
+        assert (got.levels, got.tail_extra) == _general_section_levels(shared, F(0), 40)
+        assert fam.n_of(3) + 1 in got.levels | got.tail_extra
+
+
+def test_section_points_are_in_coefficient_order():
+    rng = random.Random(57)
+    for _ in range(200):
+        points = [PiLinear(F(rng.randint(-9, 9), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12)))
+                  for _ in range(rng.randint(1, 12))]
+        S = section_set([SectionPoints(tuple(points))])
+        assert S.parts[0].values == tuple(sorted(set(points), key=lambda v: (v.q0, v.q1)))
